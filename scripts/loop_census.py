@@ -2,9 +2,10 @@
 """Census of loops up to isomorphism, order by order.
 
 For each order, enumerates isomorphism-class representatives with identity 0,
-then counts how many are associative (i.e. groups). Orders up to 6 finish in
-seconds; order 6 alone takes a few seconds because 109 classes survive the
-canonical-form filter.
+then counts how many are associative (i.e. groups). Orders up to 5 finish in
+well under a second; order 6 takes about 14 s (Python 3.11, one Xeon core),
+because each of its 9,408 normalized tables is reduced over all 120
+relabelings to find the 109 classes.
 
 Usage:
     python3 scripts/loop_census.py --max-order 6

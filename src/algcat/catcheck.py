@@ -9,6 +9,7 @@ not crashes.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -25,9 +26,8 @@ from .neardomain import (
 )
 from .rps import (
     Rps,
-    RpsMorphism,
+    based_point_maps,
     characterize_morphism,
-    compose_rps_morphisms,
     enumerate_rps_morphisms,
     enumerate_rps_morphisms_direct,
     identity_rps_morphism,
@@ -38,11 +38,9 @@ from .rps import (
 from .s2t import (
     Characteristic,
     S2tGroup,
-    S2tMorphism,
     affine_group,
     canonical_isomorphism,
     characteristic,
-    compose_s2t_morphisms,
     derived_neardomain,
     derived_nd_morphism,
     enumerate_s2t_morphisms,
@@ -55,7 +53,7 @@ from .s2t import (
     translations,
     translations_form_subgroup,
 )
-from .perms import Perm, perm_set
+from .perms import Morphism, Perm, compose_morphisms, perm_set
 from .zoo import Zoo, standard_zoo
 
 
@@ -121,17 +119,17 @@ def _compose_maps(outer: Sequence[int], inner: Sequence[int]) -> tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
-def _rps_hom_direct(src: Rps, dst: Rps) -> tuple[RpsMorphism, ...]:
+def _rps_hom_direct(src: Rps, dst: Rps) -> tuple[Morphism, ...]:
     return enumerate_rps_morphisms_direct(src, dst)
 
 
 @lru_cache(maxsize=None)
-def _rps_hom_fast(src: Rps, dst: Rps) -> tuple[RpsMorphism, ...]:
+def _rps_hom_fast(src: Rps, dst: Rps) -> tuple[Morphism, ...]:
     return enumerate_rps_morphisms(src, dst)
 
 
 @lru_cache(maxsize=None)
-def _s2t_hom_fast(src: S2tGroup, dst: S2tGroup) -> tuple[S2tMorphism, ...]:
+def _s2t_hom_fast(src: S2tGroup, dst: S2tGroup) -> tuple[Morphism, ...]:
     return enumerate_s2t_morphisms(src, dst)
 
 
@@ -148,17 +146,17 @@ NDOM_CAT = CategoryOps(
 RPS_CAT_DIRECT = CategoryOps(
     hom=_rps_hom_direct,
     identity=identity_rps_morphism,
-    compose=compose_rps_morphisms,
+    compose=compose_morphisms,
 )
 RPS_CAT_FAST = CategoryOps(
     hom=_rps_hom_fast,
     identity=identity_rps_morphism,
-    compose=compose_rps_morphisms,
+    compose=compose_morphisms,
 )
 S2T_CAT = CategoryOps(
     hom=_s2t_hom_fast,
     identity=identity_s2t_morphism,
-    compose=compose_s2t_morphisms,
+    compose=compose_morphisms,
 )
 
 RPS_TO_LOOP = FunctorOps(
@@ -196,15 +194,15 @@ NDOM_TO_S2T = FunctorOps(
 def _run_family(name: str, items, witness_fn) -> Verdict:
     """Run witness_fn over labelled argument tuples; first failure wins.
 
-    Structured validation errors and assertion failures become failing
-    verdicts so corrupted inputs yield witnesses instead of crashes.
+    Structured validation errors (broken invariants included) become
+    failing verdicts so corrupted inputs yield witnesses instead of crashes.
     """
     t0 = time.perf_counter()
     checked = 0
     for label, args in items:
         try:
             witness = witness_fn(*args)
-        except (StructureError, AssertionError, KeyError, ValueError) as exc:
+        except (StructureError, KeyError, ValueError) as exc:
             witness = f"{type(exc).__name__}: {exc}"
         checked += 1
         if witness is not None:
@@ -280,7 +278,7 @@ def check_functor_laws(functor: FunctorOps, objects: Sequence[tuple[str, object]
                                 return fail(
                                     f"composition broken on {name_a}->{name_b}->{name_c}: {left} != {right}"
                                 )
-    except (StructureError, AssertionError, KeyError, ValueError) as exc:
+    except (StructureError, KeyError, ValueError) as exc:
         return fail(f"{type(exc).__name__}: {exc}")
     return Verdict(
         f"functor-laws/{functor.name}", True, None, checked,
@@ -330,37 +328,30 @@ def full_faithful_witness(functor: FunctorOps, name_a: str, a, name_b: str, b) -
 
 def characterization_witness(src: Rps, dst: Rps, f: tuple[int, ...], phi: tuple[int, ...]) -> str | None:
     """The two-condition test must agree with the definitional check."""
-    cand = RpsMorphism(f, phi)
+    cand = Morphism(f, phi)
     if characterize_morphism(f, phi, src, dst) != is_rps_morphism(cand, src, dst):
         return f"characterization disagrees on f={f}, phi={phi}"
     return None
 
 
-def rps_oracle_agreement_witness(src: Rps, dst: Rps) -> str | None:
-    fast = set(_rps_hom_fast(src, dst))
-    direct = set(_rps_hom_direct(src, dst))
-    if fast != direct:
-        return f"fast path found {len(fast)}, direct oracle {len(direct)}"
+def oracle_agreement_witness(fast: Callable, direct: Callable, src, dst) -> str | None:
+    """The production hom enumerator and its brute-force oracle must find the
+    same morphisms."""
+    got, want = set(fast(src, dst)), set(direct(src, dst))
+    if got != want:
+        return f"fast path found {len(got)}, direct oracle {len(want)}"
     return None
 
 
-def s2t_oracle_agreement_witness(src: S2tGroup, dst: S2tGroup) -> str | None:
-    fast = set(_s2t_hom_fast(src, dst))
-    direct = set(enumerate_s2t_morphisms_direct(src, dst))
-    if fast != direct:
-        return f"fast path found {len(fast)}, direct oracle {len(direct)}"
-    return None
-
-
-def naturality_witness(src: S2tGroup, dst: S2tGroup, m: S2tMorphism) -> str | None:
+def naturality_witness(src: S2tGroup, dst: S2tGroup, m: Morphism) -> str | None:
     """The rebuild isomorphisms commute with every morphism: going rebuilt ->
     src -> dst must equal rebuilt -> rebuilt -> dst over the lifted point map."""
     nd_s, nd_d = derived_neardomain(src), derived_neardomain(dst)
     if not is_nd_morphism(m.phi, nd_s, nd_d):
         return "point map is not a neardomain morphism"
     lifted = lift_nd_morphism(m.phi, nd_s, nd_d)
-    left = compose_s2t_morphisms(m, canonical_isomorphism(src))
-    right = compose_s2t_morphisms(canonical_isomorphism(dst), lifted)
+    left = compose_morphisms(m, canonical_isomorphism(src))
+    right = compose_morphisms(canonical_isomorphism(dst), lifted)
     if left != right:
         return f"square does not commute: {left.f} != {right.f}"
     return None
@@ -422,18 +413,9 @@ def s2t_injectivity_witness(src: S2tGroup, dst: S2tGroup) -> str | None:
 
 def _all_candidates(src: Rps, dst: Rps):
     """Every (f, phi) pair with phi fixing the base point."""
-    import itertools
-
-    n, nm = src.degree, len(src.members)
-    m, mm = dst.degree, len(dst.members)
-    rest = [p for p in range(n) if p != src.basepoint]
-    for f in itertools.product(range(mm), repeat=nm):
-        for phi_rest in itertools.product(range(m), repeat=len(rest)):
-            phi_l = [0] * n
-            phi_l[src.basepoint] = dst.basepoint
-            for pos, v in zip(rest, phi_rest):
-                phi_l[pos] = v
-            yield f, tuple(phi_l)
+    for f in itertools.product(range(len(dst.members)), repeat=len(src.members)):
+        for phi in based_point_maps(src, dst):
+            yield f, phi
 
 
 def run_all(zoo: Zoo | None = None) -> list[Verdict]:
@@ -465,11 +447,11 @@ def run_all(zoo: Zoo | None = None) -> list[Verdict]:
     verdicts.append(_run_family(
         "rps-hom-oracle-agreement",
         [
-            (f"{na}->{nb}", (a, b))
+            (f"{na}->{nb}", (_rps_hom_fast, _rps_hom_direct, a, b))
             for na, a in rps_objects
             for nb, b in rps_objects
         ],
-        rps_oracle_agreement_witness,
+        oracle_agreement_witness,
     ))
     small_rps = [(n, r) for n, r in rps_objects if r.degree <= 3]
     verdicts.append(_run_family(
@@ -549,11 +531,11 @@ def run_all(zoo: Zoo | None = None) -> list[Verdict]:
     verdicts.append(_run_family(
         "s2t-hom-oracle-agreement",
         [
-            (f"{na}->{nb}", (a, b))
+            (f"{na}->{nb}", (_s2t_hom_fast, enumerate_s2t_morphisms_direct, a, b))
             for na, a in small_groups
             for nb, b in small_groups
         ],
-        s2t_oracle_agreement_witness,
+        oracle_agreement_witness,
     ))
     verdicts.append(_run_family(
         "nearfield-equivalence",

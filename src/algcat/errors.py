@@ -53,6 +53,16 @@ class AxiomViolation(StructureError):
         super().__init__(f"axiom {axiom} fails at {witness}")
 
 
+class InvariantViolation(StructureError):
+    """A property the mathematics guarantees failed to hold; `witness` pins
+    where. Raised explicitly, so the check still runs under python -O."""
+
+    def __init__(self, claim: str, witness: object):
+        self.claim = claim
+        self.witness = witness
+        super().__init__(f"{claim} fails at {witness}")
+
+
 class NotAGroup(StructureError):
     """A permutation set is not closed, lacks inverses, or lacks the identity."""
 

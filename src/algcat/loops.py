@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     IdentityViolation,
+    InvariantViolation,
     LatinSquareViolation,
     ResourceLimitExceeded,
     StructureError,
@@ -15,6 +16,8 @@ from .errors import (
 from .perms import Perm
 
 ENUMERATION_CAP = 6
+
+Table = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,79 +109,60 @@ def is_loop_morphism(f: Sequence[int], src: Loop, dst: Loop) -> bool:
         for b in range(src.order):
             if f[src.table[a][b]] != dst.table[f[a]][f[b]]:
                 return False
-    # identity-to-identity is forced for loops, keep it as a sanity assertion
-    assert f[src.identity] == dst.identity
+    # f(e) == f(e) * f(e) forces f(e) to be the identity in a loop
+    if f[src.identity] != dst.identity:
+        raise InvariantViolation("morphism fixes the identity", (src.identity, f[src.identity]))
     return True
+
+
+def table_homomorphisms(
+    src_ops: Sequence[Table],
+    dst_ops: Sequence[Table],
+    pinned: Mapping[int, int],
+) -> Iterator[tuple[int, ...]]:
+    """Every map f with f(a op b) == f(a) op' f(b) for each paired operation
+    (op, op') of src_ops and dst_ops, in lexicographic order of image tuples.
+    pinned fixes the image of the points it lists.
+
+    Backtracking over images in element order. Each product a op b == c is
+    checked once, at the step that assigns the largest of a, b and c.
+    """
+    n, m = len(src_ops[0]), len(dst_ops[0])
+    checks: list[list[tuple[Table, int, int, int]]] = [[] for _ in range(n)]
+    for op, dst_op in zip(src_ops, dst_ops):
+        for a in range(n):
+            for b in range(n):
+                c = op[a][b]
+                checks[max(a, b, c)].append((dst_op, a, b, c))
+    img = [0] * n
+
+    def rec(k: int) -> Iterator[tuple[int, ...]]:
+        if k == n:
+            yield tuple(img)
+            return
+        for v in (pinned[k],) if k in pinned else range(m):
+            img[k] = v
+            if all(t[img[a]][img[b]] == img[c] for t, a, b, c in checks[k]):
+                yield from rec(k + 1)
+
+    return rec(0)
 
 
 def enumerate_loop_morphisms(src: Loop, dst: Loop) -> tuple[tuple[int, ...], ...]:
     """All operation-preserving maps src -> dst, lexicographic by image tuple.
 
-    Backtracking over images in element order; partial products are checked
-    as soon as all three participants are assigned. The identity image is
-    pinned, which only prunes maps that could never be morphisms.
+    The identity image is pinned, which only prunes maps that could never be
+    morphisms.
     """
-    n, m = src.order, dst.order
-    img = [-1] * n
-    out: list[tuple[int, ...]] = []
-
-    def prefix_ok(k: int) -> bool:
-        for a in range(k + 1):
-            for b in range(k + 1):
-                c = src.table[a][b]
-                if c <= k and dst.table[img[a]][img[b]] != img[c]:
-                    return False
-        return True
-
-    def rec(k: int) -> None:
-        if k == n:
-            out.append(tuple(img))
-            return
-        choices = (dst.identity,) if k == src.identity else range(m)
-        for v in choices:
-            img[k] = v
-            if prefix_ok(k):
-                rec(k + 1)
-        img[k] = -1
-
-    rec(0)
-    return tuple(out)
+    return tuple(table_homomorphisms((src.table,), (dst.table,), {src.identity: dst.identity}))
 
 
 def loops_isomorphic(a: Loop, b: Loop) -> tuple[int, ...] | None:
     """First bijective morphism a -> b in lexicographic order, or None."""
     if a.order != b.order:
         return None
-    n = a.order
-    img = [-1] * n
-    used = [False] * n
-
-    def prefix_ok(k: int) -> bool:
-        for x in range(k + 1):
-            for y in range(k + 1):
-                z = a.table[x][y]
-                if z <= k and b.table[img[x]][img[y]] != img[z]:
-                    return False
-        return True
-
-    def rec(k: int) -> tuple[int, ...] | None:
-        if k == n:
-            return tuple(img)
-        choices = (b.identity,) if k == a.identity else range(n)
-        for v in choices:
-            if used[v]:
-                continue
-            img[k] = v
-            used[v] = True
-            if prefix_ok(k):
-                found = rec(k + 1)
-                if found is not None:
-                    return found
-            used[v] = False
-        img[k] = -1
-        return None
-
-    return rec(0)
+    homs = table_homomorphisms((a.table,), (b.table,), {a.identity: b.identity})
+    return next((f for f in homs if len(set(f)) == a.order), None)
 
 
 def relabel(loop: Loop, pi: Sequence[int]) -> Loop:
@@ -187,11 +171,8 @@ def relabel(loop: Loop, pi: Sequence[int]) -> Loop:
     pi = tuple(pi)
     if sorted(pi) != list(range(n)):
         raise StructureError("relabeling is not a bijection of the carrier")
-    table = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            table[pi[x]][pi[y]] = pi[loop.table[x][y]]
-    return check_loop(table, pi[loop.identity])
+    pi_inv = Perm(pi).inverse().images
+    return check_loop(_relabeled_table(loop.table, pi, pi_inv, n), pi[loop.identity])
 
 
 def _relabeled_table(table: Sequence[Sequence[int]], pi: Sequence[int], pi_inv: Sequence[int], n: int) -> tuple[tuple[int, ...], ...]:

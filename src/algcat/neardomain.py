@@ -17,7 +17,7 @@ standing property on everything this module ever builds.
 Morphisms preserve both operations and the multiplicative identity (without
 the unital requirement the constant-zero map would slip in, collapsing the
 hom-sets this package certifies). Morphisms are automatically injective;
-that is asserted, never assumed.
+that is checked, never assumed.
 """
 
 from __future__ import annotations
@@ -29,12 +29,11 @@ from typing import Sequence
 from .errors import (
     AxiomViolation,
     IdentityViolation,
+    InvariantViolation,
     LatinSquareViolation,
     StructureError,
 )
-from .loops import check_loop
-
-Table = tuple[tuple[int, ...], ...]
+from .loops import Table, check_loop, table_homomorphisms
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,12 +45,6 @@ class Neardomain:
     mul: Table
     zero: int
     one: int
-
-    def plus(self, a: int, b: int) -> int:
-        return self.add[a][b]
-
-    def times(self, a: int, b: int) -> int:
-        return self.mul[a][b]
 
     def neg(self, a: int) -> int:
         """The unique x with a + x == zero (by axiom 2 also x + a == zero)."""
@@ -133,9 +126,10 @@ def check_neardomain(
                 if mul_t[a][add_t[b][c]] != add_t[mul_t[a][b]][mul_t[a][c]]:
                     raise AxiomViolation(5, (a, b, c))
 
-    # a * zero == zero follows from axioms 1 and 5; assert rather than re-derive
+    # a * zero == zero follows from axioms 1 and 5; check rather than re-derive
     for a in range(n):
-        assert mul_t[a][zero] == zero
+        if mul_t[a][zero] != zero:
+            raise InvariantViolation("a * zero == zero", (a,))
 
     nd = Neardomain(n, add_t, mul_t, zero, one)
 
@@ -166,7 +160,7 @@ def d_coeff(nd: Neardomain, a: int, b: int) -> int:
 
 def is_nearfield(nd: Neardomain) -> bool:
     """True iff every reassociation coefficient is one; addition is then a
-    group, which is asserted."""
+    group, which is checked."""
     for a in range(nd.order):
         for b in range(nd.order):
             if d_coeff(nd, a, b) != nd.one:
@@ -175,7 +169,8 @@ def is_nearfield(nd: Neardomain) -> bool:
     for a in range(n):
         for b in range(n):
             for c in range(n):
-                assert nd.add[nd.add[a][b]][c] == nd.add[a][nd.add[b][c]]
+                if nd.add[nd.add[a][b]][c] != nd.add[a][nd.add[b][c]]:
+                    raise InvariantViolation("nearfield addition is associative", (a, b, c))
     return True
 
 
@@ -186,7 +181,7 @@ def characteristic_two(nd: Neardomain) -> bool:
 def is_nd_morphism(phi: Sequence[int], src: Neardomain, dst: Neardomain) -> bool:
     """True iff phi preserves add, mul, and the multiplicative identity.
 
-    A true result is asserted injective and zero-preserving: both follow, and
+    A true result is checked injective and zero-preserving: both follow, and
     a failure marks an implementation bug rather than a bad candidate.
     """
     phi = tuple(phi)
@@ -200,8 +195,10 @@ def is_nd_morphism(phi: Sequence[int], src: Neardomain, dst: Neardomain) -> bool
                 return False
             if phi[src.mul[a][b]] != dst.mul[phi[a]][phi[b]]:
                 return False
-    assert phi[src.zero] == dst.zero
-    assert len(set(phi)) == len(phi), "neardomain morphisms are injective"
+    if phi[src.zero] != dst.zero:
+        raise InvariantViolation("morphism fixes zero", (src.zero, phi[src.zero]))
+    if len(set(phi)) != len(phi):
+        raise InvariantViolation("neardomain morphisms are injective", phi)
     return True
 
 
@@ -209,45 +206,14 @@ def is_nd_morphism(phi: Sequence[int], src: Neardomain, dst: Neardomain) -> bool
 def enumerate_nd_morphisms(src: Neardomain, dst: Neardomain) -> tuple[tuple[int, ...], ...]:
     """All morphisms src -> dst, lexicographic by image tuple.
 
-    Backtracking over images in element order with both operations pruned on
-    the assigned prefix. Images of zero and one are pinned; that discards
-    only maps which could never be morphisms.
+    Searches maps preserving both operations with the images of zero and one
+    pinned, which discards only maps that could never be morphisms; every
+    result is then re-checked in full.
     """
-    n, m = src.order, dst.order
-    img = [-1] * n
-    out: list[tuple[int, ...]] = []
-
-    def prefix_ok(k: int) -> bool:
-        for a in range(k + 1):
-            for b in range(k + 1):
-                s = src.add[a][b]
-                if s <= k and dst.add[img[a]][img[b]] != img[s]:
-                    return False
-                p = src.mul[a][b]
-                if p <= k and dst.mul[img[a]][img[b]] != img[p]:
-                    return False
-        return True
-
-    def rec(k: int) -> None:
-        if k == n:
-            phi = tuple(img)
-            if is_nd_morphism(phi, src, dst):
-                out.append(phi)
-            return
-        if k == src.zero:
-            choices: Sequence[int] = (dst.zero,)
-        elif k == src.one:
-            choices = (dst.one,)
-        else:
-            choices = range(m)
-        for v in choices:
-            img[k] = v
-            if prefix_ok(k):
-                rec(k + 1)
-        img[k] = -1
-
-    rec(0)
-    return tuple(out)
+    homs = table_homomorphisms(
+        (src.add, src.mul), (dst.add, dst.mul), {src.zero: dst.zero, src.one: dst.one}
+    )
+    return tuple(phi for phi in homs if is_nd_morphism(phi, src, dst))
 
 
 # Fixed representations for the supported field orders. A prime power p^k is

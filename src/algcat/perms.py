@@ -110,6 +110,44 @@ def _index_map(ps: PermSet) -> dict[Perm, int]:
     return {p: i for i, p in enumerate(ps.members)}
 
 
+@dataclass(frozen=True, slots=True)
+class Morphism:
+    """A morphism of permutation sets: f maps source member indices (sorted
+    order) to target member indices, phi maps points. Unchecked container;
+    the is_*_morphism predicates validate."""
+
+    f: tuple[int, ...]
+    phi: tuple[int, ...]
+
+
+def identity_morphism(members: PermSet) -> Morphism:
+    return Morphism(tuple(range(len(members))), tuple(range(members.degree)))
+
+
+def compose_morphisms(outer: Morphism, inner: Morphism) -> Morphism:
+    """Composite inner-then-outer, index maps juggled accordingly."""
+    return Morphism(
+        tuple(outer.f[v] for v in inner.f),
+        tuple(outer.phi[v] for v in inner.phi),
+    )
+
+
+def intertwines(m: Morphism, src: PermSet, dst: PermSet) -> bool:
+    """True iff phi(p(x)) == f(p)(phi(x)) for every source member p and
+    point x. Raises ValueError unless f and phi are total maps into dst."""
+    f, phi = m.f, m.phi
+    if len(f) != len(src) or any(not 0 <= v < len(dst) for v in f):
+        raise ValueError("f is not a total map into the target members")
+    if len(phi) != src.degree or any(not 0 <= v < dst.degree for v in phi):
+        raise ValueError("phi is not a total map into the target points")
+    dst_ms = dst.members
+    for p, i in zip(src.members, f):
+        q = dst_ms[i].images
+        if any(phi[y] != q[phi[x]] for x, y in enumerate(p.images)):
+            return False
+    return True
+
+
 def closure(generators: Iterable[Perm], max_size: int = DEFAULT_CLOSURE_CAP) -> PermSet:
     """Smallest set containing the generators that is closed under composition,
     inversion, and contains the identity.

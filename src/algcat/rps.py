@@ -18,11 +18,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .errors import MissingIdentity, RegularityViolation, StructureError
+from .errors import InvariantViolation, MissingIdentity, RegularityViolation, StructureError
 from .loops import Loop, check_loop, enumerate_loop_morphisms, is_loop_morphism, left_translation
-from .perms import Perm, PermSet, perm_set
+from .perms import Morphism, Perm, PermSet, compose_morphisms, identity_morphism, intertwines, perm_set
+
+RpsMorphism = Morphism
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,15 +44,6 @@ class Rps:
     def from_point(self, alpha: int) -> Perm:
         """The unique member sending the base point to alpha."""
         return _transport(self)[alpha]
-
-
-@dataclass(frozen=True, slots=True)
-class RpsMorphism:
-    """f: index map over sorted source members into sorted target members;
-    phi: point map. Unchecked container; is_rps_morphism validates."""
-
-    f: tuple[int, ...]
-    phi: tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
@@ -128,26 +121,25 @@ def loop_to_rps(loop: Loop) -> Rps:
     return check_rps(members, loop.order, loop.identity)
 
 
-def is_rps_morphism(m: RpsMorphism, src: Rps, dst: Rps) -> bool:
+def is_rps_morphism(m: Morphism, src: Rps, dst: Rps) -> bool:
     """True iff (f, phi) commutes with every member at every point and phi
     preserves the base point."""
-    f, phi = m.f, m.phi
-    if len(f) != len(src.members) or any(not 0 <= v < len(dst.members) for v in f):
-        raise ValueError("f is not a total map into the target members")
-    if len(phi) != src.degree or any(not 0 <= v < dst.degree for v in phi):
-        raise ValueError("phi is not a total map into the target points")
-    if phi[src.basepoint] != dst.basepoint:
+    if not intertwines(m, src.members, dst.members) or m.phi[src.basepoint] != dst.basepoint:
         return False
-    src_ms = src.members.members
-    dst_ms = dst.members.members
-    for i, p in enumerate(src_ms):
-        q = dst_ms[f[i]]
-        for alpha in range(src.degree):
-            if phi[p(alpha)] != q(phi[alpha]):
-                return False
-    # morphisms send the identity member to the identity member; sanity only
-    assert f[src.members.index(Perm.identity(src.degree))] == dst.members.index(Perm.identity(dst.degree))
+    # the identity member fixes the base point, so regularity forces its image
+    src_e = src.members.index(Perm.identity(src.degree))
+    if m.f[src_e] != dst.members.index(Perm.identity(dst.degree)):
+        raise InvariantViolation("morphism sends the identity member to the identity", (src_e, m.f[src_e]))
     return True
+
+
+def _forced_member_map(phi: tuple[int, ...], src: Rps, dst: Rps) -> tuple[int, ...]:
+    """The member map that phi forces by target regularity: f(m) is the
+    target member whose base-point image is phi(m(base))."""
+    return tuple(
+        dst.members.index(dst.from_point(phi[p(src.basepoint)]))
+        for p in src.members
+    )
 
 
 def characterize_morphism(f: Sequence[int], phi: Sequence[int], src: Rps, dst: Rps) -> bool:
@@ -171,21 +163,17 @@ def characterize_morphism(f: Sequence[int], phi: Sequence[int], src: Rps, dst: R
     return cond1 and cond2
 
 
-def lift_loop_morphism(phi: Sequence[int], src: Rps, dst: Rps) -> RpsMorphism:
+def lift_loop_morphism(phi: Sequence[int], src: Rps, dst: Rps) -> Morphism:
     """The unique member map making (f, phi) a morphism, given a loop
     morphism phi between the induced loops: f(m) is the target member whose
     base-point image is phi(m(base))."""
     phi = tuple(phi)
     if not is_loop_morphism(phi, induced_loop(src), induced_loop(dst)):
         raise ValueError("phi is not a loop morphism between the induced loops")
-    f = tuple(
-        dst.members.index(dst.from_point(phi[p(src.basepoint)]))
-        for p in src.members
-    )
-    return RpsMorphism(f, phi)
+    return Morphism(_forced_member_map(phi, src, dst), phi)
 
 
-def enumerate_rps_morphisms(src: Rps, dst: Rps) -> tuple[RpsMorphism, ...]:
+def enumerate_rps_morphisms(src: Rps, dst: Rps) -> tuple[Morphism, ...]:
     """Hom-set via lifting every induced-loop morphism (the production path)."""
     return tuple(
         lift_loop_morphism(phi, src, dst)
@@ -193,7 +181,14 @@ def enumerate_rps_morphisms(src: Rps, dst: Rps) -> tuple[RpsMorphism, ...]:
     )
 
 
-def enumerate_rps_morphisms_direct(src: Rps, dst: Rps) -> tuple[RpsMorphism, ...]:
+def based_point_maps(src: Rps, dst: Rps) -> Iterator[tuple[int, ...]]:
+    """Every point map sending the source base point to the target's, in
+    lexicographic order."""
+    choices = [(dst.basepoint,) if x == src.basepoint else range(dst.degree) for x in range(src.degree)]
+    return itertools.product(*choices)
+
+
+def enumerate_rps_morphisms_direct(src: Rps, dst: Rps) -> tuple[Morphism, ...]:
     """Brute-force oracle: try every base-point-preserving point map.
 
     For each phi the member map is forced by target regularity (f(m) must
@@ -201,32 +196,16 @@ def enumerate_rps_morphisms_direct(src: Rps, dst: Rps) -> tuple[RpsMorphism, ...
     forced pair. Independent of the induced-loop reduction; exponential in
     the source degree, intended for desk-scale objects only.
     """
-    n, deg_t = src.degree, dst.degree
-    rest_positions = [p for p in range(n) if p != src.basepoint]
     out = []
-    for rest in itertools.product(range(deg_t), repeat=len(rest_positions)):
-        phi_l = [0] * n
-        phi_l[src.basepoint] = dst.basepoint
-        for pos, v in zip(rest_positions, rest):
-            phi_l[pos] = v
-        phi = tuple(phi_l)
-        f = tuple(
-            dst.members.index(dst.from_point(phi[p(src.basepoint)]))
-            for p in src.members
-        )
-        cand = RpsMorphism(f, phi)
+    for phi in based_point_maps(src, dst):
+        cand = Morphism(_forced_member_map(phi, src, dst), phi)
         if is_rps_morphism(cand, src, dst):
             out.append(cand)
     return tuple(out)
 
 
-def identity_rps_morphism(r: Rps) -> RpsMorphism:
-    return RpsMorphism(tuple(range(len(r.members))), tuple(range(r.degree)))
+def identity_rps_morphism(r: Rps) -> Morphism:
+    return identity_morphism(r.members)
 
 
-def compose_rps_morphisms(outer: RpsMorphism, inner: RpsMorphism) -> RpsMorphism:
-    """Composite inner-then-outer, index maps juggled accordingly."""
-    return RpsMorphism(
-        tuple(outer.f[v] for v in inner.f),
-        tuple(outer.phi[v] for v in inner.phi),
-    )
+compose_rps_morphisms = compose_morphisms

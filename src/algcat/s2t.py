@@ -43,13 +43,25 @@ from typing import Sequence
 from .errors import (
     DegenerateOmega,
     DichotomyViolation,
+    InvariantViolation,
     NotAGroup,
     NotSharplyTransitive,
     StructureError,
 )
-from .neardomain import Neardomain, check_neardomain, d_coeff, is_nd_morphism
-from .perms import Perm, PermSet, perm_set, subgroup_failure
+from .neardomain import Neardomain, check_neardomain, d_coeff, enumerate_nd_morphisms, is_nd_morphism
+from .perms import (
+    Morphism,
+    Perm,
+    PermSet,
+    compose_morphisms,
+    identity_morphism,
+    intertwines,
+    perm_set,
+    subgroup_failure,
+)
 from .rps import Rps, check_rps
+
+S2tMorphism = Morphism
 
 
 class Characteristic(enum.Enum):
@@ -65,15 +77,6 @@ class S2tGroup:
     degree: int
     omega0: int
     omega1: int
-
-
-@dataclass(frozen=True, slots=True)
-class S2tMorphism:
-    """f: index map over sorted source group members into the target's;
-    phi: point map. Unchecked container; is_s2t_morphism validates."""
-
-    f: tuple[int, ...]
-    phi: tuple[int, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,12 +163,12 @@ def _stabilizer_action(g: S2tGroup) -> dict[int, Perm]:
     """omega1-image -> element, over the stabilizer of omega0.
 
     Sharp 2-transitivity makes the stabilizer regular on the remaining
-    points; asserted once per object.
+    points; checked once per object.
     """
     stab = [p for p in g.group if p(g.omega0) == g.omega0]
     table = {p(g.omega1): p for p in stab}
-    assert len(stab) == g.degree - 1 and len(table) == g.degree - 1
-    assert g.omega0 not in table
+    if len(stab) != g.degree - 1 or set(table) != set(range(g.degree)) - {g.omega0}:
+        raise InvariantViolation("stabilizer of omega0 is regular on the other points", sorted(table))
     return table
 
 
@@ -195,18 +198,16 @@ def derived_neardomain(g: S2tGroup) -> Neardomain:
     return check_neardomain(add, mul, g.omega0, g.omega1)
 
 
-def is_s2t_morphism(m: S2tMorphism, src: S2tGroup, dst: S2tGroup) -> bool:
+def is_s2t_morphism(m: Morphism, src: S2tGroup, dst: S2tGroup) -> bool:
     """True iff characteristics match, f is a group homomorphism, and phi is
     an injective base-point-preserving map intertwining the actions.
 
-    A true result is asserted to have injective f (forced by phi injective
-    plus sharp transitivity; an assertion failure is an implementation bug).
+    A true result is checked to have injective f (forced by phi injective
+    plus sharp transitivity; a failure is an implementation bug).
     """
     f, phi = m.f, m.phi
-    if len(f) != len(src.group) or any(not 0 <= v < len(dst.group) for v in f):
-        raise ValueError("f is not a total map into the target group")
-    if len(phi) != src.degree or any(not 0 <= v < dst.degree for v in phi):
-        raise ValueError("phi is not a total map into the target points")
+    if not intertwines(m, src.group, dst.group):
+        return False
     if characteristic(src) is not characteristic(dst):
         return False
     if len(set(phi)) != len(phi):
@@ -216,19 +217,15 @@ def is_s2t_morphism(m: S2tMorphism, src: S2tGroup, dst: S2tGroup) -> bool:
     src_ms = src.group.members
     dst_ms = dst.group.members
     for i, p in enumerate(src_ms):
-        q = dst_ms[f[i]]
-        for x in range(src.degree):
-            if phi[p(x)] != q(phi[x]):
-                return False
-    for i, p in enumerate(src_ms):
         for j, q in enumerate(src_ms):
             if dst_ms[f[src.group.index(p * q)]] != dst_ms[f[i]] * dst_ms[f[j]]:
                 return False
-    assert len(set(f)) == len(f), "morphisms of sharply 2-transitive groups have injective f"
+    if len(set(f)) != len(f):
+        raise InvariantViolation("morphisms of sharply 2-transitive groups have injective f", f)
     return True
 
 
-def image_inclusion_witness(m: S2tMorphism, src: S2tGroup, dst: S2tGroup) -> str | None:
+def image_inclusion_witness(m: Morphism, src: S2tGroup, dst: S2tGroup) -> str | None:
     """None when f maps involutions into involutions and translations into
     translations; otherwise a witness description. Expects a valid morphism."""
     dst_ms = dst.group.members
@@ -245,12 +242,13 @@ def image_inclusion_witness(m: S2tMorphism, src: S2tGroup, dst: S2tGroup) -> str
     return None
 
 
-def derived_nd_morphism(m: S2tMorphism, src: S2tGroup, dst: S2tGroup) -> tuple[int, ...]:
+def derived_nd_morphism(m: Morphism, src: S2tGroup, dst: S2tGroup) -> tuple[int, ...]:
     """The point map of a valid morphism, re-checked as a neardomain morphism
-    between the derived structures (an assertion failure here is a bug, the
-    point map of a valid morphism always qualifies)."""
+    between the derived structures (a failure here is a bug, the point map of
+    a valid morphism always qualifies)."""
     phi = m.phi
-    assert is_nd_morphism(phi, derived_neardomain(src), derived_neardomain(dst))
+    if not is_nd_morphism(phi, derived_neardomain(src), derived_neardomain(dst)):
+        raise InvariantViolation("point map of a group morphism is a neardomain morphism", phi)
     return phi
 
 
@@ -283,10 +281,11 @@ def affine_group(nd: Neardomain) -> S2tGroup:
         (a, b) . (k, l) == (a + b*k, d * b * l),  d the reassociation
                                                   coefficient of (a, b*k)
 
-    is asserted for every pair of maps.
+    is checked for every pair of maps.
     """
     maps = affine_maps(nd)
-    assert len({am.perm for am in maps}) == len(maps)
+    if len({am.perm for am in maps}) != len(maps):
+        raise InvariantViolation("distinct parameters give distinct affine maps", len(maps))
     grp = check_s2t(perm_set(am.perm for am in maps), nd.zero, nd.one)
     by_param = {(am.a, am.b): am.perm for am in maps}
     for am1 in maps:
@@ -295,11 +294,12 @@ def affine_group(nd: Neardomain) -> S2tGroup:
             k, l = am2.a, am2.b
             d = d_coeff(nd, a, nd.mul[b][k])
             expected = by_param[(nd.add[a][nd.mul[b][k]], nd.mul[d][nd.mul[b][l]])]
-            assert am1.perm * am2.perm == expected
+            if am1.perm * am2.perm != expected:
+                raise InvariantViolation("affine composition law", ((a, b), (k, l)))
     return grp
 
 
-def lift_nd_morphism(phi: Sequence[int], src: Neardomain, dst: Neardomain) -> S2tMorphism:
+def lift_nd_morphism(phi: Sequence[int], src: Neardomain, dst: Neardomain) -> Morphism:
     """The induced morphism between affine groups: the map with parameters
     (a, b) goes to the one with parameters (phi(a), phi(b)). This is the
     morphism part of the functor from neardomains."""
@@ -314,18 +314,24 @@ def lift_nd_morphism(phi: Sequence[int], src: Neardomain, dst: Neardomain) -> S2
     for p in src_g.group:
         a, b = src_params[p]
         f.append(dst_g.group.index(dst_by_param[(phi[a], phi[b])]))
-    return S2tMorphism(tuple(f), phi)
+    return Morphism(tuple(f), phi)
+
+
+def _base_pair_index(g: S2tGroup) -> dict[tuple[int, int], int]:
+    """(p(omega0), p(omega1)) -> index of p; sharp 2-transitivity makes the
+    base images determine the member."""
+    return {(p(g.omega0), p(g.omega1)): i for i, p in enumerate(g.group.members)}
 
 
 @lru_cache(maxsize=None)
-def canonical_isomorphism(g: S2tGroup) -> S2tMorphism:
+def canonical_isomorphism(g: S2tGroup) -> Morphism:
     """The isomorphism from the rebuilt group (affine maps of the derived
     neardomain) back onto g, solved by two-point interpolation: each rebuilt
     member is matched with the unique element of g agreeing with it on both
     base points. Validity, bijectivity, and invertibility are all verified
     before returning."""
     rebuilt = affine_group(derived_neardomain(g))
-    pair_index = {(p(g.omega0), p(g.omega1)): i for i, p in enumerate(g.group.members)}
+    pair_index = _base_pair_index(g)
     for m in rebuilt.group:
         key = (m(g.omega0), m(g.omega1))
         if key not in pair_index:
@@ -333,19 +339,16 @@ def canonical_isomorphism(g: S2tGroup) -> S2tMorphism:
     f = tuple(pair_index[(m(g.omega0), m(g.omega1))] for m in rebuilt.group)
     if sorted(f) != list(range(len(f))):
         raise StructureError("two-point interpolation is not bijective")
-    iso = S2tMorphism(f, tuple(range(g.degree)))
+    iso = Morphism(f, tuple(range(g.degree)))
     if not is_s2t_morphism(iso, rebuilt, g):
         raise StructureError("interpolated map is not a morphism")
-    inv_f = [0] * len(f)
-    for i, v in enumerate(f):
-        inv_f[v] = i
-    inverse = S2tMorphism(tuple(inv_f), tuple(range(g.degree)))
+    inverse = Morphism(Perm(f).inverse().images, tuple(range(g.degree)))
     if not is_s2t_morphism(inverse, g, rebuilt):
         raise StructureError("interpolated map is not invertible as a morphism")
     return iso
 
 
-def enumerate_s2t_morphisms(src: S2tGroup, dst: S2tGroup) -> tuple[S2tMorphism, ...]:
+def enumerate_s2t_morphisms(src: S2tGroup, dst: S2tGroup) -> tuple[Morphism, ...]:
     """Hom-set via the derived neardomains (the production path): each
     neardomain morphism is lifted to the affine groups and conjugated back
     through the canonical isomorphisms. Mixed characteristics give the empty
@@ -354,20 +357,16 @@ def enumerate_s2t_morphisms(src: S2tGroup, dst: S2tGroup) -> tuple[S2tMorphism, 
         return ()
     nd_s, nd_d = derived_neardomain(src), derived_neardomain(dst)
     k_s, k_d = canonical_isomorphism(src), canonical_isomorphism(dst)
-    k_s_inv = [0] * len(k_s.f)
-    for i, v in enumerate(k_s.f):
-        k_s_inv[v] = i
-    from .neardomain import enumerate_nd_morphisms
-
+    k_s_inv = Perm(k_s.f).inverse().images
     out = []
     for phi in enumerate_nd_morphisms(nd_s, nd_d):
         lifted = lift_nd_morphism(phi, nd_s, nd_d)
         f = tuple(k_d.f[lifted.f[k_s_inv[i]]] for i in range(len(src.group)))
-        out.append(S2tMorphism(f, phi))
+        out.append(Morphism(f, phi))
     return tuple(out)
 
 
-def enumerate_s2t_morphisms_direct(src: S2tGroup, dst: S2tGroup) -> tuple[S2tMorphism, ...]:
+def enumerate_s2t_morphisms_direct(src: S2tGroup, dst: S2tGroup) -> tuple[Morphism, ...]:
     """Brute-force oracle: every injective base-point-preserving point map is
     tried; f is forced by two-point interpolation in the target (each f(p)
     must agree with phi . p on both base points), then the pair is verified
@@ -376,7 +375,7 @@ def enumerate_s2t_morphisms_direct(src: S2tGroup, dst: S2tGroup) -> tuple[S2tMor
     n, m = src.degree, dst.degree
     others = [x for x in range(n) if x not in (src.omega0, src.omega1)]
     targets = [y for y in range(m) if y not in (dst.omega0, dst.omega1)]
-    pair_index = {(q(dst.omega0), q(dst.omega1)): i for i, q in enumerate(dst.group.members)}
+    pair_index = _base_pair_index(dst)
     out = []
     for choice in itertools.permutations(targets, len(others)):
         phi_l = [0] * n
@@ -385,15 +384,9 @@ def enumerate_s2t_morphisms_direct(src: S2tGroup, dst: S2tGroup) -> tuple[S2tMor
         for pos, v in zip(others, choice):
             phi_l[pos] = v
         phi = tuple(phi_l)
-        f = []
-        for p in src.group:
-            key = (phi[p(src.omega0)], phi[p(src.omega1)])
-            idx = pair_index.get(key)
-            if idx is None:
-                break
-            f.append(idx)
-        else:
-            cand = S2tMorphism(tuple(f), phi)
+        keys = [(phi[p(src.omega0)], phi[p(src.omega1)]) for p in src.group]
+        if all(key in pair_index for key in keys):
+            cand = Morphism(tuple(pair_index[key] for key in keys), phi)
             if is_s2t_morphism(cand, src, dst):
                 out.append(cand)
     return tuple(out)
@@ -418,13 +411,8 @@ def relabel(g: S2tGroup, pi: Perm) -> S2tGroup:
     return check_s2t(members, pi(g.omega0), pi(g.omega1))
 
 
-def identity_s2t_morphism(g: S2tGroup) -> S2tMorphism:
-    return S2tMorphism(tuple(range(len(g.group))), tuple(range(g.degree)))
+def identity_s2t_morphism(g: S2tGroup) -> Morphism:
+    return identity_morphism(g.group)
 
 
-def compose_s2t_morphisms(outer: S2tMorphism, inner: S2tMorphism) -> S2tMorphism:
-    """Composite inner-then-outer, index maps juggled accordingly."""
-    return S2tMorphism(
-        tuple(outer.f[v] for v in inner.f),
-        tuple(outer.phi[v] for v in inner.phi),
-    )
+compose_s2t_morphisms = compose_morphisms

@@ -37,29 +37,31 @@ def test_run_all_green(zoo):
     failing = [v for v in verdicts if not v.passed]
     assert not failing, failing
     assert all(v.checked > 0 for v in verdicts)
+    # the per-family counts of the verify-all report: each family still runs
+    # on the same inputs, so the counts are fixed
     expected = {
-        "loop-rps-roundtrip",
-        "rps-full-faithful",
-        "rps-hom-oracle-agreement",
-        "rps-morphism-characterization",
-        "functor-laws/rps->loop",
-        "neardomain-is-nearfield",
-        "neardomain-roundtrip",
-        "translation-form",
-        "group-roundtrip",
-        "characteristic-coherence",
-        "translation-regularity",
-        "s2t-full-faithful",
-        "s2t-naturality",
-        "s2t-image-inclusions",
-        "s2t-hom-oracle-agreement",
-        "nearfield-equivalence",
-        "nd-morphism-injectivity",
-        "s2t-morphism-injectivity",
-        "functor-laws/ndom->s2t",
-        "functor-laws/s2t->ndom",
+        "loop-rps-roundtrip": 11,
+        "rps-full-faithful": 121,
+        "rps-hom-oracle-agreement": 121,
+        "rps-morphism-characterization": 318,
+        "functor-laws/rps->loop": 999,
+        "neardomain-is-nearfield": 8,
+        "neardomain-roundtrip": 8,
+        "translation-form": 8,
+        "group-roundtrip": 12,
+        "characteristic-coherence": 12,
+        "translation-regularity": 12,
+        "s2t-full-faithful": 144,
+        "s2t-naturality": 61,
+        "s2t-image-inclusions": 61,
+        "s2t-hom-oracle-agreement": 36,
+        "nearfield-equivalence": 12,
+        "nd-morphism-injectivity": 64,
+        "s2t-morphism-injectivity": 144,
+        "functor-laws/ndom->s2t": 64,
+        "functor-laws/s2t->ndom": 76,
     }
-    assert set(names) == expected
+    assert {v.name: v.checked for v in verdicts} == expected
 
 
 def test_verdict_serialization():
