@@ -3,15 +3,22 @@
 Composition is fixed project-wide as the left action: (p * q)(x) == p(q(x)),
 so q is applied first. Everything downstream (translation sets, affine maps,
 group checks) relies on this orientation; test_perms pins it.
+
+A PermSet derives its integer index data once per object: the member index
+(image tuple -> position) and its hash are stored at construction, and the
+member composition table (table[i][j] is the index of members[i] *
+members[j]) is built on first request. The table is exact: every product is
+composed from the image tuples and looked up in the member index, so a set
+that is not closed under composition raises NotAGroup instead of yielding a
+table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .errors import ClosureSizeExceeded, StructureError
+from .errors import ClosureSizeExceeded, NotAGroup, StructureError
 
 DEFAULT_CLOSURE_CAP = 10**6
 
@@ -76,6 +83,16 @@ class PermSet:
 
     degree: int
     members: tuple[Perm, ...]
+    _index: dict[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+    _table: tuple[tuple[int, ...], ...] | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_index", {p.images: i for i, p in enumerate(self.members)})
+        object.__setattr__(self, "_hash", hash((self.degree, self.members)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __len__(self) -> int:
         return len(self.members)
@@ -84,10 +101,29 @@ class PermSet:
         return iter(self.members)
 
     def __contains__(self, p: Perm) -> bool:
-        return p in _member_set(self)
+        return p.images in self._index
 
     def index(self, p: Perm) -> int:
-        return _index_map(self)[p]
+        return self._index[p.images]
+
+    def composition_table(self) -> tuple[tuple[int, ...], ...]:
+        """table[i][j] is the index of members[i] * members[j], built on the
+        first call by composing image tuples. Raises NotAGroup, naming the
+        factors, if some product is not a member."""
+        if self._table is None:
+            index = self._index
+            images = [p.images for p in self.members]
+            rows = []
+            for a in images:
+                row = []
+                for b in images:
+                    k = index.get(tuple([a[x] for x in b]))
+                    if k is None:
+                        raise NotAGroup(f"product {list(a)} * {list(b)} missing")
+                    row.append(k)
+                rows.append(tuple(row))
+            object.__setattr__(self, "_table", tuple(rows))
+        return self._table
 
 
 def perm_set(perms: Iterable[Perm]) -> PermSet:
@@ -98,16 +134,6 @@ def perm_set(perms: Iterable[Perm]) -> PermSet:
     if any(p.degree != degree for p in members):
         raise StructureError("permutation set mixes degrees")
     return PermSet(degree, members)
-
-
-@lru_cache(maxsize=None)
-def _member_set(ps: PermSet) -> frozenset[Perm]:
-    return frozenset(ps.members)
-
-
-@lru_cache(maxsize=None)
-def _index_map(ps: PermSet) -> dict[Perm, int]:
-    return {p: i for i, p in enumerate(ps.members)}
 
 
 @dataclass(frozen=True, slots=True)

@@ -11,12 +11,17 @@ the point structure back and forth along it is what this module implements:
 
 The two constructions invert each other bit-exactly; catcheck verifies this
 on the whole zoo.
+
+check_rps stores that bijection on the object as two integer tuples, member
+index -> base-point image and point -> member index; the second is forced
+by regularity. Member products, the member loop and forced member maps are
+lookups in them.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -34,6 +39,9 @@ class Rps:
     members: PermSet
     degree: int
     basepoint: int
+    # member index -> base-point image, and its inverse point -> member index
+    base_images: tuple[int, ...] = field(repr=False, compare=False)
+    member_at: tuple[int, ...] = field(repr=False, compare=False)
 
     def to_point(self, m: Perm) -> int:
         """Evaluate a member at the base point."""
@@ -43,12 +51,9 @@ class Rps:
 
     def from_point(self, alpha: int) -> Perm:
         """The unique member sending the base point to alpha."""
-        return _transport(self)[alpha]
-
-
-@lru_cache(maxsize=None)
-def _transport(r: Rps) -> dict[int, Perm]:
-    return {m(r.basepoint): m for m in r.members}
+        if not 0 <= alpha < self.degree:
+            raise ValueError(f"point {alpha} out of range for degree {self.degree}")
+        return self.members.members[self.member_at[alpha]]
 
 
 def check_rps(members: PermSet, degree: int, basepoint: int) -> Rps:
@@ -67,7 +72,11 @@ def check_rps(members: PermSet, degree: int, basepoint: int) -> Rps:
         for beta, c in enumerate(counts):
             if c != 1:
                 raise RegularityViolation(alpha, beta, c)
-    return Rps(members, degree, basepoint)
+    base_images = tuple(m.images[basepoint] for m in members)
+    member_at = [0] * degree
+    for i, beta in enumerate(base_images):
+        member_at[beta] = i
+    return Rps(members, degree, basepoint, base_images, tuple(member_at))
 
 
 def with_basepoint(r: Rps, basepoint: int) -> Rps:
@@ -88,11 +97,12 @@ def member_product(r: Rps, m: Perm, k: Perm) -> Perm:
 
 @lru_cache(maxsize=None)
 def member_loop(r: Rps) -> Loop:
-    """The loop on member indices under member_product."""
-    ms = r.members.members
+    """The loop on member indices under member_product: m * k is the member
+    at point m(k(base))."""
+    at = r.member_at
     table = tuple(
-        tuple(r.members.index(member_product(r, m, k)) for k in ms)
-        for m in ms
+        tuple(at[m.images[x]] for x in r.base_images)
+        for m in r.members
     )
     # regularity makes this a loop; a violation here is an internal bug
     return check_loop(table, r.members.index(Perm.identity(r.degree)))
@@ -102,12 +112,9 @@ def member_loop(r: Rps) -> Loop:
 def induced_loop(r: Rps) -> Loop:
     """The loop on points: alpha * beta = (m_alpha * m_beta)(base), where
     m_gamma is the member sending the base point to gamma. Identity is the
-    base point. This is the object part of the functor onto loops."""
-    n = r.degree
-    table = tuple(
-        tuple((r.from_point(a) * r.from_point(b))(r.basepoint) for b in range(n))
-        for a in range(n)
-    )
+    base point. This is the object part of the functor onto loops. Since
+    m_beta(base) == beta, row alpha is the image tuple of m_alpha."""
+    table = tuple(r.from_point(a).images for a in range(r.degree))
     return check_loop(table, r.basepoint)
 
 
@@ -136,10 +143,7 @@ def is_rps_morphism(m: Morphism, src: Rps, dst: Rps) -> bool:
 def _forced_member_map(phi: tuple[int, ...], src: Rps, dst: Rps) -> tuple[int, ...]:
     """The member map that phi forces by target regularity: f(m) is the
     target member whose base-point image is phi(m(base))."""
-    return tuple(
-        dst.members.index(dst.from_point(phi[p(src.basepoint)]))
-        for p in src.members
-    )
+    return tuple(dst.member_at[phi[x]] for x in src.base_images)
 
 
 def characterize_morphism(f: Sequence[int], phi: Sequence[int], src: Rps, dst: Rps) -> bool:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -77,6 +77,8 @@ class S2tGroup:
     degree: int
     omega0: int
     omega1: int
+    # set by affine_group only: (a, b) -> index of the member x -> a + b * x
+    affine_params: dict[tuple[int, int], int] | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -199,8 +201,9 @@ def derived_neardomain(g: S2tGroup) -> Neardomain:
 
 
 def is_s2t_morphism(m: Morphism, src: S2tGroup, dst: S2tGroup) -> bool:
-    """True iff characteristics match, f is a group homomorphism, and phi is
-    an injective base-point-preserving map intertwining the actions.
+    """True iff characteristics match, f is a group homomorphism (checked on
+    the member composition tables), and phi is an injective
+    base-point-preserving map intertwining the actions.
 
     A true result is checked to have injective f (forced by phi injective
     plus sharp transitivity; a failure is an implementation bug).
@@ -214,12 +217,12 @@ def is_s2t_morphism(m: Morphism, src: S2tGroup, dst: S2tGroup) -> bool:
         return False
     if phi[src.omega0] != dst.omega0 or phi[src.omega1] != dst.omega1:
         return False
-    src_ms = src.group.members
-    dst_ms = dst.group.members
-    for i, p in enumerate(src_ms):
-        for j, q in enumerate(src_ms):
-            if dst_ms[f[src.group.index(p * q)]] != dst_ms[f[i]] * dst_ms[f[j]]:
-                return False
+    t_src = src.group.composition_table()
+    t_dst = dst.group.composition_table()
+    for i, row in enumerate(t_src):
+        image_row = t_dst[f[i]]
+        if any(f[k] != image_row[f[j]] for j, k in enumerate(row)):
+            return False
     if len(set(f)) != len(f):
         raise InvariantViolation("morphisms of sharply 2-transitive groups have injective f", f)
     return True
@@ -267,36 +270,32 @@ def affine_maps(nd: Neardomain) -> tuple[AffineMap, ...]:
 
 
 @lru_cache(maxsize=None)
-def _affine_param_index(nd: Neardomain) -> dict[Perm, tuple[int, int]]:
-    return {am.perm: (am.a, am.b) for am in affine_maps(nd)}
-
-
-@lru_cache(maxsize=None)
 def affine_group(nd: Neardomain) -> S2tGroup:
     """The affine maps as a sharply 2-transitive group on the carrier, based
-    at (zero, one).
+    at (zero, one), carrying its parameter -> member index table.
 
     Construction re-runs check_s2t, and the closed-form composition law
 
         (a, b) . (k, l) == (a + b*k, d * b * l),  d the reassociation
                                                   coefficient of (a, b*k)
 
-    is checked for every pair of maps.
+    is checked for every pair of maps against the exact composition table.
     """
     maps = affine_maps(nd)
     if len({am.perm for am in maps}) != len(maps):
         raise InvariantViolation("distinct parameters give distinct affine maps", len(maps))
     grp = check_s2t(perm_set(am.perm for am in maps), nd.zero, nd.one)
-    by_param = {(am.a, am.b): am.perm for am in maps}
-    for am1 in maps:
-        for am2 in maps:
-            a, b = am1.a, am1.b
-            k, l = am2.a, am2.b
-            d = d_coeff(nd, a, nd.mul[b][k])
-            expected = by_param[(nd.add[a][nd.mul[b][k]], nd.mul[d][nd.mul[b][l]])]
-            if am1.perm * am2.perm != expected:
+    params = {(am.a, am.b): grp.group.index(am.perm) for am in maps}
+    table = grp.group.composition_table()
+    add, mul = nd.add, nd.mul
+    coeff = [[d_coeff(nd, a, c) for c in range(nd.order)] for a in range(nd.order)]
+    for (a, b), i in params.items():
+        row = table[i]
+        for (k, l), j in params.items():
+            bk = mul[b][k]
+            if row[j] != params[(add[a][bk], mul[coeff[a][bk]][mul[b][l]])]:
                 raise InvariantViolation("affine composition law", ((a, b), (k, l)))
-    return grp
+    return S2tGroup(grp.group, grp.degree, grp.omega0, grp.omega1, params)
 
 
 def lift_nd_morphism(phi: Sequence[int], src: Neardomain, dst: Neardomain) -> Morphism:
@@ -306,14 +305,11 @@ def lift_nd_morphism(phi: Sequence[int], src: Neardomain, dst: Neardomain) -> Mo
     phi = tuple(phi)
     if not is_nd_morphism(phi, src, dst):
         raise ValueError("phi is not a neardomain morphism")
-    src_g = affine_group(src)
-    dst_g = affine_group(dst)
-    src_params = _affine_param_index(src)
-    dst_by_param = {(am.a, am.b): am.perm for am in affine_maps(dst)}
-    f = []
-    for p in src_g.group:
-        a, b = src_params[p]
-        f.append(dst_g.group.index(dst_by_param[(phi[a], phi[b])]))
+    src_params = affine_group(src).affine_params
+    dst_params = affine_group(dst).affine_params
+    f = [0] * len(src_params)
+    for (a, b), i in src_params.items():
+        f[i] = dst_params[(phi[a], phi[b])]
     return Morphism(tuple(f), phi)
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from algcat import catcheck
 from algcat.catcheck import (
     LOOP_CAT,
     NDOM_TO_S2T,
@@ -19,11 +20,12 @@ from algcat.catcheck import (
     nearfield_equivalence_witness,
     neardomain_roundtrip_witness,
     run_all,
+    s2t_injectivity_witness,
     translation_form_witness,
 )
 from algcat.loops import Loop, check_loop
 from algcat.neardomain import galois_field
-from algcat.perms import Perm
+from algcat.perms import Morphism, Perm, PermSet
 from algcat.rps import loop_to_rps
 from algcat.s2t import S2tGroup, affine_group, enumerate_s2t_morphisms
 
@@ -142,6 +144,25 @@ def test_roundtrip_witness_on_corrupted_group():
     )
     with pytest.raises(Exception):
         group_roundtrip_witness(smaller)
+
+
+def test_injectivity_family_names_non_injective_pairs(monkeypatch):
+    g2 = affine_group(galois_field(2))
+    identity, swap = g2.group.members
+    # unvalidated source listing the swap twice, so that f = (0, 1, 1)
+    # passes every other condition of is_s2t_morphism
+    doubled = S2tGroup(PermSet(2, (identity, swap, swap)), 2, 0, 1)
+    pairs = [("doubled->aff(gf2)", (doubled, g2))]
+    monkeypatch.setattr(catcheck, "_s2t_hom_fast", lambda src, dst: (Morphism((0, 1, 1), (0, 1)),))
+    verdict = catcheck._run_family("s2t-morphism-injectivity", pairs, s2t_injectivity_witness)
+    assert not verdict.passed
+    assert verdict.witness.startswith("doubled->aff(gf2): InvariantViolation")
+    assert "have injective f fails at (0, 1, 1)" in verdict.witness
+    # a non-injective phi is rejected as an invalid morphism
+    g3 = affine_group(galois_field(3))
+    monkeypatch.setattr(catcheck, "_s2t_hom_fast", lambda src, dst: (Morphism((0,) * 6, (0, 1, 1)),))
+    verdict = catcheck._run_family("s2t-morphism-injectivity", [("aff(gf3)", (g3, g3))], s2t_injectivity_witness)
+    assert verdict.witness == "aff(gf3): enumerated pair is not a valid morphism: phi=(0, 1, 1)"
 
 
 def test_naturality_witness_flags_corruption():

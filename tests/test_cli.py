@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -194,6 +198,20 @@ def test_verify_all(capsys):
     assert data["failed"] == 0
     assert data["passed"] == data["checks"] == len(data["verdicts"])
     assert all("elapsed_ms" not in v for v in data["verdicts"])
+
+
+def test_verify_all_report_matches_golden_file():
+    """A cold `algcat verify-all --no-timestamp` prints the checked-in report
+    byte for byte, per-family checked= counts included."""
+    root = Path(__file__).resolve().parents[1]
+    golden = (root / "perfbench" / "golden" / "verify-all.txt").read_bytes()
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "algcat.cli", "verify-all", "--no-timestamp"],
+        env=env, capture_output=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout == golden
 
 
 def test_json_reports_are_deterministic(files, capsys):

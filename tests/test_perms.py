@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import algcat.perms as perms_module
 from algcat.errors import ClosureSizeExceeded, StructureError
-from algcat.perms import Perm, closure, perm_set, subgroup_failure
+from algcat.perms import Perm, PermSet, closure, perm_set, subgroup_failure
 
 perms = st.integers(min_value=1, max_value=6).flatmap(
     lambda n: st.permutations(range(n)).map(lambda xs: Perm(tuple(xs)))
@@ -126,3 +127,29 @@ def test_closure_idempotent(raw):
     assert closure(once.members) == once
     assert subgroup_failure(once) is None
     assert Perm.identity(4) in once
+
+
+def test_perm_set_hash_and_index_contract():
+    s3 = closure([Perm((1, 2, 0)), Perm((1, 0, 2))])
+    shuffled = perm_set(reversed(s3.members))
+    assert shuffled == s3 and hash(shuffled) == hash(s3)
+    direct = PermSet(s3.degree, s3.members)
+    assert direct == s3 and hash(direct) == hash(s3)
+    assert {s3: "x"}[direct] == "x"
+    assert [direct.index(p) for p in s3] == list(range(6))
+    rotations = closure([Perm((1, 2, 0))])
+    assert Perm((1, 0, 2)) not in rotations
+    with pytest.raises(KeyError):
+        rotations.index(Perm((1, 0, 2)))
+    assert Perm((0, 1)) not in rotations
+    assert not any(hasattr(v, "cache_info") for v in vars(perms_module).values())
+
+
+def test_composition_table_of_small_sets():
+    s3 = closure([Perm((1, 2, 0)), Perm((1, 0, 2))])
+    table = s3.composition_table()
+    assert table is s3.composition_table()
+    for i, p in enumerate(s3):
+        for j, q in enumerate(s3):
+            assert s3.members[table[i][j]] == p * q
+    assert PermSet(1, (Perm((0,)),)).composition_table() == ((0,),)

@@ -24,6 +24,7 @@ from algcat.rps import (
     member_product,
     with_basepoint,
 )
+from algcat.s2t import translations
 from algcat.zoo import standard_zoo
 
 Z3 = check_loop(((0, 1, 2), (1, 2, 0), (2, 0, 1)))
@@ -85,6 +86,31 @@ def test_member_loop_transport():
         for i in range(len(r.members)):
             for j in range(len(r.members)):
                 assert mu[ml.table[i][j]] == il.table[mu[i]][mu[j]]
+
+
+def test_point_tables_agree_with_evaluation(zoo):
+    objects = [r for _, r in zoo.rps_objects] + [translations(g) for _, g in zoo.groups]
+    objects += [with_basepoint(r, r.degree - 1) for r in objects]
+    for r in objects:
+        ms, base = r.members.members, r.basepoint
+        assert r.base_images == tuple(m(base) for m in ms)
+        assert sorted(r.member_at) == list(range(r.degree))
+        for i, m in enumerate(ms):
+            assert r.member_at[m(base)] == i
+            assert r.from_point(m(base)) == m
+        # both loops against their definitions by composition and evaluation
+        ml = member_loop(r)
+        for i, m in enumerate(ms):
+            for j, k in enumerate(ms):
+                assert ms[ml.table[i][j]](base) == (m * k)(base)
+        il = induced_loop(r)
+        for a in range(r.degree):
+            for b in range(r.degree):
+                assert il.table[a][b] == (r.from_point(a) * r.from_point(b))(base)
+    with pytest.raises(ValueError):
+        ROTATIONS.from_point(3)
+    with pytest.raises(ValueError):
+        ROTATIONS.from_point(-1)
 
 
 def test_induced_loop():

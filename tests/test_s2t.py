@@ -9,7 +9,7 @@ from algcat.errors import (
     StructureError,
 )
 from algcat.neardomain import d_coeff, dickson_nearfield_9, galois_field, is_nearfield
-from algcat.perms import Perm, closure, perm_set
+from algcat.perms import Perm, PermSet, closure, perm_set
 from algcat.rps import Rps
 from algcat.s2t import (
     Characteristic,
@@ -128,6 +128,29 @@ def test_affine_composition_law():
                 d = d_coeff(nd, a, bk)
                 expected = (nd.add[a][bk], nd.mul[d][nd.mul[b][l]])
                 assert by_perm[m1.perm * m2.perm] == expected
+
+
+def test_composition_table_matches_perm_products(zoo):
+    # every zoo group, the relabeled ones and sym3@(1,2) included
+    for name, g in zoo.groups:
+        table = g.group.composition_table()
+        for i, p in enumerate(g.group):
+            for j, q in enumerate(g.group):
+                assert table[i][j] == g.group.index(p * q), (name, i, j)
+
+
+def test_composition_table_rejects_non_closed_set():
+    g3 = AFF[3]
+    with pytest.raises(NotAGroup, match=r"product \[.*\] \* \[.*\] missing"):
+        PermSet(g3.degree, g3.group.members[:-1]).composition_table()
+
+
+def test_affine_params_index_the_affine_maps(zoo):
+    for name, nd in zoo.neardomains:
+        g = affine_group(nd)
+        assert len(g.affine_params) == len(g.group), name
+        for am in affine_maps(nd):
+            assert g.group.members[g.affine_params[(am.a, am.b)]] == am.perm, (name, am.a, am.b)
 
 
 def test_canonical_isomorphism():
