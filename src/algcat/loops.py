@@ -185,20 +185,44 @@ def _relabeled_table(table: Sequence[Sequence[int]], pi: Sequence[int], pi_inv: 
 def canonical_table(loop: Loop) -> tuple[tuple[int, ...], ...]:
     """Lexicographically least table among all relabelings fixing element 0.
 
-    Only meaningful for loops whose identity is 0 (the enumerated families);
+    Defined only for loops whose identity is 0 (the enumerated families);
     brute force over (n-1)! relabelings is fine at desk scale.
     """
+    if loop.identity != 0:
+        raise StructureError(f"canonical_table needs identity 0, got identity {loop.identity}")
     n = loop.order
     best = loop.table
+    for pi, pi_inv in _relabelings_fixing_zero(n):
+        cand = _relabeled_table(loop.table, pi, pi_inv, n)
+        if cand < best:
+            best = cand
+    return best
+
+
+def _relabelings_fixing_zero(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every (pi, pi_inv) with pi(0) == 0, the identity first."""
     for rest in itertools.permutations(range(1, n)):
         pi = (0, *rest)
         pi_inv = [0] * n
         for i, v in enumerate(pi):
             pi_inv[v] = i
-        cand = _relabeled_table(loop.table, pi, pi_inv, n)
-        if cand < best:
-            best = cand
-    return best
+        yield pi, tuple(pi_inv)
+
+
+def _relabeling_beats(table: Table, pi: Sequence[int], pi_inv: Sequence[int], n: int) -> bool:
+    """Whether relabeling the normalized table by pi (pi(0) == 0) makes it
+    lexicographically smaller, decided at the first cell that differs.
+
+    Row 0 and column 0 are skipped: both tables have the identity there.
+    """
+    for r in range(1, n):
+        src = table[pi_inv[r]]
+        own = table[r]
+        for c in range(1, n):
+            v = pi[src[pi_inv[c]]]
+            if v != own[c]:
+                return v < own[c]
+    return False
 
 
 def _normalized_tables(n: int) -> Iterable[tuple[tuple[int, ...], ...]]:
@@ -239,12 +263,23 @@ def enumerate_loops(n: int, max_order: int = ENUMERATION_CAP) -> tuple[Loop, ...
     """All loops of order n with identity 0, one canonical representative per
     isomorphism class, sorted by table.
 
-    Every normalized table is reduced to the lexicographic minimum over
-    relabelings fixing 0; distinct minima are distinct classes.
+    Isomorphisms between loops with identity 0 fix 0, so a class's
+    representative is its table that no relabeling fixing 0 makes
+    lexicographically smaller. Each normalized table is kept exactly when no
+    such relabeling beats it, tested cell by cell with an exit at the first
+    difference, so no table but the kept ones is stored. Every kept table is
+    confirmed against the brute-force canonical_table.
     """
     if n < 1:
         raise StructureError("loop order must be at least 1")
     if n > max_order:
         raise ResourceLimitExceeded(f"loop enumeration capped at order {max_order}")
-    reps = {canonical_table(Loop(n, t, 0)) for t in _normalized_tables(n)}
+    relabelings = list(_relabelings_fixing_zero(n))[1:]
+    reps = []
+    for t in _normalized_tables(n):
+        if any(_relabeling_beats(t, pi, pi_inv, n) for pi, pi_inv in relabelings):
+            continue
+        if canonical_table(Loop(n, t, 0)) != t:
+            raise InvariantViolation("a table no relabeling beats is its own canonical table", t)
+        reps.append(t)
     return tuple(check_loop(t, 0) for t in sorted(reps))

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +12,8 @@ from algcat.errors import (
 )
 from algcat.loops import (
     Loop,
+    _normalized_tables,
+    canonical_table,
     check_loop,
     enumerate_loop_morphisms,
     enumerate_loops,
@@ -111,13 +115,22 @@ def test_relabel_is_isomorphic():
     assert phi is not None and is_loop_morphism(phi, ORDER5, moved)
 
 
+# Isomorphism classes of loops of orders 1-6 and how many are groups, from
+# McKay, Meynert and Myrvold, "Small Latin squares, quasigroups and loops",
+# J. Combin. Des. 15 (2007).
+LOOP_CLASSES = {1: 1, 2: 1, 3: 1, 4: 2, 5: 6, 6: 109}
+GROUP_CLASSES = {1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2}
+
+# sha256 of repr() of the order-6 table list, the digest perfbench/worker.py
+# prints for its census.
+ORDER6_TABLES_SHA256 = "7eec7e0c4831bcef9cccb824480c9412ae538d361c4b1e1fa5d98297f6fdd528"
+
+
 def test_enumerate_loops_counts():
-    assert [len(enumerate_loops(n)) for n in (1, 2, 3, 4)] == [1, 1, 1, 2]
-    fives = enumerate_loops(5)
-    assert len(fives) == 6  # golden count, frozen from this enumerator
-    assert sum(is_associative(l) for l in fives) == 1
-    fours = enumerate_loops(4)
-    assert all(is_associative(l) for l in fours)
+    for n in (1, 2, 3, 4, 5):
+        reps = enumerate_loops(n)
+        assert len(reps) == LOOP_CLASSES[n]
+        assert sum(is_associative(l) for l in reps) == GROUP_CLASSES[n]
     with pytest.raises(ResourceLimitExceeded):
         enumerate_loops(7)
     with pytest.raises(StructureError):
@@ -132,11 +145,23 @@ def test_enumerate_loops_canonical_and_distinct():
             assert loops_isomorphic(a, b) is None
 
 
-@pytest.mark.slow
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_enumerate_loops_matches_brute_force(n):
+    brute = sorted({canonical_table(Loop(n, t, 0)) for t in _normalized_tables(n)})
+    assert [l.table for l in enumerate_loops(n)] == brute
+
+
 def test_enumerate_loops_order_six():
-    sixes = enumerate_loops(6)
-    assert len(sixes) == 109  # golden count, frozen from this enumerator
-    assert sum(is_associative(l) for l in sixes) == 2
+    census = {n: enumerate_loops(n) for n in LOOP_CLASSES}
+    assert {n: len(reps) for n, reps in census.items()} == LOOP_CLASSES
+    assert {n: sum(is_associative(l) for l in reps) for n, reps in census.items()} == GROUP_CLASSES
+    digest = hashlib.sha256(repr([l.table for l in census[6]]).encode()).hexdigest()
+    assert digest == ORDER6_TABLES_SHA256
+
+
+def test_canonical_table_rejects_nonzero_identity():
+    with pytest.raises(StructureError, match="identity 1"):
+        canonical_table(check_loop([[1, 0], [0, 1]], 1))
 
 
 @st.composite
@@ -157,6 +182,19 @@ def test_relabel_roundtrip(case):
     for c in range(loop.order):
         assert sorted(row[c] for row in moved.table) == list(range(loop.order))
     assert loops_isomorphic(loop, moved) is not None
+
+
+@st.composite
+def _representative_and_zero_fixing_relabeling(draw):
+    loop = draw(st.sampled_from(enumerate_loops(4) + enumerate_loops(5)))
+    rest = draw(st.permutations(range(1, loop.order)))
+    return loop, (0, *rest)
+
+
+@given(_representative_and_zero_fixing_relabeling())
+def test_canonical_table_undoes_relabeling(case):
+    loop, pi = case
+    assert canonical_table(relabel(loop, pi)) == loop.table
 
 
 @given(st.sampled_from(enumerate_loops(5)))

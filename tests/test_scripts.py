@@ -56,3 +56,11 @@ def test_loop_census(capsys):
         ["3", "1", "1"],
         ["4", "2", "2"],
     ]
+
+
+@pytest.mark.parametrize("order", [0, 7])
+def test_loop_census_rejects_order_out_of_range(capsys, order):
+    with pytest.raises(SystemExit) as exit_info:
+        _load("loop_census").main(["--max-order", str(order)])
+    assert exit_info.value.code == 2
+    assert "--max-order must be" in capsys.readouterr().err
