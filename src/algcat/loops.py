@@ -259,7 +259,7 @@ def _normalized_tables(n: int) -> Iterable[tuple[tuple[int, ...], ...]]:
     yield from rec(0)
 
 
-def enumerate_loops(n: int, max_order: int = ENUMERATION_CAP) -> tuple[Loop, ...]:
+def enumerate_loops(n: int) -> tuple[Loop, ...]:
     """All loops of order n with identity 0, one canonical representative per
     isomorphism class, sorted by table.
 
@@ -268,12 +268,13 @@ def enumerate_loops(n: int, max_order: int = ENUMERATION_CAP) -> tuple[Loop, ...
     lexicographically smaller. Each normalized table is kept exactly when no
     such relabeling beats it, tested cell by cell with an exit at the first
     difference, so no table but the kept ones is stored. Every kept table is
-    confirmed against the brute-force canonical_table.
+    confirmed against the brute-force canonical_table. Orders above
+    ENUMERATION_CAP raise ResourceLimitExceeded.
     """
     if n < 1:
         raise StructureError("loop order must be at least 1")
-    if n > max_order:
-        raise ResourceLimitExceeded(f"loop enumeration capped at order {max_order}")
+    if n > ENUMERATION_CAP:
+        raise ResourceLimitExceeded(f"loop enumeration capped at order {ENUMERATION_CAP}")
     relabelings = list(_relabelings_fixing_zero(n))[1:]
     reps = []
     for t in _normalized_tables(n):

@@ -7,15 +7,18 @@ group checks) relies on this orientation; test_perms pins it.
 A PermSet derives its integer index data once per object: the member index
 (image tuple -> position) and its hash are stored at construction, and the
 member composition table (table[i][j] is the index of members[i] *
-members[j]) is built on first request. The table is exact: every product is
-composed from the image tuples and looked up in the member index, so a set
-that is not closed under composition raises NotAGroup instead of yielding a
-table.
+members[j]) is built on first request and kept. The table is exact: every
+product is composed from the image tuples and looked up in the member index,
+so a set that is not closed under composition raises NotAGroup instead of
+yielding a table. subgroup_failure certifies closure by building that table,
+so each group is composed exactly once and every later reader (group checks,
+morphism checks, the affine composition law) reuses the same table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import ClosureSizeExceeded, NotAGroup, StructureError
@@ -108,20 +111,22 @@ class PermSet:
 
     def composition_table(self) -> tuple[tuple[int, ...], ...]:
         """table[i][j] is the index of members[i] * members[j], built on the
-        first call by composing image tuples. Raises NotAGroup, naming the
-        factors, if some product is not a member."""
+        first call by composing image tuples and kept. Raises NotAGroup,
+        naming the factors of the first product in row-major order that is
+        not a member."""
         if self._table is None:
-            index = self._index
+            get = self._index.get
             images = [p.images for p in self.members]
+            # compose[j](a) is the image tuple of a * members[j]; itemgetter
+            # of a single index returns the bare item, hence degree 1 apart
+            compose = [itemgetter(*b) if len(b) > 1 else lambda a, b=b: (a[b[0]],) for b in images]
             rows = []
             for a in images:
-                row = []
-                for b in images:
-                    k = index.get(tuple([a[x] for x in b]))
-                    if k is None:
-                        raise NotAGroup(f"product {list(a)} * {list(b)} missing")
-                    row.append(k)
-                rows.append(tuple(row))
+                row = tuple([get(c(a)) for c in compose])
+                if None in row:
+                    b = images[row.index(None)]
+                    raise NotAGroup(f"product {list(a)} * {list(b)} missing")
+                rows.append(row)
             object.__setattr__(self, "_table", tuple(rows))
         return self._table
 
@@ -208,14 +213,19 @@ def closure(generators: Iterable[Perm], max_size: int = DEFAULT_CLOSURE_CAP) -> 
 
 def subgroup_failure(members: PermSet) -> str | None:
     """None when members form a subgroup of the symmetric group; otherwise a
-    human-readable witness of the first failure found."""
+    human-readable witness of the first failure found: the identity, then
+    each member's inverse, then every ordered product in row-major order.
+
+    Closure is certified by members.composition_table(), which composes every
+    ordered pair exactly and looks the product up in the member index; on
+    success the table stays on the set for later readers."""
     if Perm.identity(members.degree) not in members:
         return "identity missing"
     for p in members:
         if p.inverse() not in members:
             return f"inverse of {list(p.images)} missing"
-    for p in members:
-        for q in members:
-            if (p * q) not in members:
-                return f"product {list(p.images)} * {list(q.images)} missing"
+    try:
+        members.composition_table()
+    except NotAGroup as exc:
+        return str(exc)
     return None

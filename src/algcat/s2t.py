@@ -91,7 +91,14 @@ class AffineMap:
 
 
 def check_s2t(group: PermSet, omega0: int, omega1: int) -> S2tGroup:
-    """Validate the group axioms and sharp 2-transitivity on ordered pairs."""
+    """Validate the base points, then the group axioms, then sharp
+    2-transitivity: for every ordered source pair of distinct points, every
+    ordered target pair is reached by exactly one member.
+
+    The group axioms go through subgroup_failure, which certifies closure by
+    building the member composition table; the validated group keeps it, so
+    affine_group, is_s2t_morphism and canonical_isomorphism read that table
+    instead of composing the members again."""
     n = group.degree
     if n < 2:
         raise DegenerateOmega("need at least 2 points")
@@ -100,23 +107,29 @@ def check_s2t(group: PermSet, omega0: int, omega1: int) -> S2tGroup:
     witness = subgroup_failure(group)
     if witness is not None:
         raise NotAGroup(witness)
-    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-    for a1, a2 in pairs:
+    images = [g.images for g in group]
+    # pairs in lexicographic order, generated rather than listed: a listing of
+    # a few members on many points fails at the first source pair, and a list
+    # of all n(n-1) pairs would cost memory quadratic in n before that
+    for a1, a2 in itertools.permutations(range(n), 2):
         seen: dict[tuple[int, int], int] = {}
-        for g in group:
-            key = (g(a1), g(a2))
+        for im in images:
+            key = (im[a1], im[a2])
             seen[key] = seen.get(key, 0) + 1
-        for b1, b2 in pairs:
-            c = seen.get((b1, b2), 0)
+        for target in itertools.permutations(range(n), 2):
+            c = seen.get(target, 0)
             if c != 1:
-                raise NotSharplyTransitive((a1, a2), (b1, b2), c)
+                raise NotSharplyTransitive((a1, a2), target, c)
     return S2tGroup(group, n, omega0, omega1)
 
 
 @lru_cache(maxsize=None)
 def involutions(g: S2tGroup) -> PermSet:
-    """All elements of order exactly two. Never empty in a valid group."""
-    return perm_set(p for p in g.group if p.is_involution())
+    """All elements of order exactly two, read off the diagonal of the
+    composition table. Never empty in a valid group."""
+    table = g.group.composition_table()
+    e = g.group.index(Perm.identity(g.degree))
+    return perm_set(p for i, p in enumerate(g.group) if i != e and table[i][i] == e)
 
 
 @lru_cache(maxsize=None)
@@ -155,8 +168,10 @@ def translations(g: S2tGroup) -> Rps:
     if characteristic(g) is Characteristic.TWO:
         members = perm_set([Perm.identity(g.degree), *J])
     else:
-        nu = base_involution(g)
-        members = perm_set(j * nu for j in J)
+        grp = g.group
+        column = grp.index(base_involution(g))
+        table = grp.composition_table()
+        members = perm_set(grp.members[table[grp.index(j)][column]] for j in J)
     return check_rps(members, g.degree, g.omega0)
 
 
@@ -393,8 +408,10 @@ def translations_form_subgroup(g: S2tGroup) -> bool:
 
 
 def involution_products_form_subgroup(g: S2tGroup) -> bool:
-    J = involutions(g)
-    products = perm_set(p * q for p in J for q in J)
+    grp = g.group
+    rows = [grp.index(p) for p in involutions(g)]
+    table = grp.composition_table()
+    products = perm_set(grp.members[table[i][j]] for i in rows for j in rows)
     return subgroup_failure(products) is None
 
 

@@ -1,16 +1,22 @@
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algcat.errors import (
     ClosureSizeExceeded,
     LatinSquareViolation,
     NotSharplyTransitive,
     ParseError,
+    ResourceLimitExceeded,
     StructureError,
 )
-from algcat.fileio import emit_structure, kind_of, parse_structure
+from algcat.fileio import KINDS, emit_structure, kind_of, parse_structure
 from algcat.loops import Loop, check_loop
 from algcat.neardomain import galois_field
 from algcat.perms import Perm
+from algcat.zoo import standard_zoo
 
 
 def test_roundtrip_bit_exact(zoo):
@@ -96,8 +102,74 @@ def test_semantic_errors_forwarded():
         parse_structure("s2t 3 0 1\n0 1 2\n1 2 0\n2 0 1\n")
 
 
+def test_many_points_few_members_fail_in_linear_memory():
+    # one identity row on 1000 points fails at the first source pair; listing
+    # all n(n-1) point pairs first would take about 100 MB
+    text = "s2t 1000 0 1\n" + " ".join(map(str, range(1000))) + "\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotSharplyTransitive) as info:
+            parse_structure(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (info.value.source_pair, info.value.target_pair, info.value.count) == ((0, 1), (0, 2), 0)
+    assert peak < 5_000_000, peak
+
+
 def test_emit_loop_header_minimal():
     plain = check_loop(((0, 1), (1, 0)))
     assert emit_structure(plain).splitlines()[0] == "loop 2"
     moved = Loop(2, ((1, 0), (0, 1)), 1)
     assert emit_structure(moved).splitlines()[0] == "loop 2 1"
+
+
+# emitted zoo structures of degree <= 5; S5 has 120 elements, so a closure
+# cap of 60 lets hostile generator blocks reach ResourceLimitExceeded too
+_ZOO = standard_zoo()
+_EMITTED = [
+    emit_structure(obj)
+    for section in (_ZOO.loops, _ZOO.rps_objects, _ZOO.neardomains, _ZOO.groups)
+    for _, obj in section
+]
+HOSTILE_SOURCES = [text for text in _EMITTED if int(text.split()[1]) <= 5]
+HOSTILE_CLOSURE_CAP = 60
+
+
+def _mutate(data, lines: list[str]) -> list[str]:
+    op = data.draw(st.sampled_from(["digit", "drop", "duplicate", "header", "generators"]))
+    if not lines:
+        return lines
+    i = data.draw(st.integers(0, len(lines) - 1))
+    if op == "digit":
+        spots = [k for k, ch in enumerate(lines[i]) if ch.isdigit()]
+        if spots:
+            k = data.draw(st.sampled_from(spots))
+            digit = data.draw(st.sampled_from("0123456789"))
+            lines[i] = lines[i][:k] + digit + lines[i][k + 1:]
+    elif op == "drop":
+        del lines[i]
+    elif op == "duplicate":
+        lines.insert(i, lines[i])
+    elif op == "header":
+        kind = data.draw(st.sampled_from(KINDS + ("blob",)))
+        params = data.draw(st.lists(st.integers(-1, 7), max_size=4))
+        lines[0] = " ".join([kind, *map(str, params)])
+    elif lines[0].startswith("s2t"):
+        keep = data.draw(st.lists(st.sampled_from(lines[1:] or [""]), max_size=4))
+        lines[1:] = ["generators", *keep]
+    return lines
+
+
+# most mutants fail to parse; 400 examples (about half a second) also reach
+# every checker, the table-based closure check among them
+@settings(max_examples=400)
+@given(st.data())
+def test_hostile_input_fails_only_with_documented_errors(data):
+    lines = data.draw(st.sampled_from(HOSTILE_SOURCES)).splitlines()
+    for _ in range(data.draw(st.integers(1, 3))):
+        lines = _mutate(data, lines)
+    try:
+        parse_structure("\n".join(lines) + "\n", max_closure=HOSTILE_CLOSURE_CAP)
+    except (ParseError, StructureError, ResourceLimitExceeded):
+        pass

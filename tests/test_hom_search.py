@@ -58,6 +58,15 @@ def test_broken_invariant_names_its_witness():
     assert info.value.witness == (0,) * 9
 
 
+def _run_optimized(code: str) -> None:
+    """Run code under python -O; it exits 0 when its check held."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_invariant_checks_survive_optimized_mode():
     code = """
 import sys
@@ -75,8 +84,32 @@ except InvariantViolation:
     sys.exit(0)
 sys.exit("constant-zero point map accepted")
 """
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert done.returncode == 0, done.stderr
+    _run_optimized(code)
+
+
+def test_closure_certificate_survives_optimized_mode():
+    # a zoo group minus one involution keeps its inverses, so the missing
+    # product is what check_s2t must name, even with asserts stripped
+    code = """
+import sys
+if __debug__:
+    sys.exit("not running under -O")
+from algcat.errors import NotAGroup
+from algcat.perms import perm_set
+from algcat.s2t import check_s2t
+from algcat.zoo import standard_zoo
+g = dict(standard_zoo().groups)["aff(gf5)"]
+dropped = next(p for p in g.group if p.is_involution())
+members = [p for p in g.group if p != dropped]
+present = set(members)
+expected = next(
+    f"product {list(p.images)} * {list(q.images)} missing"
+    for p in members for q in members if p * q not in present
+)
+try:
+    check_s2t(perm_set(members), g.omega0, g.omega1)
+except NotAGroup as exc:
+    sys.exit(0 if str(exc) == expected else f"witness {exc} != {expected}")
+sys.exit("group with a member removed accepted")
+"""
+    _run_optimized(code)

@@ -133,6 +133,9 @@ def test_enumerate_loops_counts():
         assert sum(is_associative(l) for l in reps) == GROUP_CLASSES[n]
     with pytest.raises(ResourceLimitExceeded):
         enumerate_loops(7)
+    # the cap is ENUMERATION_CAP alone: no caller can raise it
+    with pytest.raises(TypeError):
+        enumerate_loops(7, max_order=7)
     with pytest.raises(StructureError):
         enumerate_loops(0)
 

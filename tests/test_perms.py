@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -96,13 +98,66 @@ def test_closure_cap():
         closure([])
 
 
+def _reference_subgroup_failure(members: PermSet) -> str | None:
+    """Brute-force oracle: the same three checks in the same order, with
+    products formed by Perm.__mul__ and membership in a plain set."""
+    listed = list(members)
+    present = set(listed)
+    if Perm.identity(members.degree) not in present:
+        return "identity missing"
+    for p in listed:
+        if p.inverse() not in present:
+            return f"inverse of {list(p.images)} missing"
+    for p in listed:
+        for q in listed:
+            if p * q not in present:
+                return f"product {list(p.images)} * {list(q.images)} missing"
+    return None
+
+
 def test_subgroup_failure():
     s3 = closure([Perm((1, 2, 0)), Perm((1, 0, 2))])
     assert subgroup_failure(s3) is None
-    broken = perm_set([p for p in s3 if p != Perm((1, 2, 0))])
-    assert subgroup_failure(broken) is not None
-    no_id = perm_set([Perm((1, 0))])
-    assert subgroup_failure(no_id) is not None
+    assert subgroup_failure(perm_set([Perm((1, 0))])) == "identity missing"
+    # dropping a 3-cycle leaves its inverse without one
+    no_cycle = perm_set([p for p in s3 if p != Perm((1, 2, 0))])
+    assert subgroup_failure(no_cycle) == "inverse of [2, 0, 1] missing"
+    # dropping an involution keeps inverses; the first missing product in
+    # row-major order over the sorted members is named
+    no_swap = perm_set([p for p in s3 if p != Perm((0, 2, 1))])
+    assert subgroup_failure(no_swap) == "product [1, 0, 2] * [1, 2, 0] missing"
+    two_swaps = perm_set([Perm((0, 1, 2)), Perm((0, 2, 1)), Perm((1, 0, 2))])
+    assert subgroup_failure(two_swaps) == "product [0, 2, 1] * [1, 0, 2] missing"
+
+
+def _subsets_of_symmetric_group(n: int):
+    """Subsets of S_n built to reach every verdict: raw subsets (mostly no
+    identity), identity added, inverse-closed (mostly a missing product),
+    generated subgroups, and subgroups with one member dropped."""
+    elements = [Perm(xs) for xs in itertools.permutations(range(n))]
+
+    def build(args):
+        chosen, mode, drop = args
+        members = set(chosen)
+        if mode != "raw":
+            members.add(Perm.identity(n))
+        if mode == "inverse-closed":
+            members |= {p.inverse() for p in members}
+        if mode in ("group", "group-minus-one"):
+            members = set(closure(members))
+        if mode == "group-minus-one" and len(members) > 1:
+            members.discard(sorted(members)[drop % len(members)])
+        return perm_set(members)
+
+    modes = st.sampled_from(["raw", "identity", "inverse-closed", "group", "group-minus-one"])
+    return st.tuples(
+        st.lists(st.sampled_from(elements), min_size=1, max_size=4), modes, st.integers(0, 23)
+    ).map(build)
+
+
+@given(st.sampled_from([3, 4]).flatmap(_subsets_of_symmetric_group))
+def test_subgroup_failure_matches_brute_force(members):
+    assert subgroup_failure(members) == _reference_subgroup_failure(members)
 
 
 @given(same_degree_pair())

@@ -9,7 +9,7 @@ from algcat.errors import (
     StructureError,
 )
 from algcat.neardomain import d_coeff, dickson_nearfield_9, galois_field, is_nearfield
-from algcat.perms import Perm, PermSet, closure, perm_set
+from algcat.perms import Perm, PermSet, closure, perm_set, subgroup_failure
 from algcat.rps import Rps
 from algcat.s2t import (
     Characteristic,
@@ -67,6 +67,46 @@ def test_check_s2t_rejects():
     # degree below 2 cannot carry two distinct base points
     with pytest.raises(StructureError):
         check_s2t(perm_set([Perm((0,))]), 0, 0)
+
+
+def test_check_s2t_witnesses():
+    rotations = closure([Perm((1, 2, 0))])
+    with pytest.raises(NotSharplyTransitive) as info:
+        check_s2t(rotations, 0, 1)
+    assert (info.value.source_pair, info.value.target_pair, info.value.count) == ((0, 1), (0, 2), 0)
+    assert str(info.value) == "0 elements map (0, 1) to (0, 2), expected exactly 1"
+    # S3 with the involution (0, 2, 1) removed: inverses survive, closure fails
+    with pytest.raises(NotAGroup) as info:
+        check_s2t(perm_set([p for p in S3 if p != Perm((0, 2, 1))]), 0, 1)
+    assert str(info.value) == "product [1, 0, 2] * [1, 2, 0] missing"
+    with pytest.raises(NotAGroup) as info:
+        check_s2t(perm_set([p for p in S3 if p != Perm((1, 2, 0))]), 0, 1)
+    assert str(info.value) == "inverse of [2, 0, 1] missing"
+    # base points are checked before the group axioms (no identity here)
+    with pytest.raises(DegenerateOmega):
+        check_s2t(perm_set([Perm((1, 0, 2))]), 1, 1)
+
+
+def test_validated_group_keeps_its_table():
+    # the closure certificate builds the table once and leaves it on the set
+    members = perm_set(S3.members)
+    assert members._table is None
+    g = check_s2t(members, 0, 1)
+    assert g.group is members and members._table is not None
+    assert members.composition_table() is members._table
+
+
+def test_derived_sets_match_perm_products(zoo):
+    # involutions, translations and involution products are read off the
+    # composition table; Perm.__mul__ is the independent reference
+    for name, g in zoo.groups:
+        assert set(involutions(g)) == {p for p in g.group if p.is_involution()}, name
+        J = list(involutions(g))
+        if characteristic(g) is Characteristic.NOT_TWO:
+            nu = base_involution(g)
+            assert set(translations(g).members) == {j * nu for j in J}, name
+        products = perm_set(p * q for p in J for q in J)
+        assert involution_products_form_subgroup(g) == (subgroup_failure(products) is None), name
 
 
 def test_characteristic_dichotomy():
