@@ -237,7 +237,7 @@ def cmd_homset(args) -> int:
         report["lifted"] = "target"
     functor = RPS_TO_LOOP_FAST if "loop" in (kind_s, kind_d) else S2T_TO_NDOM
     ff = check_full_faithful(functor, args.path1, src, args.path2, dst)
-    homs = functor.source.hom(src, dst)
+    homs = ff.source_homs
     report["count"] = len(homs)
     report["algebraic_count"] = ff.target_count
     report["bijection"] = ff.bijection

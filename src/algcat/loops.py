@@ -213,9 +213,11 @@ def _relabeling_beats(table: Table, pi: Sequence[int], pi_inv: Sequence[int], n:
     """Whether relabeling the normalized table by pi (pi(0) == 0) makes it
     lexicographically smaller, decided at the first cell that differs.
 
-    Row 0 and column 0 are skipped: both tables have the identity there.
+    Row 0 and column 0 are skipped: both tables have the identity there. So
+    is the last row: in a Latin table the rows above it force it, so it
+    cannot be the first row to differ.
     """
-    for r in range(1, n):
+    for r in range(1, n - 1):
         src = table[pi_inv[r]]
         own = table[r]
         for c in range(1, n):

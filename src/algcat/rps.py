@@ -14,22 +14,19 @@ on the whole zoo.
 
 check_rps stores that bijection on the object as two integer tuples, member
 index -> base-point image and point -> member index; the second is forced
-by regularity. Member products, the member loop and forced member maps are
-lookups in them.
+by regularity. It builds both loops from them once and stores them too;
+member products and forced member maps are lookups in the tuples.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import InvariantViolation, MissingIdentity, RegularityViolation, StructureError
 from .loops import Loop, check_loop, enumerate_loop_morphisms, is_loop_morphism, left_translation
-from .perms import Morphism, Perm, PermSet, compose_morphisms, identity_morphism, intertwines, perm_set
-
-RpsMorphism = Morphism
+from .perms import Morphism, Perm, PermSet, identity_morphism, intertwines, perm_set
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,6 +39,9 @@ class Rps:
     # member index -> base-point image, and its inverse point -> member index
     base_images: tuple[int, ...] = field(repr=False, compare=False)
     member_at: tuple[int, ...] = field(repr=False, compare=False)
+    # the induced loop on points and the loop on member indices
+    loop: Loop = field(repr=False, compare=False)
+    member_loop: Loop = field(repr=False, compare=False)
 
     def to_point(self, m: Perm) -> int:
         """Evaluate a member at the base point."""
@@ -58,7 +58,9 @@ class Rps:
 
 def check_rps(members: PermSet, degree: int, basepoint: int) -> Rps:
     """Validate regularity: identity present, every ordered point pair hit by
-    exactly one member."""
+    exactly one member. Then store the evaluation bijection and the two
+    loops it carries (see induced_loop and member_loop); each is O(n^2),
+    like the regularity check."""
     if members.degree != degree:
         raise StructureError(f"members have degree {members.degree}, expected {degree}")
     if not 0 <= basepoint < degree:
@@ -73,10 +75,20 @@ def check_rps(members: PermSet, degree: int, basepoint: int) -> Rps:
             if c != 1:
                 raise RegularityViolation(alpha, beta, c)
     base_images = tuple(m.images[basepoint] for m in members)
-    member_at = [0] * degree
+    at = [0] * degree
     for i, beta in enumerate(base_images):
-        member_at[beta] = i
-    return Rps(members, degree, basepoint, base_images, tuple(member_at))
+        at[beta] = i
+    member_at = tuple(at)
+    ms = members.members
+    # row alpha of the induced loop is the image tuple of m_alpha, since
+    # m_beta(base) == beta; member m times member k is the member at point
+    # m(k(base)). Regularity makes both loops; a violation is an internal bug.
+    induced = check_loop(tuple(ms[i].images for i in member_at), basepoint)
+    on_members = check_loop(
+        tuple(tuple(member_at[m.images[x]] for x in base_images) for m in ms),
+        members.index(Perm.identity(degree)),
+    )
+    return Rps(members, degree, basepoint, base_images, member_at, induced, on_members)
 
 
 def with_basepoint(r: Rps, basepoint: int) -> Rps:
@@ -95,27 +107,18 @@ def member_product(r: Rps, m: Perm, k: Perm) -> Perm:
     return r.from_point((m * k)(r.basepoint))
 
 
-@lru_cache(maxsize=None)
 def member_loop(r: Rps) -> Loop:
     """The loop on member indices under member_product: m * k is the member
-    at point m(k(base))."""
-    at = r.member_at
-    table = tuple(
-        tuple(at[m.images[x]] for x in r.base_images)
-        for m in r.members
-    )
-    # regularity makes this a loop; a violation here is an internal bug
-    return check_loop(table, r.members.index(Perm.identity(r.degree)))
+    at point m(k(base)). Built once by check_rps and stored on r."""
+    return r.member_loop
 
 
-@lru_cache(maxsize=None)
 def induced_loop(r: Rps) -> Loop:
     """The loop on points: alpha * beta = (m_alpha * m_beta)(base), where
     m_gamma is the member sending the base point to gamma. Identity is the
-    base point. This is the object part of the functor onto loops. Since
-    m_beta(base) == beta, row alpha is the image tuple of m_alpha."""
-    table = tuple(r.from_point(a).images for a in range(r.degree))
-    return check_loop(table, r.basepoint)
+    base point. This is the object part of the functor onto loops; built
+    once by check_rps and stored on r."""
+    return r.loop
 
 
 def loop_to_rps(loop: Loop) -> Rps:
@@ -210,6 +213,3 @@ def enumerate_rps_morphisms_direct(src: Rps, dst: Rps) -> tuple[Morphism, ...]:
 
 def identity_rps_morphism(r: Rps) -> Morphism:
     return identity_morphism(r.members)
-
-
-compose_rps_morphisms = compose_morphisms

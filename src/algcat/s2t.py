@@ -17,7 +17,9 @@ The derived structure rests on the involutions J (never empty here):
   point_mul        alpha * beta = g(beta), g the omega0-stabilizer element
                    with g(omega1) = alpha; products with omega0 are omega0
 
-derived_neardomain packages those tables and must re-validate; going the
+point_add and point_mul are the per-cell reference definitions.
+derived_neardomain builds the same tables row by row from one translation
+set and one stabilizer table, and must re-validate; going the
 other way, affine_group builds the maps x -> a + b*x of a neardomain, which
 form a sharply 2-transitive group. One direction inverts the other on the
 nose, the composite the other way around is matched back to the original
@@ -53,15 +55,12 @@ from .perms import (
     Morphism,
     Perm,
     PermSet,
-    compose_morphisms,
     identity_morphism,
     intertwines,
     perm_set,
     subgroup_failure,
 )
 from .rps import Rps, check_rps
-
-S2tMorphism = Morphism
 
 
 class Characteristic(enum.Enum):
@@ -175,12 +174,11 @@ def translations(g: S2tGroup) -> Rps:
     return check_rps(members, g.degree, g.omega0)
 
 
-@lru_cache(maxsize=None)
 def _stabilizer_action(g: S2tGroup) -> dict[int, Perm]:
     """omega1-image -> element, over the stabilizer of omega0.
 
     Sharp 2-transitivity makes the stabilizer regular on the remaining
-    points; checked once per object.
+    points; checked on every call.
     """
     stab = [p for p in g.group if p(g.omega0) == g.omega0]
     table = {p(g.omega1): p for p in stab}
@@ -190,13 +188,15 @@ def _stabilizer_action(g: S2tGroup) -> dict[int, Perm]:
 
 
 def point_add(g: S2tGroup, alpha: int, beta: int) -> int:
-    """alpha + beta via the translation sending omega0 to alpha."""
+    """alpha + beta via the translation sending omega0 to alpha: the
+    reference definition of one cell of the derived addition."""
     return translations(g).from_point(alpha)(beta)
 
 
 def point_mul(g: S2tGroup, alpha: int, beta: int) -> int:
     """alpha * beta via the omega0-stabilizer element sending omega1 to alpha;
-    any product with omega0 is omega0."""
+    any product with omega0 is omega0. The reference definition of one cell
+    of the derived multiplication; derives the stabilizer table per call."""
     if alpha == g.omega0 or beta == g.omega0:
         return g.omega0
     return _stabilizer_action(g)[alpha](beta)
@@ -204,15 +204,22 @@ def point_mul(g: S2tGroup, alpha: int, beta: int) -> int:
 
 @lru_cache(maxsize=None)
 def derived_neardomain(g: S2tGroup) -> Neardomain:
-    """The neardomain on the points, zero = omega0 and one = omega1.
+    """The neardomain on the points, zero = omega0 and one = omega1: the
+    tables of point_add and point_mul, built a row at a time from one
+    translation set and one stabilizer table. Row alpha of the addition is
+    the translation sending omega0 to alpha; row alpha != omega0 of the
+    multiplication is the stabilizer element sending omega1 to alpha, which
+    fixes omega0 as point_mul requires.
 
     Revalidated through check_neardomain on every construction; this is the
     object part of the functor onto neardomains.
     """
-    n = g.degree
-    add = tuple(tuple(point_add(g, a, b) for b in range(n)) for a in range(n))
-    mul = tuple(tuple(point_mul(g, a, b) for b in range(n)) for a in range(n))
-    return check_neardomain(add, mul, g.omega0, g.omega1)
+    n, zero = g.degree, g.omega0
+    trans = translations(g)
+    stab = _stabilizer_action(g)
+    add = tuple(trans.from_point(a).images for a in range(n))
+    mul = tuple((zero,) * n if a == zero else stab[a].images for a in range(n))
+    return check_neardomain(add, mul, zero, g.omega1)
 
 
 def is_s2t_morphism(m: Morphism, src: S2tGroup, dst: S2tGroup) -> bool:
@@ -270,7 +277,6 @@ def derived_nd_morphism(m: Morphism, src: S2tGroup, dst: S2tGroup) -> tuple[int,
     return phi
 
 
-@lru_cache(maxsize=None)
 def affine_maps(nd: Neardomain) -> tuple[AffineMap, ...]:
     """All maps x -> a + b * x with b nonzero, ordered by (a, b)."""
     n = nd.order
@@ -426,6 +432,3 @@ def relabel(g: S2tGroup, pi: Perm) -> S2tGroup:
 
 def identity_s2t_morphism(g: S2tGroup) -> Morphism:
     return identity_morphism(g.group)
-
-
-compose_s2t_morphisms = compose_morphisms

@@ -19,12 +19,8 @@ from .rps import Rps, loop_to_rps
 from .s2t import S2tGroup, affine_group, check_s2t, relabel
 
 
-@dataclass(frozen=True)
-class ZooConfig:
-    max_loop_order: int = 5
-    field_orders: tuple[int, ...] = (2, 3, 4, 5, 7, 8, 9)
-    include_dickson: bool = True
-    include_relabeled: bool = True
+MAX_LOOP_ORDER = 5
+FIELD_ORDERS = (2, 3, 4, 5, 7, 8, 9)
 
 
 @dataclass(frozen=True)
@@ -36,30 +32,27 @@ class Zoo:
 
 
 @lru_cache(maxsize=None)
-def standard_zoo(config: ZooConfig = ZooConfig()) -> Zoo:
+def standard_zoo() -> Zoo:
     loops = tuple(
         (f"loop{n}_{i}", loop)
-        for n in range(1, config.max_loop_order + 1)
+        for n in range(1, MAX_LOOP_ORDER + 1)
         for i, loop in enumerate(enumerate_loops(n))
     )
     rps_objects = tuple((f"rps({name})", loop_to_rps(loop)) for name, loop in loops)
 
-    neardomains = [(f"gf{q}", galois_field(q)) for q in config.field_orders]
-    if config.include_dickson:
-        neardomains.append(("dickson9", dickson_nearfield_9()))
+    neardomains = [(f"gf{q}", galois_field(q)) for q in FIELD_ORDERS]
+    neardomains.append(("dickson9", dickson_nearfield_9()))
 
     groups = [(f"aff({name})", affine_group(nd)) for name, nd in neardomains]
-    if config.include_relabeled:
-        g3 = affine_group(galois_field(3))
-        g4 = affine_group(galois_field(4))
-        groups.append(("aff(gf3)/relabeled", relabel(g3, Perm((2, 0, 1)))))
-        groups.append(("aff(gf4)/relabeled", relabel(g4, Perm((3, 2, 1, 0)))))
-        if config.include_dickson:
-            d9 = affine_group(dickson_nearfield_9())
-            rot9 = Perm(tuple((i + 1) % 9 for i in range(9)))
-            groups.append(("aff(dickson9)/relabeled", relabel(d9, rot9)))
-        # same carrier group, different base points: forces a derived
-        # structure that is isomorphic but not equal to the native one
-        groups.append(("sym3@(1,2)", check_s2t(g3.group, 1, 2)))
+    g3 = affine_group(galois_field(3))
+    g4 = affine_group(galois_field(4))
+    d9 = affine_group(dickson_nearfield_9())
+    rot9 = Perm(tuple((i + 1) % 9 for i in range(9)))
+    groups.append(("aff(gf3)/relabeled", relabel(g3, Perm((2, 0, 1)))))
+    groups.append(("aff(gf4)/relabeled", relabel(g4, Perm((3, 2, 1, 0)))))
+    groups.append(("aff(dickson9)/relabeled", relabel(d9, rot9)))
+    # same carrier group, different base points: forces a derived
+    # structure that is isomorphic but not equal to the native one
+    groups.append(("sym3@(1,2)", check_s2t(g3.group, 1, 2)))
 
     return Zoo(loops, rps_objects, tuple(neardomains), tuple(groups))

@@ -40,9 +40,8 @@ from algcat.neardomain import (
     galois_field,
     is_nearfield,
 )
-from algcat.perms import PermSet
+from algcat.perms import Morphism, PermSet
 from algcat.rps import (
-    RpsMorphism,
     characterize_morphism,
     enumerate_rps_morphisms_direct,
     induced_loop,
@@ -52,7 +51,6 @@ from algcat.rps import (
 from algcat.s2t import (
     Characteristic,
     S2tGroup,
-    S2tMorphism,
     affine_group,
     affine_maps,
     canonical_isomorphism,
@@ -108,7 +106,7 @@ def test_criterion_02_characterization_agreement(acceptance_report):
                     phi = tuple(phi)
                     checked += 1
                     if characterize_morphism(f, phi, src, dst) != is_rps_morphism(
-                        RpsMorphism(f, phi), src, dst
+                        Morphism(f, phi), src, dst
                     ):
                         disagreements.append((f, phi))
     rng = random.Random(20260816)
@@ -122,7 +120,7 @@ def test_criterion_02_characterization_agreement(acceptance_report):
         phi = tuple(phi)
         checked += 1
         if characterize_morphism(f, phi, src, dst) != is_rps_morphism(
-            RpsMorphism(f, phi), src, dst
+            Morphism(f, phi), src, dst
         ):
             disagreements.append((f, phi))
     ok = not disagreements
@@ -367,7 +365,7 @@ def test_criterion_10_mutation_sensitivity(acceptance_report):
     # criterion 7 material: a corrupted morphism breaks the naturality square
     g9 = S2T_FOR["gf9"]
     good = enumerate_s2t_morphisms(g9, g9)[1]
-    bad = S2tMorphism(f=good.f, phi=tuple(range(9)))
+    bad = Morphism(f=good.f, phi=tuple(range(9)))
     if naturality_witness(g9, g9, bad) is None:
         failures.append("corrupted naturality square not flagged")
     ff = check_full_faithful(

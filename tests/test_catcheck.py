@@ -1,5 +1,10 @@
+import importlib
+import pkgutil
+from pathlib import Path
+
 import pytest
 
+import algcat
 from algcat import catcheck
 from algcat.catcheck import (
     LOOP_CAT,
@@ -64,6 +69,32 @@ def test_run_all_green(zoo):
         "functor-laws/s2t->ndom": 76,
     }
     assert {v.name: v.checked for v in verdicts} == expected
+
+
+def test_module_level_caches_are_pinned():
+    # a module-global cache keyed on whole structures keeps them alive for
+    # the life of the process; adding one must show up as an edit here
+    package = Path(algcat.__file__).parent
+    found = set()
+    for info in pkgutil.iter_modules([str(package)]):
+        mod = importlib.import_module(f"algcat.{info.name}")
+        for name, value in vars(mod).items():
+            if hasattr(value, "cache_info") and value.__module__ == mod.__name__:
+                found.add(f"{info.name}.{name}")
+    assert found == {
+        "catcheck._rps_hom_direct",
+        "catcheck._s2t_hom_fast",
+        "neardomain.enumerate_nd_morphisms",
+        "neardomain.galois_field",
+        "neardomain.dickson_nearfield_9",
+        "s2t.involutions",
+        "s2t.characteristic",
+        "s2t.translations",
+        "s2t.derived_neardomain",
+        "s2t.affine_group",
+        "s2t.canonical_isomorphism",
+        "zoo.standard_zoo",
+    }
 
 
 def test_verdict_serialization():
@@ -169,9 +200,7 @@ def test_naturality_witness_flags_corruption():
     g9 = affine_group(galois_field(9))
     good = enumerate_s2t_morphisms(g9, g9)[1]
     assert naturality_witness(g9, g9, good) is None
-    from algcat.s2t import S2tMorphism
-
-    bad = S2tMorphism(f=good.f, phi=tuple(range(9)))
+    bad = Morphism(f=good.f, phi=tuple(range(9)))
     assert naturality_witness(g9, g9, bad) is not None
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from algcat import cli
 from algcat.cli import main
 from algcat.fileio import emit_structure, parse_structure
 from algcat.loops import check_loop
@@ -149,6 +151,30 @@ def test_homset_mixed_pair(files, capsys, tmp_path):
     code, out, _ = run(capsys, "homset", str(p), files["gf3"], "--no-timestamp")
     assert code == 0
     assert "lifted: target" in out
+
+
+def test_homset_mixed_pair_enumerates_source_homs_once(files, capsys, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(functor):
+        def hom(src, dst):
+            calls.append(functor.name)
+            return functor.source.hom(src, dst)
+
+        return dataclasses.replace(functor, source=dataclasses.replace(functor.source, hom=hom))
+
+    monkeypatch.setattr(cli, "S2T_TO_NDOM", counted(cli.S2T_TO_NDOM))
+    monkeypatch.setattr(cli, "RPS_TO_LOOP_FAST", counted(cli.RPS_TO_LOOP_FAST))
+    for name, kind, count in (("gf9", "s2t", 2), ("z2", "rps", 2)):
+        _, text, _ = run(capsys, "convert", files[name], "--to", kind)
+        p = tmp_path / f"{kind}-{name}.txt"
+        p.write_text(text)
+        for pair in ((files[name], str(p)), (str(p), files[name])):
+            calls.clear()
+            code, out, _ = run(capsys, "homset", *pair, "--no-timestamp")
+            assert code == 0
+            assert f"count: {count}\n" in out and "bijection: true" in out
+            assert len(calls) == 1, (name, pair, calls)
 
 
 def test_homset_kind_mismatch(files, capsys):

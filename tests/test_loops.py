@@ -13,6 +13,9 @@ from algcat.errors import (
 from algcat.loops import (
     Loop,
     _normalized_tables,
+    _relabeled_table,
+    _relabeling_beats,
+    _relabelings_fixing_zero,
     canonical_table,
     check_loop,
     enumerate_loop_morphisms,
@@ -152,6 +155,14 @@ def test_enumerate_loops_canonical_and_distinct():
 def test_enumerate_loops_matches_brute_force(n):
     brute = sorted({canonical_table(Loop(n, t, 0)) for t in _normalized_tables(n)})
     assert [l.table for l in enumerate_loops(n)] == brute
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_relabeling_beats_matches_full_comparison(n):
+    # the early exit skips the last row; the whole relabeled table decides
+    for t in _normalized_tables(n):
+        for pi, pi_inv in _relabelings_fixing_zero(n):
+            assert _relabeling_beats(t, pi, pi_inv, n) == (_relabeled_table(t, pi, pi_inv, n) < t), (t, pi)
 
 
 def test_enumerate_loops_order_six():

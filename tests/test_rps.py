@@ -6,13 +6,11 @@ from hypothesis import strategies as st
 
 from algcat.errors import MissingIdentity, RegularityViolation, StructureError
 from algcat.loops import check_loop, enumerate_loop_morphisms, loops_isomorphic
-from algcat.perms import Perm, closure, perm_set
+from algcat.perms import Morphism, Perm, closure, compose_morphisms, perm_set
 from algcat.rps import (
     Rps,
-    RpsMorphism,
     characterize_morphism,
     check_rps,
-    compose_rps_morphisms,
     enumerate_rps_morphisms,
     enumerate_rps_morphisms_direct,
     identity_rps_morphism,
@@ -90,7 +88,7 @@ def test_member_loop_transport():
 
 def test_point_tables_agree_with_evaluation(zoo):
     objects = [r for _, r in zoo.rps_objects] + [translations(g) for _, g in zoo.groups]
-    objects += [with_basepoint(r, r.degree - 1) for r in objects]
+    objects += [with_basepoint(r, b) for r in objects for b in range(r.degree) if b != r.basepoint]
     for r in objects:
         ms, base = r.members.members, r.basepoint
         assert r.base_images == tuple(m(base) for m in ms)
@@ -98,15 +96,17 @@ def test_point_tables_agree_with_evaluation(zoo):
         for i, m in enumerate(ms):
             assert r.member_at[m(base)] == i
             assert r.from_point(m(base)) == m
-        # both loops against their definitions by composition and evaluation
-        ml = member_loop(r)
-        for i, m in enumerate(ms):
-            for j, k in enumerate(ms):
-                assert ms[ml.table[i][j]](base) == (m * k)(base)
-        il = induced_loop(r)
-        for a in range(r.degree):
-            for b in range(r.degree):
-                assert il.table[a][b] == (r.from_point(a) * r.from_point(b))(base)
+        # both stored loops against their definitions by composition and evaluation
+        assert member_loop(r) is r.member_loop and induced_loop(r) is r.loop
+        assert r.member_loop == check_loop(
+            tuple(tuple(r.members.index(member_product(r, m, k)) for k in ms) for m in ms),
+            r.members.index(Perm.identity(r.degree)),
+        )
+        points = range(r.degree)
+        assert r.loop == check_loop(
+            tuple(tuple((r.from_point(a) * r.from_point(b))(base) for b in points) for a in points),
+            base,
+        )
     with pytest.raises(ValueError):
         ROTATIONS.from_point(3)
     with pytest.raises(ValueError):
@@ -131,11 +131,11 @@ def test_is_rps_morphism():
     good = enumerate_rps_morphisms_direct(ROTATIONS, ROTATIONS)
     assert len(good) == 3
     m = good[1]
-    corrupted = RpsMorphism(f=(m.f[0], m.f[2], m.f[1]), phi=m.phi)
+    corrupted = Morphism(f=(m.f[0], m.f[2], m.f[1]), phi=m.phi)
     if corrupted != m:
         assert not is_rps_morphism(corrupted, ROTATIONS, ROTATIONS)
     with pytest.raises(ValueError):
-        is_rps_morphism(RpsMorphism((0, 1), (0, 1, 2)), ROTATIONS, ROTATIONS)
+        is_rps_morphism(Morphism((0, 1), (0, 1, 2)), ROTATIONS, ROTATIONS)
 
 
 def test_characterize_agrees_exhaustively():
@@ -144,7 +144,7 @@ def test_characterize_agrees_exhaustively():
     for f in itertools.product(range(3), repeat=3):
         for rest in itertools.product(range(3), repeat=2):
             phi = (0, rest[0], rest[1])
-            cand = RpsMorphism(f, phi)
+            cand = Morphism(f, phi)
             assert characterize_morphism(f, phi, src, dst) == is_rps_morphism(cand, src, dst)
 
 
@@ -179,10 +179,10 @@ def test_compose_and_identity_laws():
     homs = enumerate_rps_morphisms_direct(r, r)
     ident = identity_rps_morphism(r)
     for m in homs:
-        assert compose_rps_morphisms(m, ident) == m
-        assert compose_rps_morphisms(ident, m) == m
+        assert compose_morphisms(m, ident) == m
+        assert compose_morphisms(ident, m) == m
         for k in homs:
-            assert is_rps_morphism(compose_rps_morphisms(k, m), r, r)
+            assert is_rps_morphism(compose_morphisms(k, m), r, r)
 
 
 @given(st.sampled_from([r for _, r in standard_zoo().rps_objects]))

@@ -9,18 +9,16 @@ from algcat.errors import (
     StructureError,
 )
 from algcat.neardomain import d_coeff, dickson_nearfield_9, galois_field, is_nearfield
-from algcat.perms import Perm, PermSet, closure, perm_set, subgroup_failure
+from algcat.perms import Morphism, Perm, PermSet, closure, compose_morphisms, perm_set, subgroup_failure
 from algcat.rps import Rps
 from algcat.s2t import (
     Characteristic,
-    S2tMorphism,
     affine_group,
     affine_maps,
     base_involution,
     canonical_isomorphism,
     characteristic,
     check_s2t,
-    compose_s2t_morphisms,
     derived_neardomain,
     derived_nd_morphism,
     enumerate_s2t_morphisms,
@@ -150,6 +148,16 @@ def test_translations_encode_addition():
                 assert point_mul(g, a, b) == nd.mul[a][b]
 
 
+def test_derived_neardomain_matches_point_operations(zoo):
+    # every zoo group, the relabeled ones and sym3@(1,2) included
+    for name, g in zoo.groups:
+        nd = derived_neardomain(g)
+        n = g.degree
+        assert nd.add == tuple(tuple(point_add(g, a, b) for b in range(n)) for a in range(n)), name
+        assert nd.mul == tuple(tuple(point_mul(g, a, b) for b in range(n)) for a in range(n)), name
+        assert (nd.zero, nd.one) == (g.omega0, g.omega1), name
+
+
 def test_derived_neardomain_roundtrip():
     for q, g in AFF.items():
         assert derived_neardomain(g) == galois_field(q)
@@ -253,10 +261,10 @@ def test_morphism_validation_and_inclusions():
     good = enumerate_s2t_morphisms(AFF[4], AFF[4])
     assert len(good) == 2
     nontrivial = next(m for m in good if m != identity_s2t_morphism(AFF[4]))
-    broken = S2tMorphism(f=nontrivial.f, phi=identity_s2t_morphism(AFF[4]).phi)
+    broken = Morphism(f=nontrivial.f, phi=identity_s2t_morphism(AFF[4]).phi)
     assert not is_s2t_morphism(broken, AFF[4], AFF[4])
     with pytest.raises(ValueError):
-        is_s2t_morphism(S2tMorphism((0,), (0, 1)), AFF[2], AFF[2])
+        is_s2t_morphism(Morphism((0,), (0, 1)), AFF[2], AFF[2])
 
 
 def test_lift_and_compose():
@@ -266,7 +274,7 @@ def test_lift_and_compose():
     embed = lift_nd_morphism((0, 1, 2), nd3, nd9)
     assert is_s2t_morphism(embed, AFF[3], AFF[9])
     frob = enumerate_s2t_morphisms(AFF[9], AFF[9])[1]
-    assert compose_s2t_morphisms(frob, frob) == identity_s2t_morphism(AFF[9])
+    assert compose_morphisms(frob, frob) == identity_s2t_morphism(AFF[9])
     with pytest.raises(ValueError):
         lift_nd_morphism((0, 0, 0), nd3, nd3)
 
