@@ -21,9 +21,12 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .errors import ClosureSizeExceeded, NotAGroup, StructureError
+from .errors import ClosureSizeExceeded, NotAGroup, ResourceLimitExceeded, StructureError
 
 DEFAULT_CLOSURE_CAP = 10**6
+# most entries a composition table may hold; the largest bundled group, the
+# affine group of GF(16), needs 57,600
+TABLE_CAP = 10**6
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -113,8 +116,14 @@ class PermSet:
         """table[i][j] is the index of members[i] * members[j], built on the
         first call by composing image tuples and kept. Raises NotAGroup,
         naming the factors of the first product in row-major order that is
-        not a member."""
+        not a member, and ResourceLimitExceeded, before building any row,
+        when the table would hold more than TABLE_CAP entries."""
         if self._table is None:
+            size = len(self.members)
+            if size * size > TABLE_CAP:
+                raise ResourceLimitExceeded(
+                    f"composition table of {size} members needs {size * size} entries, over the cap of {TABLE_CAP}"
+                )
             get = self._index.get
             images = [p.images for p in self.members]
             # compose[j](a) is the image tuple of a * members[j]; itemgetter
@@ -167,7 +176,8 @@ def intertwines(m: Morphism, src: PermSet, dst: PermSet) -> bool:
     """True iff phi(p(x)) == f(p)(phi(x)) for every source member p and
     point x. Raises ValueError unless f and phi are total maps into dst."""
     f, phi = m.f, m.phi
-    if len(f) != len(src) or any(not 0 <= v < len(dst) for v in f):
+    size = len(dst)
+    if len(f) != len(src) or any(not 0 <= v < size for v in f):
         raise ValueError("f is not a total map into the target members")
     if len(phi) != src.degree or any(not 0 <= v < dst.degree for v in phi):
         raise ValueError("phi is not a total map into the target points")

@@ -136,9 +136,10 @@ def is_rps_morphism(m: Morphism, src: Rps, dst: Rps) -> bool:
     preserves the base point."""
     if not intertwines(m, src.members, dst.members) or m.phi[src.basepoint] != dst.basepoint:
         return False
-    # the identity member fixes the base point, so regularity forces its image
-    src_e = src.members.index(Perm.identity(src.degree))
-    if m.f[src_e] != dst.members.index(Perm.identity(dst.degree)):
+    # the identity member fixes the base point, so regularity forces its
+    # image; check_rps stores each identity index as its member loop identity
+    src_e = src.member_loop.identity
+    if m.f[src_e] != dst.member_loop.identity:
         raise InvariantViolation("morphism sends the identity member to the identity", (src_e, m.f[src_e]))
     return True
 
@@ -200,13 +201,33 @@ def enumerate_rps_morphisms_direct(src: Rps, dst: Rps) -> tuple[Morphism, ...]:
 
     For each phi the member map is forced by target regularity (f(m) must
     agree with phi . m at the base point), so it suffices to verify the
-    forced pair. Independent of the induced-loop reduction; exponential in
-    the source degree, intended for desk-scale objects only.
+    forced pair: phi(p(x)) == f(p)(phi(x)) for every source member p and
+    point x, on the image tuples. f(p) is looked up member by member and
+    the check stops at the first mismatch. A pair that passes becomes a
+    Morphism and is confirmed by is_rps_morphism; disagreement raises
+    InvariantViolation. Independent of the induced-loop reduction and of
+    the loop hom search; exponential in the source degree, intended for
+    desk-scale objects only.
     """
+    dst_images = [q.images for q in dst.members]
+    member_at, base_images = dst.member_at, src.base_images
+    # each source member's image tuple beside its base-point image
+    members = [(p.images, b) for p, b in zip(src.members, base_images)]
+    points = range(src.degree)
     out = []
     for phi in based_point_maps(src, dst):
-        cand = Morphism(_forced_member_map(phi, src, dst), phi)
-        if is_rps_morphism(cand, src, dst):
+        for p, b in members:
+            q = dst_images[member_at[phi[b]]]
+            for x in points:
+                if phi[p[x]] != q[phi[x]]:
+                    break
+            else:
+                continue
+            break
+        else:
+            cand = Morphism(_forced_member_map(phi, src, dst), phi)
+            if not is_rps_morphism(cand, src, dst):
+                raise InvariantViolation("is_rps_morphism accepts every verified pair", cand)
             out.append(cand)
     return tuple(out)
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,8 @@ from algcat.cli import main
 from algcat.fileio import emit_structure, parse_structure
 from algcat.loops import check_loop
 from algcat.neardomain import dickson_nearfield_9, galois_field
+from algcat.perms import TABLE_CAP
+from algcat.s2t import affine_group
 
 
 @pytest.fixture
@@ -81,6 +84,26 @@ def test_check_parse_error_exits_2(tmp_path, capsys):
 def test_check_missing_file_exits_2(capsys):
     code, _, _ = run(capsys, "check", "no-such-file.txt", "--no-timestamp")
     assert code == 2
+
+
+def test_check_refuses_oversized_composition_table(tmp_path, capsys):
+    # a 7-cycle and a transposition close to S7, 5040 members well under the
+    # closure cap; its 25.4M-entry composition table must be refused before
+    # any row is built (building it takes about 200 MB)
+    path = tmp_path / "s7.txt"
+    path.write_text("s2t 7 0 1\ngenerators\n1 2 3 4 5 6 0\n1 0 2 3 4 5 6\n")
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "check", str(path), "--no-timestamp")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "error_type: ResourceLimitExceeded" in out
+    assert peak < 5_000_000, peak
+    # the largest bundled group, the affine group of GF(16), keeps its table
+    table = affine_group(galois_field(16)).group.composition_table()
+    assert len(table) * len(table[0]) == 57_600 <= TABLE_CAP
 
 
 def test_convert_loop_rps_roundtrip(files, capsys, tmp_path):

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from algcat.errors import MissingIdentity, RegularityViolation, StructureError
+from algcat import rps
+from algcat.errors import InvariantViolation, MissingIdentity, RegularityViolation, StructureError
 from algcat.loops import check_loop, enumerate_loop_morphisms, loops_isomorphic
 from algcat.perms import Morphism, Perm, closure, compose_morphisms, perm_set
 from algcat.rps import (
     Rps,
+    based_point_maps,
     characterize_morphism,
     check_rps,
     enumerate_rps_morphisms,
@@ -172,6 +174,44 @@ def test_fast_equals_direct(zoo):
             direct = set(enumerate_rps_morphisms_direct(src, dst))
             assert fast == direct
             assert len(fast) == len(enumerate_loop_morphisms(induced_loop(src), induced_loop(dst)))
+
+
+def test_direct_oracle_matches_definition_on_every_zoo_pair(zoo, monkeypatch):
+    # every candidate of every ordered pair, 28,239, degrees 4 and 5 included;
+    # the characterization family stops at degree 3. Pairs such as degree 2
+    # into degree 3 are kept: a check that skips the last member or point
+    # still finds the right morphisms on the degree 4 and 5 pairs alone
+    objects = [r for _, r in zoo.rps_objects]
+    confirmed = []
+
+    def counted(m, src, dst):
+        confirmed.append(m)
+        return is_rps_morphism(m, src, dst)
+
+    monkeypatch.setattr(rps, "is_rps_morphism", counted)
+    total = 0
+    for src in objects:
+        for dst in objects:
+            confirmed.clear()
+            found = enumerate_rps_morphisms_direct(src, dst)
+            # the oracle confirms each pair it accepts, and nothing else
+            assert list(found) == confirmed
+            want = []
+            for phi in based_point_maps(src, dst):
+                # f(m) is the target member sending the base point to phi(m(base))
+                f = tuple(dst.members.index(dst.from_point(phi[src.to_point(m)])) for m in src.members)
+                cand = Morphism(f, phi)
+                if is_rps_morphism(cand, src, dst):
+                    want.append(cand)
+            assert found == tuple(want)
+            total += len(found)
+    assert total == 217
+
+
+def test_direct_oracle_raises_when_the_definition_disagrees(monkeypatch):
+    monkeypatch.setattr(rps, "is_rps_morphism", lambda m, src, dst: False)
+    with pytest.raises(InvariantViolation):
+        enumerate_rps_morphisms_direct(ROTATIONS, ROTATIONS)
 
 
 def test_compose_and_identity_laws():
