@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import Callable, Sequence
 
 from .errors import StructureError
@@ -101,11 +100,6 @@ def _compose_maps(outer: Sequence[int], inner: Sequence[int]) -> tuple[int, ...]
     return tuple(outer[v] for v in inner)
 
 
-@lru_cache(maxsize=None)
-def _s2t_hom_fast(src: S2tGroup, dst: S2tGroup) -> tuple[Morphism, ...]:
-    return enumerate_s2t_morphisms(src, dst)
-
-
 LOOP_CAT = CategoryOps(
     hom=enumerate_loop_morphisms,
     identity=lambda L: tuple(range(L.order)),
@@ -127,7 +121,7 @@ RPS_CAT_FAST = CategoryOps(
     compose=compose_morphisms,
 )
 S2T_CAT = CategoryOps(
-    hom=_s2t_hom_fast,
+    hom=enumerate_s2t_morphisms,
     identity=identity_s2t_morphism,
     compose=compose_morphisms,
 )
@@ -373,10 +367,11 @@ def nd_injectivity_witness(src: Neardomain, dst: Neardomain) -> str | None:
     return None
 
 
-def s2t_injectivity_witness(src: S2tGroup, dst: S2tGroup) -> str | None:
-    """Every enumerated pair must pass is_s2t_morphism, which rejects a
-    non-injective phi and raises InvariantViolation on a non-injective f."""
-    for m in _s2t_hom_fast(src, dst):
+def s2t_injectivity_witness(src: S2tGroup, dst: S2tGroup, hom: Callable | None = None) -> str | None:
+    """Every pair that hom (by default enumerate_s2t_morphisms) lists must
+    pass is_s2t_morphism, which rejects a non-injective phi and raises
+    InvariantViolation on a non-injective f."""
+    for m in (hom or enumerate_s2t_morphisms)(src, dst):
         if not is_s2t_morphism(m, src, dst):
             return f"enumerated pair is not a valid morphism: phi={m.phi}"
     return None
@@ -391,22 +386,31 @@ def _all_candidates(src: Rps, dst: Rps):
             yield f, phi
 
 
+def _memoized(hom: Callable) -> Callable:
+    """hom over ordered object pairs, each pair enumerated once for the life
+    of the returned function."""
+    homs: dict = {}
+
+    def memo(src, dst):
+        if (src, dst) not in homs:
+            homs[src, dst] = hom(src, dst)
+        return homs[src, dst]
+
+    return memo
+
+
 def run_all(zoo: Zoo | None = None) -> list[Verdict]:
     """The whole battery over the zoo; deterministic order, one verdict per
     check family, each witness naming the failing instance."""
     if zoo is None:
         zoo = standard_zoo()
     verdicts: list[Verdict] = []
-    # the oracle hom-set of each ordered rps pair, enumerated once in this run
-    # and shared by the three families that read it
-    rps_homs: dict[tuple[Rps, Rps], tuple[Morphism, ...]] = {}
-
-    def rps_hom_direct(src: Rps, dst: Rps) -> tuple[Morphism, ...]:
-        if (src, dst) not in rps_homs:
-            rps_homs[src, dst] = enumerate_rps_morphisms_direct(src, dst)
-        return rps_homs[src, dst]
-
+    # the rps oracle hom-set and the s2t hom-set of each ordered pair,
+    # enumerated once in this run and shared by the families that read them
+    rps_hom_direct = _memoized(enumerate_rps_morphisms_direct)
+    s2t_homs = _memoized(enumerate_s2t_morphisms)
     rps_to_loop = replace(RPS_TO_LOOP, source=replace(RPS_CAT_DIRECT, hom=rps_hom_direct))
+    s2t_to_ndom = replace(S2T_TO_NDOM, source=replace(S2T_CAT, hom=s2t_homs))
 
     loops = list(zoo.loops)
     rps_objects = list(zoo.rps_objects)
@@ -484,7 +488,7 @@ def run_all(zoo: Zoo | None = None) -> list[Verdict]:
     verdicts.append(_run_family(
         "s2t-full-faithful",
         [
-            (f"{na}->{nb}", (S2T_TO_NDOM, na, a, nb, b))
+            (f"{na}->{nb}", (s2t_to_ndom, na, a, nb, b))
             for na, a in groups
             for nb, b in groups
         ],
@@ -496,7 +500,7 @@ def run_all(zoo: Zoo | None = None) -> list[Verdict]:
             (f"{na}->{nb}", (a, b, m))
             for na, a in groups
             for nb, b in groups
-            for m in _s2t_hom_fast(a, b)
+            for m in s2t_homs(a, b)
         ],
         naturality_witness,
     ))
@@ -506,7 +510,7 @@ def run_all(zoo: Zoo | None = None) -> list[Verdict]:
             (f"{na}->{nb}", (m, a, b))
             for na, a in groups
             for nb, b in groups
-            for m in _s2t_hom_fast(a, b)
+            for m in s2t_homs(a, b)
         ],
         image_inclusion_witness,
     ))
@@ -514,7 +518,7 @@ def run_all(zoo: Zoo | None = None) -> list[Verdict]:
     verdicts.append(_run_family(
         "s2t-hom-oracle-agreement",
         [
-            (f"{na}->{nb}", (_s2t_hom_fast, enumerate_s2t_morphisms_direct, a, b))
+            (f"{na}->{nb}", (s2t_homs, enumerate_s2t_morphisms_direct, a, b))
             for na, a in small_groups
             for nb, b in small_groups
         ],
@@ -537,7 +541,7 @@ def run_all(zoo: Zoo | None = None) -> list[Verdict]:
     verdicts.append(_run_family(
         "s2t-morphism-injectivity",
         [
-            (f"{na}->{nb}", (a, b))
+            (f"{na}->{nb}", (a, b, s2t_homs))
             for na, a in groups
             for nb, b in groups
         ],
@@ -546,6 +550,6 @@ def run_all(zoo: Zoo | None = None) -> list[Verdict]:
     nd_slice = [(n, nd) for n, nd in ndoms if nd.order <= 4 or n in ("gf9", "dickson9")]
     verdicts.append(check_functor_laws(NDOM_TO_S2T, nd_slice))
     group_slice = [(n, g) for n, g in groups if g.degree <= 4]
-    verdicts.append(check_functor_laws(S2T_TO_NDOM, group_slice))
+    verdicts.append(check_functor_laws(s2t_to_ndom, group_slice))
 
     return verdicts

@@ -86,11 +86,9 @@ class DichotomyViolation(StructureError):
 
 
 class ResourceLimitExceeded(RuntimeError):
-    """A configurable size cap was hit before the computation finished."""
-
-
-class ClosureSizeExceeded(ResourceLimitExceeded):
-    """Composition closure grew past the configured cap."""
+    """The work would pass perms.TABLE_CAP, the one size budget: a composition
+    table over TABLE_CAP entries, or a closure whose table would be. Raised
+    before the over-budget work is done; the CLI exits 2."""
 
 
 class ParseError(ValueError):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from .errors import ParseError
 from .loops import Loop, check_loop
 from .neardomain import Neardomain, check_neardomain
-from .perms import DEFAULT_CLOSURE_CAP, Perm, closure, perm_set
+from .perms import Perm, closure, perm_set
 from .rps import Rps, check_rps
 from .s2t import S2tGroup, check_s2t
 
@@ -80,10 +80,11 @@ def _no_trailing(lines, pos: int) -> None:
         raise ParseError(num, f"unexpected trailing content: {line!r}")
 
 
-def parse_structure(text: str, max_closure: int = DEFAULT_CLOSURE_CAP) -> Structure:
+def parse_structure(text: str) -> Structure:
     """Parse and validate one structure. Syntax problems raise ParseError
     with a 1-based line number; structural problems raise the kind checker's
-    StructureError subclass."""
+    StructureError subclass; a generators block closing to a group over the
+    perms.TABLE_CAP budget raises ResourceLimitExceeded."""
     lines = _significant_lines(text)
     if not lines:
         raise ParseError(1, "empty input: expected a header line")
@@ -140,7 +141,7 @@ def parse_structure(text: str, max_closure: int = DEFAULT_CLOSURE_CAP) -> Struct
             gen_num, line = lines[pos]
             gens.append(Perm(_ints(gen_num, line, n)))
             pos += 1
-        members = closure(gens, max_size=max_closure)
+        members = closure(gens)
     else:
         if pos >= len(lines):
             raise ParseError(num, "s2t needs a member listing or a 'generators' block")

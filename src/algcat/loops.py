@@ -34,17 +34,6 @@ class Loop:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def left_div(self, a: int, b: int) -> int:
-        """The unique x with a * x == b."""
-        return self.table[a].index(b)
-
-    def right_div(self, a: int, b: int) -> int:
-        """The unique y with y * a == b."""
-        for y in range(self.order):
-            if self.table[y][a] == b:
-                return y
-        raise StructureError(f"no y with y * {a} == {b}")
-
 
 def check_loop(table: Sequence[Sequence[int]], identity: int = 0) -> Loop:
     """Validate a Cayley table as a loop: every row and column a permutation,

@@ -46,10 +46,6 @@ class Neardomain:
     zero: int
     one: int
 
-    def neg(self, a: int) -> int:
-        """The unique x with a + x == zero (by axiom 2 also x + a == zero)."""
-        return self.add[a].index(self.zero)
-
 
 def _as_table(rows: Sequence[Sequence[int]], n: int, name: str) -> Table:
     if len(rows) != n:

@@ -21,11 +21,11 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .errors import ClosureSizeExceeded, NotAGroup, ResourceLimitExceeded, StructureError
+from .errors import NotAGroup, ResourceLimitExceeded, StructureError
 
-DEFAULT_CLOSURE_CAP = 10**6
-# most entries a composition table may hold; the largest bundled group, the
-# affine group of GF(16), needs 57,600
+# most entries a composition table may hold, and so (its square root) most
+# members a closure may reach; the largest bundled group, the affine group of
+# GF(16), needs 57,600
 TABLE_CAP = 10**6
 
 
@@ -189,13 +189,15 @@ def intertwines(m: Morphism, src: PermSet, dst: PermSet) -> bool:
     return True
 
 
-def closure(generators: Iterable[Perm], max_size: int = DEFAULT_CLOSURE_CAP) -> PermSet:
+def closure(generators: Iterable[Perm]) -> PermSet:
     """Smallest set containing the generators that is closed under composition,
     inversion, and contains the identity.
 
-    Worklist breadth-first search; in a finite setting composition closure
-    alone already yields inverses, the identity is seeded explicitly.
-    Raises ClosureSizeExceeded once the set grows past max_size.
+    Worklist breadth-first search from the identity; in a finite setting
+    composition closure alone already yields inverses. Raises
+    ResourceLimitExceeded as soon as the set's composition table would hold
+    more than TABLE_CAP entries, the test composition_table applies, so an
+    over-budget group is refused after about sqrt(TABLE_CAP) members.
     """
     gens = list(generators)
     if not gens:
@@ -203,9 +205,7 @@ def closure(generators: Iterable[Perm], max_size: int = DEFAULT_CLOSURE_CAP) -> 
     degree = gens[0].degree
     if any(g.degree != degree for g in gens):
         raise StructureError("generators mix degrees")
-    seen = {Perm.identity(degree), *gens}
-    if len(seen) > max_size:
-        raise ClosureSizeExceeded(f"closure exceeded {max_size} elements")
+    seen = {Perm.identity(degree)}
     frontier = list(seen)
     while frontier:
         fresh = []
@@ -215,8 +215,10 @@ def closure(generators: Iterable[Perm], max_size: int = DEFAULT_CLOSURE_CAP) -> 
                 if c not in seen:
                     seen.add(c)
                     fresh.append(c)
-                    if len(seen) > max_size:
-                        raise ClosureSizeExceeded(f"closure exceeded {max_size} elements")
+                    if len(seen) ** 2 > TABLE_CAP:
+                        raise ResourceLimitExceeded(
+                            f"closure reached {len(seen)} members, so its composition table is over the cap of {TABLE_CAP} entries"
+                        )
         frontier = fresh
     return perm_set(seen)
 

@@ -2,8 +2,10 @@
 
 A sharply 2-transitive group on n >= 2 points moves every ordered pair of
 distinct points to every other by exactly one element, so |G| = n(n-1) and
-an element is pinned down by its images on any two distinct points. Two base
-points (omega0, omega1) play the roles of zero and one.
+an element is pinned down by its images on any two distinct points. For a
+group it is enough that the pair (0, 1) goes to every pair exactly once, and
+that is all check_s2t counts. Two base points (omega0, omega1) play the roles
+of zero and one.
 
 The derived structure rests on the involutions J (never empty here):
 
@@ -91,8 +93,16 @@ class AffineMap:
 
 def check_s2t(group: PermSet, omega0: int, omega1: int) -> S2tGroup:
     """Validate the base points, then the group axioms, then sharp
-    2-transitivity: for every ordered source pair of distinct points, every
-    ordered target pair is reached by exactly one member.
+    2-transitivity on the single source pair (0, 1): every ordered target
+    pair must be reached by exactly one member, else NotSharplyTransitive
+    names (0, 1), the first failing target in lexicographic order and its
+    count.
+
+    One source pair suffices for a group (Dixon and Mortimer, Permutation
+    Groups, 1996): if h(0) = a1 and h(1) = a2, then g -> gh is a bijection of
+    the group, and g moves (a1, a2) to a target exactly when gh moves (0, 1)
+    to it. So a scan of all n(n-1) source pairs fails first at (0, 1), with
+    the same witness, or not at all.
 
     The group axioms go through subgroup_failure, which certifies closure by
     building the member composition table; the validated group keeps it, so
@@ -106,19 +116,17 @@ def check_s2t(group: PermSet, omega0: int, omega1: int) -> S2tGroup:
     witness = subgroup_failure(group)
     if witness is not None:
         raise NotAGroup(witness)
-    images = [g.images for g in group]
-    # pairs in lexicographic order, generated rather than listed: a listing of
-    # a few members on many points fails at the first source pair, and a list
-    # of all n(n-1) pairs would cost memory quadratic in n before that
-    for a1, a2 in itertools.permutations(range(n), 2):
-        seen: dict[tuple[int, int], int] = {}
-        for im in images:
-            key = (im[a1], im[a2])
-            seen[key] = seen.get(key, 0) + 1
-        for target in itertools.permutations(range(n), 2):
-            c = seen.get(target, 0)
-            if c != 1:
-                raise NotSharplyTransitive((a1, a2), target, c)
+    seen: dict[tuple[int, int], int] = {}
+    for g in group:
+        key = g.images[:2]
+        seen[key] = seen.get(key, 0) + 1
+    # targets generated rather than listed: a listing of a few members on many
+    # points fails at the second target, and a list of all n(n-1) pairs would
+    # cost memory quadratic in n before that
+    for target in itertools.permutations(range(n), 2):
+        count = seen.get(target, 0)
+        if count != 1:
+            raise NotSharplyTransitive((0, 1), target, count)
     return S2tGroup(group, n, omega0, omega1)
 
 

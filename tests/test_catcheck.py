@@ -80,7 +80,6 @@ def test_module_level_caches_are_pinned():
             if hasattr(value, "cache_info") and value.__module__ == mod.__name__:
                 found.add(f"{info.name}.{name}")
     assert found == {
-        "catcheck._s2t_hom_fast",
         "neardomain.enumerate_nd_morphisms",
         "neardomain.galois_field",
         "neardomain.dickson_nearfield_9",
@@ -168,14 +167,14 @@ def test_injectivity_family_names_non_injective_pairs(monkeypatch):
     # passes every other condition of is_s2t_morphism
     doubled = S2tGroup(PermSet(2, (identity, swap, swap)), 2, 0, 1)
     pairs = [("doubled->aff(gf2)", (doubled, g2))]
-    monkeypatch.setattr(catcheck, "_s2t_hom_fast", lambda src, dst: (Morphism((0, 1, 1), (0, 1)),))
+    monkeypatch.setattr(catcheck, "enumerate_s2t_morphisms", lambda src, dst: (Morphism((0, 1, 1), (0, 1)),))
     verdict = catcheck._run_family("s2t-morphism-injectivity", pairs, s2t_injectivity_witness)
     assert not verdict.passed
     assert verdict.witness.startswith("doubled->aff(gf2): InvariantViolation")
     assert "have injective f fails at (0, 1, 1)" in verdict.witness
     # a non-injective phi is rejected as an invalid morphism
     g3 = affine_group(galois_field(3))
-    monkeypatch.setattr(catcheck, "_s2t_hom_fast", lambda src, dst: (Morphism((0,) * 6, (0, 1, 1)),))
+    monkeypatch.setattr(catcheck, "enumerate_s2t_morphisms", lambda src, dst: (Morphism((0,) * 6, (0, 1, 1)),))
     verdict = catcheck._run_family("s2t-morphism-injectivity", [("aff(gf3)", (g3, g3))], s2t_injectivity_witness)
     assert verdict.witness == "aff(gf3): enumerated pair is not a valid morphism: phi=(0, 1, 1)"
 

@@ -1,14 +1,16 @@
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from algcat import cli
+from algcat import cli, perms
 from algcat.cli import main
 from algcat.fileio import emit_structure, parse_structure
 from algcat.loops import check_loop
@@ -87,11 +89,12 @@ def test_check_missing_file_exits_2(capsys):
 
 
 def test_check_refuses_oversized_composition_table(tmp_path, capsys):
-    # a 7-cycle and a transposition close to S7, 5040 members well under the
-    # closure cap; its 25.4M-entry composition table must be refused before
-    # any row is built (building it takes about 200 MB)
+    # S7 listed member by member: 5040 members, so its 25.4M-entry
+    # composition table must be refused before any row is built (building it
+    # takes about 200 MB)
     path = tmp_path / "s7.txt"
-    path.write_text("s2t 7 0 1\ngenerators\n1 2 3 4 5 6 0\n1 0 2 3 4 5 6\n")
+    members = (" ".join(map(str, p)) for p in itertools.permutations(range(7)))
+    path.write_text("s2t 7 0 1\n" + "\n".join(members) + "\n")
     tracemalloc.start()
     try:
         code, out, _ = run(capsys, "check", str(path), "--no-timestamp")
@@ -100,10 +103,34 @@ def test_check_refuses_oversized_composition_table(tmp_path, capsys):
         tracemalloc.stop()
     assert code == 2
     assert "error_type: ResourceLimitExceeded" in out
+    assert "composition table of 5040 members" in out
     assert peak < 5_000_000, peak
     # the largest bundled group, the affine group of GF(16), keeps its table
     table = affine_group(galois_field(16)).group.composition_table()
     assert len(table) * len(table[0]) == 57_600 <= TABLE_CAP
+
+
+@pytest.mark.parametrize("n", [7, 8, 9])
+def test_symmetric_generators_refused_within_budget(tmp_path, capsys, n):
+    # an n-cycle and a transposition generate S_n; the closure stops at the
+    # first member past the budget, long before the n! members
+    path = tmp_path / f"s{n}.txt"
+    cycle = " ".join(map(str, [*range(1, n), 0]))
+    swap = " ".join(map(str, [1, 0, *range(2, n)]))
+    path.write_text(f"s2t {n} 0 1\ngenerators\n{cycle}\n{swap}\n")
+    start = time.process_time()
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "check", str(path), "--no-timestamp")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    elapsed = time.process_time() - start
+    assert code == 2
+    assert "error_type: ResourceLimitExceeded" in out
+    assert "closure reached 1001 members" in out
+    assert peak < 5_000_000, peak
+    assert elapsed < 1.0, elapsed
 
 
 def test_convert_loop_rps_roundtrip(files, capsys, tmp_path):
@@ -228,16 +255,21 @@ def test_zoo_bounds(capsys):
     assert code == 2
 
 
-def test_max_closure_flag(tmp_path, capsys):
+def test_over_budget_generators_exit_2(tmp_path, capsys, monkeypatch):
     p = tmp_path / "gen.txt"
     p.write_text("s2t 3 0 1\ngenerators\n1 2 0\n1 0 2\n")
     code, _, _ = run(capsys, "check", str(p), "--no-timestamp")
     assert code == 0
-    code, out, _ = run(capsys, "check", str(p), "--no-timestamp", "--max-closure", "3")
-    assert code == 2  # closure blew the cap: a resource refusal, not invalidity
-    assert "ClosureSizeExceeded" in out
-    code, _, err = run(capsys, "roundtrip", str(p), "--max-closure", "3")
+    monkeypatch.setattr(perms, "TABLE_CAP", 35)  # S3 needs 36 entries
+    code, out, _ = run(capsys, "check", str(p), "--no-timestamp")
+    assert code == 2  # over budget: a resource refusal, not invalidity
+    assert "error_type: ResourceLimitExceeded" in out
+    code, _, err = run(capsys, "roundtrip", str(p))
     assert code == 2
+    assert "over the cap of 35 entries" in err
+    # the budget has no flag
+    assert main(["check", str(p), "--max-closure", "3"]) == 2
+    assert "unrecognized arguments: --max-closure" in capsys.readouterr().err
 
 
 def test_verify_all(capsys):

@@ -1,11 +1,13 @@
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from algcat import perms
 from algcat.errors import (
-    ClosureSizeExceeded,
+    DegenerateOmega,
     LatinSquareViolation,
     NotSharplyTransitive,
     ParseError,
@@ -59,9 +61,15 @@ def test_parse_s2t_generators_closure():
     assert parse_structure(text) == obj
 
 
-def test_max_closure_cap():
-    with pytest.raises(ClosureSizeExceeded):
-        parse_structure("s2t 3 0 1\ngenerators\n1 2 0\n1 0 2\n", max_closure=3)
+def test_generator_closure_budget(monkeypatch):
+    # S3 needs a 36-entry table: over a cap of 35 its closure is refused
+    # before the base points are looked at, under the cap they are
+    text = "s2t 3 0 0\ngenerators\n1 2 0\n1 0 2\n"
+    with pytest.raises(DegenerateOmega):
+        parse_structure(text)
+    monkeypatch.setattr(perms, "TABLE_CAP", 35)
+    with pytest.raises(ResourceLimitExceeded):
+        parse_structure(text)
 
 
 def test_comments_and_blanks_tolerated():
@@ -124,8 +132,9 @@ def test_emit_loop_header_minimal():
     assert emit_structure(moved).splitlines()[0] == "loop 2 1"
 
 
-# emitted zoo structures of degree <= 5; S5 has 120 elements, so a closure
-# cap of 60 lets hostile generator blocks reach ResourceLimitExceeded too
+# emitted zoo structures of degree <= 5, plus generators of S5; S5 has 120
+# elements, so a table cap of 60^2 lets hostile generator blocks reach
+# ResourceLimitExceeded too
 _ZOO = standard_zoo()
 _EMITTED = [
     emit_structure(obj)
@@ -133,7 +142,11 @@ _EMITTED = [
     for _, obj in section
 ]
 HOSTILE_SOURCES = [text for text in _EMITTED if int(text.split()[1]) <= 5]
-HOSTILE_CLOSURE_CAP = 60
+HOSTILE_SOURCES += [
+    "s2t 5 0 1\ngenerators\n1 2 3 4 0\n1 0 2 3 4\n",
+    "s2t 5 0 1\ngenerators\n1 2 3 4 0\n1 0 2 3 4\n0 2 1 3 4\n",
+]
+HOSTILE_TABLE_CAP = 60 * 60
 
 
 def _mutate(data, lines: list[str]) -> list[str]:
@@ -170,6 +183,7 @@ def test_hostile_input_fails_only_with_documented_errors(data):
     for _ in range(data.draw(st.integers(1, 3))):
         lines = _mutate(data, lines)
     try:
-        parse_structure("\n".join(lines) + "\n", max_closure=HOSTILE_CLOSURE_CAP)
+        with mock.patch.object(perms, "TABLE_CAP", HOSTILE_TABLE_CAP):
+            parse_structure("\n".join(lines) + "\n")
     except (ParseError, StructureError, ResourceLimitExceeded):
         pass

@@ -89,13 +89,15 @@ sys.exit("constant-zero point map accepted")
 
 def test_closure_certificate_survives_optimized_mode():
     # a zoo group minus one involution keeps its inverses, so the missing
-    # product is what check_s2t must name, even with asserts stripped
+    # product is what check_s2t must name, even with asserts stripped; so
+    # must the one-pair transitivity witness and the size budget
     code = """
 import sys
 if __debug__:
     sys.exit("not running under -O")
-from algcat.errors import NotAGroup
-from algcat.perms import perm_set
+from algcat.errors import NotAGroup, NotSharplyTransitive, ResourceLimitExceeded
+from algcat.fileio import parse_structure
+from algcat.perms import Perm, closure, perm_set
 from algcat.s2t import check_s2t
 from algcat.zoo import standard_zoo
 g = dict(standard_zoo().groups)["aff(gf5)"]
@@ -108,8 +110,20 @@ expected = next(
 )
 try:
     check_s2t(perm_set(members), g.omega0, g.omega1)
+    sys.exit("group with a member removed accepted")
 except NotAGroup as exc:
-    sys.exit(0 if str(exc) == expected else f"witness {exc} != {expected}")
-sys.exit("group with a member removed accepted")
+    if str(exc) != expected:
+        sys.exit(f"witness {exc} != {expected}")
+try:
+    check_s2t(closure([Perm((1, 2, 0))]), 0, 1)
+    sys.exit("rotation group accepted")
+except NotSharplyTransitive as exc:
+    if (exc.source_pair, exc.target_pair, exc.count) != ((0, 1), (0, 2), 0):
+        sys.exit(f"rotation witness {exc}")
+try:
+    parse_structure("s2t 8 0 1\\ngenerators\\n1 2 3 4 5 6 7 0\\n1 0 2 3 4 5 6 7\\n")
+except ResourceLimitExceeded:
+    sys.exit(0)
+sys.exit("S8 generator file accepted")
 """
     _run_optimized(code)

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import algcat.perms as perms_module
-from algcat.errors import ClosureSizeExceeded, StructureError
+from algcat.errors import ResourceLimitExceeded, StructureError
 from algcat.perms import Perm, PermSet, closure, perm_set, subgroup_failure
 
 perms = st.integers(min_value=1, max_value=6).flatmap(
@@ -91,9 +91,14 @@ def test_closure_examples():
     assert list(s3) == sorted(s3.members)
 
 
-def test_closure_cap():
-    with pytest.raises(ClosureSizeExceeded):
-        closure([Perm((1, 2, 0)), Perm((1, 0, 2))], max_size=3)
+def test_closure_cap(monkeypatch):
+    # the closure budget is the table budget: S3 needs 36 entries
+    gens = [Perm((1, 2, 0)), Perm((1, 0, 2))]
+    monkeypatch.setattr(perms_module, "TABLE_CAP", 36)
+    assert len(closure(gens)) == 6
+    monkeypatch.setattr(perms_module, "TABLE_CAP", 35)
+    with pytest.raises(ResourceLimitExceeded, match="closure reached 6 members"):
+        closure(gens)
     with pytest.raises(StructureError):
         closure([])
 

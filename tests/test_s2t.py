@@ -1,5 +1,7 @@
+import itertools
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algcat.errors import (
@@ -13,6 +15,7 @@ from algcat.perms import Morphism, Perm, PermSet, closure, compose_morphisms, pe
 from algcat.rps import Rps
 from algcat.s2t import (
     Characteristic,
+    S2tGroup,
     affine_group,
     affine_maps,
     base_involution,
@@ -83,6 +86,75 @@ def test_check_s2t_witnesses():
     # base points are checked before the group axioms (no identity here)
     with pytest.raises(DegenerateOmega):
         check_s2t(perm_set([Perm((1, 0, 2))]), 1, 1)
+
+
+def _reference_check_s2t(group: PermSet, omega0: int, omega1: int) -> S2tGroup:
+    """Sharp 2-transitivity the long way: every ordered source pair against
+    every ordered target pair, both in lexicographic order. Expects a group
+    and valid base points."""
+    n = group.degree
+    images = [g.images for g in group]
+    for a1, a2 in itertools.permutations(range(n), 2):
+        seen: dict[tuple[int, int], int] = {}
+        for im in images:
+            key = (im[a1], im[a2])
+            seen[key] = seen.get(key, 0) + 1
+        for target in itertools.permutations(range(n), 2):
+            c = seen.get(target, 0)
+            if c != 1:
+                raise NotSharplyTransitive((a1, a2), target, c)
+    return S2tGroup(group, n, omega0, omega1)
+
+
+def _outcome(check, group: PermSet, omega0: int, omega1: int):
+    """The group check returns, or the witness it raises."""
+    try:
+        return check(group, omega0, omega1)
+    except NotSharplyTransitive as exc:
+        return exc.source_pair, exc.target_pair, exc.count
+
+
+def _assert_one_pair_matches_reference(group: PermSet) -> None:
+    for omega0, omega1 in itertools.permutations(range(group.degree), 2):
+        want = _outcome(_reference_check_s2t, group, omega0, omega1)
+        assert _outcome(check_s2t, group, omega0, omega1) == want, (group, omega0, omega1)
+
+
+# generators at degrees 3-5 with the verdict of the closure: S3, AGL(1, 4)
+# (the alternating group A4) and AGL(1, 5) are sharply 2-transitive, the
+# others fall short of n(n-1) members or exceed it
+ONE_PAIR_CASES = [
+    ([(1, 2, 0), (1, 0, 2)], True),
+    ([(1, 2, 0)], False),
+    ([(1, 2, 0, 3), (1, 0, 3, 2)], True),
+    ([(1, 2, 3, 0), (1, 0, 2, 3)], False),
+    ([(1, 2, 0, 3)], False),
+    ([(1, 2, 3, 4, 0), (0, 2, 4, 1, 3)], True),
+    ([(1, 2, 3, 4, 0)], False),
+    ([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], False),
+]
+
+
+def test_one_pair_check_reaches_both_verdicts():
+    for gens, sharp in ONE_PAIR_CASES:
+        group = closure(Perm(g) for g in gens)
+        assert isinstance(_outcome(_reference_check_s2t, group, 0, 1), S2tGroup) == sharp, gens
+        _assert_one_pair_matches_reference(group)
+
+
+@st.composite
+def _generated_groups(draw):
+    n = draw(st.integers(2, 5))
+    gens = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=2))
+    return closure(Perm(tuple(g)) for g in gens)
+
+
+@settings(max_examples=100)
+@given(_generated_groups())
+def test_one_pair_check_matches_all_pairs_reference(group):
+    # check_s2t reads the single source pair (0, 1); on a group it must give
+    # the verdict and witness of the all-pairs scan for every base pair
+    _assert_one_pair_matches_reference(group)
 
 
 def test_validated_group_keeps_its_table():
