@@ -213,9 +213,11 @@ def group_roundtrip_witness(g: S2tGroup) -> str | None:
 
 def check_functor_laws(functor: FunctorOps, objects: Sequence[tuple[str, object]]) -> Verdict:
     """Identities to identities; composition preserved on every composable
-    pair drawn from the enumerated hom-sets of the given objects."""
+    pair drawn from the enumerated hom-sets of the given objects, each
+    hom-set enumerated once per call."""
     t0 = time.perf_counter()
     checked = 0
+    hom = _memoized(functor.source.hom)
 
     def fail(witness: str) -> Verdict:
         return Verdict(
@@ -233,8 +235,8 @@ def check_functor_laws(functor: FunctorOps, objects: Sequence[tuple[str, object]
         for name_a, a in objects:
             for name_b, b in objects:
                 for name_c, c in objects:
-                    for m1 in functor.source.hom(a, b):
-                        for m2 in functor.source.hom(b, c):
+                    for m1 in hom(a, b):
+                        for m2 in hom(b, c):
                             composite = functor.source.compose(m2, m1)
                             left = functor.mor(composite, a, c)
                             right = functor.target.compose(
@@ -360,8 +362,10 @@ def nearfield_equivalence_witness(g: S2tGroup) -> str | None:
     return None
 
 
-def nd_injectivity_witness(src: Neardomain, dst: Neardomain) -> str | None:
-    for phi in enumerate_nd_morphisms(src, dst):
+def nd_injectivity_witness(src: Neardomain, dst: Neardomain, hom: Callable | None = None) -> str | None:
+    """Every map that hom (by default enumerate_nd_morphisms) lists must be
+    injective."""
+    for phi in (hom or enumerate_nd_morphisms)(src, dst):
         if len(set(phi)) != len(phi):
             return f"non-injective morphism {phi}"
     return None
@@ -405,12 +409,15 @@ def run_all(zoo: Zoo | None = None) -> list[Verdict]:
     if zoo is None:
         zoo = standard_zoo()
     verdicts: list[Verdict] = []
-    # the rps oracle hom-set and the s2t hom-set of each ordered pair,
+    # the rps oracle, s2t and neardomain hom-sets of each ordered pair,
     # enumerated once in this run and shared by the families that read them
     rps_hom_direct = _memoized(enumerate_rps_morphisms_direct)
-    s2t_homs = _memoized(enumerate_s2t_morphisms)
+    nd_homs = _memoized(enumerate_nd_morphisms)
+    s2t_homs = _memoized(lambda src, dst: enumerate_s2t_morphisms(src, dst, nd_homs))
+    ndom_cat = replace(NDOM_CAT, hom=nd_homs)
     rps_to_loop = replace(RPS_TO_LOOP, source=replace(RPS_CAT_DIRECT, hom=rps_hom_direct))
-    s2t_to_ndom = replace(S2T_TO_NDOM, source=replace(S2T_CAT, hom=s2t_homs))
+    s2t_to_ndom = replace(S2T_TO_NDOM, source=replace(S2T_CAT, hom=s2t_homs), target=ndom_cat)
+    ndom_to_s2t = replace(NDOM_TO_S2T, source=ndom_cat)
 
     loops = list(zoo.loops)
     rps_objects = list(zoo.rps_objects)
@@ -532,7 +539,7 @@ def run_all(zoo: Zoo | None = None) -> list[Verdict]:
     verdicts.append(_run_family(
         "nd-morphism-injectivity",
         [
-            (f"{na}->{nb}", (a, b))
+            (f"{na}->{nb}", (a, b, nd_homs))
             for na, a in ndoms
             for nb, b in ndoms
         ],
@@ -548,7 +555,7 @@ def run_all(zoo: Zoo | None = None) -> list[Verdict]:
         s2t_injectivity_witness,
     ))
     nd_slice = [(n, nd) for n, nd in ndoms if nd.order <= 4 or n in ("gf9", "dickson9")]
-    verdicts.append(check_functor_laws(NDOM_TO_S2T, nd_slice))
+    verdicts.append(check_functor_laws(ndom_to_s2t, nd_slice))
     group_slice = [(n, g) for n, g in groups if g.degree <= 4]
     verdicts.append(check_functor_laws(s2t_to_ndom, group_slice))
 

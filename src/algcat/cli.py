@@ -135,6 +135,7 @@ def cmd_check(args) -> int:
     report: dict = {"command": "check", "path": args.path}
     try:
         obj = _read(args.path)
+        facts = _derived_facts(obj)
     except (ParseError, ResourceLimitExceeded) as exc:
         report.update(valid=False, error_type=type(exc).__name__, error=str(exc))
         _print_report(report, args)
@@ -145,7 +146,7 @@ def cmd_check(args) -> int:
         return 1
     report["kind"] = kind_of(obj)
     report["valid"] = True
-    report.update(_derived_facts(obj))
+    report.update(facts)
     _print_report(report, args)
     return 0
 
@@ -311,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite loops, regular permutation sets, neardomains, and "
         "sharply 2-transitive groups: validation, conversion, and certification.",
         epilog=f"A group whose composition table would exceed {TABLE_CAP} entries "
-        "(listed, or closed from generators) is refused with exit code 2.",
+        "(listed, or closed from generators), and a loop, rps or ndom file whose "
+        f"order cubed exceeds {TABLE_CAP}, is refused with exit code 2.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

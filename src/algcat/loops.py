@@ -13,7 +13,7 @@ from .errors import (
     ResourceLimitExceeded,
     StructureError,
 )
-from .perms import Perm
+from .perms import Perm, check_budget
 
 ENUMERATION_CAP = 6
 
@@ -72,7 +72,10 @@ def check_loop(table: Sequence[Sequence[int]], identity: int = 0) -> Loop:
 
 
 def is_associative(loop: Loop) -> bool:
+    """True iff (a * b) * c == a * (b * c) for every triple; an order whose
+    cube is over the budget is refused before the first one."""
     n = loop.order
+    check_budget(n**3, f"associativity check of order {n}")
     t = loop.table
     return all(
         t[t[a][b]][c] == t[a][t[b][c]]

@@ -22,7 +22,7 @@ that is checked, never assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -34,17 +34,22 @@ from .errors import (
     StructureError,
 )
 from .loops import Table, check_loop, table_homomorphisms
+from .perms import check_budget, intern
 
 
 @dataclass(frozen=True, slots=True)
 class Neardomain:
-    """Build through check_neardomain(); direct construction skips validation."""
+    """Build through check_neardomain(); direct construction skips validation.
+
+    _derived holds what other layers derive from this one object (its affine
+    group), set on first request and kept for the object's life."""
 
     order: int
     add: Table
     mul: Table
     zero: int
     one: int
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def _as_table(rows: Sequence[Sequence[int]], n: int, name: str) -> Table:
@@ -69,10 +74,13 @@ def check_neardomain(
     one: int,
 ) -> Neardomain:
     """Validate the six axioms in order; the first failure is reported as
-    AxiomViolation(k, witness)."""
+    AxiomViolation(k, witness). Axioms 3, 5 and 6 loop over triples, so an
+    order whose cube is over the budget is refused before anything is read.
+    Returns the interned copy of the validated neardomain."""
     n = len(add)
     if n < 2:
         raise StructureError("neardomain order must be at least 2, zero and one are distinct")
+    check_budget(n**3, f"neardomain axioms of order {n}")
     add_t = _as_table(add, n, "add")
     mul_t = _as_table(mul, n, "mul")
     if not 0 <= zero < n or not 0 <= one < n or zero == one:
@@ -134,7 +142,7 @@ def check_neardomain(
         for b in range(n):
             d_coeff(nd, a, b)
 
-    return nd
+    return intern(nd)
 
 
 def d_coeff(nd: Neardomain, a: int, b: int) -> int:
@@ -157,6 +165,7 @@ def d_coeff(nd: Neardomain, a: int, b: int) -> int:
 def is_nearfield(nd: Neardomain) -> bool:
     """True iff every reassociation coefficient is one; addition is then a
     group, which is checked."""
+    check_budget(nd.order**3, f"nearfield check of order {nd.order}")
     for a in range(nd.order):
         for b in range(nd.order):
             if d_coeff(nd, a, b) != nd.one:
@@ -198,7 +207,6 @@ def is_nd_morphism(phi: Sequence[int], src: Neardomain, dst: Neardomain) -> bool
     return True
 
 
-@lru_cache(maxsize=None)
 def enumerate_nd_morphisms(src: Neardomain, dst: Neardomain) -> tuple[tuple[int, ...], ...]:
     """All morphisms src -> dst, lexicographic by image tuple.
 
@@ -221,17 +229,18 @@ def enumerate_nd_morphisms(src: Neardomain, dst: Neardomain) -> tuple[tuple[int,
 #   q = 9:  t^2 + 1          q = 16: t^4 + t + 1
 #
 # _GF_PARAMS maps q -> (p, k, reduction), where reduction lists the
-# coefficients (c0, c1, ...) of t^k == c0 + c1 t + ... modulo p.
-_GF_PARAMS: dict[int, tuple[int, int, tuple[int, ...] | None]] = {
-    2: (2, 1, None),
-    3: (3, 1, None),
+# coefficients (c0, c1, ...) of t^k == c0 + c1 t + ... modulo p; a prime
+# order needs no reduction and lists none.
+_GF_PARAMS: dict[int, tuple[int, int, tuple[int, ...]]] = {
+    2: (2, 1, ()),
+    3: (3, 1, ()),
     4: (2, 2, (1, 1)),
-    5: (5, 1, None),
-    7: (7, 1, None),
+    5: (5, 1, ()),
+    7: (7, 1, ()),
     8: (2, 3, (1, 1, 0)),
     9: (3, 2, (2, 0)),
-    11: (11, 1, None),
-    13: (13, 1, None),
+    11: (11, 1, ()),
+    13: (13, 1, ()),
     16: (2, 4, (1, 1, 0, 0)),
 }
 
@@ -278,7 +287,6 @@ def galois_field(q: int) -> Neardomain:
         add = tuple(tuple((a + b) % p for b in range(p)) for a in range(p))
         mul = tuple(tuple((a * b) % p for b in range(p)) for a in range(p))
     else:
-        assert red is not None
         add = tuple(
             tuple(
                 _undigits([(da + db) % p for da, db in zip(_digits(a, p, k), _digits(b, p, k))], p)

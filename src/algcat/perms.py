@@ -18,15 +18,37 @@ morphism checks, the affine composition law) reuses the same table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import NotAGroup, ResourceLimitExceeded, StructureError
 
-# most entries a composition table may hold, and so (its square root) most
-# members a closure may reach; the largest bundled group, the affine group of
-# GF(16), needs 57,600
+# the one size budget: most entries a composition table may hold (so, its
+# square root, most members a closure may reach) and most steps a triple loop
+# over a table may take (so, its cube root, most rows it may read); the
+# largest bundled group, the affine group of GF(16), needs 57,600 entries, the
+# largest bundled table, GF(16), 4,096 steps
 TABLE_CAP = 10**6
+
+
+def check_budget(work: int, what: str) -> None:
+    """Raise ResourceLimitExceeded, naming what, when work (the entries of a
+    table, or the steps of a loop) is over TABLE_CAP. Every table and triple
+    loop that input can reach calls this before it builds a row or takes a
+    step."""
+    if work > TABLE_CAP:
+        raise ResourceLimitExceeded(f"{what} needs {work}, over the cap of {TABLE_CAP} entries")
+
+
+@lru_cache(maxsize=64)
+def intern(obj):
+    """The first-seen object equal to obj among the last 64 interned, or obj
+    itself. check_neardomain and check_s2t validate in full and then return
+    intern(result), so an equal structure parsed or derived again comes back
+    with the derived data its first copy already carries, and a long-lived
+    process keeps at most 64 of them alive through this table."""
+    return obj
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -120,10 +142,7 @@ class PermSet:
         when the table would hold more than TABLE_CAP entries."""
         if self._table is None:
             size = len(self.members)
-            if size * size > TABLE_CAP:
-                raise ResourceLimitExceeded(
-                    f"composition table of {size} members needs {size * size} entries, over the cap of {TABLE_CAP}"
-                )
+            check_budget(size * size, f"composition table of {size} members")
             get = self._index.get
             images = [p.images for p in self.members]
             # compose[j](a) is the image tuple of a * members[j]; itemgetter
@@ -215,10 +234,7 @@ def closure(generators: Iterable[Perm]) -> PermSet:
                 if c not in seen:
                     seen.add(c)
                     fresh.append(c)
-                    if len(seen) ** 2 > TABLE_CAP:
-                        raise ResourceLimitExceeded(
-                            f"closure reached {len(seen)} members, so its composition table is over the cap of {TABLE_CAP} entries"
-                        )
+                    check_budget(len(seen) ** 2, f"closure reached {len(seen)} members, so its composition table")
         frontier = fresh
     return perm_set(seen)
 

@@ -34,6 +34,14 @@ groups of different characteristic the hom-set is empty by definition.
 enumerate_s2t_morphisms routes through the derived neardomains, while
 enumerate_s2t_morphisms_direct brute-forces point maps (kept as an
 independent oracle for small degrees).
+
+Each derived value above is a function of one object, so it is computed on
+the first request and kept on that object (involutions, characteristic,
+translations, derived_neardomain and canonical_isomorphism on the group,
+affine_group on the neardomain). check_s2t and check_neardomain intern what
+they validate in a table of 64 (perms.intern), so a structure parsed or
+rebuilt again reuses the derived values of its equal first copy, and a
+long-lived process keeps a bounded number of them.
 """
 
 from __future__ import annotations
@@ -41,8 +49,8 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Sequence
+from functools import wraps
+from typing import Callable, Sequence
 
 from .errors import (
     DegenerateOmega,
@@ -58,6 +66,7 @@ from .perms import (
     Perm,
     PermSet,
     identity_morphism,
+    intern,
     intertwines,
     perm_set,
     subgroup_failure,
@@ -72,14 +81,33 @@ class Characteristic(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class S2tGroup:
-    """Validated sharply 2-transitive group; build through check_s2t()."""
+    """Validated sharply 2-transitive group; build through check_s2t().
+
+    _derived holds the values the @_per_object functions below compute from
+    this one group, set on first request and kept for the group's life."""
 
     group: PermSet
     degree: int
     omega0: int
     omega1: int
     # set by affine_group only: (a, b) -> index of the member x -> a + b * x
-    affine_params: dict[tuple[int, int], int] | None = field(default=None, repr=False, compare=False)
+    affine_params: dict[tuple[int, int], int] | None = field(default=None, init=False, repr=False, compare=False)
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+def _per_object(fn):
+    """fn of one S2tGroup or Neardomain, computed on the first call for each
+    object and kept in its _derived slot."""
+    name = fn.__name__
+
+    @wraps(fn)
+    def get(obj):
+        derived = obj._derived
+        if name not in derived:
+            derived[name] = fn(obj)
+        return derived[name]
+
+    return get
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,7 +135,11 @@ def check_s2t(group: PermSet, omega0: int, omega1: int) -> S2tGroup:
     The group axioms go through subgroup_failure, which certifies closure by
     building the member composition table; the validated group keeps it, so
     affine_group, is_s2t_morphism and canonical_isomorphism read that table
-    instead of composing the members again."""
+    instead of composing the members again.
+
+    Returns the interned copy of the validated group: a group equal to one
+    among the last 64 interned comes back as that one, with its table and
+    derived values."""
     n = group.degree
     if n < 2:
         raise DegenerateOmega("need at least 2 points")
@@ -127,10 +159,10 @@ def check_s2t(group: PermSet, omega0: int, omega1: int) -> S2tGroup:
         count = seen.get(target, 0)
         if count != 1:
             raise NotSharplyTransitive((0, 1), target, count)
-    return S2tGroup(group, n, omega0, omega1)
+    return intern(S2tGroup(group, n, omega0, omega1))
 
 
-@lru_cache(maxsize=None)
+@_per_object
 def involutions(g: S2tGroup) -> PermSet:
     """All elements of order exactly two, read off the diagonal of the
     composition table. Never empty in a valid group."""
@@ -139,7 +171,7 @@ def involutions(g: S2tGroup) -> PermSet:
     return perm_set(p for i, p in enumerate(g.group) if i != e and table[i][i] == e)
 
 
-@lru_cache(maxsize=None)
+@_per_object
 def characteristic(g: S2tGroup) -> Characteristic:
     counts = {len(p.fixed_points()) for p in involutions(g)}
     if counts == {0}:
@@ -163,7 +195,7 @@ def base_involution(g: S2tGroup) -> Perm:
     return fixing[0]
 
 
-@lru_cache(maxsize=None)
+@_per_object
 def translations(g: S2tGroup) -> Rps:
     """The involution-derived regular set encoding addition, based at omega0.
 
@@ -210,7 +242,7 @@ def point_mul(g: S2tGroup, alpha: int, beta: int) -> int:
     return _stabilizer_action(g)[alpha](beta)
 
 
-@lru_cache(maxsize=None)
+@_per_object
 def derived_neardomain(g: S2tGroup) -> Neardomain:
     """The neardomain on the points, zero = omega0 and one = omega1: the
     tables of point_add and point_mul, built a row at a time from one
@@ -298,7 +330,7 @@ def affine_maps(nd: Neardomain) -> tuple[AffineMap, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@_per_object
 def affine_group(nd: Neardomain) -> S2tGroup:
     """The affine maps as a sharply 2-transitive group on the carrier, based
     at (zero, one), carrying its parameter -> member index table.
@@ -324,7 +356,11 @@ def affine_group(nd: Neardomain) -> S2tGroup:
             bk = mul[b][k]
             if row[j] != params[(add[a][bk], mul[coeff[a][bk]][mul[b][l]])]:
                 raise InvariantViolation("affine composition law", ((a, b), (k, l)))
-    return S2tGroup(grp.group, grp.degree, grp.omega0, grp.omega1, params)
+    if grp.affine_params is None:
+        object.__setattr__(grp, "affine_params", params)
+    elif grp.affine_params != params:
+        raise InvariantViolation("equal affine groups have equal parameter tables", (nd.order, nd.zero, nd.one))
+    return grp
 
 
 def lift_nd_morphism(phi: Sequence[int], src: Neardomain, dst: Neardomain) -> Morphism:
@@ -348,7 +384,7 @@ def _base_pair_index(g: S2tGroup) -> dict[tuple[int, int], int]:
     return {(p(g.omega0), p(g.omega1)): i for i, p in enumerate(g.group.members)}
 
 
-@lru_cache(maxsize=None)
+@_per_object
 def canonical_isomorphism(g: S2tGroup) -> Morphism:
     """The isomorphism from the rebuilt group (affine maps of the derived
     neardomain) back onto g, solved by two-point interpolation: each rebuilt
@@ -373,18 +409,21 @@ def canonical_isomorphism(g: S2tGroup) -> Morphism:
     return iso
 
 
-def enumerate_s2t_morphisms(src: S2tGroup, dst: S2tGroup) -> tuple[Morphism, ...]:
+def enumerate_s2t_morphisms(
+    src: S2tGroup, dst: S2tGroup, nd_hom: Callable | None = None
+) -> tuple[Morphism, ...]:
     """Hom-set via the derived neardomains (the production path): each
-    neardomain morphism is lifted to the affine groups and conjugated back
-    through the canonical isomorphisms. Mixed characteristics give the empty
-    hom-set outright."""
+    neardomain morphism that nd_hom (by default enumerate_nd_morphisms)
+    lists is lifted to the affine groups and conjugated back through the
+    canonical isomorphisms. Mixed characteristics give the empty hom-set
+    outright."""
     if characteristic(src) is not characteristic(dst):
         return ()
     nd_s, nd_d = derived_neardomain(src), derived_neardomain(dst)
     k_s, k_d = canonical_isomorphism(src), canonical_isomorphism(dst)
     k_s_inv = Perm(k_s.f).inverse().images
     out = []
-    for phi in enumerate_nd_morphisms(nd_s, nd_d):
+    for phi in (nd_hom or enumerate_nd_morphisms)(nd_s, nd_d):
         lifted = lift_nd_morphism(phi, nd_s, nd_d)
         f = tuple(k_d.f[lifted.f[k_s_inv[i]]] for i in range(len(src.group)))
         out.append(Morphism(f, phi))

@@ -1,5 +1,7 @@
+import dataclasses
 import importlib
 import pkgutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -80,23 +82,34 @@ def test_module_level_caches_are_pinned():
             if hasattr(value, "cache_info") and value.__module__ == mod.__name__:
                 found.add(f"{info.name}.{name}")
     assert found == {
-        "neardomain.enumerate_nd_morphisms",
         "neardomain.galois_field",
         "neardomain.dickson_nearfield_9",
-        "s2t.involutions",
-        "s2t.characteristic",
-        "s2t.translations",
-        "s2t.derived_neardomain",
-        "s2t.affine_group",
-        "s2t.canonical_isomorphism",
+        "perms.intern",
         "zoo.standard_zoo",
     }
+    # the three constant constructors take no structure; the intern is the
+    # one cache that does, and it is bounded
+    assert algcat.perms.intern.cache_parameters()["maxsize"] == 64
 
 
 def test_functor_laws_pass_on_slice(zoo):
     slice_rps = [(n, r) for n, r in zoo.rps_objects if r.degree <= 3]
     verdict = check_functor_laws(RPS_TO_LOOP, slice_rps)
     assert verdict.passed and verdict.checked > 0
+
+
+def test_functor_laws_enumerate_each_hom_set_once(zoo):
+    calls = Counter()
+
+    def hom(a, b):
+        calls[a, b] += 1
+        return NDOM_TO_S2T.source.hom(a, b)
+
+    functor = dataclasses.replace(NDOM_TO_S2T, source=dataclasses.replace(NDOM_TO_S2T.source, hom=hom))
+    objects = [(n, nd) for n, nd in zoo.neardomains if nd.order <= 4]
+    verdict = check_functor_laws(functor, objects)
+    assert verdict.passed and verdict.checked == check_functor_laws(NDOM_TO_S2T, objects).checked
+    assert len(calls) == len(objects) ** 2 and set(calls.values()) == {1}
 
 
 def test_corrupted_functor_fails_laws():

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 import json
 import os
@@ -14,9 +15,10 @@ from algcat import cli, perms
 from algcat.cli import main
 from algcat.fileio import emit_structure, parse_structure
 from algcat.loops import check_loop
-from algcat.neardomain import dickson_nearfield_9, galois_field
-from algcat.perms import TABLE_CAP
-from algcat.s2t import affine_group
+from algcat.neardomain import Neardomain, dickson_nearfield_9, galois_field
+from algcat.perms import TABLE_CAP, Perm
+from algcat.rps import loop_to_rps
+from algcat.s2t import affine_group, relabel
 
 
 @pytest.fixture
@@ -131,6 +133,58 @@ def test_symmetric_generators_refused_within_budget(tmp_path, capsys, n):
     assert "closure reached 1001 members" in out
     assert peak < 5_000_000, peak
     assert elapsed < 1.0, elapsed
+
+
+def test_cubic_checks_refused_within_budget(tmp_path, capsys):
+    # check runs cubic loops on loop, rps and ndom files (associativity, the
+    # neardomain axioms); at order 101 the cube is over the budget, so each
+    # valid file is refused before its first triple
+    p = 101
+    cyclic = check_loop(tuple(tuple((a + b) % p for b in range(p)) for a in range(p)))
+    field = Neardomain(p, cyclic.table, tuple(tuple(a * b % p for b in range(p)) for a in range(p)), 0, 1)
+    for name, obj in (("loop", cyclic), ("rps", loop_to_rps(cyclic)), ("ndom", field)):
+        path = tmp_path / f"{name}{p}.txt"
+        path.write_text(emit_structure(obj))
+        start = time.process_time()
+        code, out, _ = run(capsys, "check", str(path), "--no-timestamp")
+        elapsed = time.process_time() - start
+        assert code == 2, name
+        assert "error_type: ResourceLimitExceeded" in out, name
+        assert f"of order {p} needs {p**3}, over the cap of {TABLE_CAP} entries" in out, name
+        assert elapsed < 0.1, (name, elapsed)
+        tracemalloc.start()
+        try:
+            assert main(["check", str(path)]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak < 5_000_000, (name, peak)
+
+
+def test_live_memory_stays_bounded_over_distinct_groups(tmp_path, capsys):
+    # one process checking many distinct relabelings of one group: after the
+    # intern of validated structures fills, each request leaves nothing
+    # behind (a cache keyed on whole structures grew by about 10 KiB per
+    # request here)
+    g = affine_group(galois_field(5))
+    paths = []
+    for k, images in enumerate(itertools.islice(itertools.permutations(range(5)), 100)):
+        path = tmp_path / f"g{k}.txt"
+        path.write_text(emit_structure(relabel(g, Perm(images))))
+        paths.append(str(path))
+    live = {}
+    tracemalloc.start()
+    try:
+        for k, path in enumerate(paths, 1):
+            assert main(["check", path, "--no-timestamp"]) == 0
+            capsys.readouterr()
+            if k in (50, 100):
+                gc.collect()
+                live[k] = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert live[100] - live[50] < 150_000, live
 
 
 def test_convert_loop_rps_roundtrip(files, capsys, tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algcat import perms
+from algcat.cli import _derived_facts
 from algcat.errors import (
     DegenerateOmega,
     LatinSquareViolation,
@@ -132,9 +133,10 @@ def test_emit_loop_header_minimal():
     assert emit_structure(moved).splitlines()[0] == "loop 2 1"
 
 
-# emitted zoo structures of degree <= 5, plus generators of S5; S5 has 120
-# elements, so a table cap of 60^2 lets hostile generator blocks reach
-# ResourceLimitExceeded too
+# emitted zoo structures of degree <= 5, plus generators of S5 and cyclic
+# loops of orders 16 and 24; S5 has 120 elements and 16^3 > 60^2, so a table
+# cap of 60^2 lets hostile generator blocks and the cubic checks that `check`
+# runs on large loops reach ResourceLimitExceeded too
 _ZOO = standard_zoo()
 _EMITTED = [
     emit_structure(obj)
@@ -145,6 +147,10 @@ HOSTILE_SOURCES = [text for text in _EMITTED if int(text.split()[1]) <= 5]
 HOSTILE_SOURCES += [
     "s2t 5 0 1\ngenerators\n1 2 3 4 0\n1 0 2 3 4\n",
     "s2t 5 0 1\ngenerators\n1 2 3 4 0\n1 0 2 3 4\n0 2 1 3 4\n",
+]
+HOSTILE_SOURCES += [
+    emit_structure(check_loop(tuple(tuple((a + b) % n for b in range(n)) for a in range(n))))
+    for n in (16, 24)
 ]
 HOSTILE_TABLE_CAP = 60 * 60
 
@@ -184,6 +190,6 @@ def test_hostile_input_fails_only_with_documented_errors(data):
         lines = _mutate(data, lines)
     try:
         with mock.patch.object(perms, "TABLE_CAP", HOSTILE_TABLE_CAP):
-            parse_structure("\n".join(lines) + "\n")
+            _derived_facts(parse_structure("\n".join(lines) + "\n"))
     except (ParseError, StructureError, ResourceLimitExceeded):
         pass

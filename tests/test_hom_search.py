@@ -1,6 +1,7 @@
 """The single table-homomorphism search against brute force, and the
 invariant checks that must survive python -O."""
 
+import ast
 import itertools
 import os
 import subprocess
@@ -127,3 +128,14 @@ except ResourceLimitExceeded:
 sys.exit("S8 generator file accepted")
 """
     _run_optimized(code)
+
+
+def test_no_assert_statement_in_the_package():
+    # python -O strips assert statements, so none may carry a check
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted((SRC / "algcat").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from algcat.errors import AxiomViolation, StructureError
+from algcat import perms
+from algcat.errors import AxiomViolation, ResourceLimitExceeded, StructureError
 from algcat.neardomain import (
     SUPPORTED_FIELD_ORDERS,
     characteristic_two,
@@ -188,3 +189,17 @@ def test_axiom_consequences(nd):
     for a in nonzero:
         assert nd.mul[a][nd.one] == a and nd.mul[nd.one][a] == a
         assert sorted(nd.mul[a][b] for b in nonzero) == nonzero
+
+
+def test_cubic_checks_refuse_over_budget_orders(monkeypatch):
+    # GF(5) takes 5**3 = 125 steps: refused just under that budget, before
+    # the first triple, and accepted at it
+    gf5 = galois_field(5)
+    monkeypatch.setattr(perms, "TABLE_CAP", 124)
+    with pytest.raises(ResourceLimitExceeded, match="nearfield check of order 5 needs 125"):
+        is_nearfield(gf5)
+    with pytest.raises(ResourceLimitExceeded, match="neardomain axioms of order 5 needs 125"):
+        check_neardomain(gf5.add, gf5.mul, 0, 1)
+    monkeypatch.setattr(perms, "TABLE_CAP", 125)
+    assert is_nearfield(gf5)
+    assert check_neardomain(gf5.add, gf5.mul, 0, 1) == gf5

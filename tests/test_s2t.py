@@ -10,6 +10,8 @@ from algcat.errors import (
     NotSharplyTransitive,
     StructureError,
 )
+from algcat import perms, s2t
+from algcat.fileio import emit_structure, parse_structure
 from algcat.neardomain import d_coeff, dickson_nearfield_9, galois_field, is_nearfield
 from algcat.perms import Morphism, Perm, PermSet, closure, compose_morphisms, perm_set, subgroup_failure
 from algcat.rps import Rps
@@ -159,11 +161,36 @@ def test_one_pair_check_matches_all_pairs_reference(group):
 
 def test_validated_group_keeps_its_table():
     # the closure certificate builds the table once and leaves it on the set
+    perms.intern.cache_clear()
     members = perm_set(S3.members)
     assert members._table is None
     g = check_s2t(members, 0, 1)
+    # seen for the first time, the group comes back as itself
     assert g.group is members and members._table is not None
     assert members.composition_table() is members._table
+    # an equal listing is validated in full and keeps its own table, but the
+    # group returned is the interned first copy
+    again = perm_set(S3.members)
+    h = check_s2t(again, 0, 1)
+    assert again._table is not None and again.composition_table() is again._table
+    assert h is g and h.group == again and h.group._table is not None
+
+
+def test_equal_structures_parsed_again_share_derived_values(monkeypatch):
+    # a validated structure is interned: parsing the same text again returns
+    # the first object, which already carries what was derived from it
+    perms.intern.cache_clear()
+    text = emit_structure(relabel(AFF[5], Perm((1, 2, 3, 4, 0))))
+    first = parse_structure(text)
+    built = []
+    real = s2t.check_neardomain
+    monkeypatch.setattr(s2t, "check_neardomain", lambda *args: built.append(args) or real(*args))
+    nd = derived_neardomain(first)
+    again = parse_structure(text)
+    assert again is first
+    assert derived_neardomain(again) is nd
+    assert len(built) == 1
+    assert parse_structure(emit_structure(nd)) is nd
 
 
 def test_derived_sets_match_perm_products(zoo):
