@@ -312,8 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite loops, regular permutation sets, neardomains, and "
         "sharply 2-transitive groups: validation, conversion, and certification.",
         epilog=f"A group whose composition table would exceed {TABLE_CAP} entries "
-        "(listed, or closed from generators), and a loop, rps or ndom file whose "
-        f"order cubed exceeds {TABLE_CAP}, is refused with exit code 2.",
+        "(listed, or closed from generators), a loop, rps or ndom file whose "
+        f"order cubed exceeds {TABLE_CAP}, and a homset whose source order "
+        f"squared times target order exceeds {TABLE_CAP}, are refused with exit "
+        "code 2. Group closure is certified from a generating set; the "
+        "composition table is built only when a check reads it.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -357,10 +360,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first main() call and reused: parse_args keeps no state
+# between calls, and building the parser costs more than most requests
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -117,9 +117,12 @@ def table_homomorphisms(
     pinned fixes the image of the points it lists.
 
     Backtracking over images in element order. Each product a op b == c is
-    checked once, at the step that assigns the largest of a, b and c.
+    checked once, at the step that assigns the largest of a, b and c. An
+    order n into order m with n * n * m over the budget is refused before the
+    check lists are built.
     """
     n, m = len(src_ops[0]), len(dst_ops[0])
+    check_budget(n * n * m, f"hom search of order {n} into order {m}")
     checks: list[list[tuple[Table, int, int, int]]] = [[] for _ in range(n)]
     for op, dst_op in zip(src_ops, dst_ops):
         for a in range(n):

@@ -7,12 +7,15 @@ group checks) relies on this orientation; test_perms pins it.
 A PermSet derives its integer index data once per object: the member index
 (image tuple -> position) and its hash are stored at construction, and the
 member composition table (table[i][j] is the index of members[i] *
-members[j]) is built on first request and kept. The table is exact: every
+members[j]) is built on the first read and kept. The table is exact: every
 product is composed from the image tuples and looked up in the member index,
 so a set that is not closed under composition raises NotAGroup instead of
-yielding a table. subgroup_failure certifies closure by building that table,
-so each group is composed exactly once and every later reader (group checks,
-morphism checks, the affine composition law) reuses the same table.
+yielding a table. subgroup_failure certifies closure from a greedy
+generating set, in |G|*|T| compositions for a generating set T of at most
+log2|G| members, and builds the table only to name the witness of a set that
+is not closed. So certifying a group builds no table: the readers that need
+one (involutions, translations, morphism checks, the affine composition law)
+build it on the interned first copy of the group and share it from there.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .errors import NotAGroup, ResourceLimitExceeded, StructureError
+from .errors import InvariantViolation, NotAGroup, ResourceLimitExceeded, StructureError
 
 # the one size budget: most entries a composition table may hold (so, its
 # square root, most members a closure may reach) and most steps a triple loop
@@ -145,9 +148,7 @@ class PermSet:
             check_budget(size * size, f"composition table of {size} members")
             get = self._index.get
             images = [p.images for p in self.members]
-            # compose[j](a) is the image tuple of a * members[j]; itemgetter
-            # of a single index returns the bare item, hence degree 1 apart
-            compose = [itemgetter(*b) if len(b) > 1 else lambda a, b=b: (a[b[0]],) for b in images]
+            compose = [_right_multiplier(b) for b in images]
             rows = []
             for a in images:
                 row = tuple([get(c(a)) for c in compose])
@@ -157,6 +158,12 @@ class PermSet:
                 rows.append(row)
             object.__setattr__(self, "_table", tuple(rows))
         return self._table
+
+
+def _right_multiplier(b: tuple[int, ...]):
+    """The map a -> a * b on image tuples; itemgetter of a single index
+    returns the bare item, hence degree 1 apart."""
+    return itemgetter(*b) if len(b) > 1 else lambda a: (a[b[0]],)
 
 
 def perm_set(perms: Iterable[Perm]) -> PermSet:
@@ -244,16 +251,69 @@ def subgroup_failure(members: PermSet) -> str | None:
     human-readable witness of the first failure found: the identity, then
     each member's inverse, then every ordered product in row-major order.
 
-    Closure is certified by members.composition_table(), which composes every
-    ordered pair exactly and looks the product up in the member index; on
-    success the table stays on the set for later readers."""
+    Closure is certified from a greedy generating set T, not from the |G|^2
+    composition table. Walking the members in sorted order, each one that
+    the closure H has not reached becomes a new generator t; H grows by
+    right multiplication h -> h * t, on image tuples, until every member of
+    H has been multiplied by every generator, and the certificate stops at
+    the first product that is not a member. It is exact:
+
+    - if every product h * t is a member and H covers the set (it does:
+      every member not reached becomes a generator, and e * t = t), H is
+      the set and is closed under right multiplication by T; a finite set of
+      permutations containing the identity and closed under multiplication
+      by T is the group T generates, so the set is a group;
+    - conversely, in a group every product is a member, so no group fails;
+    - H is a group whenever a new generator t is picked, and t is not in H,
+      so the coset H * t is disjoint from H and |H| at least doubles
+      (Lagrange): |T| <= log2|G|, and the certificate composes |G| * |T|
+      pairs (Dixon and Mortimer, Permutation Groups, 1996; Seress,
+      Permutation Group Algorithms, 2003).
+
+    A set that fails is handed to members.composition_table(), which names
+    the first missing product in row-major order; a table that passes there
+    contradicts the certificate and raises InvariantViolation. A set that
+    passes builds no table: it is built on the first read and kept."""
     if Perm.identity(members.degree) not in members:
         return "identity missing"
     for p in members:
         if p.inverse() not in members:
             return f"inverse of {list(p.images)} missing"
+    size = len(members)
+    check_budget(size * size, f"composition table of {size} members")
+    if _generated_closure(members):
+        return None
     try:
         members.composition_table()
     except NotAGroup as exc:
         return str(exc)
-    return None
+    raise InvariantViolation("generating-set closure certificate", f"{size} members the composition table finds closed")
+
+
+def _generated_closure(members: PermSet) -> bool:
+    """True iff the closure of a greedy generating set, grown by right
+    multiplication, stays inside members; subgroup_failure has the proof."""
+    get = members._index.get
+    images = [p.images for p in members.members]
+    reached = [False] * len(images)
+    e = get(tuple(range(members.degree)))
+    reached[e] = True
+    closed = [images[e]]  # H, in the order reached
+    gens = []
+    for i, t in enumerate(images):
+        if reached[i]:
+            continue
+        new = _right_multiplier(t)
+        gens.append(new)
+        # every old member of H times the new generator, then every member
+        # reached since times every generator
+        grown = len(closed)
+        for k, h in enumerate(closed):
+            for g in (new,) if k < grown else gens:
+                j = get(g(h))
+                if j is None:
+                    return False
+                if not reached[j]:
+                    reached[j] = True
+                    closed.append(images[j])
+    return True

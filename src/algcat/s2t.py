@@ -132,14 +132,15 @@ def check_s2t(group: PermSet, omega0: int, omega1: int) -> S2tGroup:
     to it. So a scan of all n(n-1) source pairs fails first at (0, 1), with
     the same witness, or not at all.
 
-    The group axioms go through subgroup_failure, which certifies closure by
-    building the member composition table; the validated group keeps it, so
-    affine_group, is_s2t_morphism and canonical_isomorphism read that table
-    instead of composing the members again.
+    The group axioms go through subgroup_failure, which certifies closure
+    from a generating set and builds no composition table. The table is
+    built on its first read (involutions, affine_group, is_s2t_morphism,
+    canonical_isomorphism) and kept on the group.
 
     Returns the interned copy of the validated group: a group equal to one
-    among the last 64 interned comes back as that one, with its table and
-    derived values."""
+    among the last 64 interned comes back as that one, with the table and
+    derived values it already carries, so an equal group listed again is
+    certified but never tabled again."""
     n = group.degree
     if n < 2:
         raise DegenerateOmega("need at least 2 points")

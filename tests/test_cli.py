@@ -162,6 +162,49 @@ def test_cubic_checks_refused_within_budget(tmp_path, capsys):
         assert peak < 5_000_000, (name, peak)
 
 
+def test_homset_refused_within_budget(tmp_path, capsys):
+    # the hom search from order n into order m checks n * n * m products;
+    # two cyclic loops (or their rps files) of order 101 are over the budget,
+    # so homset refuses the pair before the search builds its check lists
+    p = 101
+    cyclic = check_loop(tuple(tuple((a + b) % p for b in range(p)) for a in range(p)))
+    for name, obj in (("loop", cyclic), ("rps", loop_to_rps(cyclic))):
+        path = tmp_path / f"{name}{p}.txt"
+        path.write_text(emit_structure(obj))
+        start = time.process_time()
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "homset", str(path), str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        elapsed = time.process_time() - start
+        assert code == 2, name
+        assert f"hom search of order {p} into order {p} needs {p**3}, over the cap of {TABLE_CAP} entries" in err, name
+        assert elapsed < 0.1, (name, elapsed)
+        assert peak < 5_000_000, (name, peak)
+
+
+def test_parser_built_once_leaks_no_flag(files, capsys, monkeypatch):
+    # main builds its parser on the first call and reuses it; each answer of
+    # a request sequence must equal the answer from a freshly built parser
+    requests = [
+        ["check", files["dickson9"], "--json", "--no-timestamp"],
+        ["check", files["dickson9"], "--no-timestamp"],
+        ["homset", files["gf9"], files["gf9"], "--no-timestamp"],
+        ["--help"],
+    ]
+    monkeypatch.setattr(cli, "_parser", None)
+    reused = [run(capsys, *argv) for argv in requests]
+    parser = cli._parser
+    assert parser is not None
+    for argv, answer in zip(requests, reused):
+        monkeypatch.setattr(cli, "_parser", None)
+        assert run(capsys, *argv) == answer, argv
+        assert cli._parser is not parser
+    assert reused[0][1].startswith("{") and not reused[1][1].startswith("{")
+
+
 def test_live_memory_stays_bounded_over_distinct_groups(tmp_path, capsys):
     # one process checking many distinct relabelings of one group: after the
     # intern of validated structures fills, each request leaves nothing

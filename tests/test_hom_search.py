@@ -91,14 +91,16 @@ sys.exit("constant-zero point map accepted")
 def test_closure_certificate_survives_optimized_mode():
     # a zoo group minus one involution keeps its inverses, so the missing
     # product is what check_s2t must name, even with asserts stripped; so
-    # must the one-pair transitivity witness and the size budget
+    # must the generating-set certificate's disagreement with the table, the
+    # one-pair transitivity witness and the size budget
     code = """
+import re
 import sys
 if __debug__:
     sys.exit("not running under -O")
-from algcat.errors import NotAGroup, NotSharplyTransitive, ResourceLimitExceeded
+from algcat.errors import InvariantViolation, NotAGroup, NotSharplyTransitive, ResourceLimitExceeded
 from algcat.fileio import parse_structure
-from algcat.perms import Perm, closure, perm_set
+from algcat.perms import Perm, PermSet, closure, perm_set, subgroup_failure
 from algcat.s2t import check_s2t
 from algcat.zoo import standard_zoo
 g = dict(standard_zoo().groups)["aff(gf5)"]
@@ -115,6 +117,16 @@ try:
 except NotAGroup as exc:
     if str(exc) != expected:
         sys.exit(f"witness {exc} != {expected}")
+    if not re.fullmatch(r"product \\[[0-9, ]+\\] \\* \\[[0-9, ]+\\] missing", str(exc)):
+        sys.exit(f"witness {exc} names no product")
+real_table, PermSet.composition_table = PermSet.composition_table, lambda self: ()
+try:
+    subgroup_failure(perm_set(members))
+    sys.exit("certificate and table disagreed silently")
+except InvariantViolation as exc:
+    if "closure certificate" not in str(exc):
+        sys.exit(f"disagreement witness {exc}")
+    PermSet.composition_table = real_table
 try:
     check_s2t(closure([Perm((1, 2, 0))]), 0, 1)
     sys.exit("rotation group accepted")

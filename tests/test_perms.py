@@ -133,6 +133,10 @@ def test_subgroup_failure():
     assert subgroup_failure(no_swap) == "product [1, 0, 2] * [1, 2, 0] missing"
     two_swaps = perm_set([Perm((0, 1, 2)), Perm((0, 2, 1)), Perm((1, 0, 2))])
     assert subgroup_failure(two_swaps) == "product [0, 2, 1] * [1, 0, 2] missing"
+    # the rotations plus the last member in sorted order, a reflection that
+    # the rotations never reach: the certificate must pick it as a generator
+    rotations_and_last = perm_set([Perm((0, 1, 2)), Perm((1, 2, 0)), Perm((2, 0, 1)), Perm((2, 1, 0))])
+    assert subgroup_failure(rotations_and_last) == "product [1, 2, 0] * [2, 1, 0] missing"
 
 
 def _subsets_of_symmetric_group(n: int):
@@ -156,11 +160,11 @@ def _subsets_of_symmetric_group(n: int):
 
     modes = st.sampled_from(["raw", "identity", "inverse-closed", "group", "group-minus-one"])
     return st.tuples(
-        st.lists(st.sampled_from(elements), min_size=1, max_size=4), modes, st.integers(0, 23)
+        st.lists(st.sampled_from(elements), min_size=1, max_size=4), modes, st.integers(0, len(elements) - 1)
     ).map(build)
 
 
-@given(st.sampled_from([3, 4]).flatmap(_subsets_of_symmetric_group))
+@given(st.sampled_from([3, 4, 5]).flatmap(_subsets_of_symmetric_group))
 def test_subgroup_failure_matches_brute_force(members):
     assert subgroup_failure(members) == _reference_subgroup_failure(members)
 

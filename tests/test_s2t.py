@@ -159,21 +159,36 @@ def test_one_pair_check_matches_all_pairs_reference(group):
     _assert_one_pair_matches_reference(group)
 
 
-def test_validated_group_keeps_its_table():
-    # the closure certificate builds the table once and leaves it on the set
+def test_certified_group_builds_its_table_on_first_read():
+    # certifying closure builds no table; the first read builds it, later
+    # reads share it, and an equal listing comes back as the first copy
     perms.intern.cache_clear()
     members = perm_set(S3.members)
-    assert members._table is None
     g = check_s2t(members, 0, 1)
-    # seen for the first time, the group comes back as itself
-    assert g.group is members and members._table is not None
-    assert members.composition_table() is members._table
-    # an equal listing is validated in full and keeps its own table, but the
-    # group returned is the interned first copy
+    # seen for the first time, the group comes back as itself, untabled
+    assert g.group is members and members._table is None
+    table = members.composition_table()
+    assert members._table is table and members.composition_table() is table
+    # an equal listing is validated in full, builds no table of its own, and
+    # the group returned is the interned first copy, which keeps its table
     again = perm_set(S3.members)
     h = check_s2t(again, 0, 1)
-    assert again._table is not None and again.composition_table() is again._table
-    assert h is g and h.group == again and h.group._table is not None
+    assert again._table is None
+    assert h is g and h.group is members and h.group.composition_table() is table
+
+
+def test_fresh_listing_is_certified_without_its_table():
+    # a listing of AGL(1,16) that no earlier check has interned: check_s2t
+    # certifies its 240 members without a table, and the table read later
+    # agrees with Perm.__mul__ on all 57,600 pairs
+    members = perm_set(affine_group(galois_field(16)).group.members)
+    perms.intern.cache_clear()
+    g = check_s2t(members, 0, 1)
+    assert g.group is members and members._table is None
+    table = members.composition_table()
+    listed = members.members
+    for p, row in zip(listed, table):
+        assert [listed[k] for k in row] == [p * q for q in listed]
 
 
 def test_equal_structures_parsed_again_share_derived_values(monkeypatch):
