@@ -5,7 +5,9 @@ Prints, for a chosen family, the matrix H[i][j] = number of morphisms from
 object i to object j. The neardomain and group matrices are the interesting
 pair: the unit-preserving morphism counts match the sharply-2-transitive
 morphism counts row for row, which is the equivalence the test battery
-certifies exhaustively.
+certifies exhaustively. The group counts come from the definitional search
+on the permutation groups themselves (enumerate_s2t_morphisms_direct), so
+they never read a neardomain hom-set.
 
 Usage:
     python3 scripts/hom_census.py --family neardomains
@@ -18,7 +20,7 @@ import sys
 
 from algcat.loops import enumerate_loop_morphisms
 from algcat.neardomain import enumerate_nd_morphisms
-from algcat.s2t import enumerate_s2t_morphisms
+from algcat.s2t import enumerate_s2t_morphisms_direct
 from algcat.zoo import standard_zoo
 
 FAMILIES = ("loops", "neardomains", "groups")
@@ -74,7 +76,7 @@ def main(argv=None) -> int:
     else:
         objects = zoo.groups
         size = lambda obj: obj.degree
-        counter = enumerate_s2t_morphisms
+        counter = enumerate_s2t_morphisms_direct
 
     if args.max_degree is not None:
         objects = [(n, o) for n, o in objects if size(o) <= args.max_degree]

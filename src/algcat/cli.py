@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .catcheck import (
-    RPS_TO_LOOP_FAST,
+    RPS_TO_LOOP,
     S2T_TO_NDOM,
     check_full_faithful,
     group_roundtrip_witness,
@@ -237,7 +237,7 @@ def cmd_homset(args) -> int:
     else:
         dst = loop_to_rps(dst) if kind_d == "loop" else affine_group(dst)
         report["lifted"] = "target"
-    functor = RPS_TO_LOOP_FAST if "loop" in (kind_s, kind_d) else S2T_TO_NDOM
+    functor = RPS_TO_LOOP if "loop" in (kind_s, kind_d) else S2T_TO_NDOM
     ff = check_full_faithful(functor, args.path1, src, args.path2, dst)
     homs = ff.source_homs
     report["count"] = len(homs)

@@ -16,6 +16,9 @@ log2|G| members, and builds the table only to name the witness of a set that
 is not closed. So certifying a group builds no table: the readers that need
 one (involutions, translations, morphism checks, the affine composition law)
 build it on the interned first copy of the group and share it from there.
+
+forced_morphisms is the hom search of both permutation categories, built from
+the definition of a morphism alone.
 """
 
 from __future__ import annotations
@@ -215,12 +218,75 @@ def intertwines(m: Morphism, src: PermSet, dst: PermSet) -> bool:
     return True
 
 
+def forced_morphisms(
+    src: PermSet, dst: PermSet, src_base: tuple[int, ...], dst_base: tuple[int, ...]
+) -> tuple[Morphism, ...]:
+    """Every pair (f, phi) with phi(src_base[k]) == dst_base[k], f(p) the
+    target member agreeing with phi . p on the base points (one base point
+    forces it in a regular set, two in a sharply 2-transitive group) and
+    phi(p(x)) == f(p)(phi(x)) at every member p and point x, in lexicographic
+    order of phi. Refused before the first pass when |src| * n * m is over
+    TABLE_CAP; the callers confirm each pair with their definition.
+
+    Popping a newly imaged point y from the worklist forces f(p) for each p
+    whose base images y completes, applied at every imaged point, then
+    images p(y) as f(p)(phi(y)) for every forced p; a member with no forced
+    image, or a clash, prunes. At the fixpoint the search branches on the
+    lowest point with no image, over the target points in increasing order."""
+    n, m = src.degree, dst.degree
+    check_budget(len(src) * n * m, f"morphism search of {len(src)} members on {n} points into {m} points")
+    src_im = [p.images for p in src.members]
+    dst_im = [q.images for q in dst.members]
+    at = {tuple(q[b] for b in dst_base): j for j, q in enumerate(dst_im)}
+    # the members whose forced image waits on each point
+    waits = [[i for i, p in enumerate(src_im) if y in [p[b] for b in src_base]] for y in range(n)]
+    out = []
+
+    def search(phi: list[int], f: list, forced: list, todo: list[int]) -> None:
+        def put(z: int, w: int) -> bool:
+            if phi[z] < 0:
+                phi[z] = w
+                todo.append(z)
+            return phi[z] == w
+
+        while todo:
+            y = todo.pop()
+            for i in waits[y]:
+                if f[i] is not None:
+                    continue
+                p = src_im[i]
+                key = tuple(phi[p[b]] for b in src_base)
+                if -1 in key:
+                    continue
+                f[i] = at.get(key)
+                if f[i] is None:
+                    return
+                q = dst_im[f[i]]
+                forced.append((p, q))
+                if not all(put(p[x], q[v]) for x, v in enumerate(phi) if v >= 0):
+                    return
+            if not all(put(p[y], q[phi[y]]) for p, q in forced):
+                return
+        if -1 not in phi:
+            out.append(Morphism(tuple(f), tuple(phi)))
+            return
+        x = phi.index(-1)
+        for v in range(m):
+            search(phi[:x] + [v] + phi[x + 1 :], f.copy(), forced.copy(), [x])
+
+    based = dict(zip(src_base, dst_base))
+    search([based.get(x, -1) for x in range(n)], [None] * len(src_im), [], list(src_base))
+    return tuple(out)
+
+
 def closure(generators: Iterable[Perm]) -> PermSet:
     """Smallest set containing the generators that is closed under composition,
     inversion, and contains the identity.
 
-    Worklist breadth-first search from the identity; in a finite setting
-    composition closure alone already yields inverses. Raises
+    Worklist breadth-first search from the identity on image tuples, each
+    reached member multiplied on the right by each generator through
+    _right_multiplier; in a finite setting composition closure alone already
+    yields inverses, and only the members returned become Perms. Raises
     ResourceLimitExceeded as soon as the set's composition table would hold
     more than TABLE_CAP entries, the test composition_table applies, so an
     over-budget group is refused after about sqrt(TABLE_CAP) members.
@@ -231,19 +297,20 @@ def closure(generators: Iterable[Perm]) -> PermSet:
     degree = gens[0].degree
     if any(g.degree != degree for g in gens):
         raise StructureError("generators mix degrees")
-    seen = {Perm.identity(degree)}
+    multipliers = [_right_multiplier(g.images) for g in gens]
+    seen = {tuple(range(degree))}
     frontier = list(seen)
     while frontier:
         fresh = []
-        for g in gens:
+        for g in multipliers:
             for h in frontier:
-                c = g * h
+                c = g(h)
                 if c not in seen:
                     seen.add(c)
                     fresh.append(c)
                     check_budget(len(seen) ** 2, f"closure reached {len(seen)} members, so its composition table")
         frontier = fresh
-    return perm_set(seen)
+    return perm_set(map(Perm, seen))
 
 
 def subgroup_failure(members: PermSet) -> str | None:

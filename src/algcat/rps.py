@@ -16,6 +16,9 @@ check_rps stores that bijection on the object as two integer tuples, member
 index -> base-point image and point -> member index; the second is forced
 by regularity. It builds both loops from them once and stores them too;
 member products and forced member maps are lookups in the tuples.
+
+enumerate_rps_morphisms lifts the induced-loop morphisms; the oracle
+enumerate_rps_morphisms_direct runs perms.forced_morphisms on the members.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Iterator, Sequence
 
 from .errors import InvariantViolation, MissingIdentity, RegularityViolation, StructureError
 from .loops import Loop, check_loop, enumerate_loop_morphisms, is_loop_morphism, left_translation
-from .perms import Morphism, Perm, PermSet, identity_morphism, intertwines, perm_set
+from .perms import Morphism, Perm, PermSet, forced_morphisms, identity_morphism, intertwines, perm_set
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,12 +147,6 @@ def is_rps_morphism(m: Morphism, src: Rps, dst: Rps) -> bool:
     return True
 
 
-def _forced_member_map(phi: tuple[int, ...], src: Rps, dst: Rps) -> tuple[int, ...]:
-    """The member map that phi forces by target regularity: f(m) is the
-    target member whose base-point image is phi(m(base))."""
-    return tuple(dst.member_at[phi[x]] for x in src.base_images)
-
-
 def characterize_morphism(f: Sequence[int], phi: Sequence[int], src: Rps, dst: Rps) -> bool:
     """Two-condition test: (1) each f(m) agrees with phi . m at the base point,
     and (2) f is a loop morphism between the member loops.
@@ -178,7 +175,7 @@ def lift_loop_morphism(phi: Sequence[int], src: Rps, dst: Rps) -> Morphism:
     phi = tuple(phi)
     if not is_loop_morphism(phi, induced_loop(src), induced_loop(dst)):
         raise ValueError("phi is not a loop morphism between the induced loops")
-    return Morphism(_forced_member_map(phi, src, dst), phi)
+    return Morphism(tuple(dst.member_at[phi[x]] for x in src.base_images), phi)
 
 
 def enumerate_rps_morphisms(src: Rps, dst: Rps) -> tuple[Morphism, ...]:
@@ -197,39 +194,14 @@ def based_point_maps(src: Rps, dst: Rps) -> Iterator[tuple[int, ...]]:
 
 
 def enumerate_rps_morphisms_direct(src: Rps, dst: Rps) -> tuple[Morphism, ...]:
-    """Brute-force oracle: try every base-point-preserving point map.
-
-    For each phi the member map is forced by target regularity (f(m) must
-    agree with phi . m at the base point), so it suffices to verify the
-    forced pair: phi(p(x)) == f(p)(phi(x)) for every source member p and
-    point x, on the image tuples. f(p) is looked up member by member and
-    the check stops at the first mismatch. A pair that passes becomes a
-    Morphism and is confirmed by is_rps_morphism; disagreement raises
-    InvariantViolation. Independent of the induced-loop reduction and of
-    the loop hom search; exponential in the source degree, intended for
-    desk-scale objects only.
-    """
-    dst_images = [q.images for q in dst.members]
-    member_at, base_images = dst.member_at, src.base_images
-    # each source member's image tuple beside its base-point image
-    members = [(p.images, b) for p, b in zip(src.members, base_images)]
-    points = range(src.degree)
-    out = []
-    for phi in based_point_maps(src, dst):
-        for p, b in members:
-            q = dst_images[member_at[phi[b]]]
-            for x in points:
-                if phi[p[x]] != q[phi[x]]:
-                    break
-            else:
-                continue
-            break
-        else:
-            cand = Morphism(_forced_member_map(phi, src, dst), phi)
-            if not is_rps_morphism(cand, src, dst):
-                raise InvariantViolation("is_rps_morphism accepts every verified pair", cand)
-            out.append(cand)
-    return tuple(out)
+    """Definitional oracle: perms.forced_morphisms from the base point,
+    each pair confirmed by is_rps_morphism (a disagreement raises
+    InvariantViolation). Never reads a loop."""
+    found = forced_morphisms(src.members, dst.members, (src.basepoint,), (dst.basepoint,))
+    for m in found:
+        if not is_rps_morphism(m, src, dst):
+            raise InvariantViolation("is_rps_morphism accepts every pair the search finds", m)
+    return found
 
 
 def identity_rps_morphism(r: Rps) -> Morphism:

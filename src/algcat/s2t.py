@@ -32,8 +32,9 @@ Hom-sets: morphisms are pairs (f, phi), f a group homomorphism and phi an
 injective base-point-preserving point map intertwining the actions; between
 groups of different characteristic the hom-set is empty by definition.
 enumerate_s2t_morphisms routes through the derived neardomains, while
-enumerate_s2t_morphisms_direct brute-forces point maps (kept as an
-independent oracle for small degrees).
+enumerate_s2t_morphisms_direct runs the definitional search
+perms.forced_morphisms on the groups themselves, an independent oracle at
+every degree in the zoo.
 
 Each derived value above is a function of one object, so it is computed on
 the first request and kept on that object (involutions, characteristic,
@@ -65,6 +66,7 @@ from .perms import (
     Morphism,
     Perm,
     PermSet,
+    forced_morphisms,
     identity_morphism,
     intern,
     intertwines,
@@ -379,12 +381,6 @@ def lift_nd_morphism(phi: Sequence[int], src: Neardomain, dst: Neardomain) -> Mo
     return Morphism(tuple(f), phi)
 
 
-def _base_pair_index(g: S2tGroup) -> dict[tuple[int, int], int]:
-    """(p(omega0), p(omega1)) -> index of p; sharp 2-transitivity makes the
-    base images determine the member."""
-    return {(p(g.omega0), p(g.omega1)): i for i, p in enumerate(g.group.members)}
-
-
 @_per_object
 def canonical_isomorphism(g: S2tGroup) -> Morphism:
     """The isomorphism from the rebuilt group (affine maps of the derived
@@ -393,10 +389,9 @@ def canonical_isomorphism(g: S2tGroup) -> Morphism:
     base points. Validity, bijectivity, and invertibility are all verified
     before returning."""
     rebuilt = affine_group(derived_neardomain(g))
-    pair_index = _base_pair_index(g)
+    pair_index = {(p(g.omega0), p(g.omega1)): i for i, p in enumerate(g.group.members)}
     for m in rebuilt.group:
-        key = (m(g.omega0), m(g.omega1))
-        if key not in pair_index:
+        if (m(g.omega0), m(g.omega1)) not in pair_index:
             raise StructureError(f"rebuilt member {list(m.images)} matches no group element on the base points")
     f = tuple(pair_index[(m(g.omega0), m(g.omega1))] for m in rebuilt.group)
     if sorted(f) != list(range(len(f))):
@@ -432,29 +427,17 @@ def enumerate_s2t_morphisms(
 
 
 def enumerate_s2t_morphisms_direct(src: S2tGroup, dst: S2tGroup) -> tuple[Morphism, ...]:
-    """Brute-force oracle: every injective base-point-preserving point map is
-    tried; f is forced by two-point interpolation in the target (each f(p)
-    must agree with phi . p on both base points), then the pair is verified
-    in full. Independent of the derived-neardomain reduction; factorial in
-    the degree, intended for degree <= 4."""
-    n, m = src.degree, dst.degree
-    others = [x for x in range(n) if x not in (src.omega0, src.omega1)]
-    targets = [y for y in range(m) if y not in (dst.omega0, dst.omega1)]
-    pair_index = _base_pair_index(dst)
-    out = []
-    for choice in itertools.permutations(targets, len(others)):
-        phi_l = [0] * n
-        phi_l[src.omega0] = dst.omega0
-        phi_l[src.omega1] = dst.omega1
-        for pos, v in zip(others, choice):
-            phi_l[pos] = v
-        phi = tuple(phi_l)
-        keys = [(phi[p(src.omega0)], phi[p(src.omega1)]) for p in src.group]
-        if all(key in pair_index for key in keys):
-            cand = Morphism(tuple(pair_index[key] for key in keys), phi)
-            if is_s2t_morphism(cand, src, dst):
-                out.append(cand)
-    return tuple(out)
+    """Definitional oracle: empty for mixed characteristics, as
+    enumerate_s2t_morphisms is; otherwise perms.forced_morphisms from both
+    base points, each pair confirmed by is_s2t_morphism (a disagreement
+    raises InvariantViolation). Never reads a neardomain."""
+    if characteristic(src) is not characteristic(dst):
+        return ()
+    found = forced_morphisms(src.group, dst.group, (src.omega0, src.omega1), (dst.omega0, dst.omega1))
+    for m in found:
+        if not is_s2t_morphism(m, src, dst):
+            raise InvariantViolation("is_s2t_morphism accepts every pair the search finds", m)
+    return found
 
 
 def translations_form_subgroup(g: S2tGroup) -> bool:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import algcat
-from algcat import catcheck
+from algcat import catcheck, cli, loops, neardomain, rps, s2t
 from algcat.catcheck import (
     LOOP_CAT,
     NDOM_TO_S2T,
@@ -15,6 +15,7 @@ from algcat.catcheck import (
     S2T_TO_NDOM,
     CategoryOps,
     FunctorOps,
+    _run_family,
     characterization_witness,
     check_full_faithful,
     check_functor_laws,
@@ -28,11 +29,17 @@ from algcat.catcheck import (
     s2t_injectivity_witness,
     translation_form_witness,
 )
-from algcat.loops import Loop, check_loop
+from algcat.loops import Loop, check_loop, is_associative
 from algcat.neardomain import galois_field
-from algcat.perms import Morphism, Perm, PermSet
-from algcat.rps import loop_to_rps
-from algcat.s2t import S2tGroup, affine_group, enumerate_s2t_morphisms
+from algcat.perms import Morphism, Perm, PermSet, perm_set
+from algcat.rps import induced_loop, loop_to_rps
+from algcat.s2t import (
+    S2tGroup,
+    affine_group,
+    enumerate_s2t_morphisms,
+    involution_products_form_subgroup,
+    translations_form_subgroup,
+)
 
 Z3 = check_loop(((0, 1, 2), (1, 2, 0), (2, 0, 1)))
 
@@ -205,6 +212,51 @@ def test_equivalence_and_translation_witnesses(zoo):
         assert nearfield_equivalence_witness(g) is None
     for _, nd in zoo.neardomains:
         assert translation_form_witness(nd) is None
+
+
+def test_nearfield_equivalence_bits_fail_on_corrupted_inputs(zoo, monkeypatch):
+    # on valid input all three bits are always true (every finite neardomain
+    # is a nearfield), so each predicate is fed a corrupted derived set
+    name, g = next((n, g) for n, g in zoo.groups if n == "aff(gf5)")
+    assert nearfield_equivalence_witness(g) is None  # derives and keeps all three
+    # a non-associative regular set of degree 5: its members do not close
+    loose = next(r for _, r in zoo.rps_objects if r.degree == 5 and not is_associative(induced_loop(r)))
+    monkeypatch.setattr(s2t, "translations", lambda grp: loose)
+    assert translations_form_subgroup(g) is False
+    verdict = _run_family("nearfield-equivalence", [(name, (g,))], nearfield_equivalence_witness)
+    assert not verdict.passed
+    assert verdict.witness == (
+        f"{name}: translations-subgroup=False, involution-products-subgroup=True, derived-nearfield=True"
+    )
+    monkeypatch.undo()
+    # two point reflections of GF(5): their products e, t and t^-1 miss t^2
+    pair = perm_set(s2t.involutions(g).members[:2])
+    monkeypatch.setattr(s2t, "involutions", lambda grp: pair)
+    assert involution_products_form_subgroup(g) is False
+    verdict = _run_family("nearfield-equivalence", [(name, (g,))], nearfield_equivalence_witness)
+    assert not verdict.passed
+    assert verdict.witness == (
+        f"{name}: translations-subgroup=True, involution-products-subgroup=False, derived-nearfield=True"
+    )
+
+
+def test_direct_oracles_read_no_algebraic_hom_set(zoo, monkeypatch):
+    # the definitional search behind both permutation categories, so also
+    # the source side of a mixed CLI homset, never runs a loop or neardomain
+    # hom search and never derives a neardomain
+    def refuse(*args, **kwargs):
+        raise AssertionError("the definitional search reached the algebraic side")
+
+    for module in (loops, neardomain, rps, s2t, catcheck, cli):
+        for attr in ("table_homomorphisms", "enumerate_nd_morphisms", "derived_neardomain"):
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, refuse)
+    assert cli.RPS_TO_LOOP.source.hom is rps.enumerate_rps_morphisms_direct
+    assert cli.S2T_TO_NDOM.source.hom is s2t.enumerate_s2t_morphisms_direct
+    rps_objects = [r for _, r in zoo.rps_objects]
+    groups = [g for _, g in zoo.groups]
+    assert sum(len(cli.RPS_TO_LOOP.source.hom(a, b)) for a in rps_objects for b in rps_objects) == 217
+    assert sum(len(cli.S2T_TO_NDOM.source.hom(a, b)) for a in groups for b in groups) == 61
 
 
 def test_characterization_witness():

@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -13,10 +12,11 @@ import pytest
 
 from algcat import cli, perms
 from algcat.cli import main
+from algcat.errors import ResourceLimitExceeded
 from algcat.fileio import emit_structure, parse_structure
-from algcat.loops import check_loop
+from algcat.loops import check_loop, table_homomorphisms
 from algcat.neardomain import Neardomain, dickson_nearfield_9, galois_field
-from algcat.perms import TABLE_CAP, Perm
+from algcat.perms import TABLE_CAP, Perm, forced_morphisms
 from algcat.rps import loop_to_rps
 from algcat.s2t import affine_group, relabel
 
@@ -113,29 +113,29 @@ def test_check_refuses_oversized_composition_table(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("n", [7, 8, 9])
-def test_symmetric_generators_refused_within_budget(tmp_path, capsys, n):
+def test_symmetric_generators_refused_within_budget(tmp_path, capsys, reference_cpu, n):
     # an n-cycle and a transposition generate S_n; the closure stops at the
     # first member past the budget, long before the n! members
     path = tmp_path / f"s{n}.txt"
     cycle = " ".join(map(str, [*range(1, n), 0]))
     swap = " ".join(map(str, [1, 0, *range(2, n)]))
     path.write_text(f"s2t {n} 0 1\ngenerators\n{cycle}\n{swap}\n")
-    start = time.process_time()
-    tracemalloc.start()
-    try:
-        code, out, _ = run(capsys, "check", str(path), "--no-timestamp")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    elapsed = time.process_time() - start
+    (code, out, _), elapsed = reference_cpu(lambda: run(capsys, "check", str(path), "--no-timestamp"))
     assert code == 2
     assert "error_type: ResourceLimitExceeded" in out
     assert "closure reached 1001 members" in out
-    assert peak < 5_000_000, peak
     assert elapsed < 1.0, elapsed
+    tracemalloc.start()
+    try:
+        assert main(["check", str(path)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 5_000_000, peak
 
 
-def test_cubic_checks_refused_within_budget(tmp_path, capsys):
+def test_cubic_checks_refused_within_budget(tmp_path, capsys, reference_cpu):
     # check runs cubic loops on loop, rps and ndom files (associativity, the
     # neardomain axioms); at order 101 the cube is over the budget, so each
     # valid file is refused before its first triple
@@ -145,9 +145,7 @@ def test_cubic_checks_refused_within_budget(tmp_path, capsys):
     for name, obj in (("loop", cyclic), ("rps", loop_to_rps(cyclic)), ("ndom", field)):
         path = tmp_path / f"{name}{p}.txt"
         path.write_text(emit_structure(obj))
-        start = time.process_time()
-        code, out, _ = run(capsys, "check", str(path), "--no-timestamp")
-        elapsed = time.process_time() - start
+        (code, out, _), elapsed = reference_cpu(lambda: run(capsys, "check", str(path), "--no-timestamp"))
         assert code == 2, name
         assert "error_type: ResourceLimitExceeded" in out, name
         assert f"of order {p} needs {p**3}, over the cap of {TABLE_CAP} entries" in out, name
@@ -162,27 +160,77 @@ def test_cubic_checks_refused_within_budget(tmp_path, capsys):
         assert peak < 5_000_000, (name, peak)
 
 
-def test_homset_refused_within_budget(tmp_path, capsys):
-    # the hom search from order n into order m checks n * n * m products;
-    # two cyclic loops (or their rps files) of order 101 are over the budget,
-    # so homset refuses the pair before the search builds its check lists
+class _CountingRows:
+    """n rows of an order-n table that count how often a row is read."""
+
+    def __init__(self, n: int):
+        self.n, self.reads = n, 0
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, a: int):
+        self.reads += 1
+        return range(self.n)
+
+
+class _CountingMembers:
+    """Stands in for n members on n points and counts how often the members
+    are read."""
+
+    def __init__(self, n: int):
+        self.degree, self.reads = n, 0
+
+    def __len__(self) -> int:
+        return self.degree
+
+    @property
+    def members(self):
+        self.reads += 1
+        return ()
+
+
+def test_homset_refused_within_budget(tmp_path, capsys, reference_cpu):
+    # the hom search from order n into order m checks n * n * m products, the
+    # search of the permutation categories n members at n points into m
+    # points; two cyclic loops of order 101 (or their rps files, or one of
+    # each) are over the budget, so homset refuses the pair before any search
     p = 101
     cyclic = check_loop(tuple(tuple((a + b) % p for b in range(p)) for a in range(p)))
+    paths = {}
     for name, obj in (("loop", cyclic), ("rps", loop_to_rps(cyclic))):
-        path = tmp_path / f"{name}{p}.txt"
-        path.write_text(emit_structure(obj))
-        start = time.process_time()
+        paths[name] = tmp_path / f"{name}{p}.txt"
+        paths[name].write_text(emit_structure(obj))
+    same = f"hom search of order {p} into order {p} needs {p**3}, over the cap of {TABLE_CAP} entries"
+    mixed = f"morphism search of {p} members on {p} points into {p} points needs {p**3}, over the cap of {TABLE_CAP} entries"
+    for pair, message in (
+        (("loop", "loop"), same),
+        (("rps", "rps"), same),
+        (("loop", "rps"), mixed),
+        (("rps", "loop"), mixed),
+    ):
+        argv = ["homset", str(paths[pair[0]]), str(paths[pair[1]])]
+        (code, _, err), elapsed = reference_cpu(lambda: run(capsys, *argv))
+        assert code == 2, pair
+        assert message in err, (pair, err)
+        assert elapsed < 0.1, (pair, elapsed)
         tracemalloc.start()
         try:
-            code, _, err = run(capsys, "homset", str(path), str(path))
+            assert main(argv) == 2
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        elapsed = time.process_time() - start
-        assert code == 2, name
-        assert f"hom search of order {p} into order {p} needs {p**3}, over the cap of {TABLE_CAP} entries" in err, name
-        assert elapsed < 0.1, (name, elapsed)
-        assert peak < 5_000_000, (name, peak)
+        capsys.readouterr()
+        assert peak < 5_000_000, (pair, peak)
+    # both searches refuse before they read a row or a member
+    rows = _CountingRows(p)
+    with pytest.raises(ResourceLimitExceeded):
+        table_homomorphisms([rows], [rows], {0: 0})
+    assert rows.reads == 0
+    members = _CountingMembers(p)
+    with pytest.raises(ResourceLimitExceeded):
+        forced_morphisms(members, members, (0,), (0,))
+    assert members.reads == 0
 
 
 def test_parser_built_once_leaks_no_flag(files, capsys, monkeypatch):
@@ -311,7 +359,7 @@ def test_homset_mixed_pair_enumerates_source_homs_once(files, capsys, tmp_path, 
         return dataclasses.replace(functor, source=dataclasses.replace(functor.source, hom=hom))
 
     monkeypatch.setattr(cli, "S2T_TO_NDOM", counted(cli.S2T_TO_NDOM))
-    monkeypatch.setattr(cli, "RPS_TO_LOOP_FAST", counted(cli.RPS_TO_LOOP_FAST))
+    monkeypatch.setattr(cli, "RPS_TO_LOOP", counted(cli.RPS_TO_LOOP))
     for name, kind, count in (("gf9", "s2t", 2), ("z2", "rps", 2)):
         _, text, _ = run(capsys, "convert", files[name], "--to", kind)
         p = tmp_path / f"{kind}-{name}.txt"

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 import algcat.perms as perms_module
 from algcat.errors import ResourceLimitExceeded, StructureError
-from algcat.perms import Perm, PermSet, closure, perm_set, subgroup_failure
+from algcat.perms import Morphism, Perm, PermSet, closure, perm_set, subgroup_failure
+from algcat.zoo import standard_zoo
 
 perms = st.integers(min_value=1, max_value=6).flatmap(
     lambda n: st.permutations(range(n)).map(lambda xs: Perm(tuple(xs)))
@@ -220,3 +221,43 @@ def test_composition_table_of_small_sets():
         for j, q in enumerate(s3):
             assert s3.members[table[i][j]] == p * q
     assert PermSet(1, (Perm((0,)),)).composition_table() == ((0,),)
+
+
+def _reference_forced_morphisms(src: PermSet, dst: PermSet, src_base, dst_base) -> tuple[Morphism, ...]:
+    """Every point map fixing the base points, in lexicographic order, with
+    its forced member map checked at every member and point."""
+    at = {tuple(q.images[b] for b in dst_base): j for j, q in enumerate(dst)}
+    based = dict(zip(src_base, dst_base))
+    choices = [(based[x],) if x in based else range(dst.degree) for x in range(src.degree)]
+    out = []
+    for phi in itertools.product(*choices):
+        f = tuple(at.get(tuple(phi[p.images[b]] for b in src_base)) for p in src)
+        if None not in f and all(
+            phi[p.images[x]] == dst.members[j].images[phi[x]] for p, j in zip(src, f) for x in range(src.degree)
+        ):
+            out.append(Morphism(f, phi))
+    return tuple(out)
+
+
+def _search_targets():
+    zoo = standard_zoo()
+    out = []
+    for _, r in zoo.rps_objects:
+        if r.degree <= 5:
+            out += [(r.members, (b,)) for b in range(r.degree)]
+    out += [(g.group, (g.omega0, g.omega1)) for _, g in zoo.groups if g.degree <= 5]
+    return out
+
+
+@given(st.data())
+def test_forced_morphisms_match_the_definition_on_arbitrary_sources(data):
+    # the zoo's sources are regular sets and sharply 2-transitive groups, on
+    # which the propagation has slack; a source of a few arbitrary members
+    # needs every step of it
+    dst, dst_base = data.draw(st.sampled_from(_search_targets()))
+    n = data.draw(st.integers(min_value=len(dst_base), max_value=5))
+    raw = data.draw(st.lists(st.permutations(range(n)), min_size=1, max_size=4))
+    src = perm_set(Perm(tuple(p)) for p in raw)
+    src_base = tuple(range(len(dst_base)))
+    want = _reference_forced_morphisms(src, dst, src_base, dst_base)
+    assert perms_module.forced_morphisms(src, dst, src_base, dst_base) == want

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from algcat.errors import (
     DegenerateOmega,
+    InvariantViolation,
     NotAGroup,
     NotSharplyTransitive,
     StructureError,
@@ -356,6 +357,70 @@ def test_mixed_characteristic_is_empty():
     assert enumerate_s2t_morphisms(AFF[2], AFF[3]) == ()
     assert enumerate_s2t_morphisms(AFF[3], AFF[4]) == ()
     assert enumerate_s2t_morphisms_direct(AFF[2], AFF[3]) == ()
+
+
+def _reference_s2t_morphisms(src: S2tGroup, dst: S2tGroup) -> tuple[Morphism, ...]:
+    """Brute force over every injective base-point-preserving point map, in
+    lexicographic order: each f(p) is forced by two-point interpolation in
+    the target (it agrees with phi . p on both base points) and checked at
+    every point on the image tuples, up to the first mismatch; a pair that
+    passes is confirmed with is_s2t_morphism. Factorial in the degree."""
+    n = src.degree
+    others = [x for x in range(n) if x not in (src.omega0, src.omega1)]
+    targets = [y for y in range(dst.degree) if y not in (dst.omega0, dst.omega1)]
+    dst_im = [q.images for q in dst.group]
+    pair_index = {(q[dst.omega0], q[dst.omega1]): j for j, q in enumerate(dst_im)}
+    src_im = [p.images for p in src.group]
+    out = []
+    for choice in itertools.permutations(targets, len(others)):
+        phi = [0] * n
+        phi[src.omega0], phi[src.omega1] = dst.omega0, dst.omega1
+        for x, y in zip(others, choice):
+            phi[x] = y
+        f = []
+        for p in src_im:
+            j = pair_index.get((phi[p[src.omega0]], phi[p[src.omega1]]))
+            if j is None or any(phi[y] != dst_im[j][phi[x]] for x, y in enumerate(p)):
+                break
+            f.append(j)
+        else:
+            cand = Morphism(tuple(f), tuple(phi))
+            if is_s2t_morphism(cand, src, dst):
+                out.append(cand)
+    return tuple(out)
+
+
+def test_direct_search_matches_production_and_reference_on_every_zoo_pair(monkeypatch):
+    # all 144 ordered pairs, the Dickson groups and the relabelings included;
+    # the search must list the production hom-set in its order, and the
+    # factorial reference must find the same morphisms
+    groups = [g for _, g in standard_zoo().groups]
+    confirmed = []
+
+    def counted(m, src, dst):
+        confirmed.append(m)
+        return is_s2t_morphism(m, src, dst)
+
+    total = 0
+    for src in groups:
+        for dst in groups:
+            want = enumerate_s2t_morphisms(src, dst)
+            assert _reference_s2t_morphisms(src, dst) == want
+            monkeypatch.setattr(s2t, "is_s2t_morphism", counted)
+            confirmed.clear()
+            found = enumerate_s2t_morphisms_direct(src, dst)
+            monkeypatch.undo()
+            assert found == want
+            # the search confirms each pair it lists, and nothing else
+            assert confirmed == list(found)
+            total += len(found)
+    assert total == 61
+
+
+def test_direct_oracle_raises_when_the_definition_disagrees(monkeypatch):
+    monkeypatch.setattr(s2t, "is_s2t_morphism", lambda m, src, dst: False)
+    with pytest.raises(InvariantViolation):
+        enumerate_s2t_morphisms_direct(AFF[9], AFF[9])
 
 
 def test_fast_equals_direct_small():
