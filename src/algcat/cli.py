@@ -91,9 +91,15 @@ def _print_report(report: dict, args) -> None:
 
 def _read(path: str):
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(0, f"cannot read {path}: {exc.strerror or exc}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the line of the bad byte, numbered as parse_structure numbers lines
+        line = len((data[: exc.start].decode("utf-8") + ".").splitlines())
+        raise ParseError(line, f"not valid UTF-8: byte {data[exc.start]:#04x}") from None
     return parse_structure(text)
 
 

@@ -19,30 +19,32 @@ The derived structure rests on the involutions J (never empty here):
   point_mul        alpha * beta = g(beta), g the omega0-stabilizer element
                    with g(omega1) = alpha; products with omega0 are omega0
 
-point_add and point_mul are the per-cell reference definitions.
-derived_neardomain builds the same tables row by row from one translation
-set and one stabilizer table, and must re-validate; going the
-other way, affine_group builds the maps x -> a + b*x of a neardomain, which
-form a sharply 2-transitive group. One direction inverts the other on the
-nose, the composite the other way around is matched back to the original
-group by canonical_isomorphism (two-point interpolation). catcheck turns
-each of these statements into an exhaustive check.
+point_add and point_mul are the per-cell reference definitions;
+derived_neardomain builds the same tables a row at a time and re-validates.
+Going the other way, affine_group builds the maps x -> a + b*x of a
+neardomain, a sharply 2-transitive group. One direction inverts the other on
+the nose; the composite the other way around is matched back to the
+original group by canonical_isomorphism. catcheck turns each of these
+statements into an exhaustive check.
 
 Hom-sets: morphisms are pairs (f, phi), f a group homomorphism and phi an
 injective base-point-preserving point map intertwining the actions; between
-groups of different characteristic the hom-set is empty by definition.
-enumerate_s2t_morphisms routes through the derived neardomains, while
-enumerate_s2t_morphisms_direct runs the definitional search
-perms.forced_morphisms on the groups themselves, an independent oracle at
-every degree in the zoo.
+groups of different characteristic the hom-set is empty by definition. So
+phi fixes f: f(p) is the one target member agreeing with phi . p on the
+base points, read off the target's base_pair_index ((p(omega0), p(omega1))
+-> index of p). lift_nd_morphism, canonical_isomorphism (phi the identity)
+and enumerate_s2t_morphisms (phi each morphism of the derived neardomains,
+the production path) all force f so. enumerate_s2t_morphisms_direct runs
+the definitional search perms.forced_morphisms on the groups themselves, an
+independent oracle at every degree in the zoo.
 
 Each derived value above is a function of one object, so it is computed on
-the first request and kept on that object (involutions, characteristic,
-translations, derived_neardomain and canonical_isomorphism on the group,
-affine_group on the neardomain). check_s2t and check_neardomain intern what
-they validate in a table of 64 (perms.intern), so a structure parsed or
-rebuilt again reuses the derived values of its equal first copy, and a
-long-lived process keeps a bounded number of them.
+the first request and kept on that object (base_pair_index, involutions,
+characteristic, translations, derived_neardomain and canonical_isomorphism
+on the group, affine_group on the neardomain). check_s2t and
+check_neardomain intern what they validate in a table of 64 (perms.intern),
+so a structure parsed or rebuilt again reuses the derived values of its
+equal first copy, and a long-lived process keeps a bounded number of them.
 """
 
 from __future__ import annotations
@@ -92,8 +94,6 @@ class S2tGroup:
     degree: int
     omega0: int
     omega1: int
-    # set by affine_group only: (a, b) -> index of the member x -> a + b * x
-    affine_params: dict[tuple[int, int], int] | None = field(default=None, init=False, repr=False, compare=False)
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
@@ -166,6 +166,27 @@ def check_s2t(group: PermSet, omega0: int, omega1: int) -> S2tGroup:
 
 
 @_per_object
+def base_pair_index(g: S2tGroup) -> dict[tuple[int, int], int]:
+    """(p(omega0), p(omega1)) -> index of p, over the members of g: sharp
+    2-transitivity pins a member down by its two base images."""
+    at = {(p.images[g.omega0], p.images[g.omega1]): i for i, p in enumerate(g.group.members)}
+    if len(at) != len(g.group):
+        raise InvariantViolation("members of a sharply 2-transitive group differ on the base points", len(at))
+    return at
+
+
+def _forced_f(phi: Sequence[int], src: S2tGroup, dst: S2tGroup) -> tuple[int, ...]:
+    """The member map phi forces: f(p) is the dst member agreeing with phi . p
+    on the base points, read off base_pair_index(dst); else StructureError."""
+    at, s0, s1 = base_pair_index(dst), src.omega0, src.omega1
+    f = tuple(at.get((phi[p.images[s0]], phi[p.images[s1]])) for p in src.group.members)
+    if None in f:
+        p = src.group.members[f.index(None)].images
+        raise StructureError(f"member {list(p)} matches no target member on the base points")
+    return f
+
+
+@_per_object
 def involutions(g: S2tGroup) -> PermSet:
     """All elements of order exactly two, read off the diagonal of the
     composition table. Never empty in a valid group."""
@@ -185,11 +206,8 @@ def characteristic(g: S2tGroup) -> Characteristic:
 
 
 def base_involution(g: S2tGroup) -> Perm:
-    """The involution fixing omega0; only defined away from characteristic two.
-
-    Uniqueness holds for every valid group, but it is re-verified per object
-    here rather than assumed.
-    """
+    """The involution fixing omega0; only defined away from characteristic
+    two. Its uniqueness holds in every valid group and is re-verified here."""
     if characteristic(g) is Characteristic.TWO:
         raise ValueError("characteristic two groups have no involution with a fixed point")
     fixing = [p for p in involutions(g) if p(g.omega0) == g.omega0]
@@ -218,11 +236,9 @@ def translations(g: S2tGroup) -> Rps:
 
 
 def _stabilizer_action(g: S2tGroup) -> dict[int, Perm]:
-    """omega1-image -> element, over the stabilizer of omega0.
-
-    Sharp 2-transitivity makes the stabilizer regular on the remaining
-    points; checked on every call.
-    """
+    """omega1-image -> element over the stabilizer of omega0, scanned from
+    the whole group and checked regular on the other points on every call;
+    only point_mul, the per-cell reference, reads it."""
     stab = [p for p in g.group if p(g.omega0) == g.omega0]
     table = {p(g.omega1): p for p in stab}
     if len(stab) != g.degree - 1 or set(table) != set(range(g.degree)) - {g.omega0}:
@@ -248,20 +264,16 @@ def point_mul(g: S2tGroup, alpha: int, beta: int) -> int:
 @_per_object
 def derived_neardomain(g: S2tGroup) -> Neardomain:
     """The neardomain on the points, zero = omega0 and one = omega1: the
-    tables of point_add and point_mul, built a row at a time from one
-    translation set and one stabilizer table. Row alpha of the addition is
-    the translation sending omega0 to alpha; row alpha != omega0 of the
-    multiplication is the stabilizer element sending omega1 to alpha, which
-    fixes omega0 as point_mul requires.
-
-    Revalidated through check_neardomain on every construction; this is the
-    object part of the functor onto neardomains.
-    """
+    tables of point_add and point_mul, a row at a time. Addition row alpha is
+    the translation sending omega0 to alpha; multiplication row
+    alpha != omega0 is the member at (omega0, alpha) in base_pair_index.
+    Revalidated through check_neardomain; the object part of the functor
+    onto neardomains."""
     n, zero = g.degree, g.omega0
     trans = translations(g)
-    stab = _stabilizer_action(g)
+    at, members = base_pair_index(g), g.group.members
     add = tuple(trans.from_point(a).images for a in range(n))
-    mul = tuple((zero,) * n if a == zero else stab[a].images for a in range(n))
+    mul = tuple((zero,) * n if a == zero else members[at[(zero, a)]].images for a in range(n))
     return check_neardomain(add, mul, zero, g.omega1)
 
 
@@ -336,7 +348,7 @@ def affine_maps(nd: Neardomain) -> tuple[AffineMap, ...]:
 @_per_object
 def affine_group(nd: Neardomain) -> S2tGroup:
     """The affine maps as a sharply 2-transitive group on the carrier, based
-    at (zero, one), carrying its parameter -> member index table.
+    at (zero, one).
 
     Construction re-runs check_s2t, and the closed-form composition law
 
@@ -359,47 +371,35 @@ def affine_group(nd: Neardomain) -> S2tGroup:
             bk = mul[b][k]
             if row[j] != params[(add[a][bk], mul[coeff[a][bk]][mul[b][l]])]:
                 raise InvariantViolation("affine composition law", ((a, b), (k, l)))
-    if grp.affine_params is None:
-        object.__setattr__(grp, "affine_params", params)
-    elif grp.affine_params != params:
-        raise InvariantViolation("equal affine groups have equal parameter tables", (nd.order, nd.zero, nd.one))
     return grp
 
 
 def lift_nd_morphism(phi: Sequence[int], src: Neardomain, dst: Neardomain) -> Morphism:
-    """The induced morphism between affine groups: the map with parameters
-    (a, b) goes to the one with parameters (phi(a), phi(b)). This is the
-    morphism part of the functor from neardomains."""
+    """The induced morphism between affine groups, f forced by phi: the map
+    x -> a + b*x, base images (a, a + b), goes to the one with parameters
+    (phi(a), phi(b)). The morphism part of the functor from neardomains."""
     phi = tuple(phi)
     if not is_nd_morphism(phi, src, dst):
         raise ValueError("phi is not a neardomain morphism")
-    src_params = affine_group(src).affine_params
-    dst_params = affine_group(dst).affine_params
-    f = [0] * len(src_params)
-    for (a, b), i in src_params.items():
-        f[i] = dst_params[(phi[a], phi[b])]
-    return Morphism(tuple(f), phi)
+    return Morphism(_forced_f(phi, affine_group(src), affine_group(dst)), phi)
 
 
 @_per_object
 def canonical_isomorphism(g: S2tGroup) -> Morphism:
     """The isomorphism from the rebuilt group (affine maps of the derived
-    neardomain) back onto g, solved by two-point interpolation: each rebuilt
-    member is matched with the unique element of g agreeing with it on both
-    base points. Validity, bijectivity, and invertibility are all verified
-    before returning."""
+    neardomain) back onto g, solved by two-point interpolation: f is forced
+    by the identity point map, each rebuilt member going to the element of g
+    agreeing with it on both base points. Validity, bijectivity, and
+    invertibility are all verified before returning."""
     rebuilt = affine_group(derived_neardomain(g))
-    pair_index = {(p(g.omega0), p(g.omega1)): i for i, p in enumerate(g.group.members)}
-    for m in rebuilt.group:
-        if (m(g.omega0), m(g.omega1)) not in pair_index:
-            raise StructureError(f"rebuilt member {list(m.images)} matches no group element on the base points")
-    f = tuple(pair_index[(m(g.omega0), m(g.omega1))] for m in rebuilt.group)
+    identity = tuple(range(g.degree))
+    f = _forced_f(identity, rebuilt, g)
     if sorted(f) != list(range(len(f))):
         raise StructureError("two-point interpolation is not bijective")
-    iso = Morphism(f, tuple(range(g.degree)))
+    iso = Morphism(f, identity)
     if not is_s2t_morphism(iso, rebuilt, g):
         raise StructureError("interpolated map is not a morphism")
-    inverse = Morphism(Perm(f).inverse().images, tuple(range(g.degree)))
+    inverse = Morphism(Perm(f).inverse().images, identity)
     if not is_s2t_morphism(inverse, g, rebuilt):
         raise StructureError("interpolated map is not invertible as a morphism")
     return iso
@@ -408,22 +408,14 @@ def canonical_isomorphism(g: S2tGroup) -> Morphism:
 def enumerate_s2t_morphisms(
     src: S2tGroup, dst: S2tGroup, nd_hom: Callable | None = None
 ) -> tuple[Morphism, ...]:
-    """Hom-set via the derived neardomains (the production path): each
-    neardomain morphism that nd_hom (by default enumerate_nd_morphisms)
-    lists is lifted to the affine groups and conjugated back through the
-    canonical isomorphisms. Mixed characteristics give the empty hom-set
-    outright."""
+    """Hom-set via the derived neardomains (the production path): for each
+    neardomain morphism phi that nd_hom (by default enumerate_nd_morphisms)
+    lists, the pair (f, phi) with f forced by phi through the base-pair index
+    of dst. Mixed characteristics give the empty hom-set outright."""
     if characteristic(src) is not characteristic(dst):
         return ()
-    nd_s, nd_d = derived_neardomain(src), derived_neardomain(dst)
-    k_s, k_d = canonical_isomorphism(src), canonical_isomorphism(dst)
-    k_s_inv = Perm(k_s.f).inverse().images
-    out = []
-    for phi in (nd_hom or enumerate_nd_morphisms)(nd_s, nd_d):
-        lifted = lift_nd_morphism(phi, nd_s, nd_d)
-        f = tuple(k_d.f[lifted.f[k_s_inv[i]]] for i in range(len(src.group)))
-        out.append(Morphism(f, phi))
-    return tuple(out)
+    homs = (nd_hom or enumerate_nd_morphisms)(derived_neardomain(src), derived_neardomain(dst))
+    return tuple(Morphism(_forced_f(phi, src, dst), phi) for phi in homs)
 
 
 def enumerate_s2t_morphisms_direct(src: S2tGroup, dst: S2tGroup) -> tuple[Morphism, ...]:

@@ -14,9 +14,9 @@ from algcat import cli, perms
 from algcat.cli import main
 from algcat.errors import ResourceLimitExceeded
 from algcat.fileio import emit_structure, parse_structure
-from algcat.loops import check_loop, table_homomorphisms
-from algcat.neardomain import Neardomain, dickson_nearfield_9, galois_field
-from algcat.perms import TABLE_CAP, Perm, forced_morphisms
+from algcat.loops import Loop, check_loop, is_associative, table_homomorphisms
+from algcat.neardomain import Neardomain, check_neardomain, dickson_nearfield_9, galois_field, is_nearfield
+from algcat.perms import TABLE_CAP, Perm, forced_morphisms, perm_set
 from algcat.rps import loop_to_rps
 from algcat.s2t import affine_group, relabel
 
@@ -83,6 +83,19 @@ def test_check_parse_error_exits_2(tmp_path, capsys):
     code, out, _ = run(capsys, "check", str(bad), "--no-timestamp")
     assert code == 2
     assert "ParseError" in out
+
+
+def test_undecodable_file_exits_2_naming_the_line(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"s2t 3 0 1\n\xff\xfe 1 2\n")
+    code, out, _ = run(capsys, "check", str(bad), "--no-timestamp")
+    assert code == 2
+    assert "error_type: ParseError" in out
+    assert "error: line 2: not valid UTF-8: byte 0xff" in out
+    for argv in (["homset", str(bad), str(bad)], ["convert", str(bad), "--to", "ndom"], ["roundtrip", str(bad)]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "error: line 2: not valid UTF-8: byte 0xff" in err, argv
 
 
 def test_check_missing_file_exits_2(capsys):
@@ -231,6 +244,40 @@ def test_homset_refused_within_budget(tmp_path, capsys, reference_cpu):
     with pytest.raises(ResourceLimitExceeded):
         forced_morphisms(members, members, (0,), (0,))
     assert members.reads == 0
+
+
+def test_budget_refusals_read_no_member_or_row(monkeypatch):
+    # the composition table and the cubic checks refuse an over-budget input
+    # before they read a member or a row
+    members = perm_set(Perm(p) for p in itertools.islice(itertools.permutations(range(7)), 1001))
+    rows = _CountingRows(1001)
+    object.__setattr__(members, "members", rows)
+    with pytest.raises(ResourceLimitExceeded, match="composition table of 1001 members"):
+        members.composition_table()
+    assert rows.reads == 0
+    p = 101
+    rows = _CountingRows(p)
+    for check in (
+        lambda: is_associative(Loop(p, rows, 0)),
+        lambda: check_neardomain(rows, rows, 0, 1),
+        lambda: is_nearfield(Neardomain(p, rows, rows, 0, 1)),
+    ):
+        with pytest.raises(ResourceLimitExceeded, match=f"of order {p} needs {p**3}"):
+            check()
+    assert rows.reads == 0
+    # the closure checks the budget at every member it reaches past the
+    # identity and refuses at exactly the 1,001st
+    works = []
+    budget = perms.check_budget
+
+    def recording(work, what):
+        works.append(work)
+        budget(work, what)
+
+    monkeypatch.setattr(perms, "check_budget", recording)
+    with pytest.raises(ResourceLimitExceeded, match="closure reached 1001 members"):
+        perms.closure([Perm((*range(1, 7), 0)), Perm((1, 0, *range(2, 7)))])
+    assert works == [k * k for k in range(2, 1002)]
 
 
 def test_parser_built_once_leaks_no_flag(files, capsys, monkeypatch):
@@ -426,14 +473,16 @@ def test_verify_all(capsys):
     assert all("elapsed_ms" not in v for v in data["verdicts"])
 
 
-def test_verify_all_report_matches_golden_file():
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_verify_all_report_matches_golden_file(flags):
     """A cold `algcat verify-all --no-timestamp` prints the checked-in report
-    byte for byte, per-family checked= counts included."""
+    byte for byte, per-family checked= counts included; also under python
+    -O, which strips every assert, so no certificate rests on one."""
     root = Path(__file__).resolve().parents[1]
     golden = (root / "perfbench" / "golden" / "verify-all.txt").read_bytes()
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
-        [sys.executable, "-m", "algcat.cli", "verify-all", "--no-timestamp"],
+        [sys.executable, *flags, "-m", "algcat.cli", "verify-all", "--no-timestamp"],
         env=env, capture_output=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr.decode()

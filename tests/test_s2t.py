@@ -13,7 +13,7 @@ from algcat.errors import (
 )
 from algcat import perms, s2t
 from algcat.fileio import emit_structure, parse_structure
-from algcat.neardomain import d_coeff, dickson_nearfield_9, galois_field, is_nearfield
+from algcat.neardomain import d_coeff, dickson_nearfield_9, enumerate_nd_morphisms, galois_field, is_nearfield
 from algcat.perms import Morphism, Perm, PermSet, closure, compose_morphisms, perm_set, subgroup_failure
 from algcat.rps import Rps
 from algcat.s2t import (
@@ -22,6 +22,7 @@ from algcat.s2t import (
     affine_group,
     affine_maps,
     base_involution,
+    base_pair_index,
     canonical_isomorphism,
     characteristic,
     check_s2t,
@@ -308,12 +309,35 @@ def test_composition_table_rejects_non_closed_set():
         PermSet(g3.degree, g3.group.members[:-1]).composition_table()
 
 
-def test_affine_params_index_the_affine_maps(zoo):
+def test_base_pair_index_and_lift_read_the_affine_maps(zoo):
+    # the map x -> a + b*x has base images (a, a + b); a neardomain morphism
+    # phi lifts to the member map (a, b) -> (phi(a), phi(b))
+    params = {}
     for name, nd in zoo.neardomains:
         g = affine_group(nd)
-        assert len(g.affine_params) == len(g.group), name
+        at = base_pair_index(g)
+        assert len(at) == len(g.group), name
         for am in affine_maps(nd):
-            assert g.group.members[g.affine_params[(am.a, am.b)]] == am.perm, (name, am.a, am.b)
+            assert g.group.members[at[(am.a, nd.add[am.a][am.b])]] == am.perm, (name, am.a, am.b)
+        params[name] = {(am.a, am.b): am.perm for am in affine_maps(nd)}
+    lifted = 0
+    for (ns, src), (nd_name, dst) in itertools.product(zoo.neardomains, repeat=2):
+        g_s, g_d = affine_group(src), affine_group(dst)
+        for phi in enumerate_nd_morphisms(src, dst):
+            m = lift_nd_morphism(phi, src, dst)
+            for (a, b), perm in params[ns].items():
+                image = g_d.group.members[m.f[g_s.group.index(perm)]]
+                assert image == params[nd_name][(phi[a], phi[b])], (ns, nd_name, phi, a, b)
+            lifted += 1
+    assert lifted == 21
+
+
+def test_base_pair_index_and_forced_map_refuse_what_they_cannot_read():
+    s4 = S2tGroup(closure([Perm((1, 2, 3, 0)), Perm((1, 0, 2, 3))]), 4, 0, 1)
+    with pytest.raises(InvariantViolation, match="differ on the base points"):
+        base_pair_index(s4)
+    with pytest.raises(StructureError, match=r"member \[0, 1, 2\] matches no target member"):
+        s2t._forced_f((0, 0, 0), AFF[3], AFF[3])
 
 
 def test_canonical_isomorphism():
@@ -415,6 +439,56 @@ def test_direct_search_matches_production_and_reference_on_every_zoo_pair(monkey
             assert confirmed == list(found)
             total += len(found)
     assert total == 61
+
+
+def _lift_and_conjugate(src: S2tGroup, dst: S2tGroup) -> tuple[Morphism, ...]:
+    """The hom-set by the route enumerate_s2t_morphisms once took: each
+    morphism phi of the derived neardomains is lifted to their affine groups
+    by parameters, (a, b) -> (phi(a), phi(b)), and conjugated back through
+    the two rebuild isomorphisms, each interpolated here from its own
+    index."""
+    if characteristic(src) is not characteristic(dst):
+        return ()
+
+    def params(nd):
+        grp = affine_group(nd).group
+        return {(am.a, am.b): grp.index(am.perm) for am in affine_maps(nd)}
+
+    def rebuild(g):
+        at = {(p(g.omega0), p(g.omega1)): i for i, p in enumerate(g.group)}
+        return [at[(m(g.omega0), m(g.omega1))] for m in affine_group(derived_neardomain(g)).group]
+
+    nd_s, nd_d = derived_neardomain(src), derived_neardomain(dst)
+    p_s, p_d = params(nd_s), params(nd_d)
+    k_s_inv, k_d = Perm(tuple(rebuild(src))).inverse().images, rebuild(dst)
+    out = []
+    for phi in enumerate_nd_morphisms(nd_s, nd_d):
+        lifted = [0] * len(p_s)
+        for (a, b), i in p_s.items():
+            lifted[i] = p_d[(phi[a], phi[b])]
+        out.append(Morphism(tuple(k_d[lifted[k_s_inv[i]]] for i in range(len(src.group))), phi))
+    return tuple(out)
+
+
+def test_forced_homs_equal_lift_and_conjugate_on_every_zoo_pair(zoo):
+    total = 0
+    for (_, src), (_, dst) in itertools.product(zoo.groups, repeat=2):
+        found = enumerate_s2t_morphisms(src, dst)
+        assert found == _lift_and_conjugate(src, dst)
+        total += len(found)
+    assert total == 61
+
+
+def test_production_homs_read_no_rebuild(zoo, monkeypatch):
+    # f is forced by phi through the target's base-pair index, so the
+    # production hom-set never rebuilds a group or interpolates back
+    def refuse(*args, **kwargs):
+        raise AssertionError("the production hom-set reached the rebuild")
+
+    for attr in ("canonical_isomorphism", "affine_group", "lift_nd_morphism"):
+        monkeypatch.setattr(s2t, attr, refuse)
+    groups = [g for _, g in zoo.groups]
+    assert sum(len(enumerate_s2t_morphisms(a, b)) for a in groups for b in groups) == 61
 
 
 def test_direct_oracle_raises_when_the_definition_disagrees(monkeypatch):
