@@ -292,11 +292,18 @@ def oracle_agreement_witness(fast: Callable, direct: Callable, src, dst) -> str 
 
 def naturality_witness(src: S2tGroup, dst: S2tGroup, m: Morphism) -> str | None:
     """The rebuild isomorphisms commute with every morphism: going rebuilt ->
-    src -> dst must equal rebuilt -> rebuilt -> dst over the lifted point map."""
+    src -> dst must equal rebuilt -> rebuilt -> dst over the lifted point map.
+
+    Every map in the square is forced from base images, so the square itself
+    commutes whenever its lookups succeed; what carries the check is that
+    the lifted morphism is confirmed by is_s2t_morphism on the two affine
+    groups."""
     nd_s, nd_d = derived_neardomain(src), derived_neardomain(dst)
     if not is_nd_morphism(m.phi, nd_s, nd_d):
         return "point map is not a neardomain morphism"
     lifted = lift_nd_morphism(m.phi, nd_s, nd_d)
+    if not is_s2t_morphism(lifted, affine_group(nd_s), affine_group(nd_d)):
+        return f"lift of phi={m.phi} is not a morphism of the affine groups"
     left = compose_morphisms(m, canonical_isomorphism(src))
     right = compose_morphisms(canonical_isomorphism(dst), lifted)
     if left != right:

@@ -5,17 +5,15 @@ so q is applied first. Everything downstream (translation sets, affine maps,
 group checks) relies on this orientation; test_perms pins it.
 
 A PermSet derives its integer index data once per object: the member index
-(image tuple -> position) and its hash are stored at construction, and the
-member composition table (table[i][j] is the index of members[i] *
-members[j]) is built on the first read and kept. The table is exact: every
-product is composed from the image tuples and looked up in the member index,
-so a set that is not closed under composition raises NotAGroup instead of
-yielding a table. subgroup_failure certifies closure from a greedy
-generating set, in |G|*|T| compositions for a generating set T of at most
-log2|G| members, and builds the table only to name the witness of a set that
-is not closed. So certifying a group builds no table: the readers that need
-one (involutions, translations, morphism checks, the affine composition law)
-build it on the interned first copy of the group and share it from there.
+(image tuple -> position) and its hash are stored at construction.
+generating_set certifies closure from a greedy generating set, in |G|*|T|
+compositions for a generating set T of at most log2|G| members, and returns
+the indices of T; subgroup_failure wraps it in a witness string. No success
+path builds a composition table: the certified generating set is what the
+readers downstream (the homomorphism check of sharply 2-transitive groups)
+work from. composition_table (table[i][j] is the index of members[i] *
+members[j]) is built, and not kept, only to name the first missing product of
+a set that is not closed.
 
 forced_morphisms is the hom search of both permutation categories, built from
 the definition of a morphism alone.
@@ -119,7 +117,6 @@ class PermSet:
     members: tuple[Perm, ...]
     _index: dict[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
-    _table: tuple[tuple[int, ...], ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_index", {p.images: i for i, p in enumerate(self.members)})
@@ -141,26 +138,26 @@ class PermSet:
         return self._index[p.images]
 
     def composition_table(self) -> tuple[tuple[int, ...], ...]:
-        """table[i][j] is the index of members[i] * members[j], built on the
-        first call by composing image tuples and kept. Raises NotAGroup,
-        naming the factors of the first product in row-major order that is
-        not a member, and ResourceLimitExceeded, before building any row,
-        when the table would hold more than TABLE_CAP entries."""
-        if self._table is None:
-            size = len(self.members)
-            check_budget(size * size, f"composition table of {size} members")
-            get = self._index.get
-            images = [p.images for p in self.members]
-            compose = [_right_multiplier(b) for b in images]
-            rows = []
-            for a in images:
-                row = tuple([get(c(a)) for c in compose])
-                if None in row:
-                    b = images[row.index(None)]
-                    raise NotAGroup(f"product {list(a)} * {list(b)} missing")
-                rows.append(row)
-            object.__setattr__(self, "_table", tuple(rows))
-        return self._table
+        """table[i][j] is the index of members[i] * members[j], composed on
+        image tuples, built on each call and not kept: generating_set reads
+        it only to name the witness of a set that is not closed. Raises
+        NotAGroup, naming the factors of the first product in row-major
+        order that is not a member, and ResourceLimitExceeded, before
+        building any row, when the table would hold more than TABLE_CAP
+        entries."""
+        size = len(self.members)
+        check_budget(size * size, f"composition table of {size} members")
+        get = self._index.get
+        images = [p.images for p in self.members]
+        compose = [_right_multiplier(b) for b in images]
+        rows = []
+        for a in images:
+            row = tuple([get(c(a)) for c in compose])
+            if None in row:
+                b = images[row.index(None)]
+                raise NotAGroup(f"product {list(a)} * {list(b)} missing")
+            rows.append(row)
+        return tuple(rows)
 
 
 def _right_multiplier(b: tuple[int, ...]):
@@ -210,10 +207,27 @@ def intertwines(m: Morphism, src: PermSet, dst: PermSet) -> bool:
         raise ValueError("f is not a total map into the target members")
     if len(phi) != src.degree or any(not 0 <= v < dst.degree for v in phi):
         raise ValueError("phi is not a total map into the target points")
-    dst_ms = dst.members
+    # phi . p and f(p) . phi as tuples over the source points (bare items at
+    # degree 1, on both sides alike)
+    dst_ms, after_phi = dst.members, itemgetter(*phi)
     for p, i in zip(src.members, f):
-        q = dst_ms[i].images
-        if any(phi[y] != q[phi[x]] for x, y in enumerate(p.images)):
+        if itemgetter(*p.images)(phi) != after_phi(dst_ms[i].images):
+            return False
+    return True
+
+
+def is_homomorphism_on(gens: Iterable[int], f: tuple[int, ...], src: PermSet, dst: PermSet) -> bool:
+    """True iff f(p * t) == f(p) * f(t) for every member p of src and every
+    t among the member indices gens, composed on image tuples: |src| * |gens|
+    compositions on each side. A product p * t that is not a member of src
+    gives False. When gens generate src this is f being a homomorphism
+    (s2t.is_s2t_morphism has the induction); f must be a total map into dst."""
+    get = src._index.get
+    src_im = [p.images for p in src.members]
+    f_im = [dst.members[v].images for v in f]  # f(p) for each member p
+    for t in gens:
+        products = list(map(get, map(_right_multiplier(src_im[t]), src_im)))
+        if None in products or [f_im[k] for k in products] != list(map(_right_multiplier(f_im[t]), f_im)):
             return False
     return True
 
@@ -314,9 +328,20 @@ def closure(generators: Iterable[Perm]) -> PermSet:
 
 
 def subgroup_failure(members: PermSet) -> str | None:
-    """None when members form a subgroup of the symmetric group; otherwise a
-    human-readable witness of the first failure found: the identity, then
-    each member's inverse, then every ordered product in row-major order.
+    """None when members form a subgroup of the symmetric group; otherwise
+    the witness generating_set raises, as text."""
+    try:
+        generating_set(members)
+    except NotAGroup as exc:
+        return str(exc)
+    return None
+
+
+def generating_set(members: PermSet) -> tuple[int, ...]:
+    """Indices of a generating set T of the group members form, in
+    increasing order; raises NotAGroup with a human-readable witness of the
+    first failure found: the identity, then each member's inverse, then
+    every ordered product in row-major order.
 
     Closure is certified from a greedy generating set T, not from the |G|^2
     composition table. Walking the members in sorted order, each one that
@@ -340,37 +365,37 @@ def subgroup_failure(members: PermSet) -> str | None:
     A set that fails is handed to members.composition_table(), which names
     the first missing product in row-major order; a table that passes there
     contradicts the certificate and raises InvariantViolation. A set that
-    passes builds no table: it is built on the first read and kept."""
+    passes builds no table."""
     if Perm.identity(members.degree) not in members:
-        return "identity missing"
+        raise NotAGroup("identity missing")
     for p in members:
         if p.inverse() not in members:
-            return f"inverse of {list(p.images)} missing"
+            raise NotAGroup(f"inverse of {list(p.images)} missing")
     size = len(members)
     check_budget(size * size, f"composition table of {size} members")
-    if _generated_closure(members):
-        return None
-    try:
-        members.composition_table()
-    except NotAGroup as exc:
-        return str(exc)
+    gens = _generated_closure(members)
+    if gens is not None:
+        return gens
+    members.composition_table()
     raise InvariantViolation("generating-set closure certificate", f"{size} members the composition table finds closed")
 
 
-def _generated_closure(members: PermSet) -> bool:
-    """True iff the closure of a greedy generating set, grown by right
-    multiplication, stays inside members; subgroup_failure has the proof."""
+def _generated_closure(members: PermSet) -> tuple[int, ...] | None:
+    """The indices of a greedy generating set whose closure, grown by right
+    multiplication, stays inside members, or None when a product leaves it;
+    generating_set has the proof. members must hold the identity."""
     get = members._index.get
     images = [p.images for p in members.members]
     reached = [False] * len(images)
     e = get(tuple(range(members.degree)))
     reached[e] = True
     closed = [images[e]]  # H, in the order reached
-    gens = []
+    picked, gens = [], []
     for i, t in enumerate(images):
         if reached[i]:
             continue
         new = _right_multiplier(t)
+        picked.append(i)
         gens.append(new)
         # every old member of H times the new generator, then every member
         # reached since times every generator
@@ -379,8 +404,8 @@ def _generated_closure(members: PermSet) -> bool:
             for g in (new,) if k < grown else gens:
                 j = get(g(h))
                 if j is None:
-                    return False
+                    return None
                 if not reached[j]:
                     reached[j] = True
                     closed.append(images[j])
-    return True
+    return tuple(picked)

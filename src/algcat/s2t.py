@@ -9,6 +9,8 @@ of zero and one.
 
 The derived structure rests on the involutions J (never empty here):
 
+  involutions      the members that square to the identity without being
+                   it, each squared on its image tuple
   characteristic   all involutions fixed-point-free -> TWO; all with exactly
                    one fixed point -> NOT_TWO; anything else is corrupt input
   translations     char two: J plus the identity; otherwise J composed with
@@ -22,10 +24,11 @@ The derived structure rests on the involutions J (never empty here):
 point_add and point_mul are the per-cell reference definitions;
 derived_neardomain builds the same tables a row at a time and re-validates.
 Going the other way, affine_group builds the maps x -> a + b*x of a
-neardomain, a sharply 2-transitive group. One direction inverts the other on
-the nose; the composite the other way around is matched back to the
-original group by canonical_isomorphism. catcheck turns each of these
-statements into an exhaustive check.
+neardomain, a sharply 2-transitive group, and checks its closed-form
+composition law on the base images of each composite. One direction inverts
+the other on the nose; the composite the other way around is matched back
+to the original group by canonical_isomorphism. catcheck turns each of
+these statements into an exhaustive check.
 
 Hom-sets: morphisms are pairs (f, phi), f a group homomorphism and phi an
 injective base-point-preserving point map intertwining the actions; between
@@ -36,15 +39,23 @@ base points, read off the target's base_pair_index ((p(omega0), p(omega1))
 and enumerate_s2t_morphisms (phi each morphism of the derived neardomains,
 the production path) all force f so. enumerate_s2t_morphisms_direct runs
 the definitional search perms.forced_morphisms on the groups themselves, an
-independent oracle at every degree in the zoo.
+independent oracle at every degree in the zoo. is_s2t_morphism, the
+definition, checks that f is a homomorphism on the generating set check_s2t
+certified the group with, in |G|*|T| compositions.
+
+No certificate here reads a composition table: a certified group is
+closed, and two of its members agreeing on two points are equal, so a
+product is compared by its images at the base points or against a
+generator, never looked up in a |G|^2 table.
 
 Each derived value above is a function of one object, so it is computed on
-the first request and kept on that object (base_pair_index, involutions,
-characteristic, translations, derived_neardomain and canonical_isomorphism
-on the group, affine_group on the neardomain). check_s2t and
-check_neardomain intern what they validate in a table of 64 (perms.intern),
-so a structure parsed or rebuilt again reuses the derived values of its
-equal first copy, and a long-lived process keeps a bounded number of them.
+the first request and kept on that object (generators, base_pair_index,
+involutions, characteristic, translations, derived_neardomain and
+canonical_isomorphism on the group, affine_group on the neardomain).
+check_s2t and check_neardomain intern what they validate in a table of 64
+(perms.intern), so a structure parsed or rebuilt again reuses the derived
+values of its equal first copy, and a long-lived process keeps a bounded
+number of them.
 """
 
 from __future__ import annotations
@@ -69,9 +80,11 @@ from .perms import (
     Perm,
     PermSet,
     forced_morphisms,
+    generating_set,
     identity_morphism,
     intern,
     intertwines,
+    is_homomorphism_on,
     perm_set,
     subgroup_failure,
 )
@@ -134,23 +147,19 @@ def check_s2t(group: PermSet, omega0: int, omega1: int) -> S2tGroup:
     to it. So a scan of all n(n-1) source pairs fails first at (0, 1), with
     the same witness, or not at all.
 
-    The group axioms go through subgroup_failure, which certifies closure
-    from a generating set and builds no composition table. The table is
-    built on its first read (involutions, affine_group, is_s2t_morphism,
-    canonical_isomorphism) and kept on the group.
+    The group axioms go through perms.generating_set, which certifies
+    closure from a generating set and builds no composition table; the
+    group keeps that set as its generators, which is_s2t_morphism reads.
 
     Returns the interned copy of the validated group: a group equal to one
-    among the last 64 interned comes back as that one, with the table and
-    derived values it already carries, so an equal group listed again is
-    certified but never tabled again."""
+    among the last 64 interned comes back as that one, with the generators
+    and derived values it already carries."""
     n = group.degree
     if n < 2:
         raise DegenerateOmega("need at least 2 points")
     if not 0 <= omega0 < n or not 0 <= omega1 < n or omega0 == omega1:
         raise DegenerateOmega(f"base points ({omega0}, {omega1}) invalid for degree {n}")
-    witness = subgroup_failure(group)
-    if witness is not None:
-        raise NotAGroup(witness)
+    gens = generating_set(group)
     seen: dict[tuple[int, int], int] = {}
     for g in group:
         key = g.images[:2]
@@ -162,7 +171,20 @@ def check_s2t(group: PermSet, omega0: int, omega1: int) -> S2tGroup:
         count = seen.get(target, 0)
         if count != 1:
             raise NotSharplyTransitive((0, 1), target, count)
-    return intern(S2tGroup(group, n, omega0, omega1))
+    g = S2tGroup(group, n, omega0, omega1)
+    g._derived[generators.__name__] = gens
+    return intern(g)
+
+
+@_per_object
+def generators(g: S2tGroup) -> tuple[int, ...] | None:
+    """Indices of the generating set perms.generating_set certified g.group
+    with; check_s2t stores it, so it is derived here only for a group built
+    without check_s2t, and is None when that group is not a group."""
+    try:
+        return generating_set(g.group)
+    except NotAGroup:
+        return None
 
 
 @_per_object
@@ -188,11 +210,10 @@ def _forced_f(phi: Sequence[int], src: S2tGroup, dst: S2tGroup) -> tuple[int, ..
 
 @_per_object
 def involutions(g: S2tGroup) -> PermSet:
-    """All elements of order exactly two, read off the diagonal of the
-    composition table. Never empty in a valid group."""
-    table = g.group.composition_table()
-    e = g.group.index(Perm.identity(g.degree))
-    return perm_set(p for i, p in enumerate(g.group) if i != e and table[i][i] == e)
+    """All elements of order exactly two: each member squared on its image
+    tuple. Never empty in a valid group."""
+    e = tuple(range(g.degree))
+    return perm_set(p for p in g.group if p.images != e and all(x == p.images[y] for x, y in enumerate(p.images)))
 
 
 @_per_object
@@ -221,17 +242,16 @@ def translations(g: S2tGroup) -> Rps:
     """The involution-derived regular set encoding addition, based at omega0.
 
     Characteristic two: the involutions plus the identity. Otherwise: every
-    involution composed (on the right) with the base involution. check_rps
-    must pass; failure would be corrupt input or an internal bug.
+    involution composed (on the right) with the base involution, one
+    composition each. check_rps must pass; failure would be corrupt input or
+    an internal bug.
     """
     J = involutions(g)
     if characteristic(g) is Characteristic.TWO:
         members = perm_set([Perm.identity(g.degree), *J])
     else:
-        grp = g.group
-        column = grp.index(base_involution(g))
-        table = grp.composition_table()
-        members = perm_set(grp.members[table[grp.index(j)][column]] for j in J)
+        base = base_involution(g)
+        members = perm_set(j * base for j in J)
     return check_rps(members, g.degree, g.omega0)
 
 
@@ -278,9 +298,25 @@ def derived_neardomain(g: S2tGroup) -> Neardomain:
 
 
 def is_s2t_morphism(m: Morphism, src: S2tGroup, dst: S2tGroup) -> bool:
-    """True iff characteristics match, f is a group homomorphism (checked on
-    the member composition tables), and phi is an injective
-    base-point-preserving map intertwining the actions.
+    """True iff characteristics match, f is a group homomorphism, and phi is
+    an injective base-point-preserving map intertwining the actions.
+
+    f is checked to be a homomorphism on the generators T of src only, as
+    f(p * t) == f(p) * f(t) for every member p and generator t, composed on
+    image tuples: |G| * |T| compositions, no composition table. That is the
+    whole definition: T is nonempty in a group of at least two members, and
+    a finite group is the set of positive words in T (the identity too, as
+    t^k for k the order of t). So any q is t1 ... tk with k >= 1, and by
+    induction on k,
+
+        f(p * t1 ... tk) == f(p * t1 ... tk-1) * f(tk)
+                         == f(p) * f(t1 ... tk-1) * f(tk)
+                         == f(p) * f(t1 ... tk),
+
+    the first and last steps the generator check at the members
+    p * t1 ... tk-1 and t1 ... tk-1, the middle one the induction
+    hypothesis. A source built without check_s2t whose members are not a
+    group gives False.
 
     A true result is checked to have injective f (forced by phi injective
     plus sharp transitivity; a failure is an implementation bug).
@@ -294,12 +330,9 @@ def is_s2t_morphism(m: Morphism, src: S2tGroup, dst: S2tGroup) -> bool:
         return False
     if phi[src.omega0] != dst.omega0 or phi[src.omega1] != dst.omega1:
         return False
-    t_src = src.group.composition_table()
-    t_dst = dst.group.composition_table()
-    for i, row in enumerate(t_src):
-        image_row = t_dst[f[i]]
-        if any(f[k] != image_row[f[j]] for j, k in enumerate(row)):
-            return False
+    gens = generators(src)
+    if gens is None or not is_homomorphism_on(gens, f, src.group, dst.group):
+        return False
     if len(set(f)) != len(f):
         raise InvariantViolation("morphisms of sharply 2-transitive groups have injective f", f)
     return True
@@ -355,21 +388,25 @@ def affine_group(nd: Neardomain) -> S2tGroup:
         (a, b) . (k, l) == (a + b*k, d * b * l),  d the reassociation
                                                   coefficient of (a, b*k)
 
-    is checked for every pair of maps against the exact composition table.
+    is checked for every pair of maps by the images of the composite at
+    (zero, one), compared with those of the map the law names. That is
+    exact: check_s2t has certified the maps a sharply 2-transitive group, so
+    the composite is a member, and two members agreeing on two points are
+    equal.
     """
     maps = affine_maps(nd)
     if len({am.perm for am in maps}) != len(maps):
         raise InvariantViolation("distinct parameters give distinct affine maps", len(maps))
     grp = check_s2t(perm_set(am.perm for am in maps), nd.zero, nd.one)
-    params = {(am.a, am.b): grp.group.index(am.perm) for am in maps}
-    table = grp.group.composition_table()
+    zero, one = nd.zero, nd.one
+    images = [(am.a, am.b, am.perm.images) for am in maps]
+    base = {(a, b): (im[zero], im[one]) for a, b, im in images}
     add, mul = nd.add, nd.mul
     coeff = [[d_coeff(nd, a, c) for c in range(nd.order)] for a in range(nd.order)]
-    for (a, b), i in params.items():
-        row = table[i]
-        for (k, l), j in params.items():
+    for a, b, p in images:
+        for k, l, q in images:
             bk = mul[b][k]
-            if row[j] != params[(add[a][bk], mul[coeff[a][bk]][mul[b][l]])]:
+            if base.get((add[a][bk], mul[coeff[a][bk]][mul[b][l]])) != (p[q[zero]], p[q[one]]):
                 raise InvariantViolation("affine composition law", ((a, b), (k, l)))
     return grp
 
@@ -437,11 +474,8 @@ def translations_form_subgroup(g: S2tGroup) -> bool:
 
 
 def involution_products_form_subgroup(g: S2tGroup) -> bool:
-    grp = g.group
-    rows = [grp.index(p) for p in involutions(g)]
-    table = grp.composition_table()
-    products = perm_set(grp.members[table[i][j]] for i in rows for j in rows)
-    return subgroup_failure(products) is None
+    J = involutions(g)
+    return subgroup_failure(perm_set(p * q for p in J for q in J)) is None
 
 
 def relabel(g: S2tGroup, pi: Perm) -> S2tGroup:

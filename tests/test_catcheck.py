@@ -207,6 +207,16 @@ def test_naturality_witness_flags_corruption():
     assert naturality_witness(g9, g9, bad) is not None
 
 
+def test_naturality_family_confirms_each_lift(zoo, monkeypatch):
+    # the square commutes by construction; the family must still fail, naming
+    # the first pair, when the lift is not confirmed as a morphism of the
+    # affine groups of the derived neardomains
+    monkeypatch.setattr(catcheck, "is_s2t_morphism", lambda m, src, dst: False)
+    verdict = next(v for v in run_all(zoo) if v.name == "s2t-naturality")
+    assert not verdict.passed
+    assert verdict.witness == "aff(gf2)->aff(gf2): lift of phi=(0, 1) is not a morphism of the affine groups"
+
+
 def test_equivalence_and_translation_witnesses(zoo):
     for _, g in zoo.groups:
         assert nearfield_equivalence_witness(g) is None

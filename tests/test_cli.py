@@ -120,7 +120,7 @@ def test_check_refuses_oversized_composition_table(tmp_path, capsys):
     assert "error_type: ResourceLimitExceeded" in out
     assert "composition table of 5040 members" in out
     assert peak < 5_000_000, peak
-    # the largest bundled group, the affine group of GF(16), keeps its table
+    # the largest bundled group, the affine group of GF(16), is within the budget
     table = affine_group(galois_field(16)).group.composition_table()
     assert len(table) * len(table[0]) == 57_600 <= TABLE_CAP
 

@@ -216,7 +216,8 @@ def test_perm_set_hash_and_index_contract():
 def test_composition_table_of_small_sets():
     s3 = closure([Perm((1, 2, 0)), Perm((1, 0, 2))])
     table = s3.composition_table()
-    assert table is s3.composition_table()
+    # built on each call, not kept
+    assert table == s3.composition_table() and table is not s3.composition_table()
     for i, p in enumerate(s3):
         for j, q in enumerate(s3):
             assert s3.members[table[i][j]] == p * q

@@ -1,4 +1,9 @@
 import itertools
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +18,14 @@ from algcat.errors import (
 )
 from algcat import perms, s2t
 from algcat.fileio import emit_structure, parse_structure
-from algcat.neardomain import d_coeff, dickson_nearfield_9, enumerate_nd_morphisms, galois_field, is_nearfield
+from algcat.neardomain import (
+    Neardomain,
+    d_coeff,
+    dickson_nearfield_9,
+    enumerate_nd_morphisms,
+    galois_field,
+    is_nearfield,
+)
 from algcat.perms import Morphism, Perm, PermSet, closure, compose_morphisms, perm_set, subgroup_failure
 from algcat.rps import Rps
 from algcat.s2t import (
@@ -161,36 +173,83 @@ def test_one_pair_check_matches_all_pairs_reference(group):
     _assert_one_pair_matches_reference(group)
 
 
-def test_certified_group_builds_its_table_on_first_read():
-    # certifying closure builds no table; the first read builds it, later
-    # reads share it, and an equal listing comes back as the first copy
+def test_certified_group_keeps_its_generating_set():
+    # check_s2t certifies closure from a greedy generating set and keeps it
+    # on the group; an equal listing comes back as the first copy, with it
     perms.intern.cache_clear()
     members = perm_set(S3.members)
     g = check_s2t(members, 0, 1)
-    # seen for the first time, the group comes back as itself, untabled
-    assert g.group is members and members._table is None
-    table = members.composition_table()
-    assert members._table is table and members.composition_table() is table
-    # an equal listing is validated in full, builds no table of its own, and
-    # the group returned is the interned first copy, which keeps its table
+    assert g.group is members
+    gens = g._derived["generators"]
+    assert gens == s2t.generators(g) == perms.generating_set(members)
+    # at most log2|G| generators, and they generate the group
+    assert 1 <= len(gens) <= 2
+    assert closure(members.members[i] for i in gens) == members
     again = perm_set(S3.members)
     h = check_s2t(again, 0, 1)
-    assert again._table is None
-    assert h is g and h.group is members and h.group.composition_table() is table
+    assert h is g and s2t.generators(h) is gens
+    # a PermSet stores its member index and its hash, and no table
+    assert set(PermSet.__slots__) == {"degree", "members", "_index", "_hash"}
 
 
-def test_fresh_listing_is_certified_without_its_table():
+def test_fresh_listing_is_certified_without_its_table(monkeypatch):
     # a listing of AGL(1,16) that no earlier check has interned: check_s2t
-    # certifies its 240 members without a table, and the table read later
-    # agrees with Perm.__mul__ on all 57,600 pairs
+    # certifies its 240 members without a table, and the table, built only
+    # on request, agrees with Perm.__mul__ on all 57,600 pairs
     members = perm_set(affine_group(galois_field(16)).group.members)
     perms.intern.cache_clear()
-    g = check_s2t(members, 0, 1)
-    assert g.group is members and members._table is None
+
+    def refuse(self):
+        raise AssertionError("a certificate built a composition table")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(PermSet, "composition_table", refuse)
+        g = check_s2t(members, 0, 1)
+        assert is_s2t_morphism(identity_s2t_morphism(g), g, g)
+    assert g.group is members
     table = members.composition_table()
     listed = members.members
     for p, row in zip(listed, table):
         assert [listed[k] for k in row] == [p * q for q in listed]
+
+
+def test_no_success_path_builds_a_composition_table(tmp_path):
+    # a cold process with PermSet.composition_table raising builds the zoo,
+    # runs the verify-all battery and answers check, roundtrip and homset on
+    # relabeled order-9 files
+    code = f"""
+import sys
+from algcat import cli
+from algcat.catcheck import run_all
+from algcat.fileio import emit_structure
+from algcat.neardomain import dickson_nearfield_9, galois_field
+from algcat.perms import Perm, PermSet
+from algcat.s2t import affine_group, relabel
+from algcat.zoo import standard_zoo
+
+def refuse(self):
+    raise AssertionError("a success path built a composition table")
+
+PermSet.composition_table = refuse
+standard_zoo()
+failed = [v.name for v in run_all() if not v.passed]
+if failed:
+    sys.exit(f"families failed: {{failed}}")
+paths = []
+for i, nd in enumerate((galois_field(9), dickson_nearfield_9())):
+    g = relabel(affine_group(nd), Perm(tuple((4 * x + 2 + i) % 9 for x in range(9))))
+    path = {str(tmp_path)!r} + f"/g{{i}}.txt"
+    open(path, "w").write(emit_structure(g))
+    paths.append(path)
+requests = (["check", paths[0]], ["roundtrip", paths[1]], ["homset", *paths], ["homset", paths[1], paths[1]])
+for argv in requests:
+    if cli.main([*argv, "--no-timestamp"]) != 0:
+        sys.exit(f"{{argv}} failed")
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+    assert [line for line in done.stdout.splitlines() if line.startswith("count: ")] == ["count: 0", "count: 6"]
 
 
 def test_equal_structures_parsed_again_share_derived_values(monkeypatch):
@@ -211,8 +270,9 @@ def test_equal_structures_parsed_again_share_derived_values(monkeypatch):
 
 
 def test_derived_sets_match_perm_products(zoo):
-    # involutions, translations and involution products are read off the
-    # composition table; Perm.__mul__ is the independent reference
+    # involutions are squared on image tuples, translations and involution
+    # products composed directly; Perm.is_involution and Perm.__mul__ are the
+    # references
     for name, g in zoo.groups:
         assert set(involutions(g)) == {p for p in g.group if p.is_involution()}, name
         J = list(involutions(g))
@@ -292,6 +352,23 @@ def test_affine_composition_law():
                 d = d_coeff(nd, a, bk)
                 expected = (nd.add[a][bk], nd.mul[d][nd.mul[b][l]])
                 assert by_perm[m1.perm * m2.perm] == expected
+
+
+def test_affine_law_names_a_wrong_coefficient(monkeypatch):
+    # a d_coeff wrong at one (a, c) must be caught by the base-point law,
+    # naming the first pair of maps in (a, b), (k, l) order that reads it
+    real = galois_field(5)
+    nd = Neardomain(real.order, real.add, real.mul, real.zero, real.one)  # fresh, nothing derived
+    a0, c0 = 2, 3
+    wrong = d_coeff(real, a0, c0) % 4 + 1  # another nonzero element of GF(5)
+    monkeypatch.setattr(s2t, "d_coeff", lambda nd, a, c: wrong if (a, c) == (a0, c0) else d_coeff(nd, a, c))
+    maps = affine_maps(nd)
+    expected = next(
+        ((m1.a, m1.b), (m2.a, m2.b)) for m1 in maps for m2 in maps if m1.a == a0 and nd.mul[m1.b][m2.a] == c0
+    )
+    with pytest.raises(InvariantViolation) as exc:
+        affine_group(nd)
+    assert (exc.value.claim, exc.value.witness) == ("affine composition law", expected)
 
 
 def test_composition_table_matches_perm_products(zoo):
@@ -375,6 +452,71 @@ def test_frozen_hom_counts():
     assert len(enumerate_s2t_morphisms(AFFD, AFF[9])) == 0
     assert len(enumerate_s2t_morphisms(AFF[9], AFFD)) == 0
     assert len(enumerate_s2t_morphisms(AFFD, AFFD)) == 6
+
+
+def _table_reference(members: PermSet) -> list[list[int]]:
+    """The member composition table by Perm.__mul__, independent of
+    PermSet.composition_table."""
+    return [[members.index(p * q) for q in members] for p in members]
+
+
+def _homomorphism_reference(f, t_src, t_dst) -> bool:
+    """f(p * q) == f(p) * f(q) at every pair, on full tables."""
+    return all(f[k] == t_dst[f[i]][f[j]] for i, row in enumerate(t_src) for j, k in enumerate(row))
+
+
+def test_generating_set_homomorphism_check_matches_full_tables(zoo):
+    # every map S3 -> S3, then chosen maps between small zoo groups: group
+    # homomorphisms (trivial, the s2t morphisms, each followed by an inner
+    # automorphism of the target) and one-entry perturbations of them
+    g3 = check_s2t(S3, 0, 1)
+    t3 = _table_reference(S3)
+    gens = s2t.generators(g3)
+    agree = homs = 0
+    for f in itertools.product(range(6), repeat=6):
+        want = _homomorphism_reference(f, t3, t3)
+        assert perms.is_homomorphism_on(gens, f, S3, S3) == want, f
+        homs += want
+    # S3 has 10 endomorphisms: trivial, 3 onto each order-2 subgroup, 6 automorphisms
+    assert homs == 10
+    small = [g for name, g in zoo.groups if len(g.group) <= 20]
+    rng = random.Random(13)
+    for src in small:
+        t_src = _table_reference(src.group)
+        for dst in small:
+            t_dst = _table_reference(dst.group)
+            e = dst.group.index(Perm.identity(dst.degree))
+            candidates = [(e,) * len(src.group)]
+            for m in enumerate_s2t_morphisms_direct(src, dst):
+                for c in range(len(dst.group)):
+                    c_inv = t_dst[c].index(e)
+                    candidates.append(tuple(t_dst[t_dst[c][v]][c_inv] for v in m.f))
+            for f in list(candidates):
+                i = rng.randrange(len(f))
+                candidates.append(f[:i] + (rng.randrange(len(dst.group)),) + f[i + 1 :])
+            candidates += [tuple(rng.randrange(len(dst.group)) for _ in src.group) for _ in range(20)]
+            for f in candidates:
+                want = _homomorphism_reference(f, t_src, t_dst)
+                assert perms.is_homomorphism_on(s2t.generators(src), f, src.group, dst.group) == want
+                agree += 1
+                homs += want
+    assert agree > 1000 and homs > 100
+
+
+def test_homomorphism_check_on_an_unvalidated_source_is_false():
+    # AGL(1,5) minus one involution keeps the identity and every inverse, so
+    # a product leaves the set: no generating set is certified, and the
+    # check answers False rather than raising
+    g5 = AFF[5]
+    dropped = next(p for p in g5.group if p.is_involution())
+    loose = PermSet(5, tuple(p for p in g5.group if p != dropped))
+    src = S2tGroup(loose, 5, 0, 1)
+    embed = Morphism(tuple(g5.group.index(p) for p in loose), tuple(range(5)))
+    assert perms.intertwines(embed, loose, g5.group)
+    assert s2t.generators(src) is None
+    assert is_s2t_morphism(embed, src, g5) is False
+    # given every member as a generator, a product outside the set is False
+    assert perms.is_homomorphism_on(range(len(loose)), embed.f, loose, g5.group) is False
 
 
 def test_mixed_characteristic_is_empty():

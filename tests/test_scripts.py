@@ -1,7 +1,8 @@
 """Smoke tests of the census scripts: they run, exit 0 and print the known
-counts."""
+counts; and the benchmark summarizer on canned harness output."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -64,3 +65,36 @@ def test_loop_census_rejects_order_out_of_range(capsys, order):
         _load("loop_census").main(["--max-order", str(order)])
     assert exit_info.value.code == 2
     assert "--max-order must be" in capsys.readouterr().err
+
+
+def _canned_run(run_s: float, failed: int = 0) -> str:
+    """The output of one perfbench/run.py pass, as the harness prints it."""
+    result = {
+        "correct": failed == 0,
+        "attempted": 41,
+        "failed": failed,
+        "metrics": {"run_s": {"value": run_s, "unit": "s"}, "peak_rss_mb": {"value": 23.0, "unit": "MB"}},
+    }
+    meta = {"python": "3.11.7", "commit": "abc123", "source_sha256": "f" * 64, "nproc": 2, "seed": 1}
+    return "\n".join([
+        "meta: " + json.dumps(meta, sort_keys=True),
+        f"metric: run_s = {run_s} s",
+        "metric: peak_rss_mb = 23.0 MB",
+        json.dumps(result),
+    ]) + "\n"
+
+
+def test_bench_summarizes_canned_runs():
+    # the summarizer alone, on result lines as the harness prints them; the
+    # harness itself is not run
+    bench = _load("bench")
+    parsed = [bench.parse_run(_canned_run(v, failed)) for v, failed in [(0.2, 0), (0.1, 0), (0.3, 1)]]
+    assert parsed[0][0]["source_sha256"] == "f" * 64
+    summary = bench.summarize([result for _, result in parsed])
+    assert (summary["runs"], summary["attempted"], summary["failed"], summary["correct"]) == (3, 123, 1, False)
+    run_s = summary["metrics"]["run_s"]
+    assert run_s["unit"] == "s" and run_s["runs"] == 3
+    assert run_s["median"] == 0.2
+    assert (run_s["q1"], run_s["q3"]) == pytest.approx((0.15, 0.25))
+    one = bench.summarize([parsed[0][1]])["metrics"]["peak_rss_mb"]
+    assert (one["median"], one["q1"], one["q3"]) == (23.0, 23.0, 23.0)
