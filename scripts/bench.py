@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
-"""Benchmark trajectory: run the three perfbench workloads and write their
+"""Benchmark trajectory: run the workloads of BENCHMARK.json and write their
 medians and quartiles to one JSON file.
 
-Each workload runs once per seed through `perfbench/run.py --trace 0`, in a
-fresh process, workloads interleaved seed by seed. The file records, per
-workload, the median, first and third quartile of every end-to-end metric
-over the runs, with the operation counts, next to the Python version, the
-commit, whether src/ differed from it, and the sha256 of src/ that
-perfbench/run.py reports.
+Each workload that BENCHMARK.json lists runs once per seed in SEEDS through
+its command with `--trace 0` and its `run_seconds`, in a fresh process,
+workloads interleaved seed by seed. The file records, per workload, the
+median, first and third quartile of every end-to-end metric over the runs,
+with the operation counts, next to the Python version, the commit and the
+sha256 of src/ that perfbench/run.py reports. It refuses to run while src/
+differs from the commit, so the commit always names the code measured.
 
 Usage:
     python3 scripts/bench.py --out BENCH_<n>.json
-    python3 scripts/bench.py --out BENCH_<n>.json --seeds 5 --seconds 12
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-RUN = ROOT / "perfbench" / "run.py"
-WORKLOADS = ("verify-all", "query-mix", "loop-census")
+SEEDS = (1, 2, 3)
 # the provenance fields of run.py's meta line that the file keeps
 PROVENANCE = ("python", "commit", "source_sha256", "nproc")
 
@@ -64,26 +63,27 @@ def summarize(results: list[dict]) -> dict:
     }
 
 
-def _src_differs_from_commit() -> bool | None:
+def _src_differs_from_commit() -> bool:
     proc = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=ROOT, capture_output=True, text=True)
-    return bool(proc.stdout.strip()) if proc.returncode == 0 else None
+    return proc.returncode != 0 or bool(proc.stdout.strip())
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON file to write, BENCH_<n>.json by convention")
-    parser.add_argument("--seeds", type=int, default=3, help="runs per workload, seeds 1..N (default 3)")
-    parser.add_argument("--seconds", type=float, default=12, help="--seconds of each run (default 12)")
     args = parser.parse_args(argv)
-    if args.seeds < 1:
-        parser.error("--seeds must be at least 1")
+    if _src_differs_from_commit():
+        print("error: src/ differs from the commit (or git failed); commit it first", file=sys.stderr)
+        return 1
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
 
-    runs: dict[str, list[dict]] = {wl: [] for wl in WORKLOADS}
+    runs: dict[str, list[dict]] = {wl: [] for wl in workloads}
     meta = {}
-    for seed in range(1, args.seeds + 1):
-        for wl in WORKLOADS:
-            cmd = [sys.executable, str(RUN), "--workload", wl, "--seed", str(seed),
-                   "--seconds", str(args.seconds), "--trace", "0"]
+    for seed in SEEDS:
+        for wl in workloads:
+            cmd = [*spec["command"], "--workload", wl, "--seed", str(seed),
+                   "--seconds", str(spec["run_seconds"]), "--trace", "0"]
             proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
             if proc.returncode != 0:
                 print(f"error: {wl} seed {seed} exited {proc.returncode}: {proc.stderr.strip()}", file=sys.stderr)
@@ -94,9 +94,8 @@ def main(argv: list[str] | None = None) -> int:
 
     report = {
         **{key: meta.get(key) for key in PROVENANCE},
-        "src_differs_from_commit": _src_differs_from_commit(),
-        "seeds": list(range(1, args.seeds + 1)),
-        "seconds": args.seconds,
+        "seeds": list(SEEDS),
+        "seconds": spec["run_seconds"],
         "workloads": {wl: summarize(results) for wl, results in runs.items()},
     }
     Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -207,11 +207,10 @@ def intertwines(m: Morphism, src: PermSet, dst: PermSet) -> bool:
         raise ValueError("f is not a total map into the target members")
     if len(phi) != src.degree or any(not 0 <= v < dst.degree for v in phi):
         raise ValueError("phi is not a total map into the target points")
-    # phi . p and f(p) . phi as tuples over the source points (bare items at
-    # degree 1, on both sides alike)
-    dst_ms, after_phi = dst.members, itemgetter(*phi)
+    dst_ms = dst.members
     for p, i in zip(src.members, f):
-        if itemgetter(*p.images)(phi) != after_phi(dst_ms[i].images):
+        q = dst_ms[i].images
+        if any(phi[y] != q[phi[x]] for x, y in enumerate(p.images)):
             return False
     return True
 

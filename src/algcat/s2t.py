@@ -147,9 +147,9 @@ def check_s2t(group: PermSet, omega0: int, omega1: int) -> S2tGroup:
     to it. So a scan of all n(n-1) source pairs fails first at (0, 1), with
     the same witness, or not at all.
 
-    The group axioms go through perms.generating_set, which certifies
-    closure from a generating set and builds no composition table; the
-    group keeps that set as its generators, which is_s2t_morphism reads.
+    The group axioms are checked by generators(g), which certifies closure
+    from a generating set through perms.generating_set and builds no
+    composition table; the group keeps that set, which is_s2t_morphism reads.
 
     Returns the interned copy of the validated group: a group equal to one
     among the last 64 interned comes back as that one, with the generators
@@ -159,10 +159,11 @@ def check_s2t(group: PermSet, omega0: int, omega1: int) -> S2tGroup:
         raise DegenerateOmega("need at least 2 points")
     if not 0 <= omega0 < n or not 0 <= omega1 < n or omega0 == omega1:
         raise DegenerateOmega(f"base points ({omega0}, {omega1}) invalid for degree {n}")
-    gens = generating_set(group)
+    g = S2tGroup(group, n, omega0, omega1)
+    generators(g)
     seen: dict[tuple[int, int], int] = {}
-    for g in group:
-        key = g.images[:2]
+    for p in group:
+        key = p.images[:2]
         seen[key] = seen.get(key, 0) + 1
     # targets generated rather than listed: a listing of a few members on many
     # points fails at the second target, and a list of all n(n-1) pairs would
@@ -171,20 +172,16 @@ def check_s2t(group: PermSet, omega0: int, omega1: int) -> S2tGroup:
         count = seen.get(target, 0)
         if count != 1:
             raise NotSharplyTransitive((0, 1), target, count)
-    g = S2tGroup(group, n, omega0, omega1)
-    g._derived[generators.__name__] = gens
     return intern(g)
 
 
 @_per_object
-def generators(g: S2tGroup) -> tuple[int, ...] | None:
-    """Indices of the generating set perms.generating_set certified g.group
-    with; check_s2t stores it, so it is derived here only for a group built
-    without check_s2t, and is None when that group is not a group."""
-    try:
-        return generating_set(g.group)
-    except NotAGroup:
-        return None
+def generators(g: S2tGroup) -> tuple[int, ...]:
+    """Indices of a generating set of g.group, from perms.generating_set,
+    which certifies the group axioms; check_s2t calls it first, so a
+    validated group carries it. Raises NotAGroup when g.group is not a group
+    (only for an S2tGroup built without check_s2t)."""
+    return generating_set(g.group)
 
 
 @_per_object
@@ -330,8 +327,11 @@ def is_s2t_morphism(m: Morphism, src: S2tGroup, dst: S2tGroup) -> bool:
         return False
     if phi[src.omega0] != dst.omega0 or phi[src.omega1] != dst.omega1:
         return False
-    gens = generators(src)
-    if gens is None or not is_homomorphism_on(gens, f, src.group, dst.group):
+    try:
+        gens = generators(src)
+    except NotAGroup:
+        return False
+    if not is_homomorphism_on(gens, f, src.group, dst.group):
         return False
     if len(set(f)) != len(f):
         raise InvariantViolation("morphisms of sharply 2-transitive groups have injective f", f)

@@ -1,5 +1,6 @@
 """Smoke tests of the census scripts: they run, exit 0 and print the known
-counts; and the benchmark summarizer on canned harness output."""
+counts; and the benchmark summarizer on canned harness output, with its
+refusal to measure uncommitted source."""
 
 import importlib.util
 import json
@@ -98,3 +99,15 @@ def test_bench_summarizes_canned_runs():
     assert (run_s["q1"], run_s["q3"]) == pytest.approx((0.15, 0.25))
     one = bench.summarize([parsed[0][1]])["metrics"]["peak_rss_mb"]
     assert (one["median"], one["q1"], one["q3"]) == (23.0, 23.0, 23.0)
+
+
+def test_bench_refuses_to_measure_uncommitted_source(monkeypatch, tmp_path, capsys):
+    # a trajectory file names the commit it measured, so with src/ changed
+    # the script writes nothing and starts no run
+    bench = _load("bench")
+    monkeypatch.setattr(bench, "_src_differs_from_commit", lambda: True)
+    monkeypatch.setattr(bench.subprocess, "run", lambda *a, **k: pytest.fail("a run was started"))
+    out = tmp_path / "BENCH.json"
+    assert bench.main(["--out", str(out)]) == 1
+    assert not out.exists()
+    assert "src/ differs from the commit" in capsys.readouterr().err
