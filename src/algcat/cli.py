@@ -322,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
         f"order cubed exceeds {TABLE_CAP}, and a homset whose source order "
         f"squared times target order exceeds {TABLE_CAP}, are refused with exit "
         "code 2. Group closure is certified from a generating set; the "
-        "composition table is built only when a check reads it.",
+        "composition table is built only to name the first missing product "
+        "of a set that is not closed.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

@@ -25,23 +25,26 @@ point_add and point_mul are the per-cell reference definitions;
 derived_neardomain builds the same tables a row at a time and re-validates.
 Going the other way, affine_group builds the maps x -> a + b*x of a
 neardomain, a sharply 2-transitive group, and checks its closed-form
-composition law on the base images of each composite. One direction inverts
-the other on the nose; the composite the other way around is matched back
-to the original group by canonical_isomorphism. catcheck turns each of
-these statements into an exhaustive check.
+composition law on the base images of each composite. Each direction
+inverts the other on the nose: derived_neardomain(affine_group(nd)) equals
+nd, and affine_group(derived_neardomain(g)) equals g, the same members with
+zero and one at (omega0, omega1), since each affine map composes a
+translation of g with a member of g fixing omega0 (Kerby, On infinite
+sharply multiply transitive groups, 1974). catcheck turns each of these
+statements into an exhaustive check.
 
 Hom-sets: morphisms are pairs (f, phi), f a group homomorphism and phi an
 injective base-point-preserving point map intertwining the actions; between
 groups of different characteristic the hom-set is empty by definition. So
 phi fixes f: f(p) is the one target member agreeing with phi . p on the
 base points, read off the target's base_pair_index ((p(omega0), p(omega1))
--> index of p). lift_nd_morphism, canonical_isomorphism (phi the identity)
-and enumerate_s2t_morphisms (phi each morphism of the derived neardomains,
-the production path) all force f so. enumerate_s2t_morphisms_direct runs
-the definitional search perms.forced_morphisms on the groups themselves, an
-independent oracle at every degree in the zoo. is_s2t_morphism, the
-definition, checks that f is a homomorphism on the generating set check_s2t
-certified the group with, in |G|*|T| compositions.
+-> index of p). lift_nd_morphism and enumerate_s2t_morphisms (phi each
+morphism of the derived neardomains, the production path) both force f so.
+enumerate_s2t_morphisms_direct runs the definitional search
+perms.forced_morphisms on the groups themselves, an independent oracle at
+every degree in the zoo. is_s2t_morphism, the definition, checks that f is
+a homomorphism on the generating set check_s2t certified the group with, in
+|G|*|T| compositions.
 
 No certificate here reads a composition table: a certified group is
 closed, and two of its members agreeing on two points are equal, so a
@@ -50,12 +53,11 @@ generator, never looked up in a |G|^2 table.
 
 Each derived value above is a function of one object, so it is computed on
 the first request and kept on that object (generators, base_pair_index,
-involutions, characteristic, translations, derived_neardomain and
-canonical_isomorphism on the group, affine_group on the neardomain).
-check_s2t and check_neardomain intern what they validate in a table of 64
-(perms.intern), so a structure parsed or rebuilt again reuses the derived
-values of its equal first copy, and a long-lived process keeps a bounded
-number of them.
+involutions, characteristic, translations and derived_neardomain on the
+group, affine_group on the neardomain). check_s2t and check_neardomain
+intern what they validate in a table of 64 (perms.intern), so a structure
+parsed or rebuilt again reuses the derived values of its equal first copy,
+and a long-lived process keeps a bounded number of them.
 """
 
 from __future__ import annotations
@@ -419,27 +421,6 @@ def lift_nd_morphism(phi: Sequence[int], src: Neardomain, dst: Neardomain) -> Mo
     if not is_nd_morphism(phi, src, dst):
         raise ValueError("phi is not a neardomain morphism")
     return Morphism(_forced_f(phi, affine_group(src), affine_group(dst)), phi)
-
-
-@_per_object
-def canonical_isomorphism(g: S2tGroup) -> Morphism:
-    """The isomorphism from the rebuilt group (affine maps of the derived
-    neardomain) back onto g, solved by two-point interpolation: f is forced
-    by the identity point map, each rebuilt member going to the element of g
-    agreeing with it on both base points. Validity, bijectivity, and
-    invertibility are all verified before returning."""
-    rebuilt = affine_group(derived_neardomain(g))
-    identity = tuple(range(g.degree))
-    f = _forced_f(identity, rebuilt, g)
-    if sorted(f) != list(range(len(f))):
-        raise StructureError("two-point interpolation is not bijective")
-    iso = Morphism(f, identity)
-    if not is_s2t_morphism(iso, rebuilt, g):
-        raise StructureError("interpolated map is not a morphism")
-    inverse = Morphism(Perm(f).inverse().images, identity)
-    if not is_s2t_morphism(inverse, g, rebuilt):
-        raise StructureError("interpolated map is not invertible as a morphism")
-    return iso
 
 
 def enumerate_s2t_morphisms(

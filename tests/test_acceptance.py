@@ -53,7 +53,6 @@ from algcat.s2t import (
     S2tGroup,
     affine_group,
     affine_maps,
-    canonical_isomorphism,
     characteristic,
     check_s2t,
     derived_neardomain,

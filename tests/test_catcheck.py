@@ -30,13 +30,14 @@ from algcat.catcheck import (
     translation_form_witness,
 )
 from algcat.loops import Loop, check_loop, is_associative
-from algcat.neardomain import galois_field
+from algcat.neardomain import dickson_nearfield_9, galois_field
 from algcat.perms import Morphism, Perm, PermSet, perm_set
 from algcat.rps import induced_loop, loop_to_rps
 from algcat.s2t import (
     S2tGroup,
     affine_group,
     enumerate_s2t_morphisms,
+    identity_s2t_morphism,
     involution_products_form_subgroup,
     translations_form_subgroup,
 )
@@ -180,22 +181,22 @@ def test_roundtrip_witness_on_corrupted_group():
         group_roundtrip_witness(smaller)
 
 
-def test_injectivity_family_names_non_injective_pairs(monkeypatch):
+def test_injectivity_family_names_non_injective_pairs():
     g2 = affine_group(galois_field(2))
     identity, swap = g2.group.members
     # unvalidated source listing the swap twice, so that f = (0, 1, 1)
     # passes every other condition of is_s2t_morphism
     doubled = S2tGroup(PermSet(2, (identity, swap, swap)), 2, 0, 1)
-    pairs = [("doubled->aff(gf2)", (doubled, g2))]
-    monkeypatch.setattr(catcheck, "enumerate_s2t_morphisms", lambda src, dst: (Morphism((0, 1, 1), (0, 1)),))
+    hom = lambda src, dst: (Morphism((0, 1, 1), (0, 1)),)
+    pairs = [("doubled->aff(gf2)", (doubled, g2, hom))]
     verdict = catcheck._run_family("s2t-morphism-injectivity", pairs, s2t_injectivity_witness)
     assert not verdict.passed
     assert verdict.witness.startswith("doubled->aff(gf2): InvariantViolation")
     assert "have injective f fails at (0, 1, 1)" in verdict.witness
     # a non-injective phi is rejected as an invalid morphism
     g3 = affine_group(galois_field(3))
-    monkeypatch.setattr(catcheck, "enumerate_s2t_morphisms", lambda src, dst: (Morphism((0,) * 6, (0, 1, 1)),))
-    verdict = catcheck._run_family("s2t-morphism-injectivity", [("aff(gf3)", (g3, g3))], s2t_injectivity_witness)
+    hom = lambda src, dst: (Morphism((0,) * 6, (0, 1, 1)),)
+    verdict = catcheck._run_family("s2t-morphism-injectivity", [("aff(gf3)", (g3, g3, hom))], s2t_injectivity_witness)
     assert verdict.witness == "aff(gf3): enumerated pair is not a valid morphism: phi=(0, 1, 1)"
 
 
@@ -204,13 +205,25 @@ def test_naturality_witness_flags_corruption():
     good = enumerate_s2t_morphisms(g9, g9)[1]
     assert naturality_witness(g9, g9, good) is None
     bad = Morphism(f=good.f, phi=tuple(range(9)))
-    assert naturality_witness(g9, g9, bad) is not None
+    assert naturality_witness(g9, g9, bad).startswith("square does not commute: ")
+
+
+def test_naturality_names_a_rebuilt_group_that_is_not_the_original():
+    # an unvalidated group carrying a derived neardomain not its own: the
+    # members of aff(gf9) with the Dickson nearfield of order 9
+    affd = affine_group(dickson_nearfield_9())
+    t = S2tGroup(affine_group(galois_field(9)).group, 9, 0, 1)
+    t._derived["derived_neardomain"] = dickson_nearfield_9()
+    assert group_roundtrip_witness(t) == "rebuilt affine group is not the original member set"
+    assert naturality_witness(t, t, identity_s2t_morphism(t)) == "rebuilt group is not the original source"
+    # each side is checked on its own
+    assert naturality_witness(t, affd, identity_s2t_morphism(t)) == "rebuilt group is not the original source"
+    assert naturality_witness(affd, t, identity_s2t_morphism(affd)) == "rebuilt group is not the original target"
 
 
 def test_naturality_family_confirms_each_lift(zoo, monkeypatch):
-    # the square commutes by construction; the family must still fail, naming
-    # the first pair, when the lift is not confirmed as a morphism of the
-    # affine groups of the derived neardomains
+    # the lift is forced from base images; the family must still fail, naming
+    # the first pair, when is_s2t_morphism does not confirm it
     monkeypatch.setattr(catcheck, "is_s2t_morphism", lambda m, src, dst: False)
     verdict = next(v for v in run_all(zoo) if v.name == "s2t-naturality")
     assert not verdict.passed
