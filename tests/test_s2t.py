@@ -416,15 +416,27 @@ def test_base_pair_index_and_forced_map_refuse_what_they_cannot_read():
         s2t._forced_f((0, 0, 0), AFF[3], AFF[3])
 
 
-def test_rebuilt_group_is_the_group(zoo):
-    # the unit of the equivalence is the identity: the affine group of the
-    # derived neardomain has the members and the base points of the group
-    # (S2tGroup equality compares those and the degree)
+def test_canonical_isomorphism(zoo):
+    # the canonical isomorphism onto a group from the affine group of its
+    # derived neardomain is the identity: the rebuild has the members and the
+    # base points of the group (S2tGroup equality compares those and the degree)
+    for g in [g for _, g in zoo.groups] + [check_s2t(S3, 1, 2)]:
+        rebuilt = affine_group(derived_neardomain(g))
+        assert rebuilt == g
+        iso = identity_s2t_morphism(g)
+        assert is_s2t_morphism(iso, rebuilt, g)
+        assert len(set(iso.f)) == len(g.group)
+        assert len(set(iso.phi)) == g.degree
+
+
+def test_relabeled_group_roundtrip():
     rot = Perm((1, 2, 3, 4, 5, 6, 7, 8, 0))
     moved = relabel(AFF[9], rot)
     assert (moved.omega0, moved.omega1) == (rot(AFF[9].omega0), rot(AFF[9].omega1))
-    for g in [g for _, g in zoo.groups] + [moved, check_s2t(S3, 1, 2)]:
-        assert affine_group(derived_neardomain(g)) == g
+    assert derived_neardomain(moved).zero == moved.omega0
+    rebuilt = affine_group(derived_neardomain(moved))
+    assert rebuilt == moved
+    assert is_s2t_morphism(identity_s2t_morphism(moved), rebuilt, moved)
 
 
 def test_frozen_hom_counts():
