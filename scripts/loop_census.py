@@ -3,10 +3,11 @@
 
 For each order, enumerates isomorphism-class representatives with identity 0,
 then counts how many are associative (i.e. groups). Orders up to 5 finish in
-well under a second; order 6 takes about 0.25 s (Python 3.11, one Xeon core):
-each of its 9,408 normalized tables is tested against the 119 non-identity
-relabelings fixing 0, and the 109 survivors are the classes. Orders above
-the library's ENUMERATION_CAP (6) are refused.
+a few milliseconds; order 6 takes about 0.07 s of CPU (Python 3.11.7, 2 vCPU):
+tables are built row by row and a prefix is cut as soon as a relabeling fixing
+0 beats it, so only 163 of its 9,408 normalized tables are completed. The
+109 that survive are the classes, each confirmed by a full scan of its 120
+relabelings. Orders above the library's ENUMERATION_CAP (6) are refused.
 
 Usage:
     python3 scripts/loop_census.py --max-order 6

@@ -43,6 +43,7 @@ from .s2t import (
     derived_nd_morphism,
     enumerate_s2t_morphisms,
     enumerate_s2t_morphisms_direct,
+    forced_member_map,
     identity_s2t_morphism,
     image_inclusion_witness,
     involution_products_form_subgroup,
@@ -294,16 +295,18 @@ def naturality_witness(src: S2tGroup, dst: S2tGroup, m: Morphism) -> str | None:
     derived neardomain, so the square commutes iff lifting the point map of
     m through the affine groups gives back m itself.
 
-    The lift is forced from base images, so it is first confirmed by
-    is_s2t_morphism on src and dst; only then is it compared with m."""
+    The lift is forced from base images, as lift_nd_morphism forces it, but
+    without checking phi a second time; it is first confirmed by
+    is_s2t_morphism on src and dst, and only then compared with m."""
     nd_s, nd_d = derived_neardomain(src), derived_neardomain(dst)
-    if not is_nd_morphism(m.phi, nd_s, nd_d):
+    phi = tuple(m.phi)
+    if not is_nd_morphism(phi, nd_s, nd_d):
         return "point map is not a neardomain morphism"
     if affine_group(nd_s) != src:
         return "rebuilt group is not the original source"
     if affine_group(nd_d) != dst:
         return "rebuilt group is not the original target"
-    lifted = lift_nd_morphism(m.phi, nd_s, nd_d)
+    lifted = Morphism(forced_member_map(phi, affine_group(nd_s), affine_group(nd_d)), phi)
     if not is_s2t_morphism(lifted, src, dst):
         return f"lift of phi={m.phi} is not a morphism of the affine groups"
     if lifted != m:

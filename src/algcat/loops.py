@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -180,17 +181,30 @@ def _relabeled_table(table: Sequence[Sequence[int]], pi: Sequence[int], pi_inv: 
 def canonical_table(loop: Loop) -> tuple[tuple[int, ...], ...]:
     """Lexicographically least table among all relabelings fixing element 0.
 
-    Defined only for loops whose identity is 0 (the enumerated families);
-    brute force over (n-1)! relabelings is fine at desk scale.
+    Defined only for loops whose identity is 0 (the enumerated families).
+    A full scan of the (n-1)! relabelings, kept apart from the orderly search
+    of enumerate_loops so that it can confirm it. Each relabeled row is one
+    gather of the source row through pi^-1 and one map through pi; it is
+    compared with the best table so far row by row, and a whole candidate is
+    built only when it wins. Row 0 is the identity row in every relabeling,
+    so the comparison starts at row 1.
     """
     if loop.identity != 0:
         raise StructureError(f"canonical_table needs identity 0, got identity {loop.identity}")
     n = loop.order
-    best = loop.table
-    for pi, pi_inv in _relabelings_fixing_zero(n):
-        cand = _relabeled_table(loop.table, pi, pi_inv, n)
-        if cand < best:
-            best = cand
+    table = best = loop.table
+    for rest in itertools.permutations(range(1, n)):
+        pi = (0, *rest)
+        pi_inv = [0] * n
+        for i, v in enumerate(pi):
+            pi_inv[v] = i
+        gather, relabel = itemgetter(*pi_inv), pi.__getitem__
+        for r in range(1, n):
+            row = tuple(map(relabel, gather(table[pi_inv[r]])))
+            if row != best[r]:
+                if row < best[r]:
+                    best = tuple(tuple(map(relabel, gather(table[s]))) for s in pi_inv)
+                break
     return best
 
 
@@ -204,56 +218,87 @@ def _relabelings_fixing_zero(n: int) -> Iterator[tuple[tuple[int, ...], tuple[in
         yield pi, tuple(pi_inv)
 
 
-def _relabeling_beats(table: Table, pi: Sequence[int], pi_inv: Sequence[int], n: int) -> bool:
-    """Whether relabeling the normalized table by pi (pi(0) == 0) makes it
-    lexicographically smaller, decided at the first cell that differs.
+def _advance(rows: Sequence[tuple[int, ...]], k: int, live: Iterable[tuple]) -> list[tuple] | None:
+    """The relabelings of live that still tie with the table once rows
+    0..k are placed, or None when one of them beats it.
 
-    Row 0 and column 0 are skipped: both tables have the identity there. So
-    is the last row: in a Latin table the rows above it force it, so it
-    cannot be the first row to differ.
+    Each entry is (pi.__getitem__, pi_inv, gather, j), gather being
+    itemgetter(*pi_inv): the relabeled table is tied with the table on rows
+    0..j-1. Its row j is pi applied to row pi_inv[j] gathered through pi_inv,
+    so it is known once j <= k and pi_inv[j] <= k. While it is known it is
+    compared with row j: smaller means the relabeling beats the table,
+    larger drops the entry, equal moves j on.
     """
-    for r in range(1, n - 1):
-        src = table[pi_inv[r]]
-        own = table[r]
-        for c in range(1, n):
-            v = pi[src[pi_inv[c]]]
-            if v != own[c]:
-                return v < own[c]
-    return False
+    kept = []
+    for relabel, pi_inv, gather, j in live:
+        while j <= k and pi_inv[j] <= k:
+            img = tuple(map(relabel, gather(rows[pi_inv[j]])))
+            if img != rows[j]:
+                break
+            j += 1
+        else:
+            kept.append((relabel, pi_inv, gather, j))
+            continue
+        if img < rows[j]:
+            return None
+    return kept
 
 
-def _normalized_tables(n: int) -> Iterable[tuple[tuple[int, ...], ...]]:
-    # all loop tables with identity 0: row 0 and column 0 fixed, backtrack the rest
+def _orderly_tables(n: int) -> list[Table]:
+    """Every normalized table of order n that no relabeling fixing 0 makes
+    lexicographically smaller, in lexicographic order.
+
+    Backtracking row by row. Row r (0 < r < n-1) is a permutation with
+    row[0] == r, taken in lexicographic order; it fits when its (column,
+    value) bitmask misses the OR of the rows above. Rows 0..n-2 of a Latin
+    table leave one value free in each column, and each value is free in
+    exactly one column, so row n-1 is forced and is itself a permutation.
+    After each row every non-identity relabeling still tied with the table is
+    moved on by _advance. A prefix is cut only when some relabeling's first
+    differing row is smaller than the table's, and both rows are read from
+    rows already placed; every completion of the prefix then has the same
+    first differing row, so each is beaten by that relabeling and none is
+    canonical. With the last row placed every relabeling is decided, so the
+    tables returned are exactly the canonical ones.
+    """
+    identity = tuple(range(n))
     if n == 1:
-        yield ((0,),)
-        return
-    table = [[0] * n for _ in range(n)]
-    for i in range(n):
-        table[0][i] = i
-        table[i][0] = i
-    full = (1 << n) - 1
-    row_used = [full] + [1 << r for r in range(1, n)]
-    col_used = [full] + [1 << c for c in range(1, n)]
-    cells = [(r, c) for r in range(1, n) for c in range(1, n)]
+        return [(identity,)]
 
-    def rec(k: int):
-        if k == len(cells):
-            yield tuple(tuple(row) for row in table)
+    def mask(row: tuple[int, ...]) -> int:
+        return sum(1 << (c * n + v) for c, v in enumerate(row))
+
+    top = mask(identity)
+    candidates: dict[int, list[tuple[tuple[int, ...], int]]] = {r: [] for r in range(1, n - 1)}
+    for row in itertools.permutations(identity):
+        if row[0] in candidates and not (m := mask(row)) & top:
+            candidates[row[0]].append((row, m))
+    column_total = n * (n - 1) // 2
+    rows = [identity]
+    found: list[Table] = []
+
+    def rec(k: int, used: int, live: list[tuple]) -> None:
+        if k == n - 1:
+            rows.append(tuple(column_total - s for s in map(sum, zip(*rows))))
+            if _advance(rows, k, live) is not None:
+                found.append(tuple(rows))
+            rows.pop()
             return
-        r, c = cells[k]
-        avail = ~(row_used[r] | col_used[c]) & full
-        while avail:
-            bit = avail & -avail
-            avail ^= bit
-            v = bit.bit_length() - 1
-            table[r][c] = v
-            row_used[r] |= bit
-            col_used[c] |= bit
-            yield from rec(k + 1)
-            row_used[r] ^= bit
-            col_used[c] ^= bit
+        for row, m in candidates[k]:
+            if m & used:
+                continue
+            rows.append(row)
+            kept = _advance(rows, k, live)
+            if kept is not None:
+                rec(k + 1, used | m, kept)
+            rows.pop()
 
-    yield from rec(0)
+    relabelings = [
+        (pi.__getitem__, pi_inv, itemgetter(*pi_inv), 1)
+        for pi, pi_inv in _relabelings_fixing_zero(n)
+    ]
+    rec(1, top, relabelings[1:])
+    return found
 
 
 def enumerate_loops(n: int) -> tuple[Loop, ...]:
@@ -262,22 +307,18 @@ def enumerate_loops(n: int) -> tuple[Loop, ...]:
 
     Isomorphisms between loops with identity 0 fix 0, so a class's
     representative is its table that no relabeling fixing 0 makes
-    lexicographically smaller. Each normalized table is kept exactly when no
-    such relabeling beats it, tested cell by cell with an exit at the first
-    difference, so no table but the kept ones is stored. Every kept table is
-    confirmed against the brute-force canonical_table. Orders above
-    ENUMERATION_CAP raise ResourceLimitExceeded.
+    lexicographically smaller. _orderly_tables builds those tables row by
+    row and cuts every prefix that a relabeling already beats, so most
+    non-canonical tables are never built. Every kept table is confirmed
+    against the full scan of canonical_table, which shares no code with the
+    pruning. Orders above ENUMERATION_CAP raise ResourceLimitExceeded.
     """
     if n < 1:
         raise StructureError("loop order must be at least 1")
     if n > ENUMERATION_CAP:
         raise ResourceLimitExceeded(f"loop enumeration capped at order {ENUMERATION_CAP}")
-    relabelings = list(_relabelings_fixing_zero(n))[1:]
-    reps = []
-    for t in _normalized_tables(n):
-        if any(_relabeling_beats(t, pi, pi_inv, n) for pi, pi_inv in relabelings):
-            continue
+    reps = _orderly_tables(n)
+    for t in reps:
         if canonical_table(Loop(n, t, 0)) != t:
             raise InvariantViolation("a table no relabeling beats is its own canonical table", t)
-        reps.append(t)
-    return tuple(check_loop(t, 0) for t in sorted(reps))
+    return tuple(check_loop(t, 0) for t in reps)

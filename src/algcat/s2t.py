@@ -196,7 +196,7 @@ def base_pair_index(g: S2tGroup) -> dict[tuple[int, int], int]:
     return at
 
 
-def _forced_f(phi: Sequence[int], src: S2tGroup, dst: S2tGroup) -> tuple[int, ...]:
+def forced_member_map(phi: Sequence[int], src: S2tGroup, dst: S2tGroup) -> tuple[int, ...]:
     """The member map phi forces: f(p) is the dst member agreeing with phi . p
     on the base points, read off base_pair_index(dst); else StructureError."""
     at, s0, s1 = base_pair_index(dst), src.omega0, src.omega1
@@ -420,7 +420,7 @@ def lift_nd_morphism(phi: Sequence[int], src: Neardomain, dst: Neardomain) -> Mo
     phi = tuple(phi)
     if not is_nd_morphism(phi, src, dst):
         raise ValueError("phi is not a neardomain morphism")
-    return Morphism(_forced_f(phi, affine_group(src), affine_group(dst)), phi)
+    return Morphism(forced_member_map(phi, affine_group(src), affine_group(dst)), phi)
 
 
 def enumerate_s2t_morphisms(
@@ -433,7 +433,7 @@ def enumerate_s2t_morphisms(
     if characteristic(src) is not characteristic(dst):
         return ()
     homs = (nd_hom or enumerate_nd_morphisms)(derived_neardomain(src), derived_neardomain(dst))
-    return tuple(Morphism(_forced_f(phi, src, dst), phi) for phi in homs)
+    return tuple(Morphism(forced_member_map(phi, src, dst), phi) for phi in homs)
 
 
 def enumerate_s2t_morphisms_direct(src: S2tGroup, dst: S2tGroup) -> tuple[Morphism, ...]:

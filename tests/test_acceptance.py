@@ -7,8 +7,6 @@ bypassing the validating constructors.
 import itertools
 import random
 
-import pytest
-
 from algcat.catcheck import (
     RPS_TO_LOOP,
     S2T_TO_NDOM,
@@ -18,7 +16,6 @@ from algcat.catcheck import (
     check_functor_laws,
     full_faithful_witness,
     group_roundtrip_witness,
-    loop_roundtrip_witness,
     naturality_witness,
     nearfield_equivalence_witness,
     neardomain_roundtrip_witness,
@@ -27,7 +24,6 @@ from algcat.catcheck import (
 from algcat.errors import (
     AxiomViolation,
     LatinSquareViolation,
-    NotSharplyTransitive,
     StructureError,
 )
 from algcat.loops import check_loop, enumerate_loop_morphisms

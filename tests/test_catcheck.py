@@ -29,9 +29,9 @@ from algcat.catcheck import (
     s2t_injectivity_witness,
     translation_form_witness,
 )
-from algcat.loops import Loop, check_loop, is_associative
+from algcat.loops import check_loop, is_associative
 from algcat.neardomain import dickson_nearfield_9, galois_field
-from algcat.perms import Morphism, Perm, PermSet, perm_set
+from algcat.perms import Morphism, PermSet, perm_set
 from algcat.rps import induced_loop, loop_to_rps
 from algcat.s2t import (
     S2tGroup,
@@ -206,6 +206,9 @@ def test_naturality_witness_flags_corruption():
     assert naturality_witness(g9, g9, good) is None
     bad = Morphism(f=good.f, phi=tuple(range(9)))
     assert naturality_witness(g9, g9, bad).startswith("square does not commute: ")
+    # a point map that is not a total map into the target raises before any witness
+    with pytest.raises(ValueError, match="not a total map"):
+        naturality_witness(g9, g9, Morphism(f=good.f, phi=(0, 1)))
 
 
 def test_naturality_names_a_rebuilt_group_that_is_not_the_original():
@@ -228,6 +231,28 @@ def test_naturality_family_confirms_each_lift(zoo, monkeypatch):
     verdict = next(v for v in run_all(zoo) if v.name == "s2t-naturality")
     assert not verdict.passed
     assert verdict.witness == "aff(gf2)->aff(gf2): lift of phi=(0, 1) is not a morphism of the affine groups"
+
+
+def test_naturality_checks_each_point_map_once(zoo, monkeypatch):
+    # one full-table neardomain check per square: the lift is forced without
+    # checking phi again
+    calls = []
+
+    def counted(phi, src, dst):
+        calls.append(tuple(phi))
+        return neardomain.is_nd_morphism(phi, src, dst)
+
+    monkeypatch.setattr(catcheck, "is_nd_morphism", counted)
+    monkeypatch.setattr(s2t, "is_nd_morphism", counted)
+    squares = 0
+    for _, src in zoo.groups:
+        for _, dst in zoo.groups:
+            for m in enumerate_s2t_morphisms(src, dst):
+                calls.clear()
+                assert naturality_witness(src, dst, m) is None
+                assert calls == [m.phi]
+                squares += 1
+    assert squares == 61
 
 
 def test_equivalence_and_translation_witnesses(zoo):

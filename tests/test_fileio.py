@@ -18,7 +18,6 @@ from algcat.errors import (
 from algcat.fileio import KINDS, emit_structure, kind_of, parse_structure
 from algcat.loops import Loop, check_loop
 from algcat.neardomain import galois_field
-from algcat.perms import Perm
 from algcat.zoo import standard_zoo
 
 

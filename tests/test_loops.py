@@ -1,4 +1,9 @@
 import hashlib
+import os
+import subprocess
+import sys
+from operator import itemgetter
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -12,9 +17,8 @@ from algcat.errors import (
 )
 from algcat.loops import (
     Loop,
-    _normalized_tables,
+    _advance,
     _relabeled_table,
-    _relabeling_beats,
     _relabelings_fixing_zero,
     canonical_table,
     check_loop,
@@ -149,6 +153,31 @@ def test_enumerate_loops_canonical_and_distinct():
             assert loops_isomorphic(a, b) is None
 
 
+def _normalized_tables(n):
+    # every loop table with identity 0, built cell by cell: the brute-force
+    # reference for the orderly search
+    cells = [(r, c) for r in range(1, n) for c in range(1, n)]
+    table = [list(range(n))] + [[r] + [0] * (n - 1) for r in range(1, n)]
+
+    def rec(k):
+        if k == len(cells):
+            yield tuple(tuple(row) for row in table)
+            return
+        r, c = cells[k]
+        taken = set(table[r][:c]) | {table[s][c] for s in range(r)}
+        for v in range(n):
+            if v not in taken:
+                table[r][c] = v
+                yield from rec(k + 1)
+
+    yield from rec(0)
+
+
+def test_normalized_tables_are_the_reduced_latin_squares():
+    # reduced Latin squares of orders 1-6 (OEIS A000315)
+    assert [sum(1 for _ in _normalized_tables(n)) for n in range(1, 7)] == [1, 1, 1, 4, 56, 9408]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_enumerate_loops_matches_brute_force(n):
     brute = sorted({canonical_table(Loop(n, t, 0)) for t in _normalized_tables(n)})
@@ -157,10 +186,42 @@ def test_enumerate_loops_matches_brute_force(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_relabeling_beats_matches_full_comparison(n):
-    # the early exit skips the last row; the whole relabeled table decides
+    # _advance, given one relabeling and only the rows placed so far, ends
+    # where the whole relabeled table decides: beaten (None), dropped ([])
+    # or tied through every row; while undecided it has moved as far as the
+    # placed rows allow
     for t in _normalized_tables(n):
         for pi, pi_inv in _relabelings_fixing_zero(n):
-            assert _relabeling_beats(t, pi, pi_inv, n) == (_relabeled_table(t, pi, pi_inv, n) < t), (t, pi)
+            full = _relabeled_table(t, pi, pi_inv, n)
+            live = [(pi.__getitem__, pi_inv, itemgetter(*pi_inv), 1)]
+            for k in range(1, n):
+                live = _advance(t[: k + 1], k, live)
+                if not live:
+                    break
+                ((*_, j),) = live
+                assert full[:j] == t[:j], (t, pi, k)
+                assert j > k or pi_inv[j] > k, (t, pi, k)
+            if live is None:
+                assert full < t, (t, pi)
+            elif live == []:
+                assert full > t, (t, pi)
+            else:
+                assert full == t and live[0][3] == n, (t, pi)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_canonical_table_matches_plain_minimum(n):
+    # every representative; for orders up to 5 every normalized table, and
+    # for order 6 each representative relabeled by x -> -x mod 6 (an involution)
+    tables = [l.table for l in enumerate_loops(n)]
+    if n <= 5:
+        tables += _normalized_tables(n)
+    else:
+        neg = tuple(-x % n for x in range(n))
+        tables += [_relabeled_table(t, neg, neg, n) for t in tables]
+    for t in tables:
+        plain = min(_relabeled_table(t, pi, pi_inv, n) for pi, pi_inv in _relabelings_fixing_zero(n))
+        assert canonical_table(Loop(n, t, 0)) == plain, t
 
 
 def test_enumerate_loops_order_six():
@@ -169,6 +230,26 @@ def test_enumerate_loops_order_six():
     assert {n: sum(is_associative(l) for l in reps) for n, reps in census.items()} == GROUP_CLASSES
     digest = hashlib.sha256(repr([l.table for l in census[6]]).encode()).hexdigest()
     assert digest == ORDER6_TABLES_SHA256
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_census_raises_when_the_full_scan_disagrees(flags):
+    # every kept table is confirmed by canonical_table with no assert, so the
+    # check holds under python -O as well
+    code = """
+import algcat.loops as loops
+from algcat.errors import InvariantViolation
+loops.canonical_table = lambda loop: ()
+try:
+    loops.enumerate_loops(4)
+except InvariantViolation as exc:
+    raise SystemExit(0 if len(exc.witness) == 4 else "wrong witness")
+raise SystemExit("no InvariantViolation")
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_canonical_table_rejects_nonzero_identity():

@@ -9,7 +9,6 @@ from algcat.errors import InvariantViolation, MissingIdentity, RegularityViolati
 from algcat.loops import check_loop, enumerate_loop_morphisms, loops_isomorphic
 from algcat.perms import Morphism, Perm, closure, compose_morphisms, perm_set
 from algcat.rps import (
-    Rps,
     based_point_maps,
     characterize_morphism,
     check_rps,

@@ -413,7 +413,7 @@ def test_base_pair_index_and_forced_map_refuse_what_they_cannot_read():
     with pytest.raises(InvariantViolation, match="differ on the base points"):
         base_pair_index(s4)
     with pytest.raises(StructureError, match=r"member \[0, 1, 2\] matches no target member"):
-        s2t._forced_f((0, 0, 0), AFF[3], AFF[3])
+        s2t.forced_member_map((0, 0, 0), AFF[3], AFF[3])
 
 
 def test_canonical_isomorphism(zoo):
