@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Sequence
 
 from .errors import StructureError
@@ -393,13 +394,18 @@ def run_all(zoo: Zoo | None = None) -> list[Verdict]:
     if zoo is None:
         zoo = standard_zoo()
     verdicts: list[Verdict] = []
-    # the rps oracle, s2t and neardomain hom-sets of each ordered pair,
+    # the rps oracle, loop, s2t and neardomain hom-sets of each ordered pair,
     # enumerated once in this run and shared by the families that read them
     rps_hom_direct = _memoized(enumerate_rps_morphisms_direct)
+    loop_homs = _memoized(enumerate_loop_morphisms)
     nd_homs = _memoized(enumerate_nd_morphisms)
     s2t_homs = _memoized(lambda src, dst: enumerate_s2t_morphisms(src, dst, nd_homs))
     ndom_cat = replace(NDOM_CAT, hom=nd_homs)
-    rps_to_loop = replace(RPS_TO_LOOP, source=replace(RPS_CAT, hom=rps_hom_direct))
+    rps_to_loop = replace(
+        RPS_TO_LOOP,
+        source=replace(RPS_CAT, hom=rps_hom_direct),
+        target=replace(LOOP_CAT, hom=loop_homs),
+    )
     s2t_to_ndom = replace(S2T_TO_NDOM, source=replace(S2T_CAT, hom=s2t_homs), target=ndom_cat)
     ndom_to_s2t = replace(NDOM_TO_S2T, source=ndom_cat)
 
@@ -425,7 +431,7 @@ def run_all(zoo: Zoo | None = None) -> list[Verdict]:
     verdicts.append(_run_family(
         "rps-hom-oracle-agreement",
         [
-            (f"{na}->{nb}", (enumerate_rps_morphisms, rps_hom_direct, a, b))
+            (f"{na}->{nb}", (partial(enumerate_rps_morphisms, loop_hom=loop_homs), rps_hom_direct, a, b))
             for na, a in rps_objects
             for nb, b in rps_objects
         ],

@@ -117,31 +117,53 @@ def table_homomorphisms(
     (op, op') of src_ops and dst_ops, in lexicographic order of image tuples.
     pinned fixes the image of the points it lists.
 
-    Backtracking over images in element order. Each product a op b == c is
-    checked once, at the step that assigns the largest of a, b and c. An
-    order n into order m with n * n * m over the budget is refused before the
-    check lists are built.
+    The pinned points seed a worklist. Popping a point y checks, for each
+    paired operation, the products x op y and y op x for y and every point x
+    popped before it: a product c with no image yet gets f(x) op' f(y) (or
+    f(y) op' f(x)) and is pushed, and a clash prunes. At the fixpoint the
+    search branches on the lowest point with no image, over the target
+    points in increasing order, so the maps come out in lexicographic order;
+    a complete map has had all n * n products of each operation checked.
+    The same design as perms.forced_morphisms. An order n into order m with
+    n * n * m over the budget is refused before any row is read.
     """
     n, m = len(src_ops[0]), len(dst_ops[0])
     check_budget(n * n * m, f"hom search of order {n} into order {m}")
-    checks: list[list[tuple[Table, int, int, int]]] = [[] for _ in range(n)]
-    for op, dst_op in zip(src_ops, dst_ops):
-        for a in range(n):
-            for b in range(n):
-                c = op[a][b]
-                checks[max(a, b, c)].append((dst_op, a, b, c))
-    img = [0] * n
+    ops = list(zip(src_ops, dst_ops))
 
-    def rec(k: int) -> Iterator[tuple[int, ...]]:
-        if k == n:
+    def search(img: list[int], done: list[int], todo: list[int]) -> Iterator[tuple[int, ...]]:
+        while todo:
+            y = todo.pop()
+            done.append(y)
+            fy = img[y]
+            for rows, dst_rows in ops:
+                row, dst_row = rows[y], dst_rows[fy]
+                for x in done:
+                    fx = img[x]
+                    c, w = rows[x][y], dst_rows[fx][fy]  # x op y
+                    if img[c] < 0:
+                        img[c] = w
+                        todo.append(c)
+                    elif img[c] != w:
+                        return
+                    c, w = row[x], dst_row[fx]  # y op x
+                    if img[c] < 0:
+                        img[c] = w
+                        todo.append(c)
+                    elif img[c] != w:
+                        return
+        if -1 not in img:
             yield tuple(img)
             return
-        for v in (pinned[k],) if k in pinned else range(m):
-            img[k] = v
-            if all(t[img[a]][img[b]] == img[c] for t, a, b, c in checks[k]):
-                yield from rec(k + 1)
+        x = img.index(-1)
+        for v in range(m):
+            img[x] = v
+            yield from search(img.copy(), done.copy(), [x])
 
-    return rec(0)
+    img = [-1] * n
+    for x, v in pinned.items():
+        img[x] = v
+    return search(img, [], list(pinned))
 
 
 def enumerate_loop_morphisms(src: Loop, dst: Loop) -> tuple[tuple[int, ...], ...]:

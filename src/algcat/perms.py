@@ -199,18 +199,20 @@ def compose_morphisms(outer: Morphism, inner: Morphism) -> Morphism:
 
 
 def intertwines(m: Morphism, src: PermSet, dst: PermSet) -> bool:
-    """True iff phi(p(x)) == f(p)(phi(x)) for every source member p and
-    point x. Raises ValueError unless f and phi are total maps into dst."""
+    """True iff phi . p == f(p) . phi for every source member p, the two
+    composites compared as whole image tuples, each built by one itemgetter
+    (phi . p gathers phi through p, f(p) . phi gathers f(p) through phi).
+    Stops at the first member that fails. Raises ValueError unless f and phi
+    are total maps into dst."""
     f, phi = m.f, m.phi
-    size = len(dst)
-    if len(f) != len(src) or any(not 0 <= v < size for v in f):
+    if len(f) != len(src) or min(f) < 0 or max(f) >= len(dst):
         raise ValueError("f is not a total map into the target members")
-    if len(phi) != src.degree or any(not 0 <= v < dst.degree for v in phi):
+    if len(phi) != src.degree or min(phi) < 0 or max(phi) >= dst.degree:
         raise ValueError("phi is not a total map into the target points")
+    after_phi = _right_multiplier(phi)
     dst_ms = dst.members
     for p, i in zip(src.members, f):
-        q = dst_ms[i].images
-        if any(phi[y] != q[phi[x]] for x, y in enumerate(p.images)):
+        if _right_multiplier(p.images)(phi) != after_phi(dst_ms[i].images):
             return False
     return True
 

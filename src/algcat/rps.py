@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import InvariantViolation, MissingIdentity, RegularityViolation, StructureError
 from .loops import Loop, check_loop, enumerate_loop_morphisms, is_loop_morphism, left_translation
@@ -178,12 +178,11 @@ def lift_loop_morphism(phi: Sequence[int], src: Rps, dst: Rps) -> Morphism:
     return Morphism(tuple(dst.member_at[phi[x]] for x in src.base_images), phi)
 
 
-def enumerate_rps_morphisms(src: Rps, dst: Rps) -> tuple[Morphism, ...]:
-    """Hom-set via lifting every induced-loop morphism (the production path)."""
-    return tuple(
-        lift_loop_morphism(phi, src, dst)
-        for phi in enumerate_loop_morphisms(induced_loop(src), induced_loop(dst))
-    )
+def enumerate_rps_morphisms(src: Rps, dst: Rps, loop_hom: Callable | None = None) -> tuple[Morphism, ...]:
+    """Hom-set via lifting every induced-loop morphism that loop_hom (by
+    default enumerate_loop_morphisms) lists (the production path)."""
+    homs = (loop_hom or enumerate_loop_morphisms)(induced_loop(src), induced_loop(dst))
+    return tuple(lift_loop_morphism(phi, src, dst) for phi in homs)
 
 
 def based_point_maps(src: Rps, dst: Rps) -> Iterator[tuple[int, ...]]:

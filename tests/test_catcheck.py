@@ -79,6 +79,22 @@ def test_run_all_green(zoo):
     assert {v.name: v.checked for v in verdicts} == expected
 
 
+def test_run_all_searches_each_loop_pair_once(zoo, monkeypatch):
+    # rps-full-faithful's target category and rps-hom-oracle-agreement's
+    # production path read one memo of the induced-loop hom-sets, so the
+    # table search runs once per ordered pair of loops
+    calls = Counter()
+    search = loops.table_homomorphisms
+
+    def counted(src_ops, dst_ops, pinned):
+        calls[src_ops, dst_ops] += 1
+        return search(src_ops, dst_ops, pinned)
+
+    monkeypatch.setattr(loops, "table_homomorphisms", counted)
+    assert all(v.passed for v in run_all(zoo))
+    assert len(calls) == len(zoo.rps_objects) ** 2 and set(calls.values()) == {1}
+
+
 def test_module_level_caches_are_pinned():
     # a module-global cache keyed on whole structures keeps them alive for
     # the life of the process; adding one must show up as an edit here

@@ -1,5 +1,6 @@
-"""The single table-homomorphism search against brute force, and the
-invariant checks that must survive python -O."""
+"""The single table-homomorphism search against brute force and against the
+element-order search it replaced, and the invariant checks that must survive
+python -O."""
 
 import ast
 import itertools
@@ -17,8 +18,15 @@ from algcat.loops import (
     is_loop_morphism,
     loops_isomorphic,
     relabel,
+    table_homomorphisms,
 )
-from algcat.neardomain import enumerate_nd_morphisms, galois_field, is_nd_morphism
+from algcat.neardomain import (
+    SUPPORTED_FIELD_ORDERS,
+    dickson_nearfield_9,
+    enumerate_nd_morphisms,
+    galois_field,
+    is_nd_morphism,
+)
 from algcat.perms import Morphism
 from algcat.s2t import affine_group, derived_nd_morphism, enumerate_s2t_morphisms
 
@@ -41,6 +49,67 @@ def test_loop_search_matches_brute_force():
             assert list(enumerate_loop_morphisms(src, dst)) == want, (src, dst)
             bijective = [f for f in want if src.order == dst.order and len(set(f)) == src.order]
             assert loops_isomorphic(src, dst) == (bijective[0] if bijective else None), (src, dst)
+
+
+def _element_order_search(src_ops, dst_ops, pinned):
+    """The table hom search before propagation, kept as a reference: every
+    point tries every image in element order, and each product a op b == c
+    is checked at the step that assigns the largest of a, b and c."""
+    n, m = len(src_ops[0]), len(dst_ops[0])
+    checks = [[] for _ in range(n)]
+    for op, dst_op in zip(src_ops, dst_ops):
+        for a in range(n):
+            for b in range(n):
+                c = op[a][b]
+                checks[max(a, b, c)].append((dst_op, a, b, c))
+    img = [0] * n
+
+    def rec(k):
+        if k == n:
+            yield tuple(img)
+            return
+        for v in (pinned[k],) if k in pinned else range(m):
+            img[k] = v
+            if all(t[img[a]][img[b]] == img[c] for t, a, b, c in checks[k]):
+                yield from rec(k + 1)
+
+    return rec(0)
+
+
+def _same_search(src_ops, dst_ops, pinned):
+    got = list(table_homomorphisms(src_ops, dst_ops, pinned))
+    return got == list(_element_order_search(src_ops, dst_ops, pinned))
+
+
+def test_loop_search_matches_element_order_reference():
+    # every class of order <= 5 and its copy with identity 1, and every 9th
+    # class of order 6: the same maps in the same order as the reference
+    loops = [loop for n in range(1, 6) for loop in enumerate_loops(n)]
+    loops += [relabel(loop, (1, 0, *range(2, loop.order))) for loop in loops if loop.order > 1]
+    loops += enumerate_loops(6)[::9]
+    for src in loops:
+        for dst in loops:
+            pinned = {src.identity: dst.identity}
+            assert _same_search((src.table,), (dst.table,), pinned), (src, dst)
+
+
+def test_nd_search_matches_element_order_reference():
+    fields = [galois_field(q) for q in SUPPORTED_FIELD_ORDERS] + [dickson_nearfield_9()]
+    for src in fields:
+        for dst in fields:
+            pinned = {src.zero: dst.zero, src.one: dst.one}
+            assert _same_search((src.add, src.mul), (dst.add, dst.mul), pinned), (src.order, dst.order)
+
+
+def test_magma_search_matches_element_order_reference():
+    # every operation table on 2 points, into every other, with and without
+    # a pinned point: loops and fields are commutative often enough that
+    # checking only one of x op y and y op x goes unseen on them
+    magmas = [((a, b), (c, d)) for a, b, c, d in itertools.product(range(2), repeat=4)]
+    for src in magmas:
+        for dst in magmas:
+            for pinned in ({}, {0: 0}):
+                assert _same_search((src,), (dst,), pinned), (src, dst, pinned)
 
 
 def test_nd_search_matches_brute_force():

@@ -2,6 +2,8 @@ import hashlib
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from math import factorial
 from operator import itemgetter
 from pathlib import Path
 
@@ -29,6 +31,7 @@ from algcat.loops import (
     left_translation,
     loops_isomorphic,
     relabel,
+    table_homomorphisms,
 )
 from algcat.perms import Perm
 
@@ -176,6 +179,48 @@ def _normalized_tables(n):
 def test_normalized_tables_are_the_reduced_latin_squares():
     # reduced Latin squares of orders 1-6 (OEIS A000315)
     assert [sum(1 for _ in _normalized_tables(n)) for n in range(1, 7)] == [1, 1, 1, 4, 56, 9408]
+
+
+def _count_normalized_tables(n):
+    # the cells of rows 1..n-1 and columns 1..n-1 filled in row-major order,
+    # each row's and column's used values kept as a bitmask
+    cells = [(r, c) for r in range(1, n) for c in range(1, n)]
+    row_used = [1 << r for r in range(n)]
+    col_used = [1 << c for c in range(n)]
+    everything = (1 << n) - 1
+
+    def rec(k):
+        if k == len(cells):
+            return 1
+        r, c = cells[k]
+        free = everything & ~(row_used[r] | col_used[c])
+        total = 0
+        while free:
+            bit = free & -free
+            free ^= bit
+            row_used[r] |= bit
+            col_used[c] |= bit
+            total += rec(k + 1)
+            row_used[r] ^= bit
+            col_used[c] ^= bit
+        return total
+
+    return rec(0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_census_orbits_cover_every_normalized_table(n):
+    # the relabelings fixing 0 act on the normalized tables with one orbit
+    # per class, of size (n-1)!/|Aut L|, so the orbit sizes of the census
+    # add up to the number of tables: a dropped class makes the sum too
+    # small, a duplicated one too large. The automorphisms are the bijective
+    # self-maps of the table hom search
+    def automorphisms(loop):
+        homs = table_homomorphisms((loop.table,), (loop.table,), {0: 0})
+        return sum(1 for f in homs if len(set(f)) == n)
+
+    orbits = sum(Fraction(factorial(n - 1), automorphisms(loop)) for loop in enumerate_loops(n))
+    assert orbits == _count_normalized_tables(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
