@@ -7,7 +7,10 @@ its command with `--trace 0` and its `run_seconds`, in a fresh process,
 workloads interleaved seed by seed. The file records, per workload, the
 median, first and third quartile of every end-to-end metric over the runs,
 with the operation counts, next to the Python version, the commit and the
-sha256 of src/ that perfbench/run.py reports. It refuses to run while src/
+sha256 of src/ that perfbench/run.py reports, and whether bytecode writing
+was off (PYTHONDONTWRITEBYTECODE): the workers inherit this process's
+environment, and with it off every worker compiles src/ from source, which
+costs each process tens of milliseconds. It refuses to run while src/
 differs from the commit, so the commit always names the code measured.
 
 Usage:
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -63,6 +67,16 @@ def summarize(results: list[dict]) -> dict:
     }
 
 
+def provenance(meta: dict) -> dict:
+    """The PROVENANCE fields of a run's meta line, and whether this
+    process's environment, which every worker inherits, sets
+    PYTHONDONTWRITEBYTECODE."""
+    return {
+        **{key: meta.get(key) for key in PROVENANCE},
+        "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+    }
+
+
 def _src_differs_from_commit() -> bool:
     proc = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=ROOT, capture_output=True, text=True)
     return proc.returncode != 0 or bool(proc.stdout.strip())
@@ -93,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{wl} seed {seed}: run_s {result['metrics']['run_s']['value']:.4f}", file=sys.stderr)
 
     report = {
-        **{key: meta.get(key) for key in PROVENANCE},
+        **provenance(meta),
         "seeds": list(SEEDS),
         "seconds": spec["run_seconds"],
         "workloads": {wl: summarize(results) for wl, results in runs.items()},

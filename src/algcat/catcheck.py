@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Sequence
 
@@ -54,97 +53,125 @@ from .s2t import (
     translations_form_subgroup,
 )
 from .perms import Morphism, Perm, compose_morphisms, perm_set
+from .values import Value
 from .zoo import Zoo, standard_zoo
 
 
-@dataclass(frozen=True)
-class Verdict:
-    name: str
-    passed: bool
-    witness: str | None = None
-    checked: int = 0
-    elapsed_ms: float = 0.0
+class Verdict(Value):
+    __slots__ = _fields = ("name", "passed", "witness", "checked", "elapsed_ms")
+
+    def __init__(self, name: str, passed: bool, witness: str | None = None, checked: int = 0, elapsed_ms: float = 0.0):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "checked", checked)
+        object.__setattr__(self, "elapsed_ms", elapsed_ms)
 
 
-@dataclass(frozen=True)
-class HomSetReport:
-    source: str
-    target: str
-    source_count: int
-    target_count: int
-    bijection: bool
-    witness: str | None = None
-    # the source hom-set the report was computed from, for callers that list it
-    source_homs: tuple = field(default=(), repr=False, compare=False)
+class HomSetReport(Value):
+    """One ordered pair's hom-count comparison. source_homs, the source
+    hom-set the report was computed from, is kept for callers that list it
+    and is neither compared nor shown."""
+
+    __slots__ = ("source", "target", "source_count", "target_count", "bijection", "witness", "source_homs")
+    _fields = ("source", "target", "source_count", "target_count", "bijection", "witness")
+
+    def __init__(
+        self,
+        source: str,
+        target: str,
+        source_count: int,
+        target_count: int,
+        bijection: bool,
+        witness: str | None = None,
+        source_homs: tuple = (),
+    ):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "source_count", source_count)
+        object.__setattr__(self, "target_count", target_count)
+        object.__setattr__(self, "bijection", bijection)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "source_homs", source_homs)
 
 
 # Lightweight category plumbing: hom-set enumeration, identities and
 # composition per world, wired into the three object-and-morphism maps.
-# No further abstraction; the instances below are the whole story.
-@dataclass(frozen=True)
-class CategoryOps:
-    hom: Callable
-    identity: Callable
-    compose: Callable
+# No further abstraction; the functions below are the whole story.
+class CategoryOps(Value):
+    __slots__ = _fields = ("hom", "identity", "compose")
+
+    def __init__(self, hom: Callable, identity: Callable, compose: Callable):
+        object.__setattr__(self, "hom", hom)
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "compose", compose)
 
 
-@dataclass(frozen=True)
-class FunctorOps:
-    name: str
-    source: CategoryOps
-    target: CategoryOps
-    obj: Callable
-    mor: Callable  # (morphism, src_obj, dst_obj) -> target morphism
+class FunctorOps(Value):
+    """A functor: its name, source and target categories, its object map and
+    its morphism map, (morphism, src_obj, dst_obj) -> target morphism."""
+
+    __slots__ = _fields = ("name", "source", "target", "obj", "mor")
+
+    def __init__(self, name: str, source: CategoryOps, target: CategoryOps, obj: Callable, mor: Callable):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "obj", obj)
+        object.__setattr__(self, "mor", mor)
+
+
+def _identity_map(obj) -> tuple[int, ...]:
+    return tuple(range(obj.order))
 
 
 def _compose_maps(outer: Sequence[int], inner: Sequence[int]) -> tuple[int, ...]:
     return tuple(outer[v] for v in inner)
 
 
-LOOP_CAT = CategoryOps(
-    hom=enumerate_loop_morphisms,
-    identity=lambda L: tuple(range(L.order)),
-    compose=_compose_maps,
-)
-NDOM_CAT = CategoryOps(
-    hom=enumerate_nd_morphisms,
-    identity=lambda F: tuple(range(F.order)),
-    compose=_compose_maps,
-)
-RPS_CAT = CategoryOps(
-    hom=enumerate_rps_morphisms_direct,
-    identity=identity_rps_morphism,
-    compose=compose_morphisms,
-)
-S2T_CAT = CategoryOps(
-    hom=enumerate_s2t_morphisms_direct,
-    identity=identity_s2t_morphism,
-    compose=compose_morphisms,
-)
+def _point_map(m: Morphism, src, dst) -> tuple[int, ...]:
+    return m.phi
 
-# Both permutation categories list hom-sets with the definitional search, so
-# full faithfulness compares two independent enumerations.
-RPS_TO_LOOP = FunctorOps(
-    name="rps->loop",
-    source=RPS_CAT,
-    target=LOOP_CAT,
-    obj=induced_loop,
-    mor=lambda m, src, dst: m.phi,
-)
-S2T_TO_NDOM = FunctorOps(
-    name="s2t->ndom",
-    source=S2T_CAT,
-    target=NDOM_CAT,
-    obj=derived_neardomain,
-    mor=derived_nd_morphism,
-)
-NDOM_TO_S2T = FunctorOps(
-    name="ndom->s2t",
-    source=NDOM_CAT,
-    target=S2T_CAT,
-    obj=affine_group,
-    mor=lambda phi, src, dst: lift_nd_morphism(phi, src, dst),
-)
+
+# Each functor is built on request from the names of this module as they are
+# bound at that moment, so a caller that rebinds one (a test's stub, a
+# tracer's wrapper) reaches every functor built after it. The hom arguments
+# replace the default enumerators, with run_all's memos for instance. Both
+# permutation categories list hom-sets with the definitional search by
+# default, so full faithfulness compares two independent enumerations.
+
+def rps_to_loop(rps_hom: Callable | None = None, loop_hom: Callable | None = None) -> FunctorOps:
+    """Regular permutation sets onto their induced loops: phi of each
+    morphism."""
+    return FunctorOps(
+        "rps->loop",
+        CategoryOps(rps_hom or enumerate_rps_morphisms_direct, identity_rps_morphism, compose_morphisms),
+        CategoryOps(loop_hom or enumerate_loop_morphisms, _identity_map, _compose_maps),
+        induced_loop,
+        _point_map,
+    )
+
+
+def s2t_to_ndom(s2t_hom: Callable | None = None, nd_hom: Callable | None = None) -> FunctorOps:
+    """Sharply 2-transitive groups onto their derived neardomains."""
+    return FunctorOps(
+        "s2t->ndom",
+        CategoryOps(s2t_hom or enumerate_s2t_morphisms_direct, identity_s2t_morphism, compose_morphisms),
+        CategoryOps(nd_hom or enumerate_nd_morphisms, _identity_map, _compose_maps),
+        derived_neardomain,
+        derived_nd_morphism,
+    )
+
+
+def ndom_to_s2t(nd_hom: Callable | None = None) -> FunctorOps:
+    """Neardomains onto their affine groups, each morphism lifted."""
+    return FunctorOps(
+        "ndom->s2t",
+        CategoryOps(nd_hom or enumerate_nd_morphisms, _identity_map, _compose_maps),
+        CategoryOps(enumerate_s2t_morphisms_direct, identity_s2t_morphism, compose_morphisms),
+        affine_group,
+        lift_nd_morphism,
+    )
 
 
 def _run_family(name: str, items, witness_fn) -> Verdict:
@@ -400,14 +427,8 @@ def run_all(zoo: Zoo | None = None) -> list[Verdict]:
     loop_homs = _memoized(enumerate_loop_morphisms)
     nd_homs = _memoized(enumerate_nd_morphisms)
     s2t_homs = _memoized(lambda src, dst: enumerate_s2t_morphisms(src, dst, nd_homs))
-    ndom_cat = replace(NDOM_CAT, hom=nd_homs)
-    rps_to_loop = replace(
-        RPS_TO_LOOP,
-        source=replace(RPS_CAT, hom=rps_hom_direct),
-        target=replace(LOOP_CAT, hom=loop_homs),
-    )
-    s2t_to_ndom = replace(S2T_TO_NDOM, source=replace(S2T_CAT, hom=s2t_homs), target=ndom_cat)
-    ndom_to_s2t = replace(NDOM_TO_S2T, source=ndom_cat)
+    rps_functor = rps_to_loop(rps_hom_direct, loop_homs)
+    s2t_functor = s2t_to_ndom(s2t_homs, nd_homs)
 
     loops = list(zoo.loops)
     rps_objects = list(zoo.rps_objects)
@@ -422,7 +443,7 @@ def run_all(zoo: Zoo | None = None) -> list[Verdict]:
     verdicts.append(_run_family(
         "rps-full-faithful",
         [
-            (f"{na}->{nb}", (rps_to_loop, na, a, nb, b))
+            (f"{na}->{nb}", (rps_functor, na, a, nb, b))
             for na, a in rps_objects
             for nb, b in rps_objects
         ],
@@ -449,7 +470,7 @@ def run_all(zoo: Zoo | None = None) -> list[Verdict]:
         characterization_witness,
     ))
     slice_rps = [(n, r) for n, r in rps_objects if r.degree <= 4]
-    verdicts.append(check_functor_laws(rps_to_loop, slice_rps))
+    verdicts.append(check_functor_laws(rps_functor, slice_rps))
 
     verdicts.append(_run_family(
         "neardomain-is-nearfield",
@@ -485,7 +506,7 @@ def run_all(zoo: Zoo | None = None) -> list[Verdict]:
     verdicts.append(_run_family(
         "s2t-full-faithful",
         [
-            (f"{na}->{nb}", (s2t_to_ndom, na, a, nb, b))
+            (f"{na}->{nb}", (s2t_functor, na, a, nb, b))
             for na, a in groups
             for nb, b in groups
         ],
@@ -545,8 +566,8 @@ def run_all(zoo: Zoo | None = None) -> list[Verdict]:
         s2t_injectivity_witness,
     ))
     nd_slice = [(n, nd) for n, nd in ndoms if nd.order <= 4 or n in ("gf9", "dickson9")]
-    verdicts.append(check_functor_laws(ndom_to_s2t, nd_slice))
+    verdicts.append(check_functor_laws(ndom_to_s2t(nd_homs), nd_slice))
     group_slice = [(n, g) for n, g in groups if g.degree <= 4]
-    verdicts.append(check_functor_laws(s2t_to_ndom, group_slice))
+    verdicts.append(check_functor_laws(s2t_functor, group_slice))
 
     return verdicts

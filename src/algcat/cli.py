@@ -17,13 +17,13 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .catcheck import (
-    RPS_TO_LOOP,
-    S2T_TO_NDOM,
     check_full_faithful,
     group_roundtrip_witness,
     loop_roundtrip_witness,
     neardomain_roundtrip_witness,
+    rps_to_loop,
     run_all,
+    s2t_to_ndom,
 )
 from .errors import ParseError, ResourceLimitExceeded, StructureError
 from .fileio import emit_structure, kind_of, parse_structure
@@ -243,7 +243,7 @@ def cmd_homset(args) -> int:
     else:
         dst = loop_to_rps(dst) if kind_d == "loop" else affine_group(dst)
         report["lifted"] = "target"
-    functor = RPS_TO_LOOP if "loop" in (kind_s, kind_d) else S2T_TO_NDOM
+    functor = rps_to_loop() if "loop" in (kind_s, kind_d) else s2t_to_ndom()
     ff = check_full_faithful(functor, args.path1, src, args.path2, dst)
     homs = ff.source_homs
     report["count"] = len(homs)

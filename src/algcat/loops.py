@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -15,22 +14,27 @@ from .errors import (
     StructureError,
 )
 from .perms import Perm, check_budget
+from .values import Value, cached_hash
 
 ENUMERATION_CAP = 6
 
 Table = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True, slots=True)
-class Loop:
+class Loop(Value):
     """order, full Cayley table (row op column), distinguished identity.
 
     Build through check_loop(); direct construction skips validation.
     """
 
-    order: int
-    table: tuple[tuple[int, ...], ...]
-    identity: int
+    __slots__ = ("order", "table", "identity", "_hash")
+    _fields = ("order", "table", "identity")
+    __hash__ = cached_hash
+
+    def __init__(self, order: int, table: tuple[tuple[int, ...], ...], identity: int):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "identity", identity)
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -173,14 +177,6 @@ def enumerate_loop_morphisms(src: Loop, dst: Loop) -> tuple[tuple[int, ...], ...
     morphisms.
     """
     return tuple(table_homomorphisms((src.table,), (dst.table,), {src.identity: dst.identity}))
-
-
-def loops_isomorphic(a: Loop, b: Loop) -> tuple[int, ...] | None:
-    """First bijective morphism a -> b in lexicographic order, or None."""
-    if a.order != b.order:
-        return None
-    homs = table_homomorphisms((a.table,), (b.table,), {a.identity: b.identity})
-    return next((f for f in homs if len(set(f)) == a.order), None)
 
 
 def relabel(loop: Loop, pi: Sequence[int]) -> Loop:

@@ -22,7 +22,6 @@ that is checked, never assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -35,21 +34,26 @@ from .errors import (
 )
 from .loops import Table, check_loop, table_homomorphisms
 from .perms import check_budget, intern
+from .values import Value, cached_hash
 
 
-@dataclass(frozen=True, slots=True)
-class Neardomain:
+class Neardomain(Value):
     """Build through check_neardomain(); direct construction skips validation.
 
     _derived holds what other layers derive from this one object (its affine
     group), set on first request and kept for the object's life."""
 
-    order: int
-    add: Table
-    mul: Table
-    zero: int
-    one: int
-    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("order", "add", "mul", "zero", "one", "_derived", "_hash")
+    _fields = ("order", "add", "mul", "zero", "one")
+    __hash__ = cached_hash
+
+    def __init__(self, order: int, add: Table, mul: Table, zero: int, one: int):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "add", add)
+        object.__setattr__(self, "mul", mul)
+        object.__setattr__(self, "zero", zero)
+        object.__setattr__(self, "one", one)
+        object.__setattr__(self, "_derived", {})
 
 
 def _as_table(rows: Sequence[Sequence[int]], n: int, name: str) -> Table:

@@ -21,12 +21,16 @@ the definition of a morphism alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import InvariantViolation, NotAGroup, ResourceLimitExceeded, StructureError
+from .values import Value
+
+# sets a field of a value type once, in __init__; bound here because Perm is
+# built in every composition
+_set = object.__setattr__
 
 # the one size budget: most entries a composition table may hold (so, its
 # square root, most members a closure may reach) and most steps a triple loop
@@ -55,18 +59,47 @@ def intern(obj):
     return obj
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class Perm:
-    """A permutation stored as its image tuple: images[x] is where x goes."""
+class Perm(Value):
+    """A permutation stored as its image tuple: images[x] is where x goes.
+    Ordered by image tuple."""
 
-    images: tuple[int, ...]
+    __slots__ = _fields = ("images",)
 
-    def __post_init__(self):
-        n = len(self.images)
+    def __init__(self, images: tuple[int, ...]):
+        n = len(images)
         if n < 1:
             raise StructureError("permutation degree must be at least 1")
-        if sorted(self.images) != list(range(n)):
-            raise StructureError(f"image array {list(self.images)} is not a bijection of 0..{n - 1}")
+        if sorted(images) != list(range(n)):
+            raise StructureError(f"image array {list(images)} is not a bijection of 0..{n - 1}")
+        _set(self, "images", images)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.images == other.images
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.images,))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.images < other.images
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return self.images <= other.images
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.images > other.images
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return self.images >= other.images
+        return NotImplemented
 
     @staticmethod
     def identity(n: int) -> Perm:
@@ -96,16 +129,11 @@ class Perm:
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
 
-    def is_involution(self) -> bool:
-        """Order exactly two: squares to the identity without being it."""
-        return not self.is_identity() and (self * self).is_identity()
-
     def fixed_points(self) -> frozenset[int]:
         return frozenset(i for i, j in enumerate(self.images) if i == j)
 
 
-@dataclass(frozen=True, slots=True)
-class PermSet:
+class PermSet(Value):
     """A duplicate-free collection of equal-degree permutations.
 
     Members are kept sorted by image array, so equality of two PermSets is
@@ -113,14 +141,19 @@ class PermSet:
     perm_set(); direct construction skips validation.
     """
 
-    degree: int
-    members: tuple[Perm, ...]
-    _index: dict[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("degree", "members", "_index", "_hash")
+    _fields = ("degree", "members")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {p.images: i for i, p in enumerate(self.members)})
-        object.__setattr__(self, "_hash", hash((self.degree, self.members)))
+    def __init__(self, degree: int, members: tuple[Perm, ...]):
+        _set(self, "degree", degree)
+        _set(self, "members", members)
+        _set(self, "_index", {p.images: i for i, p in enumerate(members)})
+        _set(self, "_hash", hash((degree, members)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.degree == other.degree and self.members == other.members
+        return NotImplemented
 
     def __hash__(self) -> int:
         return self._hash
@@ -176,14 +209,24 @@ def perm_set(perms: Iterable[Perm]) -> PermSet:
     return PermSet(degree, members)
 
 
-@dataclass(frozen=True, slots=True)
-class Morphism:
+class Morphism(Value):
     """A morphism of permutation sets: f maps source member indices (sorted
     order) to target member indices, phi maps points. Unchecked container;
     the is_*_morphism predicates validate."""
 
-    f: tuple[int, ...]
-    phi: tuple[int, ...]
+    __slots__ = _fields = ("f", "phi")
+
+    def __init__(self, f: tuple[int, ...], phi: tuple[int, ...]):
+        _set(self, "f", f)
+        _set(self, "phi", phi)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.f == other.f and self.phi == other.phi
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.f, self.phi))
 
 
 def identity_morphism(members: PermSet) -> Morphism:

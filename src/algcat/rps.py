@@ -24,33 +24,44 @@ enumerate_rps_morphisms_direct runs perms.forced_morphisms on the members.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 from .errors import InvariantViolation, MissingIdentity, RegularityViolation, StructureError
 from .loops import Loop, check_loop, enumerate_loop_morphisms, is_loop_morphism, left_translation
 from .perms import Morphism, Perm, PermSet, forced_morphisms, identity_morphism, intertwines, perm_set
+from .values import Value, cached_hash
 
 
-@dataclass(frozen=True, slots=True)
-class Rps:
-    """Validated regular permutation set; build through check_rps()."""
+class Rps(Value):
+    """Validated regular permutation set; build through check_rps().
 
-    members: PermSet
-    degree: int
-    basepoint: int
-    # member index -> base-point image, and its inverse point -> member index
-    base_images: tuple[int, ...] = field(repr=False, compare=False)
-    member_at: tuple[int, ...] = field(repr=False, compare=False)
-    # the induced loop on points and the loop on member indices
-    loop: Loop = field(repr=False, compare=False)
-    member_loop: Loop = field(repr=False, compare=False)
+    Compared, hashed and shown by members, degree and base point; the other
+    fields are derived from those. base_images maps member index ->
+    base-point image and member_at is its inverse, point -> member index;
+    loop is the induced loop on points and member_loop the loop on member
+    indices."""
 
-    def to_point(self, m: Perm) -> int:
-        """Evaluate a member at the base point."""
-        if m not in self.members:
-            raise ValueError("permutation is not a member of this set")
-        return m(self.basepoint)
+    __slots__ = ("members", "degree", "basepoint", "base_images", "member_at", "loop", "member_loop", "_hash")
+    _fields = ("members", "degree", "basepoint")
+    __hash__ = cached_hash
+
+    def __init__(
+        self,
+        members: PermSet,
+        degree: int,
+        basepoint: int,
+        base_images: tuple[int, ...],
+        member_at: tuple[int, ...],
+        loop: Loop,
+        member_loop: Loop,
+    ):
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "basepoint", basepoint)
+        object.__setattr__(self, "base_images", base_images)
+        object.__setattr__(self, "member_at", member_at)
+        object.__setattr__(self, "loop", loop)
+        object.__setattr__(self, "member_loop", member_loop)
 
     def from_point(self, alpha: int) -> Perm:
         """The unique member sending the base point to alpha."""
@@ -92,11 +103,6 @@ def check_rps(members: PermSet, degree: int, basepoint: int) -> Rps:
         members.index(Perm.identity(degree)),
     )
     return Rps(members, degree, basepoint, base_images, member_at, induced, on_members)
-
-
-def with_basepoint(r: Rps, basepoint: int) -> Rps:
-    """Same member set, relocated base point."""
-    return check_rps(r.members, r.degree, basepoint)
 
 
 def member_product(r: Rps, m: Perm, k: Perm) -> Perm:

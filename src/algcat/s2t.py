@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
 from functools import wraps
 from typing import Callable, Sequence
 
@@ -91,6 +90,7 @@ from .perms import (
     subgroup_failure,
 )
 from .rps import Rps, check_rps
+from .values import Value, cached_hash
 
 
 class Characteristic(enum.Enum):
@@ -98,18 +98,22 @@ class Characteristic(enum.Enum):
     NOT_TWO = "not 2"
 
 
-@dataclass(frozen=True, slots=True)
-class S2tGroup:
+class S2tGroup(Value):
     """Validated sharply 2-transitive group; build through check_s2t().
 
     _derived holds the values the @_per_object functions below compute from
     this one group, set on first request and kept for the group's life."""
 
-    group: PermSet
-    degree: int
-    omega0: int
-    omega1: int
-    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("group", "degree", "omega0", "omega1", "_derived", "_hash")
+    _fields = ("group", "degree", "omega0", "omega1")
+    __hash__ = cached_hash
+
+    def __init__(self, group: PermSet, degree: int, omega0: int, omega1: int):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "omega0", omega0)
+        object.__setattr__(self, "omega1", omega1)
+        object.__setattr__(self, "_derived", {})
 
 
 def _per_object(fn):
@@ -127,13 +131,15 @@ def _per_object(fn):
     return get
 
 
-@dataclass(frozen=True, slots=True)
-class AffineMap:
+class AffineMap(Value):
     """x -> a + b * x over a neardomain, with its permutation realization."""
 
-    a: int
-    b: int
-    perm: Perm
+    __slots__ = _fields = ("a", "b", "perm")
+
+    def __init__(self, a: int, b: int, perm: Perm):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "perm", perm)
 
 
 def check_s2t(group: PermSet, omega0: int, omega1: int) -> S2tGroup:

@@ -9,7 +9,6 @@ machinery is exercised away from the trivial case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .loops import Loop, enumerate_loops
@@ -17,18 +16,29 @@ from .neardomain import Neardomain, dickson_nearfield_9, galois_field
 from .perms import Perm
 from .rps import Rps, loop_to_rps
 from .s2t import S2tGroup, affine_group, check_s2t, relabel
+from .values import Value
 
 
 MAX_LOOP_ORDER = 5
 FIELD_ORDERS = (2, 3, 4, 5, 7, 8, 9)
 
 
-@dataclass(frozen=True)
-class Zoo:
-    loops: tuple[tuple[str, Loop], ...]
-    rps_objects: tuple[tuple[str, Rps], ...]
-    neardomains: tuple[tuple[str, Neardomain], ...]
-    groups: tuple[tuple[str, S2tGroup], ...]
+class Zoo(Value):
+    """The named objects of each kind, in battery order."""
+
+    __slots__ = _fields = ("loops", "rps_objects", "neardomains", "groups")
+
+    def __init__(
+        self,
+        loops: tuple[tuple[str, Loop], ...],
+        rps_objects: tuple[tuple[str, Rps], ...],
+        neardomains: tuple[tuple[str, Neardomain], ...],
+        groups: tuple[tuple[str, S2tGroup], ...],
+    ):
+        object.__setattr__(self, "loops", loops)
+        object.__setattr__(self, "rps_objects", rps_objects)
+        object.__setattr__(self, "neardomains", neardomains)
+        object.__setattr__(self, "groups", groups)
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,6 @@
 """Acceptance battery: ten numbered criteria, each printing one PASS/FAIL
 line, each enforced at exact equality. Helpers build deliberately corrupted
-inputs for the sensitivity criterion by constructing dataclasses directly,
+inputs for the sensitivity criterion by constructing value types directly,
 bypassing the validating constructors.
 """
 
@@ -8,8 +8,6 @@ import itertools
 import random
 
 from algcat.catcheck import (
-    RPS_TO_LOOP,
-    S2T_TO_NDOM,
     FunctorOps,
     _run_family,
     check_full_faithful,
@@ -19,6 +17,8 @@ from algcat.catcheck import (
     naturality_witness,
     nearfield_equivalence_witness,
     neardomain_roundtrip_witness,
+    rps_to_loop,
+    s2t_to_ndom,
     translation_form_witness,
 )
 from algcat.errors import (
@@ -56,8 +56,11 @@ from algcat.s2t import (
     translations,
 )
 from algcat.zoo import standard_zoo
+from references import is_involution
 
 ZOO = standard_zoo()
+RPS_TO_LOOP = rps_to_loop()
+S2T_TO_NDOM = s2t_to_ndom()
 S2T_FOR = {
     **{f"gf{q}": affine_group(galois_field(q)) for q in (2, 3, 4, 5, 7, 8, 9)},
     "dickson9": affine_group(dickson_nearfield_9()),
@@ -212,7 +215,7 @@ def test_criterion_04_affine_construction(acceptance_report):
 def test_criterion_05_characteristic_coherence(acceptance_report):
     failures = []
     for name, g in ZOO.groups:
-        counts = {len(p.fixed_points()) for p in g.group if p.is_involution()}
+        counts = {len(p.fixed_points()) for p in g.group if is_involution(p)}
         if counts not in ({0}, {1}):
             failures.append(f"{name}: involution fixpoint counts {counts}")
         char_two = characteristic(g) is Characteristic.TWO

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import pkgutil
 from collections import Counter
@@ -9,10 +8,6 @@ import pytest
 import algcat
 from algcat import catcheck, cli, loops, neardomain, rps, s2t
 from algcat.catcheck import (
-    LOOP_CAT,
-    NDOM_TO_S2T,
-    RPS_TO_LOOP,
-    S2T_TO_NDOM,
     CategoryOps,
     FunctorOps,
     _run_family,
@@ -24,13 +19,16 @@ from algcat.catcheck import (
     loop_roundtrip_witness,
     naturality_witness,
     nearfield_equivalence_witness,
+    ndom_to_s2t,
     neardomain_roundtrip_witness,
+    rps_to_loop,
     run_all,
     s2t_injectivity_witness,
+    s2t_to_ndom,
     translation_form_witness,
 )
 from algcat.loops import check_loop, is_associative
-from algcat.neardomain import dickson_nearfield_9, galois_field
+from algcat.neardomain import dickson_nearfield_9, enumerate_nd_morphisms, galois_field
 from algcat.perms import Morphism, PermSet, perm_set
 from algcat.rps import induced_loop, loop_to_rps
 from algcat.s2t import (
@@ -43,6 +41,9 @@ from algcat.s2t import (
 )
 
 Z3 = check_loop(((0, 1, 2), (1, 2, 0), (2, 0, 1)))
+RPS_TO_LOOP = rps_to_loop()
+S2T_TO_NDOM = s2t_to_ndom()
+NDOM_TO_S2T = ndom_to_s2t()
 
 
 def test_run_all_green(zoo):
@@ -129,7 +130,8 @@ def test_functor_laws_enumerate_each_hom_set_once(zoo):
         calls[a, b] += 1
         return NDOM_TO_S2T.source.hom(a, b)
 
-    functor = dataclasses.replace(NDOM_TO_S2T, source=dataclasses.replace(NDOM_TO_S2T.source, hom=hom))
+    functor = ndom_to_s2t(hom)
+    assert functor.source.hom is hom and NDOM_TO_S2T.source.hom is enumerate_nd_morphisms
     objects = [(n, nd) for n, nd in zoo.neardomains if nd.order <= 4]
     verdict = check_functor_laws(functor, objects)
     assert verdict.passed and verdict.checked == check_functor_laws(NDOM_TO_S2T, objects).checked
@@ -315,12 +317,58 @@ def test_direct_oracles_read_no_algebraic_hom_set(zoo, monkeypatch):
         for attr in ("table_homomorphisms", "enumerate_nd_morphisms", "derived_neardomain"):
             if hasattr(module, attr):
                 monkeypatch.setattr(module, attr, refuse)
-    assert cli.RPS_TO_LOOP.source.hom is rps.enumerate_rps_morphisms_direct
-    assert cli.S2T_TO_NDOM.source.hom is s2t.enumerate_s2t_morphisms_direct
+    # the functors a mixed CLI homset builds
+    rps_functor, s2t_functor = cli.rps_to_loop(), cli.s2t_to_ndom()
+    assert rps_functor.source.hom is rps.enumerate_rps_morphisms_direct
+    assert s2t_functor.source.hom is s2t.enumerate_s2t_morphisms_direct
     rps_objects = [r for _, r in zoo.rps_objects]
     groups = [g for _, g in zoo.groups]
-    assert sum(len(cli.RPS_TO_LOOP.source.hom(a, b)) for a in rps_objects for b in rps_objects) == 217
-    assert sum(len(cli.S2T_TO_NDOM.source.hom(a, b)) for a in groups for b in groups) == 61
+    assert sum(len(rps_functor.source.hom(a, b)) for a in rps_objects for b in rps_objects) == 217
+    assert sum(len(s2t_functor.source.hom(a, b)) for a in groups for b in groups) == 61
+
+
+def test_functors_are_built_from_the_current_bindings(monkeypatch):
+    # each functor reads catcheck's names when it is built, so a name rebound
+    # before (a stub here, a layer tracer's wrapper in a benchmark) is the one
+    # every functor built after it calls; the hom arguments replace the
+    # enumerators and nothing else
+    stubs = {}
+    for attr in (
+        "enumerate_rps_morphisms_direct",
+        "enumerate_loop_morphisms",
+        "enumerate_s2t_morphisms_direct",
+        "enumerate_nd_morphisms",
+        "induced_loop",
+        "derived_neardomain",
+        "derived_nd_morphism",
+        "affine_group",
+        "lift_nd_morphism",
+    ):
+        stubs[attr] = lambda *args: None
+        monkeypatch.setattr(catcheck, attr, stubs[attr])
+    f = catcheck.rps_to_loop()
+    assert (f.source.hom, f.target.hom, f.obj) == (
+        stubs["enumerate_rps_morphisms_direct"], stubs["enumerate_loop_morphisms"], stubs["induced_loop"]
+    )
+    f = catcheck.s2t_to_ndom()
+    assert (f.source.hom, f.target.hom, f.obj, f.mor) == (
+        stubs["enumerate_s2t_morphisms_direct"],
+        stubs["enumerate_nd_morphisms"],
+        stubs["derived_neardomain"],
+        stubs["derived_nd_morphism"],
+    )
+    f = catcheck.ndom_to_s2t()
+    assert (f.source.hom, f.target.hom, f.obj, f.mor) == (
+        stubs["enumerate_nd_morphisms"],
+        stubs["enumerate_s2t_morphisms_direct"],
+        stubs["affine_group"],
+        stubs["lift_nd_morphism"],
+    )
+    memo = lambda a, b: ()
+    for f in (catcheck.rps_to_loop(memo, memo), catcheck.s2t_to_ndom(memo, memo)):
+        assert f.source.hom is memo and f.target.hom is memo
+    f = catcheck.ndom_to_s2t(memo)
+    assert f.source.hom is memo and f.target.hom is stubs["enumerate_s2t_morphisms_direct"]
 
 
 def test_characterization_witness():
@@ -330,8 +378,9 @@ def test_characterization_witness():
 
 
 def test_category_ops_compose():
-    f = LOOP_CAT.compose((0, 2, 1), (0, 1, 2))
+    loop_cat = RPS_TO_LOOP.target
+    f = loop_cat.compose((0, 2, 1), (0, 1, 2))
     assert f == (0, 2, 1)
-    assert LOOP_CAT.identity(Z3) == (0, 1, 2)
-    assert isinstance(LOOP_CAT, CategoryOps)
+    assert loop_cat.identity(Z3) == (0, 1, 2)
+    assert isinstance(loop_cat, CategoryOps)
     assert S2T_TO_NDOM.name == "s2t->ndom" and NDOM_TO_S2T.name == "ndom->s2t"

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import itertools
 import json
@@ -398,15 +397,19 @@ def test_homset_mixed_pair(files, capsys, tmp_path):
 def test_homset_mixed_pair_enumerates_source_homs_once(files, capsys, tmp_path, monkeypatch):
     calls = []
 
-    def counted(functor):
+    def counted(build):
+        # the functor build makes, its source hom-sets listed by the default
+        # enumerator and counted
+        functor = build()
+
         def hom(src, dst):
             calls.append(functor.name)
             return functor.source.hom(src, dst)
 
-        return dataclasses.replace(functor, source=dataclasses.replace(functor.source, hom=hom))
+        return lambda: build(hom)
 
-    monkeypatch.setattr(cli, "S2T_TO_NDOM", counted(cli.S2T_TO_NDOM))
-    monkeypatch.setattr(cli, "RPS_TO_LOOP", counted(cli.RPS_TO_LOOP))
+    monkeypatch.setattr(cli, "s2t_to_ndom", counted(cli.s2t_to_ndom))
+    monkeypatch.setattr(cli, "rps_to_loop", counted(cli.rps_to_loop))
     for name, kind, count in (("gf9", "s2t", 2), ("z2", "rps", 2)):
         _, text, _ = run(capsys, "convert", files[name], "--to", kind)
         p = tmp_path / f"{kind}-{name}.txt"
@@ -487,6 +490,23 @@ def test_verify_all_report_matches_golden_file(flags):
     )
     assert done.returncode == 0, done.stderr.decode()
     assert done.stdout == golden
+
+
+def test_cold_process_imports_neither_dataclasses_nor_inspect():
+    """The value types generate no code, so a fresh process that imports the
+    CLI and runs the whole battery never loads dataclasses, nor inspect,
+    which dataclasses pulls in; each costs every process its import time."""
+    root = Path(__file__).resolve().parents[1]
+    code = """
+import sys
+import algcat.cli as cli
+rc = cli.main(["verify-all", "--no-timestamp"])
+print(rc, sorted(m for m in ("dataclasses", "inspect") if m in sys.modules), file=sys.stderr)
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines()[-1] == "0 []"
 
 
 def test_json_reports_are_deterministic(files, capsys):

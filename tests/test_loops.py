@@ -29,11 +29,11 @@ from algcat.loops import (
     is_associative,
     is_loop_morphism,
     left_translation,
-    loops_isomorphic,
     relabel,
     table_homomorphisms,
 )
 from algcat.perms import Perm
+from references import loops_isomorphic
 
 Z2 = check_loop(((0, 1), (1, 0)))
 Z3 = check_loop(((0, 1, 2), (1, 2, 0), (2, 0, 1)))

@@ -54,6 +54,7 @@ from algcat.s2t import (
     translations_form_subgroup,
 )
 from algcat.zoo import standard_zoo
+from references import is_involution
 
 S3 = closure([Perm((1, 2, 0)), Perm((1, 0, 2))])
 AFF = {q: affine_group(galois_field(q)) for q in (2, 3, 4, 5, 7, 8, 9)}
@@ -270,10 +271,10 @@ def test_equal_structures_parsed_again_share_derived_values(monkeypatch):
 
 def test_derived_sets_match_perm_products(zoo):
     # involutions are squared on image tuples, translations and involution
-    # products composed directly; Perm.is_involution and Perm.__mul__ are the
-    # references
+    # products composed directly; references.is_involution and Perm.__mul__
+    # are the references
     for name, g in zoo.groups:
-        assert set(involutions(g)) == {p for p in g.group if p.is_involution()}, name
+        assert set(involutions(g)) == {p for p in g.group if is_involution(p)}, name
         J = list(involutions(g))
         if characteristic(g) is Characteristic.NOT_TWO:
             nu = base_involution(g)
@@ -304,7 +305,7 @@ def test_base_involution():
     assert base_involution(AFF[3]) == Perm((0, 2, 1))
     for q in (3, 5, 7, 9):
         nu = base_involution(AFF[q])
-        assert nu.is_involution() and nu.fixed_points() == frozenset({0})
+        assert is_involution(nu) and nu.fixed_points() == frozenset({0})
     with pytest.raises(ValueError):
         base_involution(AFF[2])  # characteristic 2 has no fixing involution
 
@@ -512,7 +513,7 @@ def test_homomorphism_check_on_an_unvalidated_source_is_false():
     # a product leaves the set: no generating set is certified, and the
     # check answers False rather than raising
     g5 = AFF[5]
-    dropped = next(p for p in g5.group if p.is_involution())
+    dropped = next(p for p in g5.group if is_involution(p))
     loose = PermSet(5, tuple(p for p in g5.group if p != dropped))
     src = S2tGroup(loose, 5, 0, 1)
     embed = Morphism(tuple(g5.group.index(p) for p in loose), tuple(range(5)))

@@ -50,14 +50,39 @@ def test_hom_census(capsys, family, counts):
 
 
 def test_loop_census(capsys):
-    assert _load("loop_census").main(["--max-order", "4"]) == 0
-    lines = capsys.readouterr().out.splitlines()[1:]
-    assert [line.split()[:3] for line in lines] == [
-        ["1", "1", "1"],
-        ["2", "1", "1"],
-        ["3", "1", "1"],
-        ["4", "2", "2"],
+    # order, classes, groups, then the orbit sum and the table count, which
+    # must agree: the reduced Latin squares of orders 1-6 (OEIS A000315)
+    assert _load("loop_census").main(["--max-order", "6"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].split() == ["order", "classes", "associative", "orbits", "tables", "seconds"]
+    assert [line.split()[:5] for line in out[1:]] == [
+        ["1", "1", "1", "1", "1"],
+        ["2", "1", "1", "1", "1"],
+        ["3", "1", "1", "1", "1"],
+        ["4", "2", "2", "4", "4"],
+        ["5", "6", "1", "56", "56"],
+        ["6", "109", "2", "9408", "9408"],
     ]
+
+
+@pytest.mark.parametrize("change, orbits", [("drop", "48"), ("duplicate", "64")])
+def test_loop_census_exits_1_when_the_orbits_miss_the_tables(monkeypatch, capsys, change, orbits):
+    # a census that loses or repeats the first class of order 5, whose orbit
+    # holds 8 of the 56 tables
+    census = _load("loop_census")
+    real = census.enumerate_loops
+
+    def broken(n):
+        reps = real(n)
+        if n != 5:
+            return reps
+        return reps[1:] if change == "drop" else reps + reps[:1]
+
+    monkeypatch.setattr(census, "enumerate_loops", broken)
+    assert census.main(["--max-order", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1].split()[3:5] == [orbits, "56"]
+    assert "do not add up" in captured.err
 
 
 @pytest.mark.parametrize("order", [0, 7])
@@ -99,6 +124,25 @@ def test_bench_summarizes_canned_runs():
     assert (run_s["q1"], run_s["q3"]) == pytest.approx((0.15, 0.25))
     one = bench.summarize([parsed[0][1]])["metrics"]["peak_rss_mb"]
     assert (one["median"], one["q1"], one["q3"]) == (23.0, 23.0, 23.0)
+
+
+@pytest.mark.parametrize("value, recorded", [(None, False), ("", False), ("1", True)])
+def test_bench_records_the_bytecode_mode(monkeypatch, value, recorded):
+    # the workers inherit the environment, so whether they compile src/ from
+    # source is part of what a trajectory file measured
+    bench = _load("bench")
+    if value is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+    meta, _ = bench.parse_run(_canned_run(0.2))
+    assert bench.provenance(meta) == {
+        "python": "3.11.7",
+        "commit": "abc123",
+        "source_sha256": "f" * 64,
+        "nproc": 2,
+        "dont_write_bytecode": recorded,
+    }
 
 
 def test_bench_refuses_to_measure_uncommitted_source(monkeypatch, tmp_path, capsys):

@@ -1,0 +1,164 @@
+"""The value types keep the semantics of the frozen dataclasses they were:
+equality only within one class, the hash of the tuple of compared fields,
+the same repr text, Perm ordering, no assignment or deletion, and
+construction by position or by keyword. The repr literals are the text the
+dataclasses printed."""
+
+import pytest
+
+from algcat.catcheck import CategoryOps, FunctorOps, HomSetReport, Verdict
+from algcat.loops import Loop, check_loop
+from algcat.neardomain import Neardomain, galois_field
+from algcat.perms import Morphism, Perm, PermSet
+from algcat.rps import Rps, loop_to_rps
+from algcat.s2t import AffineMap, S2tGroup, affine_group
+from algcat.zoo import Zoo
+
+Z2 = check_loop(((0, 1), (1, 0)))
+P01, P10 = Perm((0, 1)), Perm((1, 0))
+S2 = PermSet(2, (P01, P10))
+S2_REPR = "PermSet(degree=2, members=(Perm(images=(0, 1)), Perm(images=(1, 0))))"
+C = CategoryOps(len, abs, max)
+C_REPR = "CategoryOps(hom=<built-in function len>, identity=<built-in function abs>, compose=<built-in function max>)"
+R = loop_to_rps(Z2)
+G = affine_group(galois_field(2))
+
+# class, positional arguments, keyword arguments, compared fields, repr
+CASES = [
+    (Perm, ((1, 0, 2),), {"images": (1, 0, 2)}, ((1, 0, 2),), "Perm(images=(1, 0, 2))"),
+    (PermSet, (2, (P01, P10)), {"degree": 2, "members": (P01, P10)}, (2, (P01, P10)), S2_REPR),
+    (Morphism, ((0,), (0,)), {"f": (0,), "phi": (0,)}, ((0,), (0,)), "Morphism(f=(0,), phi=(0,))"),
+    (
+        Loop,
+        (2, Z2.table, 0),
+        {"order": 2, "table": Z2.table, "identity": 0},
+        (2, Z2.table, 0),
+        "Loop(order=2, table=((0, 1), (1, 0)), identity=0)",
+    ),
+    (
+        Neardomain,
+        (2, Z2.table, ((0, 0), (0, 1)), 0, 1),
+        {"order": 2, "add": Z2.table, "mul": ((0, 0), (0, 1)), "zero": 0, "one": 1},
+        (2, Z2.table, ((0, 0), (0, 1)), 0, 1),
+        "Neardomain(order=2, add=((0, 1), (1, 0)), mul=((0, 0), (0, 1)), zero=0, one=1)",
+    ),
+    (
+        Rps,
+        (S2, 2, 0, R.base_images, R.member_at, R.loop, R.member_loop),
+        {
+            "members": S2,
+            "degree": 2,
+            "basepoint": 0,
+            "base_images": R.base_images,
+            "member_at": R.member_at,
+            "loop": R.loop,
+            "member_loop": R.member_loop,
+        },
+        (S2, 2, 0),
+        f"Rps(members={S2_REPR}, degree=2, basepoint=0)",
+    ),
+    (
+        S2tGroup,
+        (S2, 2, 0, 1),
+        {"group": S2, "degree": 2, "omega0": 0, "omega1": 1},
+        (S2, 2, 0, 1),
+        f"S2tGroup(group={S2_REPR}, degree=2, omega0=0, omega1=1)",
+    ),
+    (
+        AffineMap,
+        (0, 1, P01),
+        {"a": 0, "b": 1, "perm": P01},
+        (0, 1, P01),
+        "AffineMap(a=0, b=1, perm=Perm(images=(0, 1)))",
+    ),
+    (
+        Zoo,
+        ((), (), (), ()),
+        {"loops": (), "rps_objects": (), "neardomains": (), "groups": ()},
+        ((), (), (), ()),
+        "Zoo(loops=(), rps_objects=(), neardomains=(), groups=())",
+    ),
+    (
+        Verdict,
+        ("x", True),
+        {"name": "x", "passed": True, "witness": None, "checked": 0, "elapsed_ms": 0.0},
+        ("x", True, None, 0, 0.0),
+        "Verdict(name='x', passed=True, witness=None, checked=0, elapsed_ms=0.0)",
+    ),
+    (
+        HomSetReport,
+        ("a", "b", 1, 1, True),
+        {"source": "a", "target": "b", "source_count": 1, "target_count": 1, "bijection": True},
+        ("a", "b", 1, 1, True, None),
+        "HomSetReport(source='a', target='b', source_count=1, target_count=1, bijection=True, witness=None)",
+    ),
+    (CategoryOps, (len, abs, max), {"hom": len, "identity": abs, "compose": max}, (len, abs, max), C_REPR),
+    (
+        FunctorOps,
+        ("F", C, C, min, sum),
+        {"name": "F", "source": C, "target": C, "obj": min, "mor": sum},
+        ("F", C, C, min, sum),
+        f"FunctorOps(name='F', source={C_REPR}, target={C_REPR}, obj=<built-in function min>, mor=<built-in function sum>)",
+    ),
+]
+IDS = [case[0].__name__ for case in CASES]
+
+
+@pytest.mark.parametrize("cls, args, kwargs, compared, text", CASES, ids=IDS)
+def test_value_type_semantics(cls, args, kwargs, compared, text):
+    x, y = cls(*args), cls(**kwargs)
+    assert x == y and not x != y and x is not y
+    assert hash(x) == hash(y) == hash(compared)
+    assert repr(x) == repr(y) == text
+    for other_cls, other_args, *_ in CASES:
+        if other_cls is not cls:
+            other = other_cls(*other_args)
+            assert x != other and x.__eq__(other) is NotImplemented
+    assert x.__eq__(compared) is NotImplemented and x != compared
+    for name in kwargs:
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    with pytest.raises(AttributeError):
+        x.unknown = None
+    assert x == y and repr(x) == text
+
+
+def test_only_compared_fields_decide_equality():
+    # the derived fields of a structure and the hom-set a report keeps are
+    # neither compared nor hashed
+    moved = Rps(S2, 2, 0, (1, 0), (1, 0), Z2, Z2)
+    assert moved == R and hash(moved) == hash(R)
+    assert Rps(S2, 2, 1, R.base_images, R.member_at, R.loop, R.member_loop) != R
+    report = HomSetReport("a", "b", 1, 1, True, None, (Morphism((0,), (0,)),))
+    assert report == HomSetReport("a", "b", 1, 1, True) and report.source_homs
+    derived = S2tGroup(S2, 2, 0, 1)
+    derived._derived["x"] = 1
+    assert derived == G == S2tGroup(S2, 2, 0, 1) and hash(derived) == hash(G)
+    assert Verdict("x", True, elapsed_ms=1.0) != Verdict("x", True)
+
+
+def test_perm_order_is_image_tuple_order():
+    a, b = Perm((0, 2, 1)), Perm((1, 0, 2))
+    assert a < b and a <= b and b > a and b >= a
+    assert not (b < a or b <= a or a > b or a >= b)
+    assert a <= Perm((0, 2, 1)) and a >= Perm((0, 2, 1)) and not a < Perm((0, 2, 1))
+    assert sorted([b, P10, a, P01]) == [P01, a, P10, b]
+    assert a.__lt__((0, 2, 1)) is NotImplemented
+    with pytest.raises(TypeError):
+        a < (0, 2, 1)
+
+
+def test_structures_built_from_rows_hash_only_when_hashed():
+    # a structure built directly, skipping validation, from rows that are not
+    # tuples constructs and compares, and refuses only a hash
+    rows = [[0, 1], [1, 0]]
+    loop = Loop(2, rows, 0)
+    assert loop == Loop(2, [[0, 1], [1, 0]], 0) and loop != Z2
+    with pytest.raises(TypeError):
+        hash(loop)
+    nd = Neardomain(2, rows, rows, 0, 1)
+    assert nd.add is rows
+    with pytest.raises(TypeError):
+        hash(nd)
