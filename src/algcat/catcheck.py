@@ -15,7 +15,7 @@ from functools import partial
 from typing import Callable, Sequence
 
 from .errors import StructureError
-from .loops import Loop, enumerate_loop_morphisms
+from .loops import Loop, enumerate_loop_morphisms, is_loop_morphism
 from .neardomain import (
     Neardomain,
     characteristic_two,
@@ -40,10 +40,8 @@ from .s2t import (
     affine_group,
     characteristic,
     derived_neardomain,
-    derived_nd_morphism,
     enumerate_s2t_morphisms,
     enumerate_s2t_morphisms_direct,
-    forced_member_map,
     identity_s2t_morphism,
     image_inclusion_witness,
     involution_products_form_subgroup,
@@ -95,16 +93,18 @@ class HomSetReport(Value):
         object.__setattr__(self, "source_homs", source_homs)
 
 
-# Lightweight category plumbing: hom-set enumeration, identities and
-# composition per world, wired into the three object-and-morphism maps.
-# No further abstraction; the functions below are the whole story.
+# Lightweight category plumbing: hom-set enumeration, identities, composition
+# and the definitional morphism predicate per world, wired into the three
+# object-and-morphism maps. No further abstraction; the functions below are
+# the whole story.
 class CategoryOps(Value):
-    __slots__ = _fields = ("hom", "identity", "compose")
+    __slots__ = _fields = ("hom", "identity", "compose", "is_morphism")
 
-    def __init__(self, hom: Callable, identity: Callable, compose: Callable):
+    def __init__(self, hom: Callable, identity: Callable, compose: Callable, is_morphism: Callable):
         object.__setattr__(self, "hom", hom)
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "compose", compose)
+        object.__setattr__(self, "is_morphism", is_morphism)
 
 
 class FunctorOps(Value):
@@ -145,21 +145,21 @@ def rps_to_loop(rps_hom: Callable | None = None, loop_hom: Callable | None = Non
     morphism."""
     return FunctorOps(
         "rps->loop",
-        CategoryOps(rps_hom or enumerate_rps_morphisms_direct, identity_rps_morphism, compose_morphisms),
-        CategoryOps(loop_hom or enumerate_loop_morphisms, _identity_map, _compose_maps),
+        CategoryOps(rps_hom or enumerate_rps_morphisms_direct, identity_rps_morphism, compose_morphisms, is_rps_morphism),
+        CategoryOps(loop_hom or enumerate_loop_morphisms, _identity_map, _compose_maps, is_loop_morphism),
         induced_loop,
         _point_map,
     )
 
 
 def s2t_to_ndom(s2t_hom: Callable | None = None, nd_hom: Callable | None = None) -> FunctorOps:
-    """Sharply 2-transitive groups onto their derived neardomains."""
+    """Sharply 2-transitive groups onto their derived neardomains: phi of each morphism."""
     return FunctorOps(
         "s2t->ndom",
-        CategoryOps(s2t_hom or enumerate_s2t_morphisms_direct, identity_s2t_morphism, compose_morphisms),
-        CategoryOps(nd_hom or enumerate_nd_morphisms, _identity_map, _compose_maps),
+        CategoryOps(s2t_hom or enumerate_s2t_morphisms_direct, identity_s2t_morphism, compose_morphisms, is_s2t_morphism),
+        CategoryOps(nd_hom or enumerate_nd_morphisms, _identity_map, _compose_maps, is_nd_morphism),
         derived_neardomain,
-        derived_nd_morphism,
+        _point_map,
     )
 
 
@@ -167,8 +167,8 @@ def ndom_to_s2t(nd_hom: Callable | None = None) -> FunctorOps:
     """Neardomains onto their affine groups, each morphism lifted."""
     return FunctorOps(
         "ndom->s2t",
-        CategoryOps(nd_hom or enumerate_nd_morphisms, _identity_map, _compose_maps),
-        CategoryOps(enumerate_s2t_morphisms_direct, identity_s2t_morphism, compose_morphisms),
+        CategoryOps(nd_hom or enumerate_nd_morphisms, _identity_map, _compose_maps, is_nd_morphism),
+        CategoryOps(enumerate_s2t_morphisms_direct, identity_s2t_morphism, compose_morphisms, is_s2t_morphism),
         affine_group,
         lift_nd_morphism,
     )
@@ -227,9 +227,10 @@ def group_roundtrip_witness(g: S2tGroup) -> str | None:
 # ------------------------------------------------------------- functor checks
 
 def check_functor_laws(functor: FunctorOps, objects: Sequence[tuple[str, object]]) -> Verdict:
-    """Identities to identities; composition preserved on every composable
-    pair drawn from the enumerated hom-sets of the given objects, each
-    hom-set enumerated once per call."""
+    """Each image a target morphism, uncounted in checked: the morphism maps
+    check nothing, so this family owns that check. Identities to identities;
+    composition preserved on every composable pair drawn from the enumerated
+    hom-sets of the given objects, each hom-set enumerated once per call."""
     t0 = time.perf_counter()
     checked = 0
     hom = _memoized(functor.source.hom)
@@ -239,8 +240,13 @@ def check_functor_laws(functor: FunctorOps, objects: Sequence[tuple[str, object]
         return Verdict(f"functor-laws/{functor.name}", witness is None, witness, checked, ms)
 
     try:
-        for name, a in objects:
-            fa = functor.obj(a)
+        mapped = [(name, a, functor.obj(a)) for name, a in objects]
+        for (name_a, a, fa), (name_b, b, fb) in itertools.product(mapped, repeat=2):
+            for m in hom(a, b):
+                image = functor.mor(m, a, b)
+                if not functor.target.is_morphism(image, fa, fb):
+                    return verdict(f"image of {m} on {name_a}->{name_b} is not a morphism: {image}")
+        for name, a, fa in mapped:
             image = functor.mor(functor.source.identity(a), a, a)
             checked += 1
             if image != functor.target.identity(fa):
@@ -323,9 +329,9 @@ def naturality_witness(src: S2tGroup, dst: S2tGroup, m: Morphism) -> str | None:
     derived neardomain, so the square commutes iff lifting the point map of
     m through the affine groups gives back m itself.
 
-    The lift is forced from base images, as lift_nd_morphism forces it, but
-    without checking phi a second time; it is first confirmed by
-    is_s2t_morphism on src and dst, and only then compared with m."""
+    phi is confirmed by is_nd_morphism, lifted by lift_nd_morphism, which
+    checks nothing, and the lift confirmed by is_s2t_morphism on src and dst
+    before it is compared with m."""
     nd_s, nd_d = derived_neardomain(src), derived_neardomain(dst)
     phi = tuple(m.phi)
     if not is_nd_morphism(phi, nd_s, nd_d):
@@ -334,7 +340,7 @@ def naturality_witness(src: S2tGroup, dst: S2tGroup, m: Morphism) -> str | None:
         return "rebuilt group is not the original source"
     if affine_group(nd_d) != dst:
         return "rebuilt group is not the original target"
-    lifted = Morphism(forced_member_map(phi, affine_group(nd_s), affine_group(nd_d)), phi)
+    lifted = lift_nd_morphism(phi, nd_s, nd_d)
     if not is_s2t_morphism(lifted, src, dst):
         return f"lift of phi={m.phi} is not a morphism of the affine groups"
     if lifted != m:

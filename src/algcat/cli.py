@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
 from .catcheck import (
@@ -59,6 +58,7 @@ _FUNCTOR_PAIRS = {
 
 
 def _timestamp() -> str:
+    from datetime import datetime, timezone  # here: --no-timestamp never pays for it
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 

@@ -175,12 +175,11 @@ def characterize_morphism(f: Sequence[int], phi: Sequence[int], src: Rps, dst: R
 
 
 def lift_loop_morphism(phi: Sequence[int], src: Rps, dst: Rps) -> Morphism:
-    """The unique member map making (f, phi) a morphism, given a loop
-    morphism phi between the induced loops: f(m) is the target member whose
-    base-point image is phi(m(base))."""
+    """f forced by phi: f(m) is the target member whose base-point image is
+    phi(m(base)); for a loop morphism phi between the induced loops, (f, phi)
+    is the unique morphism over it. Checks nothing: enumerate_rps_morphisms
+    lifts only the maps the loop hom search found."""
     phi = tuple(phi)
-    if not is_loop_morphism(phi, induced_loop(src), induced_loop(dst)):
-        raise ValueError("phi is not a loop morphism between the induced loops")
     return Morphism(tuple(dst.member_at[phi[x]] for x in src.base_images), phi)
 
 

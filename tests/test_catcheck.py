@@ -27,16 +27,19 @@ from algcat.catcheck import (
     s2t_to_ndom,
     translation_form_witness,
 )
-from algcat.loops import check_loop, is_associative
+from algcat.loops import check_loop, enumerate_loop_morphisms, is_associative
 from algcat.neardomain import dickson_nearfield_9, enumerate_nd_morphisms, galois_field
 from algcat.perms import Morphism, PermSet, perm_set
-from algcat.rps import induced_loop, loop_to_rps
+from algcat.rps import enumerate_rps_morphisms_direct, identity_rps_morphism, induced_loop, lift_loop_morphism, loop_to_rps
 from algcat.s2t import (
     S2tGroup,
     affine_group,
     enumerate_s2t_morphisms,
+    enumerate_s2t_morphisms_direct,
+    forced_member_map,
     identity_s2t_morphism,
     involution_products_form_subgroup,
+    lift_nd_morphism,
     translations_form_subgroup,
 )
 
@@ -173,6 +176,78 @@ def test_full_faithful_report():
     assert full_faithful_witness(broken, "a", r3, "b", r3) is not None
 
 
+# fixes 0 and 1 of GF(5) and is a bijection, so it forces a member map, but
+# it is no neardomain morphism
+PHI5 = (0, 1, 4, 3, 2)
+
+
+def _listing_also(hom, src, dst, extra):
+    """hom, with extra listed last on the pair (src, dst)."""
+    return lambda a, b: hom(a, b) + ((extra,) if (a, b) == (src, dst) else ())
+
+
+@pytest.mark.parametrize("family", ["ndom->s2t", "s2t->ndom", "rps->loop"])
+def test_families_fail_on_a_hom_set_with_one_bad_member(zoo, family):
+    # the morphism maps check nothing, so each functor-laws family confirms
+    # each image itself, and names the pair and the member whose image fails;
+    # each full-faithfulness family finds that image outside the target
+    # hom-set
+    nds, groups, rpss = dict(zoo.neardomains), dict(zoo.groups), dict(zoo.rps_objects)
+    if family == "ndom->s2t":
+        gf5 = nds["gf5"]
+        functor = ndom_to_s2t(_listing_also(enumerate_nd_morphisms, gf5, gf5, PHI5))
+        objects, bad, image = [("gf2", nds["gf2"]), ("gf5", gf5)], PHI5, lift_nd_morphism(PHI5, gf5, gf5)
+        full_faithful = None
+    elif family == "s2t->ndom":
+        a5 = groups["aff(gf5)"]
+        bad = Morphism(forced_member_map(PHI5, a5, a5), PHI5)
+        functor = s2t_to_ndom(_listing_also(enumerate_s2t_morphisms_direct, a5, a5, bad))
+        objects, image, full_faithful = [("aff(gf2)", groups["aff(gf2)"]), ("aff(gf5)", a5)], PHI5, "s2t-full-faithful"
+    else:
+        r3 = rpss["rps(loop3_0)"]
+        bad = Morphism(identity_rps_morphism(r3).f, (0, 0, 1))
+        functor = rps_to_loop(_listing_also(enumerate_rps_morphisms_direct, r3, r3, bad))
+        objects, image, full_faithful = [("rps(loop3_0)", r3)], (0, 0, 1), "rps-full-faithful"
+    name, obj = objects[-1]
+    verdict = check_functor_laws(functor, objects)
+    assert (verdict.name, verdict.passed) == (f"functor-laws/{family}", False)
+    assert verdict.witness == f"image of {bad} on {name}->{name} is not a morphism: {image}"
+    if full_faithful:
+        count = len(functor.source.hom(obj, obj))
+        verdict = _run_family(full_faithful, [(f"{name}->{name}", (functor, name, obj, name, obj))], full_faithful_witness)
+        assert not verdict.passed
+        assert verdict.witness == (
+            f"{name}->{name}: {count} vs {count - 1}: induced morphism not in target hom-set: {image}"
+        )
+
+
+def test_morphism_maps_check_nothing(zoo, monkeypatch):
+    # the functor-laws families own the definitional checks, so the morphism
+    # maps run none: they build the same morphisms with every loop and
+    # neardomain morphism check refused
+    rps_pairs = [(a, b) for _, a in zoo.rps_objects for _, b in zoo.rps_objects]
+    nd_pairs = [(a, b) for _, a in zoo.neardomains for _, b in zoo.neardomains]
+    loop_homs = {(a, b): enumerate_loop_morphisms(induced_loop(a), induced_loop(b)) for a, b in rps_pairs}
+    nd_homs = {(a, b): enumerate_nd_morphisms(a, b) for a, b in nd_pairs}
+    lifts = lambda lift, homs: {(a, b): [lift(phi, a, b) for phi in phis] for (a, b), phis in homs.items()}
+    loop_lifts, nd_lifts = lifts(lift_loop_morphism, loop_homs), lifts(lift_nd_morphism, nd_homs)
+
+    def refuse(*args):
+        raise AssertionError("a morphism map ran a definitional check")
+
+    for module in (rps, s2t, catcheck):
+        for attr in ("is_loop_morphism", "is_nd_morphism"):
+            monkeypatch.setattr(module, attr, refuse, raising=False)
+    assert lifts(lift_loop_morphism, loop_homs) == loop_lifts
+    assert lifts(lift_nd_morphism, nd_homs) == nd_lifts
+    assert sum(map(len, loop_lifts.values())) == 217 and sum(map(len, nd_lifts.values())) == 21
+    mor = s2t_to_ndom().mor
+    for _, a in zoo.groups:
+        for _, b in zoo.groups:
+            for m in enumerate_s2t_morphisms_direct(a, b):
+                assert mor(m, a, b) == m.phi
+
+
 def test_roundtrip_witnesses_none(zoo):
     for _, loop in zoo.loops:
         assert loop_roundtrip_witness(loop) is None
@@ -253,7 +328,8 @@ def test_naturality_family_confirms_each_lift(zoo, monkeypatch):
 
 def test_naturality_checks_each_point_map_once(zoo, monkeypatch):
     # one full-table neardomain check per square: the lift is forced without
-    # checking phi again
+    # checking phi again; s2t binds no is_nd_morphism, and one bound there
+    # again would be counted too
     calls = []
 
     def counted(phi, src, dst):
@@ -261,7 +337,7 @@ def test_naturality_checks_each_point_map_once(zoo, monkeypatch):
         return neardomain.is_nd_morphism(phi, src, dst)
 
     monkeypatch.setattr(catcheck, "is_nd_morphism", counted)
-    monkeypatch.setattr(s2t, "is_nd_morphism", counted)
+    monkeypatch.setattr(s2t, "is_nd_morphism", counted, raising=False)
     squares = 0
     for _, src in zoo.groups:
         for _, dst in zoo.groups:
@@ -340,29 +416,44 @@ def test_functors_are_built_from_the_current_bindings(monkeypatch):
         "enumerate_nd_morphisms",
         "induced_loop",
         "derived_neardomain",
-        "derived_nd_morphism",
         "affine_group",
         "lift_nd_morphism",
+        "_point_map",
+        "is_rps_morphism",
+        "is_loop_morphism",
+        "is_s2t_morphism",
+        "is_nd_morphism",
     ):
         stubs[attr] = lambda *args: None
         monkeypatch.setattr(catcheck, attr, stubs[attr])
+    # both forgetful functors send (f, phi) to phi with the same map, and
+    # each category's definitional predicate is the module's name for it
     f = catcheck.rps_to_loop()
-    assert (f.source.hom, f.target.hom, f.obj) == (
-        stubs["enumerate_rps_morphisms_direct"], stubs["enumerate_loop_morphisms"], stubs["induced_loop"]
+    assert (f.source.hom, f.target.hom, f.obj, f.mor, f.source.is_morphism, f.target.is_morphism) == (
+        stubs["enumerate_rps_morphisms_direct"],
+        stubs["enumerate_loop_morphisms"],
+        stubs["induced_loop"],
+        stubs["_point_map"],
+        stubs["is_rps_morphism"],
+        stubs["is_loop_morphism"],
     )
     f = catcheck.s2t_to_ndom()
-    assert (f.source.hom, f.target.hom, f.obj, f.mor) == (
+    assert (f.source.hom, f.target.hom, f.obj, f.mor, f.source.is_morphism, f.target.is_morphism) == (
         stubs["enumerate_s2t_morphisms_direct"],
         stubs["enumerate_nd_morphisms"],
         stubs["derived_neardomain"],
-        stubs["derived_nd_morphism"],
+        stubs["_point_map"],
+        stubs["is_s2t_morphism"],
+        stubs["is_nd_morphism"],
     )
     f = catcheck.ndom_to_s2t()
-    assert (f.source.hom, f.target.hom, f.obj, f.mor) == (
+    assert (f.source.hom, f.target.hom, f.obj, f.mor, f.source.is_morphism, f.target.is_morphism) == (
         stubs["enumerate_nd_morphisms"],
         stubs["enumerate_s2t_morphisms_direct"],
         stubs["affine_group"],
         stubs["lift_nd_morphism"],
+        stubs["is_nd_morphism"],
+        stubs["is_s2t_morphism"],
     )
     memo = lambda a, b: ()
     for f in (catcheck.rps_to_loop(memo, memo), catcheck.s2t_to_ndom(memo, memo)):

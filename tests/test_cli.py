@@ -492,16 +492,17 @@ def test_verify_all_report_matches_golden_file(flags):
     assert done.stdout == golden
 
 
-def test_cold_process_imports_neither_dataclasses_nor_inspect():
+def test_cold_process_imports_no_dataclasses_inspect_or_datetime():
     """The value types generate no code, so a fresh process that imports the
     CLI and runs the whole battery never loads dataclasses, nor inspect,
-    which dataclasses pulls in; each costs every process its import time."""
+    which dataclasses pulls in; nor datetime, which only a timestamped
+    report reads. Each costs every process its import time."""
     root = Path(__file__).resolve().parents[1]
     code = """
 import sys
 import algcat.cli as cli
 rc = cli.main(["verify-all", "--no-timestamp"])
-print(rc, sorted(m for m in ("dataclasses", "inspect") if m in sys.modules), file=sys.stderr)
+print(rc, sorted(m for m in ("dataclasses", "datetime", "inspect") if m in sys.modules), file=sys.stderr)
 """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)

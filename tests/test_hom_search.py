@@ -26,8 +26,8 @@ from algcat.neardomain import (
     galois_field,
     is_nd_morphism,
 )
-from algcat.perms import Morphism
-from algcat.s2t import affine_group, derived_nd_morphism, enumerate_s2t_morphisms
+from algcat.perms import Perm, closure
+from algcat.s2t import S2tGroup, base_pair_index
 from references import loops_isomorphic
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -121,11 +121,13 @@ def test_nd_search_matches_brute_force():
 
 
 def test_broken_invariant_names_its_witness():
-    g9 = affine_group(galois_field(9))
-    good = enumerate_s2t_morphisms(g9, g9)[1]
+    # S4 is a closed group, but not sharply 2-transitive: its 24 members
+    # reach only the 12 ordered pairs of distinct points
+    s4 = S2tGroup(closure([Perm((1, 2, 3, 0)), Perm((1, 0, 2, 3))]), 4, 0, 1)
     with pytest.raises(InvariantViolation) as info:
-        derived_nd_morphism(Morphism(good.f, (0,) * 9), g9, g9)
-    assert info.value.witness == (0,) * 9
+        base_pair_index(s4)
+    assert info.value.claim == "members of a sharply 2-transitive group differ on the base points"
+    assert info.value.witness == 12
 
 
 def _run_optimized(code: str) -> None:
@@ -144,15 +146,14 @@ if __debug__:
     sys.exit("not running under -O")
 from algcat.errors import InvariantViolation
 from algcat.neardomain import galois_field
-from algcat.perms import Morphism
-from algcat.s2t import affine_group, derived_nd_morphism, enumerate_s2t_morphisms
-g9 = affine_group(galois_field(9))
-good = enumerate_s2t_morphisms(g9, g9)[1]
+from algcat.perms import Perm, closure
+from algcat.s2t import S2tGroup, base_pair_index
+s4 = S2tGroup(closure([Perm((1, 2, 3, 0)), Perm((1, 0, 2, 3))]), 4, 0, 1)
 try:
-    derived_nd_morphism(Morphism(good.f, (0,) * 9), g9, g9)
-except InvariantViolation:
-    sys.exit(0)
-sys.exit("constant-zero point map accepted")
+    base_pair_index(s4)
+except InvariantViolation as exc:
+    sys.exit(0 if exc.witness == 12 else f"witness {exc.witness}")
+sys.exit("S4 indexed by its base points")
 """
     _run_optimized(code)
 

@@ -161,8 +161,11 @@ def test_lift_loop_morphism():
     trivial = lift_loop_morphism((0, 0, 0), r, r)
     id_index = next(i for i, m in enumerate(r.members) if m.is_identity())
     assert all(v == id_index for v in trivial.f)
-    with pytest.raises(ValueError):
-        lift_loop_morphism((0, 1, 1), r, r)  # not a loop morphism
+    assert is_rps_morphism(trivial, r, r)
+    # the lift checks nothing: a map that is not a loop morphism still
+    # lifts, and the definition rejects the pair
+    bad = lift_loop_morphism((0, 1, 1), r, r)
+    assert bad.phi == (0, 1, 1) and not is_rps_morphism(bad, r, r)
 
 
 def test_fast_equals_direct(zoo):

@@ -24,6 +24,7 @@ from algcat.neardomain import (
     dickson_nearfield_9,
     enumerate_nd_morphisms,
     galois_field,
+    is_nd_morphism,
     is_nearfield,
 )
 from algcat.perms import Morphism, Perm, PermSet, closure, compose_morphisms, perm_set, subgroup_failure
@@ -38,7 +39,6 @@ from algcat.s2t import (
     characteristic,
     check_s2t,
     derived_neardomain,
-    derived_nd_morphism,
     enumerate_s2t_morphisms,
     enumerate_s2t_morphisms_direct,
     identity_s2t_morphism,
@@ -658,7 +658,7 @@ def test_morphism_validation_and_inclusions():
     for m in enumerate_s2t_morphisms(AFF[3], AFF[9]):
         assert is_s2t_morphism(m, AFF[3], AFF[9])
         assert image_inclusion_witness(m, AFF[3], AFF[9]) is None
-        assert derived_nd_morphism(m, AFF[3], AFF[9]) == m.phi
+        assert is_nd_morphism(m.phi, derived_neardomain(AFF[3]), derived_neardomain(AFF[9]))
     good = enumerate_s2t_morphisms(AFF[4], AFF[4])
     assert len(good) == 2
     nontrivial = next(m for m in good if m != identity_s2t_morphism(AFF[4]))
@@ -676,7 +676,8 @@ def test_lift_and_compose():
     assert is_s2t_morphism(embed, AFF[3], AFF[9])
     frob = enumerate_s2t_morphisms(AFF[9], AFF[9])[1]
     assert compose_morphisms(frob, frob) == identity_s2t_morphism(AFF[9])
-    with pytest.raises(ValueError):
+    # the lift checks nothing; a map that forces no member still raises
+    with pytest.raises(StructureError, match=r"member \[0, 1, 2\] matches no target member"):
         lift_nd_morphism((0, 0, 0), nd3, nd3)
 
 

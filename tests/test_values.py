@@ -18,8 +18,11 @@ Z2 = check_loop(((0, 1), (1, 0)))
 P01, P10 = Perm((0, 1)), Perm((1, 0))
 S2 = PermSet(2, (P01, P10))
 S2_REPR = "PermSet(degree=2, members=(Perm(images=(0, 1)), Perm(images=(1, 0))))"
-C = CategoryOps(len, abs, max)
-C_REPR = "CategoryOps(hom=<built-in function len>, identity=<built-in function abs>, compose=<built-in function max>)"
+C = CategoryOps(len, abs, max, callable)
+C_REPR = (
+    "CategoryOps(hom=<built-in function len>, identity=<built-in function abs>, compose=<built-in function max>, "
+    "is_morphism=<built-in function callable>)"
+)
 R = loop_to_rps(Z2)
 G = affine_group(galois_field(2))
 
@@ -92,7 +95,13 @@ CASES = [
         ("a", "b", 1, 1, True, None),
         "HomSetReport(source='a', target='b', source_count=1, target_count=1, bijection=True, witness=None)",
     ),
-    (CategoryOps, (len, abs, max), {"hom": len, "identity": abs, "compose": max}, (len, abs, max), C_REPR),
+    (
+        CategoryOps,
+        (len, abs, max, callable),
+        {"hom": len, "identity": abs, "compose": max, "is_morphism": callable},
+        (len, abs, max, callable),
+        C_REPR,
+    ),
     (
         FunctorOps,
         ("F", C, C, min, sum),
