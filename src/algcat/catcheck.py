@@ -228,12 +228,16 @@ def group_roundtrip_witness(g: S2tGroup) -> str | None:
 
 def check_functor_laws(functor: FunctorOps, objects: Sequence[tuple[str, object]]) -> Verdict:
     """Each image a target morphism, uncounted in checked: the morphism maps
-    check nothing, so this family owns that check. Identities to identities;
-    composition preserved on every composable pair drawn from the enumerated
-    hom-sets of the given objects, each hom-set enumerated once per call."""
+    check nothing, so this family owns that check, and names the pair and
+    the morphism whether the map or the predicate fails or raises.
+    Identities to identities; composition preserved on every composable
+    pair drawn from the enumerated hom-sets of the given objects. Each
+    hom-set is enumerated, and each of its morphisms mapped, once per call;
+    only identities and composites are mapped again."""
     t0 = time.perf_counter()
     checked = 0
     hom = _memoized(functor.source.hom)
+    images: dict = {}  # (a, b) -> the image of each morphism of hom(a, b)
 
     def verdict(witness: str | None) -> Verdict:
         ms = (time.perf_counter() - t0) * 1000
@@ -242,20 +246,26 @@ def check_functor_laws(functor: FunctorOps, objects: Sequence[tuple[str, object]
     try:
         mapped = [(name, a, functor.obj(a)) for name, a in objects]
         for (name_a, a, fa), (name_b, b, fb) in itertools.product(mapped, repeat=2):
+            images[a, b] = pair = []
             for m in hom(a, b):
-                image = functor.mor(m, a, b)
-                if not functor.target.is_morphism(image, fa, fb):
+                try:
+                    image = functor.mor(m, a, b)
+                    ok = functor.target.is_morphism(image, fa, fb)
+                except (StructureError, KeyError, ValueError) as exc:
+                    return verdict(f"image of {m} on {name_a}->{name_b} raised {type(exc).__name__}: {exc}")
+                if not ok:
                     return verdict(f"image of {m} on {name_a}->{name_b} is not a morphism: {image}")
+                pair.append(image)
         for name, a, fa in mapped:
             image = functor.mor(functor.source.identity(a), a, a)
             checked += 1
             if image != functor.target.identity(fa):
                 return verdict(f"identity of {name} maps to non-identity {image}")
         for (name_a, a), (name_b, b), (name_c, c) in itertools.product(objects, repeat=3):
-            for m1 in hom(a, b):
-                for m2 in hom(b, c):
+            for m1, image1 in zip(hom(a, b), images[a, b]):
+                for m2, image2 in zip(hom(b, c), images[b, c]):
                     left = functor.mor(functor.source.compose(m2, m1), a, c)
-                    right = functor.target.compose(functor.mor(m2, b, c), functor.mor(m1, a, b))
+                    right = functor.target.compose(image2, image1)
                     checked += 1
                     if left != right:
                         return verdict(f"composition broken on {name_a}->{name_b}->{name_c}: {left} != {right}")

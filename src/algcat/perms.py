@@ -9,9 +9,9 @@ A PermSet derives its integer index data once per object: the member index
 generating_set certifies closure from a greedy generating set, in |G|*|T|
 compositions for a generating set T of at most log2|G| members, and returns
 the indices of T; subgroup_failure wraps it in a witness string. No success
-path builds a composition table: the certified generating set is what the
-readers downstream (the homomorphism check of sharply 2-transitive groups)
-work from. composition_table (table[i][j] is the index of members[i] *
+path builds a composition table: a group validated downstream keeps its
+generating set as the certificate that it is closed, which the morphism
+check of sharply 2-transitive groups reads. composition_table (table[i][j] is the index of members[i] *
 members[j]) is built, and not kept, only to name the first missing product of
 a set that is not closed.
 
@@ -256,22 +256,6 @@ def intertwines(m: Morphism, src: PermSet, dst: PermSet) -> bool:
     dst_ms = dst.members
     for p, i in zip(src.members, f):
         if _right_multiplier(p.images)(phi) != after_phi(dst_ms[i].images):
-            return False
-    return True
-
-
-def is_homomorphism_on(gens: Iterable[int], f: tuple[int, ...], src: PermSet, dst: PermSet) -> bool:
-    """True iff f(p * t) == f(p) * f(t) for every member p of src and every
-    t among the member indices gens, composed on image tuples: |src| * |gens|
-    compositions on each side. A product p * t that is not a member of src
-    gives False. When gens generate src this is f being a homomorphism
-    (s2t.is_s2t_morphism has the induction); f must be a total map into dst."""
-    get = src._index.get
-    src_im = [p.images for p in src.members]
-    f_im = [dst.members[v].images for v in f]  # f(p) for each member p
-    for t in gens:
-        products = list(map(get, map(_right_multiplier(src_im[t]), src_im)))
-        if None in products or [f_im[k] for k in products] != list(map(_right_multiplier(f_im[t]), f_im)):
             return False
     return True
 

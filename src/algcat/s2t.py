@@ -43,14 +43,14 @@ morphism of the derived neardomains, the production path) both force f so
 and check nothing; the catcheck families confirm what they produce.
 enumerate_s2t_morphisms_direct runs the definitional search
 perms.forced_morphisms on the groups themselves, an independent oracle at
-every degree in the zoo. is_s2t_morphism, the definition, checks that f is
-a homomorphism on the generating set check_s2t certified the group with, in
-|G|*|T| compositions.
+every degree in the zoo. is_s2t_morphism, the definition, checks that phi
+intertwines the actions, |G| gathers, and derives the homomorphism law from
+that by sharpness: it composes no two members.
 
 No certificate here reads a composition table: a certified group is
 closed, and two of its members agreeing on two points are equal, so a
-product is compared by its images at the base points or against a
-generator, never looked up in a |G|^2 table.
+product is compared by its images at the base points, never looked up in a
+|G|^2 table.
 
 Each derived value above is a function of one object, so it is computed on
 the first request and kept on that object (generators, base_pair_index,
@@ -86,7 +86,6 @@ from .perms import (
     identity_morphism,
     intern,
     intertwines,
-    is_homomorphism_on,
     perm_set,
     subgroup_failure,
 )
@@ -158,7 +157,8 @@ def check_s2t(group: PermSet, omega0: int, omega1: int) -> S2tGroup:
 
     The group axioms are checked by generators(g), which certifies closure
     from a generating set through perms.generating_set and builds no
-    composition table; the group keeps that set, which is_s2t_morphism reads.
+    composition table; the group keeps that set, which is_s2t_morphism reads
+    as the certificate that the group is closed.
 
     Returns the interned copy of the validated group: a group equal to one
     among the last 64 interned comes back as that one, with the generators
@@ -307,40 +307,43 @@ def is_s2t_morphism(m: Morphism, src: S2tGroup, dst: S2tGroup) -> bool:
     """True iff characteristics match, f is a group homomorphism, and phi is
     an injective base-point-preserving map intertwining the actions.
 
-    f is checked to be a homomorphism on the generators T of src only, as
-    f(p * t) == f(p) * f(t) for every member p and generator t, composed on
-    image tuples: |G| * |T| compositions, no composition table. That is the
-    whole definition: T is nonempty in a group of at least two members, and
-    a finite group is the set of positive words in T (the identity too, as
-    t^k for k the order of t). So any q is t1 ... tk with k >= 1, and by
-    induction on k,
+    No two members are composed: the homomorphism law follows from the
+    intertwining check, |G| gathers, by sharpness (two members of a sharply
+    2-transitive group that agree on two points are equal; Dixon and
+    Mortimer, Permutation Groups, 1996). For members p, q of src,
 
-        f(p * t1 ... tk) == f(p * t1 ... tk-1) * f(tk)
-                         == f(p) * f(t1 ... tk-1) * f(tk)
-                         == f(p) * f(t1 ... tk),
+        phi . pq == f(p) . phi . q == f(p) f(q) . phi,
 
-    the first and last steps the generator check at the members
-    p * t1 ... tk-1 and t1 ... tk-1, the middle one the induction
-    hypothesis. A source built without check_s2t whose members are not a
-    group gives False.
+    and phi . pq == f(pq) . phi, so f(pq) and f(p) f(q) agree on the image
+    of phi, which holds both base points of dst. Both are members of dst,
+    so they are equal. That needs src closed (pq is a member, so f(pq) is
+    defined), dst closed (f(p) f(q) is a member) and the members of dst
+    pinned down by their base images: the generators and base_pair_index
+    that a validated group carries. An unvalidated group that fails any of
+    the three gives False; the closure certificate's own InvariantViolation
+    still propagates.
 
     A true result is checked to have injective f (forced by phi injective
-    plus sharp transitivity; a failure is an implementation bug).
+    and the intertwining; a failure means a source listing one permutation
+    twice, or an implementation bug).
     """
     f, phi = m.f, m.phi
     if not intertwines(m, src.group, dst.group):
+        return False
+    try:
+        generators(src)
+        generators(dst)
+    except NotAGroup:
+        return False
+    try:
+        base_pair_index(dst)
+    except InvariantViolation:
         return False
     if characteristic(src) is not characteristic(dst):
         return False
     if len(set(phi)) != len(phi):
         return False
     if phi[src.omega0] != dst.omega0 or phi[src.omega1] != dst.omega1:
-        return False
-    try:
-        gens = generators(src)
-    except NotAGroup:
-        return False
-    if not is_homomorphism_on(gens, f, src.group, dst.group):
         return False
     if len(set(f)) != len(f):
         raise InvariantViolation("morphisms of sharply 2-transitive groups have injective f", f)

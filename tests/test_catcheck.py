@@ -21,6 +21,7 @@ from algcat.catcheck import (
     nearfield_equivalence_witness,
     ndom_to_s2t,
     neardomain_roundtrip_witness,
+    oracle_agreement_witness,
     rps_to_loop,
     run_all,
     s2t_injectivity_witness,
@@ -219,6 +220,69 @@ def test_families_fail_on_a_hom_set_with_one_bad_member(zoo, family):
         assert verdict.witness == (
             f"{name}->{name}: {count} vs {count - 1}: induced morphism not in target hom-set: {image}"
         )
+
+
+@pytest.mark.parametrize("family", ["ndom->s2t", "rps->loop"])
+def test_functor_laws_name_the_pair_when_an_image_raises(zoo, family):
+    # a member the morphism map cannot lift, or whose image the target
+    # predicate refuses to read, is named with its pair like one that fails
+    nds, rpss = dict(zoo.neardomains), dict(zoo.rps_objects)
+    if family == "ndom->s2t":
+        gf5, bad = nds["gf5"], (0, 1, 1, 1, 1)
+        functor = ndom_to_s2t(_listing_also(enumerate_nd_morphisms, gf5, gf5, bad))
+        objects = [("gf2", nds["gf2"]), ("gf5", gf5)]
+        raised = "StructureError: member [1, 2, 3, 4, 0] matches no target member on the base points"
+    else:
+        r3 = rpss["rps(loop3_0)"]
+        bad = Morphism(identity_rps_morphism(r3).f, (0, 0, 3))
+        functor = rps_to_loop(_listing_also(enumerate_rps_morphisms_direct, r3, r3, bad))
+        objects = [("rps(loop3_0)", r3)]
+        raised = "ValueError: f is not a total map into the target loop"
+    name = objects[-1][0]
+    verdict = check_functor_laws(functor, objects)
+    assert (verdict.name, verdict.passed) == (f"functor-laws/{family}", False)
+    assert verdict.witness == f"image of {bad} on {name}->{name} raised {raised}"
+
+
+def test_functor_laws_map_each_morphism_once(zoo, monkeypatch):
+    # each member of each hom-set is lifted once, for its image check, and
+    # each identity and composite once more: on the slice of verify-all,
+    # 15 morphisms, 5 identities and 59 composites
+    calls = []
+
+    def counted(phi, src, dst):
+        calls.append(phi)
+        return lift_nd_morphism(phi, src, dst)
+
+    monkeypatch.setattr(catcheck, "lift_nd_morphism", counted)
+    nd_slice = [(n, nd) for n, nd in zoo.neardomains if nd.order <= 4 or n in ("gf9", "dickson9")]
+    verdict = check_functor_laws(ndom_to_s2t(), nd_slice)
+    assert (verdict.passed, verdict.checked) == (True, 64)
+    assert len(calls) == 15 + 5 + 59
+
+
+def test_s2t_hom_set_families_fail_on_one_bad_member(zoo):
+    # s2t-morphism-injectivity confirms each listed pair with is_s2t_morphism:
+    # PHI5 is injective and fixes the base points, and f is forced from it,
+    # but it does not intertwine. s2t-hom-oracle-agreement counts a pair the
+    # definitional search does not find: the nontrivial f of aff(gf4) with
+    # the identity phi
+    groups = dict(zoo.groups)
+    a4, a5 = groups["aff(gf4)"], groups["aff(gf5)"]
+    bad = Morphism(forced_member_map(PHI5, a5, a5), PHI5)
+    hom = _listing_also(enumerate_s2t_morphisms, a5, a5, bad)
+    items = [(f"{na}->{nb}", (a, b, hom)) for na, a in zoo.groups for nb, b in zoo.groups]
+    verdict = _run_family("s2t-morphism-injectivity", items, s2t_injectivity_witness)
+    assert not verdict.passed
+    assert verdict.witness == "aff(gf5)->aff(gf5): enumerated pair is not a valid morphism: phi=(0, 1, 4, 3, 2)"
+    frobenius = enumerate_s2t_morphisms(a4, a4)[1]
+    extra = Morphism(frobenius.f, identity_s2t_morphism(a4).phi)
+    hom = _listing_also(enumerate_s2t_morphisms, a4, a4, extra)
+    small = [(n, g) for n, g in zoo.groups if g.degree <= 4]
+    items = [(f"{na}->{nb}", (hom, enumerate_s2t_morphisms_direct, a, b)) for na, a in small for nb, b in small]
+    verdict = _run_family("s2t-hom-oracle-agreement", items, oracle_agreement_witness)
+    assert not verdict.passed
+    assert verdict.witness == "aff(gf4)->aff(gf4): fast path found 3, direct oracle 2"
 
 
 def test_morphism_maps_check_nothing(zoo, monkeypatch):

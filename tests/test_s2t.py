@@ -54,6 +54,7 @@ from algcat.s2t import (
     translations_form_subgroup,
 )
 from algcat.zoo import standard_zoo
+import references
 from references import is_involution
 
 S3 = closure([Perm((1, 2, 0)), Perm((1, 0, 2))])
@@ -459,59 +460,92 @@ def test_frozen_hom_counts():
     assert len(enumerate_s2t_morphisms(AFFD, AFFD)) == 6
 
 
-def _table_reference(members: PermSet) -> list[list[int]]:
-    """The member composition table by Perm.__mul__, independent of
-    PermSet.composition_table."""
-    return [[members.index(p * q) for q in members] for p in members]
-
-
-def _homomorphism_reference(f, t_src, t_dst) -> bool:
-    """f(p * q) == f(p) * f(q) at every pair, on full tables."""
-    return all(f[k] == t_dst[f[i]][f[j]] for i, row in enumerate(t_src) for j, k in enumerate(row))
+def _forced(phi, src: S2tGroup, dst: S2tGroup) -> tuple[int, ...]:
+    """The member map phi forces: f(p) the dst member that sends
+    phi(omega0) and phi(omega1) where phi . p does, found by a scan of dst."""
+    s0, s1 = src.omega0, src.omega1
+    return tuple(
+        next(j for j, q in enumerate(dst.group) if (q(phi[s0]), q(phi[s1])) == (phi[p(s0)], phi[p(s1)]))
+        for p in src.group
+    )
 
 
 def test_generating_set_homomorphism_check_matches_full_tables(zoo):
-    # every map S3 -> S3, then chosen maps between small zoo groups: group
-    # homomorphisms (trivial, the s2t morphisms, each followed by an inner
-    # automorphism of the target) and one-entry perturbations of them
+    # is_s2t_morphism composes no two members: it derives the homomorphism
+    # law from intertwining by sharpness. The reference checks every
+    # condition of the definition pointwise and f on full tables. First every
+    # member map S3 -> S3 with phi the identity, then, on every ordered pair
+    # of small zoo groups and every injective phi (those moving a base point
+    # included: conjugation by a member intertwines), the trivial map, the
+    # forced f and its conjugates by each member of the target (group
+    # homomorphisms that fail to intertwine unless the conjugator is the
+    # identity), one-entry perturbations of each, and random maps
     g3 = check_s2t(S3, 0, 1)
-    t3 = _table_reference(S3)
-    gens = s2t.generators(g3)
-    agree = homs = 0
+    t3 = references.composition_table(S3)
+    agree = morphisms = homs = 0
     for f in itertools.product(range(6), repeat=6):
-        want = _homomorphism_reference(f, t3, t3)
-        assert perms.is_homomorphism_on(gens, f, S3, S3) == want, f
-        homs += want
-    # S3 has 10 endomorphisms: trivial, 3 onto each order-2 subgroup, 6 automorphisms
-    assert homs == 10
+        want = references.is_s2t_morphism(f, (0, 1, 2), g3, g3, t3, t3)
+        assert is_s2t_morphism(Morphism(f, (0, 1, 2)), g3, g3) == want, f
+        agree += 1
+        morphisms += want
+        homs += references.is_homomorphism(f, t3, t3)
+    # S3 has 10 endomorphisms: trivial, 3 onto each order-2 subgroup, 6
+    # automorphisms; only the identity intertwines with the identity phi
+    assert (agree, morphisms, homs) == (6**6, 1, 10)
     small = [g for name, g in zoo.groups if len(g.group) <= 20]
     rng = random.Random(13)
+    intertwined = 0
     for src in small:
-        t_src = _table_reference(src.group)
+        t_src = references.composition_table(src.group)
         for dst in small:
-            t_dst = _table_reference(dst.group)
+            t_dst = references.composition_table(dst.group)
             e = dst.group.index(Perm.identity(dst.degree))
-            candidates = [(e,) * len(src.group)]
-            for m in enumerate_s2t_morphisms_direct(src, dst):
-                for c in range(len(dst.group)):
-                    c_inv = t_dst[c].index(e)
-                    candidates.append(tuple(t_dst[t_dst[c][v]][c_inv] for v in m.f))
-            for f in list(candidates):
-                i = rng.randrange(len(f))
-                candidates.append(f[:i] + (rng.randrange(len(dst.group)),) + f[i + 1 :])
-            candidates += [tuple(rng.randrange(len(dst.group)) for _ in src.group) for _ in range(20)]
-            for f in candidates:
-                want = _homomorphism_reference(f, t_src, t_dst)
-                assert perms.is_homomorphism_on(s2t.generators(src), f, src.group, dst.group) == want
-                agree += 1
-                homs += want
-    assert agree > 1000 and homs > 100
+            for phi in itertools.permutations(range(dst.degree), src.degree):
+                forced = _forced(phi, src, dst)
+                intertwined += perms.intertwines(Morphism(forced, phi), src.group, dst.group)
+                candidates = [(e,) * len(src.group)]
+                candidates += [tuple(t_dst[t_dst[c][v]][t_dst[c].index(e)] for v in forced) for c in range(len(dst.group))]
+                for f in list(candidates):
+                    i = rng.randrange(len(f))
+                    candidates.append(f[:i] + ((f[i] + 1 + rng.randrange(len(dst.group) - 1)) % len(dst.group),) + f[i + 1 :])
+                candidates += [tuple(rng.randrange(len(dst.group)) for _ in src.group) for _ in range(4)]
+                for f in candidates:
+                    want = references.is_s2t_morphism(f, phi, src, dst, t_src, t_dst)
+                    assert is_s2t_morphism(Morphism(f, phi), src, dst) == want, (f, phi)
+                    agree += 1
+                    morphisms += want
+                    homs += references.is_homomorphism(f, t_src, t_dst)
+    assert (agree, morphisms, homs, intertwined) == (6**6 + 34996, 1 + 30, 10 + 3711, 234)
+
+
+def test_s2t_morphism_check_matches_full_tables_at_q16():
+    # the 240-member affine group of GF(16): its 4 endomorphisms (the
+    # Frobenius powers) and one-entry perturbations of each against the
+    # reference on the full 240 x 240 table
+    a16 = affine_group(galois_field(16))
+    table = references.composition_table(a16.group)
+    endos = enumerate_s2t_morphisms_direct(a16, a16)
+    assert len(endos) == 4
+    rng = random.Random(16)
+    agree = morphisms = 0
+    for m in endos:
+        candidates = [m.f]
+        for _ in range(16):
+            i = rng.randrange(240)
+            candidates.append(m.f[:i] + ((m.f[i] + 1 + rng.randrange(239)) % 240,) + m.f[i + 1 :])
+        for f in candidates:
+            want = references.is_s2t_morphism(f, m.phi, a16, a16, table, table)
+            assert is_s2t_morphism(Morphism(f, m.phi), a16, a16) == want
+            agree += 1
+            morphisms += want
+    assert (agree, morphisms) == (68, 4)
 
 
 def test_homomorphism_check_on_an_unvalidated_source_is_false():
     # AGL(1,5) minus one involution keeps the identity and every inverse, so
     # a product leaves the set: no generating set is certified, and the
-    # check answers False rather than raising
+    # check answers False rather than raising, though the embedding
+    # intertwines
     g5 = AFF[5]
     dropped = next(p for p in g5.group if is_involution(p))
     loose = PermSet(5, tuple(p for p in g5.group if p != dropped))
@@ -521,8 +555,61 @@ def test_homomorphism_check_on_an_unvalidated_source_is_false():
     with pytest.raises(NotAGroup):
         s2t.generators(src)
     assert is_s2t_morphism(embed, src, g5) is False
-    # given every member as a generator, a product outside the set is False
-    assert perms.is_homomorphism_on(range(len(loose)), embed.f, loose, g5.group) is False
+    # the reference has no table for it: a product is not a member
+    with pytest.raises(KeyError):
+        references.composition_table(loose)
+
+
+def test_s2t_morphism_check_on_an_unvalidated_target_is_false():
+    # the certificate needs dst closed and its members pinned down by their
+    # base images; a target lacking either answers False, though each
+    # embedding below intertwines
+    embed = lift_nd_morphism((0, 1, 2), galois_field(3), galois_field(9))
+    g9 = AFF[9].group
+    # not closed: aff(gf9) less a member outside the image that is not an
+    # involution, so its inverse is left alone and the involutions all stay
+    dropped = next(p for k, p in enumerate(g9) if k not in embed.f and not is_involution(p))
+    loose = PermSet(9, tuple(p for p in g9 if p != dropped))
+    open9 = S2tGroup(loose, 9, 0, 1)
+    into_loose = Morphism(tuple(loose.index(g9.members[k]) for k in embed.f), embed.phi)
+    with pytest.raises(NotAGroup):
+        s2t.generators(open9)
+    assert base_pair_index(open9) and characteristic(open9) is Characteristic.NOT_TWO
+    assert is_s2t_morphism(into_loose, AFF[3], open9) is False
+    # closed but not pinned: S3 inside S4, the characteristic planted so that
+    # only the base pairs refuse it
+    sym4 = closure([Perm((1, 2, 3, 0)), Perm((1, 0, 2, 3))])
+    unpinned = S2tGroup(sym4, 4, 0, 1)
+    unpinned._derived["characteristic"] = Characteristic.NOT_TWO
+    into_sym4 = Morphism(tuple(sym4.index(Perm(p.images + (3,))) for p in AFF[3].group), (0, 1, 2))
+    assert perms.intertwines(into_sym4, AFF[3].group, sym4)
+    t3, t4 = references.composition_table(AFF[3].group), references.composition_table(sym4)
+    assert references.is_homomorphism(into_sym4.f, t3, t4)
+    s2t.generators(unpinned)
+    with pytest.raises(InvariantViolation, match="differ on the base points"):
+        base_pair_index(unpinned)
+    assert is_s2t_morphism(into_sym4, AFF[3], unpinned) is False
+
+
+def test_s2t_morphism_check_refuses_a_non_injective_point_map():
+    # on a 2-transitive source, a phi that intertwines and fixes both base
+    # points is injective: its fibres are blocks, and a 2-transitive group
+    # has none but the trivial ones. A closed source that is not
+    # 2-transitive shows the injectivity of phi as a condition of its own
+    z2 = S2tGroup(perm_set([Perm((0, 1, 2, 3)), Perm((1, 0, 3, 2))]), 4, 0, 1)
+    fold = Morphism((0, 1), (0, 1, 0, 1))
+    assert perms.intertwines(fold, z2.group, AFF[2].group)
+    assert s2t.generators(z2) and characteristic(z2) is characteristic(AFF[2])
+    assert is_s2t_morphism(fold, z2, AFF[2]) is False
+
+
+def test_closure_certificate_violation_propagates(monkeypatch):
+    # only NotAGroup means an unvalidated group; the certificate's own
+    # InvariantViolation is a bug and is not turned into False
+    src = S2tGroup(AFF[5].group, 5, 0, 1)
+    monkeypatch.setattr(perms, "_generated_closure", lambda members: None)
+    with pytest.raises(InvariantViolation, match="generating-set closure certificate"):
+        is_s2t_morphism(identity_s2t_morphism(AFF[5]), src, AFF[5])
 
 
 def test_mixed_characteristic_is_empty():
