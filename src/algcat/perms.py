@@ -280,17 +280,15 @@ def forced_morphisms(
     src_im = [p.images for p in src.members]
     dst_im = [q.images for q in dst.members]
     at = {tuple(q[b] for b in dst_base): j for j, q in enumerate(dst_im)}
-    # the members whose forced image waits on each point
-    waits = [[i for i, p in enumerate(src_im) if y in [p[b] for b in src_base]] for y in range(n)]
+    # the members whose forced image waits on each point, read off each
+    # member's base images
+    waits: list[list[int]] = [[] for _ in range(n)]
+    for i, p in enumerate(src_im):
+        for y in {p[b] for b in src_base}:
+            waits[y].append(i)
     out = []
 
     def search(phi: list[int], f: list, forced: list, todo: list[int]) -> None:
-        def put(z: int, w: int) -> bool:
-            if phi[z] < 0:
-                phi[z] = w
-                todo.append(z)
-            return phi[z] == w
-
         while todo:
             y = todo.pop()
             for i in waits[y]:
@@ -300,15 +298,28 @@ def forced_morphisms(
                 key = tuple(phi[p[b]] for b in src_base)
                 if -1 in key:
                     continue
-                f[i] = at.get(key)
-                if f[i] is None:
+                j = f[i] = at.get(key)
+                if j is None:
                     return
-                q = dst_im[f[i]]
+                q = dst_im[j]
                 forced.append((p, q))
-                if not all(put(p[x], q[v]) for x, v in enumerate(phi) if v >= 0):
+                # phi grows as it is read: a point imaged here is applied too
+                for x, v in enumerate(phi):
+                    if v >= 0:
+                        z, w = p[x], q[v]
+                        if phi[z] < 0:
+                            phi[z] = w
+                            todo.append(z)
+                        elif phi[z] != w:
+                            return
+            v = phi[y]
+            for p, q in forced:
+                z, w = p[y], q[v]
+                if phi[z] < 0:
+                    phi[z] = w
+                    todo.append(z)
+                elif phi[z] != w:
                     return
-            if not all(put(p[y], q[phi[y]]) for p, q in forced):
-                return
         if -1 not in phi:
             out.append(Morphism(tuple(f), tuple(phi)))
             return

@@ -24,14 +24,17 @@ The derived structure rests on the involutions J (never empty here):
 point_add and point_mul are the per-cell reference definitions;
 derived_neardomain builds the same tables a row at a time and re-validates.
 Going the other way, affine_group builds the maps x -> a + b*x of a
-neardomain, a sharply 2-transitive group, and checks its closed-form
-composition law on the base images of each composite. Each direction
-inverts the other on the nose: derived_neardomain(affine_group(nd)) equals
-nd, and affine_group(derived_neardomain(g)) equals g, the same members with
-zero and one at (omega0, omega1), since each affine map composes a
-translation of g with a member of g fixing omega0 (Kerby, On infinite
-sharply multiply transitive groups, 1974). catcheck turns each of these
-statements into an exhaustive check.
+neardomain, a sharply 2-transitive group, and certifies its closed-form
+composition law for every pair of maps. Every map is a translation after a
+multiplication, so it checks the law only on the (2n - 2) * n(n - 1) pairs
+whose left factor is one of those (1,152 of the 5,184 pairs at n = 9), each
+by the composite's images at the base points. Each direction inverts the
+other on the nose: derived_neardomain(affine_group(nd)) equals nd, and
+affine_group(derived_neardomain(g)) equals g, the same members with zero
+and one at (omega0, omega1), since each affine map composes a translation
+of g with a member of g fixing omega0 (Kerby, On infinite sharply multiply
+transitive groups, 1974). catcheck turns each of these statements into an
+exhaustive check.
 
 Hom-sets: morphisms are pairs (f, phi), f a group homomorphism and phi an
 injective base-point-preserving point map intertwining the actions; between
@@ -385,30 +388,61 @@ def affine_group(nd: Neardomain) -> S2tGroup:
     """The affine maps as a sharply 2-transitive group on the carrier, based
     at (zero, one).
 
-    Construction re-runs check_s2t, and the closed-form composition law
+    Construction re-runs check_s2t, and then certifies the closed-form
+    composition law
 
         (a, b) . (k, l) == (a + b*k, d * b * l),  d the reassociation
                                                   coefficient of (a, b*k)
 
-    is checked for every pair of maps by the images of the composite at
+    for every pair of maps, while checking it on the (2n - 2) * n(n - 1)
+    pairs whose left factor is a translation (b == one) or a multiplication
+    (a == zero): 1,152 of the 5,184 pairs at n = 9, 7,200 of 57,600 at
+    n = 16. Each pair is checked by the images of the composite at
     (zero, one), compared with those of the map the law names. That is
     exact: check_s2t has certified the maps a sharply 2-transitive group, so
     the composite is a member, and two members agreeing on two points are
-    equal.
+    equal. Before the pairs, three unit facts are checked for every y:
+    zero + y == y, one * y == y and d(zero, y) == one.
+
+    Why these pairs suffice. Write F(a, b) for the map x -> a + b*x. By the
+    first two unit facts, F(a, one) . F(zero, b) sends x to
+    a + one*(zero + b*x) == a + b*x, so F(a, b) == F(a, one) . F(zero, b).
+    The multiplication case gives F(zero, b) . F(k, l) ==
+    F(zero + b*k, d(zero, b*k) * b*l), which is F(b*k, b*l) by the unit
+    facts. The translation case then gives, again with one * y == y,
+
+        F(a, b) . F(k, l) == F(a, one) . F(b*k, b*l)
+                          == F(a + b*k, d(a, b*k) * b*l),
+
+    the law at (a, b), (k, l). The multiplication and translation cases are
+    equalities of members because both sides are members of a certified
+    sharply 2-transitive group that agree at the two base points.
     """
     maps = affine_maps(nd)
     if len({am.perm for am in maps}) != len(maps):
         raise InvariantViolation("distinct parameters give distinct affine maps", len(maps))
     grp = check_s2t(perm_set(am.perm for am in maps), nd.zero, nd.one)
-    zero, one = nd.zero, nd.one
+    n, zero, one = nd.order, nd.zero, nd.one
+    add, mul = nd.add, nd.mul
+    for y in range(n):
+        if add[zero][y] != y:
+            raise InvariantViolation("zero + y == y", y)
+    for y in range(n):
+        if mul[one][y] != y:
+            raise InvariantViolation("one * y == y", y)
+    coeff = [[d_coeff(nd, a, c) for c in range(n)] for a in range(n)]
+    for y in range(n):
+        if coeff[zero][y] != one:
+            raise InvariantViolation("d(zero, y) == one", y)
     images = [(am.a, am.b, am.perm.images) for am in maps]
     base = {(a, b): (im[zero], im[one]) for a, b, im in images}
-    add, mul = nd.add, nd.mul
-    coeff = [[d_coeff(nd, a, c) for c in range(nd.order)] for a in range(nd.order)]
     for a, b, p in images:
+        if b != one and a != zero:
+            continue
+        add_a, mul_b, coeff_a = add[a], mul[b], coeff[a]
         for k, l, q in images:
-            bk = mul[b][k]
-            if base.get((add[a][bk], mul[coeff[a][bk]][mul[b][l]])) != (p[q[zero]], p[q[one]]):
+            bk = mul_b[k]
+            if base.get((add_a[bk], mul[coeff_a[bk]][mul_b[l]])) != (p[q[zero]], p[q[one]]):
                 raise InvariantViolation("affine composition law", ((a, b), (k, l)))
     return grp
 

@@ -29,8 +29,8 @@ from algcat.catcheck import (
     translation_form_witness,
 )
 from algcat.loops import check_loop, enumerate_loop_morphisms, is_associative
-from algcat.neardomain import dickson_nearfield_9, enumerate_nd_morphisms, galois_field
-from algcat.perms import Morphism, PermSet, perm_set
+from algcat.neardomain import Neardomain, dickson_nearfield_9, enumerate_nd_morphisms, galois_field
+from algcat.perms import Morphism, Perm, PermSet, perm_set
 from algcat.rps import enumerate_rps_morphisms_direct, identity_rps_morphism, induced_loop, lift_loop_morphism, loop_to_rps
 from algcat.s2t import (
     S2tGroup,
@@ -43,6 +43,7 @@ from algcat.s2t import (
     lift_nd_morphism,
     translations_form_subgroup,
 )
+from algcat.zoo import Zoo
 
 Z3 = check_loop(((0, 1, 2), (1, 2, 0), (2, 0, 1)))
 RPS_TO_LOOP = rps_to_loop()
@@ -336,6 +337,24 @@ def test_roundtrip_witness_on_corrupted_group():
     )
     with pytest.raises(Exception):
         group_roundtrip_witness(smaller)
+
+
+def test_roundtrip_families_fail_on_a_corrupted_input():
+    # neardomain-roundtrip: GF(5) with zero * y == y; no affine map reads
+    # the row of zero, so affine_group certifies the group of GF(5) and only
+    # the rebuild tells the tables apart.
+    # group-roundtrip: aff(gf5) with x -> 1 + 2x changed off the base points
+    # by swapping the images of 2 and 3; no involution and no member fixing
+    # 0 moves, so the derived neardomain is GF(5), whose group differs.
+    gf5 = galois_field(5)
+    nd = Neardomain(5, gf5.add, (tuple(range(5)),) + gf5.mul[1:], 0, 1)
+    members = affine_group(gf5).group.members
+    moved = [Perm((1, 3, 2, 0, 4)) if p.images == (1, 3, 0, 2, 4) else p for p in members]
+    g = S2tGroup(perm_set(moved), 5, 0, 1)
+    assert g.group != affine_group(gf5).group
+    verdicts = {v.name: v for v in run_all(Zoo((), (), (("gf5/mul0", nd),), (("aff(gf5)/moved", g),)))}
+    assert verdicts["neardomain-roundtrip"].witness == "gf5/mul0: mul[0][1]: 0 != 1"
+    assert verdicts["group-roundtrip"].witness == "aff(gf5)/moved: rebuilt affine group is not the original member set"
 
 
 def test_injectivity_family_names_non_injective_pairs():

@@ -342,17 +342,18 @@ def test_derived_neardomain_roundtrip():
 
 
 def test_affine_composition_law():
-    for nd in (galois_field(3), galois_field(4), galois_field(9), dickson_nearfield_9()):
-        maps = affine_maps(nd)
-        by_perm = {m.perm: (m.a, m.b) for m in maps}
-        for m1 in maps:
-            for m2 in maps:
-                a, b = m1.a, m1.b
-                k, l = m2.a, m2.b
-                bk = nd.mul[b][k]
-                d = d_coeff(nd, a, bk)
-                expected = (nd.add[a][bk], nd.mul[d][nd.mul[b][l]])
-                assert by_perm[m1.perm * m2.perm] == expected
+    # the law at every pair of maps, the reference for the pairs affine_group
+    # checks; composed on image tuples, 57,600 pairs at q = 16
+    for nd in (*map(galois_field, (3, 4, 9, 11, 13, 16)), dickson_nearfield_9()):
+        n, add, mul = nd.order, nd.add, nd.mul
+        maps = [(m.a, m.b, m.perm.images) for m in affine_maps(nd)]
+        by_images = {p: (a, b) for a, b, p in maps}
+        coeff = [[d_coeff(nd, a, c) for c in range(n)] for a in range(n)]
+        for a, b, p in maps:
+            for k, l, q in maps:
+                bk = mul[b][k]
+                expected = (add[a][bk], mul[coeff[a][bk]][mul[b][l]])
+                assert by_images[tuple(p[x] for x in q)] == expected, (n, (a, b), (k, l))
 
 
 def test_affine_law_names_a_wrong_coefficient(monkeypatch):
@@ -370,6 +371,45 @@ def test_affine_law_names_a_wrong_coefficient(monkeypatch):
     with pytest.raises(InvariantViolation) as exc:
         affine_group(nd)
     assert (exc.value.claim, exc.value.witness) == ("affine composition law", expected)
+
+
+def _gf5_with(add=None, mul=None) -> Neardomain:
+    """GF(5) with a table replaced, unvalidated and with nothing derived."""
+    gf5 = galois_field(5)
+    return Neardomain(5, add or gf5.add, mul or gf5.mul, gf5.zero, gf5.one)
+
+
+@pytest.mark.parametrize("fact", ["zero + y == y", "one * y == y", "d(zero, y) == one"])
+def test_affine_law_checks_the_unit_facts_first(monkeypatch, fact):
+    # each corruption leaves the maps the affine group of GF(5), so
+    # check_s2t passes, and the factorization F(a, b) == F(a, one) . F(zero, b)
+    # that the checked pairs rest on is refused at the first bad y
+    gf5 = galois_field(5)
+    if fact == "zero + y == y":
+        # zero + y == 2y: the maps F(zero, b) are those of F(zero, 2b)
+        nd, y = _gf5_with(add=(gf5.mul[2],) + gf5.add[1:]), 1
+    elif fact == "one * y == y":
+        # each row b of multiplication is the row of 2b
+        nd, y = _gf5_with(mul=tuple(gf5.mul[2 * b % 5] for b in range(5))), 1
+    else:
+        # wrong at the last y, so that every y is read
+        nd, y = _gf5_with(), 4
+        monkeypatch.setattr(s2t, "d_coeff", lambda nd, a, c: 2 if (a, c) == (0, 4) else d_coeff(nd, a, c))
+    with pytest.raises(InvariantViolation) as exc:
+        affine_group(nd)
+    assert (exc.value.claim, exc.value.witness) == (fact, y)
+
+
+def test_affine_law_checks_the_multiplication_case():
+    # rows 2 and 3 of multiplication swapped: the unit facts and every pair
+    # with a translation on the left hold, and the maps are those of GF(5),
+    # but F(zero, 2) . F(k, l) is F(3k, 3l), not F(2 * k, 2 * l) as the law
+    # reads the tables; the first such pair has the identity on the right
+    gf5 = galois_field(5)
+    nd = _gf5_with(mul=(gf5.mul[0], gf5.mul[1], gf5.mul[3], gf5.mul[2], gf5.mul[4]))
+    with pytest.raises(InvariantViolation) as exc:
+        affine_group(nd)
+    assert (exc.value.claim, exc.value.witness) == ("affine composition law", ((0, 2), (0, 1)))
 
 
 def test_composition_table_matches_perm_products(zoo):
