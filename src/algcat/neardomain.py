@@ -14,6 +14,13 @@ It is a nearfield when every such d equals one; addition is then a group.
 Every finite neardomain is a nearfield, which the test suite re-checks as a
 standing property on everything this module ever builds.
 
+check_neardomain certifies axioms 3 and 5 on a greedy generating set of the
+nonzero elements, associativity by Light's test and left distributivity on
+the generators alone, and runs a full triple loop only to name the witness
+of an input that fails. Axiom 6 solves all n^2 coefficients, n^3 steps, and
+the neardomain keeps them as one table (coefficients), which affine_group
+and is_nearfield read.
+
 Morphisms preserve both operations and the multiplicative identity (without
 the unital requirement the constant-zero map would slip in, collapsing the
 hom-sets this package certifies). Morphisms are automatically injective;
@@ -23,6 +30,7 @@ that is checked, never assumed.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import (
@@ -34,14 +42,15 @@ from .errors import (
 )
 from .loops import Table, check_loop, table_homomorphisms
 from .perms import check_budget, intern
-from .values import Value, cached_hash
+from .values import Value, cached_hash, per_object
 
 
 class Neardomain(Value):
     """Build through check_neardomain(); direct construction skips validation.
 
-    _derived holds what other layers derive from this one object (its affine
-    group), set on first request and kept for the object's life."""
+    _derived holds what is derived from this one object (its coefficient
+    table and its affine group), set on first request and kept for the
+    object's life."""
 
     __slots__ = ("order", "add", "mul", "zero", "one", "_derived", "_hash")
     _fields = ("order", "add", "mul", "zero", "one")
@@ -78,9 +87,37 @@ def check_neardomain(
     one: int,
 ) -> Neardomain:
     """Validate the six axioms in order; the first failure is reported as
-    AxiomViolation(k, witness). Axioms 3, 5 and 6 loop over triples, so an
-    order whose cube is over the budget is refused before anything is read.
-    Returns the interned copy of the validated neardomain."""
+    AxiomViolation(k, witness), the witness being the first failing cell in
+    row-major order. Returns the interned copy of the validated neardomain,
+    which keeps its coefficient table (see coefficients).
+
+    Only axiom 6 loops over triples. The triple laws of axioms 3 and 5 are
+    certified on a greedy generating set A of the nonzero elements under mul
+    (1 to 3 elements for the bundled neardomains, at most log2(n - 1) in a
+    group):
+
+    - associativity of the nonzero elements by Light's test, (n - 1)^2 |A|
+      steps (see _associativity_witness);
+    - left distributivity on A alone, n^2 |A| steps, once a * zero == zero
+      holds for every a. The a with a(b + c) == ab + ac for all b, c form a
+      set S. It holds zero, by axiom 4 and zero + zero == zero. It is closed
+      under products, (aa')(b + c) == a(a'b + a'c) == (aa')b + (aa')c,
+      which rests on three facts: the nonzero elements are associative
+      (axiom 3), zero absorbs on the left (axiom 4) and zero absorbs on the
+      right (a * zero == zero). Together they make mul associative on all
+      elements, so (aa')x == a(a'x) for every x. S holds A and one (one
+      times every element is that element, by the unit law and a * zero ==
+      zero), so it holds every product of them, which is every element.
+
+    a * zero == zero follows from axioms 1 and 5 (a * zero ==
+    a * (zero + zero) == a * zero + a * zero, and in a loop only zero is its
+    own double), so a table failing it fails axiom 5 too. When either check
+    fails, the full row-major loop of axiom 5 names the witness, as the full
+    loop of axiom 3 does when Light's test fails; a full loop that finds
+    nothing contradicts the certificate and raises InvariantViolation. A
+    valid input never runs a full loop. The budget still counts the n^3
+    steps of axiom 6 and the full loops, so an order whose cube is over it
+    is refused before anything is read."""
     n = len(add)
     if n < 2:
         raise StructureError("neardomain order must be at least 2, zero and one are distinct")
@@ -116,70 +153,158 @@ def check_neardomain(
             raise AxiomViolation(3, ("left translation not bijective", a))
         if sorted(mul_t[b][a] for b in nonzero) != nonzero:
             raise AxiomViolation(3, ("right translation not bijective", a))
-    for a in nonzero:
-        for b in nonzero:
-            for c in nonzero:
-                if mul_t[mul_t[a][b]][c] != mul_t[a][mul_t[b][c]]:
-                    raise AxiomViolation(3, ("not associative", a, b, c))
+    gens = _generators(mul_t, nonzero, one)
+    witness = _associativity_witness(mul_t, nonzero, gens)
+    if witness is not None:
+        raise AxiomViolation(3, ("not associative", *witness))
 
     # axiom 4: zero absorbs from the left
     for a in range(n):
         if mul_t[zero][a] != zero:
             raise AxiomViolation(4, (a,))
 
-    # axiom 5: left distributivity
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if mul_t[a][add_t[b][c]] != add_t[mul_t[a][b]][mul_t[a][c]]:
-                    raise AxiomViolation(5, (a, b, c))
-
-    # a * zero == zero follows from axioms 1 and 5; check rather than re-derive
-    for a in range(n):
-        if mul_t[a][zero] != zero:
-            raise InvariantViolation("a * zero == zero", (a,))
-
-    nd = Neardomain(n, add_t, mul_t, zero, one)
+    # axiom 5: left distributivity, on the generators once zero absorbs on
+    # the right
+    not_absorbed = next((a for a in range(n) if mul_t[a][zero] != zero), None)
+    if not_absorbed is not None or not _distributes(add_t, mul_t, gens):
+        for a in range(n):
+            for b in range(n):
+                for c in range(n):
+                    if mul_t[a][add_t[b][c]] != add_t[mul_t[a][b]][mul_t[a][c]]:
+                        raise AxiomViolation(5, (a, b, c))
+        if not_absorbed is not None:
+            raise InvariantViolation("a * zero == zero", (not_absorbed,))
+        raise InvariantViolation("left distributivity on generators", tuple(gens))
 
     # axiom 6: the reassociation coefficient exists, is nonzero, works for all x
-    for a in range(n):
-        for b in range(n):
-            d_coeff(nd, a, b)
-
+    nd = Neardomain(n, add_t, mul_t, zero, one)
+    coefficients(nd)
     return intern(nd)
+
+
+def _generators(table: Table, elements: Sequence[int], unit: int | None) -> list[int]:
+    """A greedy generating set of elements under table, which must be closed
+    on them: walking elements in order, each one not yet reached becomes a
+    generator, and the reached set grows by right multiplication h -> h * t
+    until every member has been multiplied by every generator. The reached
+    set starts at unit, a two-sided identity the caller has checked, or
+    empty when unit is None. Every element is then a product of unit and the
+    generators, and in a group each new generator at least doubles the
+    reached set, as in perms.generating_set."""
+    closed = [] if unit is None else [unit]
+    reached = set(closed)
+    gens: list[int] = []
+    for t in elements:
+        if t in reached:
+            continue
+        gens.append(t)
+        grown = len(closed)
+        reached.add(t)
+        closed.append(t)
+        for k, h in enumerate(closed):
+            row = table[h]
+            for g in (t,) if k < grown else gens:
+                c = row[g]
+                if c not in reached:
+                    reached.add(c)
+                    closed.append(c)
+    return gens
+
+
+def _associativity_witness(table: Table, elements: Sequence[int], gens: Sequence[int]) -> tuple[int, int, int] | None:
+    """None when table is associative on elements, else the first triple
+    (a, b, c) in row-major order with (ab)c != a(bc). gens comes from
+    _generators over the same elements.
+
+    Light's test (Clifford and Preston, The Algebraic Theory of Semigroups,
+    vol. 1, 1961, section 1.2) checks (xa)y == x(ay) for every x, y and each
+    generator a only, one row per x: (|elements| * |gens|) rows. It is
+    exact. The a that pass form a set closed under products: for a, b in it,
+
+        (x(ab))y == ((xa)b)y == (xa)(by) == x(a(by)) == x((ab)y).
+
+    It holds the generators, and the identity the generators were grown
+    from, if any, passes by its unit law, so it holds every element. Only a
+    table that fails runs the full triple loop, to name the witness; a loop
+    that finds none contradicts the test and raises InvariantViolation."""
+    # (xa)y over y is the row of xa restricted to the elements, x(ay) the
+    # row of x gathered through a * y: one gather each
+    restrict = itemgetter(*elements)
+    rows = [restrict(row) for row in table]
+    for a in gens:
+        through_a = itemgetter(*rows[a])
+        if any(rows[table[x][a]] != through_a(table[x]) for x in elements):
+            break
+    else:
+        return None
+    for a in elements:
+        for b in elements:
+            ab = table[a][b]
+            for c in elements:
+                if table[ab][c] != table[a][table[b][c]]:
+                    return (a, b, c)
+    raise InvariantViolation("Light's associativity test", tuple(gens))
+
+
+def _distributes(add: Table, mul: Table, gens: Sequence[int]) -> bool:
+    """a(b + c) == ab + ac for every generator a and all b, c, compared a
+    row per (a, b): gathering the row of a through the sum row of b, and the
+    sum row of ab through the row of a."""
+    through_sum = [itemgetter(*row) for row in add]
+    for a in gens:
+        row = mul[a]
+        through_a = itemgetter(*row)
+        for sum_b, ab in zip(through_sum, row):
+            if sum_b(row) != through_a(add[ab]):
+                return False
+    return True
 
 
 def d_coeff(nd: Neardomain, a: int, b: int) -> int:
     """The unique nonzero d with a + (b + x) == (a + b) + d * x for all x.
 
     Solved at the witness x = one (where d * one == d reduces the equation to
-    a loop division), then verified against every x.
+    a loop division), then verified against every x, both sides gathered as
+    one row; a failure names the first x.
     """
-    ab = nd.add[a][b]
-    target = nd.add[a][nd.add[b][nd.one]]
-    d = nd.add[ab].index(target)
+    add = nd.add
+    row_a, row_b = add[a], add[b]
+    row_ab = add[row_a[b]]
+    d = row_ab.index(row_a[row_b[nd.one]])
     if d == nd.zero:
         raise AxiomViolation(6, (a, b, "coefficient is zero"))
-    for x in range(nd.order):
-        if nd.add[a][nd.add[b][x]] != nd.add[ab][nd.mul[d][x]]:
-            raise AxiomViolation(6, (a, b, x))
+    lhs, rhs = itemgetter(*row_b)(row_a), itemgetter(*nd.mul[d])(row_ab)
+    if lhs != rhs:
+        raise AxiomViolation(6, (a, b, next(x for x in range(nd.order) if lhs[x] != rhs[x])))
     return d
 
 
-def is_nearfield(nd: Neardomain) -> bool:
-    """True iff every reassociation coefficient is one; addition is then a
-    group, which is checked."""
-    check_budget(nd.order**3, f"nearfield check of order {nd.order}")
-    for a in range(nd.order):
-        for b in range(nd.order):
-            if d_coeff(nd, a, b) != nd.one:
-                return False
+@per_object
+def coefficients(nd: Neardomain) -> tuple[tuple[int, ...], ...]:
+    """table[a][b] is d_coeff(nd, a, b), solved in row-major order, so the
+    first failing pair names the AxiomViolation(6). check_neardomain builds
+    it as its axiom-6 check and the neardomain keeps it, so affine_group and
+    is_nearfield read it without solving a coefficient again; on a
+    Neardomain built directly it is solved on the first request."""
     n = nd.order
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if nd.add[nd.add[a][b]][c] != nd.add[a][nd.add[b][c]]:
-                    raise InvariantViolation("nearfield addition is associative", (a, b, c))
+    return tuple(tuple(d_coeff(nd, a, b) for b in range(n)) for a in range(n))
+
+
+def is_nearfield(nd: Neardomain) -> bool:
+    """True iff every reassociation coefficient is one, read off the kept
+    table (coefficients). Addition is then a group: with d == one, axiom 6
+    reads a + (b + x) == (a + b) + x. That associativity is re-checked by
+    Light's test on add (see _associativity_witness), from a greedy
+    generating set of all elements, so it needs no unit, and a failure
+    raises InvariantViolation naming the first triple. The budget counts n^3
+    steps, the full loop a failure runs."""
+    check_budget(nd.order**3, f"nearfield check of order {nd.order}")
+    if any(d != nd.one for row in coefficients(nd) for d in row):
+        return False
+    elements = range(nd.order)
+    witness = _associativity_witness(nd.add, elements, _generators(nd.add, elements, None))
+    if witness is not None:
+        raise InvariantViolation("nearfield addition is associative", witness)
     return True
 
 

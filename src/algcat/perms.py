@@ -22,7 +22,7 @@ the definition of a morphism alone.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator
 
 from .errors import InvariantViolation, NotAGroup, ResourceLimitExceeded, StructureError
@@ -126,9 +126,6 @@ class Perm(Value):
             inv[j] = i
         return Perm(tuple(inv))
 
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
-
     def fixed_points(self) -> frozenset[int]:
         return frozenset(i for i, j in enumerate(self.images) if i == j)
 
@@ -200,7 +197,7 @@ def _right_multiplier(b: tuple[int, ...]):
 
 
 def perm_set(perms: Iterable[Perm]) -> PermSet:
-    members = tuple(sorted(set(perms)))
+    members = tuple(sorted(set(perms), key=attrgetter("images")))
     if not members:
         raise StructureError("permutation set cannot be empty")
     degree = members[0].degree
@@ -379,8 +376,9 @@ def subgroup_failure(members: PermSet) -> str | None:
 def generating_set(members: PermSet) -> tuple[int, ...]:
     """Indices of a generating set T of the group members form, in
     increasing order; raises NotAGroup with a human-readable witness of the
-    first failure found: the identity, then each member's inverse, then
-    every ordered product in row-major order.
+    first failure found: the identity, then each member's inverse (both
+    looked up as image tuples in the member index), then every ordered
+    product in row-major order.
 
     Closure is certified from a greedy generating set T, not from the |G|^2
     composition table. Walking the members in sorted order, each one that
@@ -405,11 +403,15 @@ def generating_set(members: PermSet) -> tuple[int, ...]:
     the first missing product in row-major order; a table that passes there
     contradicts the certificate and raises InvariantViolation. A set that
     passes builds no table."""
-    if Perm.identity(members.degree) not in members:
+    index, degree = members._index, members.degree
+    if tuple(range(degree)) not in index:
         raise NotAGroup("identity missing")
-    for p in members:
-        if p.inverse() not in members:
-            raise NotAGroup(f"inverse of {list(p.images)} missing")
+    inv = [0] * degree
+    for images in index:
+        for x, y in enumerate(images):
+            inv[y] = x
+        if tuple(inv) not in index:
+            raise NotAGroup(f"inverse of {list(images)} missing")
     size = len(members)
     check_budget(size * size, f"composition table of {size} members")
     gens = _generated_closure(members)

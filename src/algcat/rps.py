@@ -5,11 +5,12 @@ ordered point pair (alpha, beta), exactly one member sending alpha to beta.
 Evaluation at the base point is then a bijection members -> points; pulling
 the point structure back and forth along it is what this module implements:
 
-  member_product(r, m, k): the unique member agreeing with m * k at the base
-  induced_loop(r):         points under (alpha, beta) -> (m_alpha * m_beta)(base)
-  loop_to_rps(loop):       the set of left translations, based at the identity
+  member_loop(r):     members under (m, k) -> the unique member agreeing
+                      with m * k at the base
+  induced_loop(r):    points under (alpha, beta) -> (m_alpha * m_beta)(base)
+  loop_to_rps(loop):  the set of left translations, based at the identity
 
-The two constructions invert each other bit-exactly; catcheck verifies this
+induced_loop and loop_to_rps invert each other bit-exactly; catcheck verifies this
 on the whole zoo.
 
 check_rps stores that bijection on the object as two integer tuples, member
@@ -105,20 +106,10 @@ def check_rps(members: PermSet, degree: int, basepoint: int) -> Rps:
     return Rps(members, degree, basepoint, base_images, member_at, induced, on_members)
 
 
-def member_product(r: Rps, m: Perm, k: Perm) -> Perm:
-    """The unique member whose base-point image equals (m * k)(base).
-
-    This is the loop product transported onto the members; it agrees with
-    m * k at the base point but is generally a different permutation.
-    """
-    if m not in r.members or k not in r.members:
-        raise ValueError("both factors must be members of the set")
-    return r.from_point((m * k)(r.basepoint))
-
-
 def member_loop(r: Rps) -> Loop:
-    """The loop on member indices under member_product: m * k is the member
-    at point m(k(base)). Built once by check_rps and stored on r."""
+    """The loop on member indices: m * k is the member at point m(k(base)),
+    the one agreeing with the composite at the base. Built once by check_rps
+    and stored on r."""
     return r.member_loop
 
 

@@ -16,20 +16,20 @@ The derived structure rests on the involutions J (never empty here):
   translations     char two: J plus the identity; otherwise J composed with
                    the unique involution fixing omega0. A regular set either
                    way, validated as such.
-  point_add        alpha + beta = a(beta), a the translation with
-                   a(omega0) = alpha
-  point_mul        alpha * beta = g(beta), g the omega0-stabilizer element
-                   with g(omega1) = alpha; products with omega0 are omega0
 
-point_add and point_mul are the per-cell reference definitions;
-derived_neardomain builds the same tables a row at a time and re-validates.
+derived_neardomain builds the neardomain on the points a row at a time:
+alpha + beta = a(beta), a the translation with a(omega0) = alpha, and
+alpha * beta = g(beta), g the omega0-stabilizer element with
+g(omega1) = alpha (products with omega0 are omega0); it re-validates.
 Going the other way, affine_group builds the maps x -> a + b*x of a
 neardomain, a sharply 2-transitive group, and certifies its closed-form
 composition law for every pair of maps. Every map is a translation after a
 multiplication, so it checks the law only on the (2n - 2) * n(n - 1) pairs
 whose left factor is one of those (1,152 of the 5,184 pairs at n = 9), each
-by the composite's images at the base points. Each direction inverts the
-other on the nose: derived_neardomain(affine_group(nd)) equals nd, and
+by the composite's images at the base points, with the reassociation
+coefficients read off the table the neardomain keeps (see
+neardomain.coefficients). Each direction inverts the other on the nose:
+derived_neardomain(affine_group(nd)) equals nd, and
 affine_group(derived_neardomain(g)) equals g, the same members with zero
 and one at (omega0, omega1), since each affine map composes a translation
 of g with a member of g fixing omega0 (Kerby, On infinite sharply multiply
@@ -58,17 +58,17 @@ product is compared by its images at the base points, never looked up in a
 Each derived value above is a function of one object, so it is computed on
 the first request and kept on that object (generators, base_pair_index,
 involutions, characteristic, translations and derived_neardomain on the
-group, affine_group on the neardomain). check_s2t and check_neardomain
-intern what they validate in a table of 64 (perms.intern), so a structure
-parsed or rebuilt again reuses the derived values of its equal first copy,
-and a long-lived process keeps a bounded number of them.
+group, the coefficient table and affine_group on the neardomain).
+check_s2t and check_neardomain intern what they validate in a table of 64
+(perms.intern), so a structure parsed or rebuilt again reuses the derived
+values of its equal first copy, and a long-lived process keeps a bounded
+number of them.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from functools import wraps
 from typing import Callable, Sequence
 
 from .errors import (
@@ -79,7 +79,7 @@ from .errors import (
     NotSharplyTransitive,
     StructureError,
 )
-from .neardomain import Neardomain, check_neardomain, d_coeff, enumerate_nd_morphisms
+from .neardomain import Neardomain, check_neardomain, coefficients, enumerate_nd_morphisms
 from .perms import (
     Morphism,
     Perm,
@@ -93,7 +93,7 @@ from .perms import (
     subgroup_failure,
 )
 from .rps import Rps, check_rps
-from .values import Value, cached_hash
+from .values import Value, cached_hash, per_object
 
 
 class Characteristic(enum.Enum):
@@ -104,7 +104,7 @@ class Characteristic(enum.Enum):
 class S2tGroup(Value):
     """Validated sharply 2-transitive group; build through check_s2t().
 
-    _derived holds the values the @_per_object functions below compute from
+    _derived holds the values the @per_object functions below compute from
     this one group, set on first request and kept for the group's life."""
 
     __slots__ = ("group", "degree", "omega0", "omega1", "_derived", "_hash")
@@ -117,21 +117,6 @@ class S2tGroup(Value):
         object.__setattr__(self, "omega0", omega0)
         object.__setattr__(self, "omega1", omega1)
         object.__setattr__(self, "_derived", {})
-
-
-def _per_object(fn):
-    """fn of one S2tGroup or Neardomain, computed on the first call for each
-    object and kept in its _derived slot."""
-    name = fn.__name__
-
-    @wraps(fn)
-    def get(obj):
-        derived = obj._derived
-        if name not in derived:
-            derived[name] = fn(obj)
-        return derived[name]
-
-    return get
 
 
 class AffineMap(Value):
@@ -187,7 +172,7 @@ def check_s2t(group: PermSet, omega0: int, omega1: int) -> S2tGroup:
     return intern(g)
 
 
-@_per_object
+@per_object
 def generators(g: S2tGroup) -> tuple[int, ...]:
     """Indices of a generating set of g.group, from perms.generating_set,
     which certifies the group axioms; check_s2t calls it first, so a
@@ -196,7 +181,7 @@ def generators(g: S2tGroup) -> tuple[int, ...]:
     return generating_set(g.group)
 
 
-@_per_object
+@per_object
 def base_pair_index(g: S2tGroup) -> dict[tuple[int, int], int]:
     """(p(omega0), p(omega1)) -> index of p, over the members of g: sharp
     2-transitivity pins a member down by its two base images."""
@@ -217,7 +202,7 @@ def forced_member_map(phi: Sequence[int], src: S2tGroup, dst: S2tGroup) -> tuple
     return f
 
 
-@_per_object
+@per_object
 def involutions(g: S2tGroup) -> PermSet:
     """All elements of order exactly two: each member squared on its image
     tuple. Never empty in a valid group."""
@@ -225,7 +210,7 @@ def involutions(g: S2tGroup) -> PermSet:
     return perm_set(p for p in g.group if p.images != e and all(x == p.images[y] for x, y in enumerate(p.images)))
 
 
-@_per_object
+@per_object
 def characteristic(g: S2tGroup) -> Characteristic:
     counts = {len(p.fixed_points()) for p in involutions(g)}
     if counts == {0}:
@@ -246,7 +231,7 @@ def base_involution(g: S2tGroup) -> Perm:
     return fixing[0]
 
 
-@_per_object
+@per_object
 def translations(g: S2tGroup) -> Rps:
     """The involution-derived regular set encoding addition, based at omega0.
 
@@ -264,36 +249,10 @@ def translations(g: S2tGroup) -> Rps:
     return check_rps(members, g.degree, g.omega0)
 
 
-def _stabilizer_action(g: S2tGroup) -> dict[int, Perm]:
-    """omega1-image -> element over the stabilizer of omega0, scanned from
-    the whole group and checked regular on the other points on every call;
-    only point_mul, the per-cell reference, reads it."""
-    stab = [p for p in g.group if p(g.omega0) == g.omega0]
-    table = {p(g.omega1): p for p in stab}
-    if len(stab) != g.degree - 1 or set(table) != set(range(g.degree)) - {g.omega0}:
-        raise InvariantViolation("stabilizer of omega0 is regular on the other points", sorted(table))
-    return table
-
-
-def point_add(g: S2tGroup, alpha: int, beta: int) -> int:
-    """alpha + beta via the translation sending omega0 to alpha: the
-    reference definition of one cell of the derived addition."""
-    return translations(g).from_point(alpha)(beta)
-
-
-def point_mul(g: S2tGroup, alpha: int, beta: int) -> int:
-    """alpha * beta via the omega0-stabilizer element sending omega1 to alpha;
-    any product with omega0 is omega0. The reference definition of one cell
-    of the derived multiplication; derives the stabilizer table per call."""
-    if alpha == g.omega0 or beta == g.omega0:
-        return g.omega0
-    return _stabilizer_action(g)[alpha](beta)
-
-
-@_per_object
+@per_object
 def derived_neardomain(g: S2tGroup) -> Neardomain:
-    """The neardomain on the points, zero = omega0 and one = omega1: the
-    tables of point_add and point_mul, a row at a time. Addition row alpha is
+    """The neardomain on the points, zero = omega0 and one = omega1, a row
+    at a time. Addition row alpha is
     the translation sending omega0 to alpha; multiplication row
     alpha != omega0 is the member at (omega0, alpha) in base_pair_index.
     Revalidated through check_neardomain; the object part of the functor
@@ -383,7 +342,7 @@ def affine_maps(nd: Neardomain) -> tuple[AffineMap, ...]:
     return tuple(out)
 
 
-@_per_object
+@per_object
 def affine_group(nd: Neardomain) -> S2tGroup:
     """The affine maps as a sharply 2-transitive group on the carrier, based
     at (zero, one).
@@ -402,7 +361,9 @@ def affine_group(nd: Neardomain) -> S2tGroup:
     exact: check_s2t has certified the maps a sharply 2-transitive group, so
     the composite is a member, and two members agreeing on two points are
     equal. Before the pairs, three unit facts are checked for every y:
-    zero + y == y, one * y == y and d(zero, y) == one.
+    zero + y == y, one * y == y and d(zero, y) == one. Every d is read off
+    the coefficient table the neardomain keeps: check_neardomain built it,
+    and a Neardomain built directly solves it here, on first request.
 
     Why these pairs suffice. Write F(a, b) for the map x -> a + b*x. By the
     first two unit facts, F(a, one) . F(zero, b) sends x to
@@ -430,7 +391,7 @@ def affine_group(nd: Neardomain) -> S2tGroup:
     for y in range(n):
         if mul[one][y] != y:
             raise InvariantViolation("one * y == y", y)
-    coeff = [[d_coeff(nd, a, c) for c in range(n)] for a in range(n)]
+    coeff = coefficients(nd)
     for y in range(n):
         if coeff[zero][y] != one:
             raise InvariantViolation("d(zero, y) == one", y)

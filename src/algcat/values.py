@@ -15,6 +15,8 @@ cached_hash).
 
 from __future__ import annotations
 
+from functools import wraps
+
 
 class Value:
     __slots__ = ()
@@ -53,3 +55,19 @@ def cached_hash(self: Value) -> int:
         h = hash(self._key())
         object.__setattr__(self, "_hash", h)
         return h
+
+
+def per_object(fn):
+    """fn of one object with a _derived dict slot (a neardomain or a sharply
+    2-transitive group), computed on the first call for each object and kept
+    in that slot under fn's name."""
+    name = fn.__name__
+
+    @wraps(fn)
+    def get(obj):
+        derived = obj._derived
+        if name not in derived:
+            derived[name] = fn(obj)
+        return derived[name]
+
+    return get

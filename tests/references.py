@@ -1,9 +1,12 @@
 """Reference definitions that only the tests read: each states a notion
 plainly, for tests to compare the package's own computations against."""
 
-from algcat.loops import Loop, table_homomorphisms
+from algcat.errors import AxiomViolation, IdentityViolation, InvariantViolation, LatinSquareViolation
+from algcat.loops import Loop, check_loop, table_homomorphisms
+from algcat.neardomain import Neardomain
 from algcat.perms import Perm, PermSet
 from algcat.rps import Rps, check_rps
+from algcat.s2t import S2tGroup, translations
 
 
 def loops_isomorphic(a: Loop, b: Loop) -> tuple[int, ...] | None:
@@ -14,9 +17,13 @@ def loops_isomorphic(a: Loop, b: Loop) -> tuple[int, ...] | None:
     return next((f for f in homs if len(set(f)) == a.order), None)
 
 
+def is_identity(p: Perm) -> bool:
+    return all(i == j for i, j in enumerate(p.images))
+
+
 def is_involution(p: Perm) -> bool:
     """Order exactly two: squares to the identity without being it."""
-    return not p.is_identity() and (p * p).is_identity()
+    return not is_identity(p) and is_identity(p * p)
 
 
 def with_basepoint(r: Rps, basepoint: int) -> Rps:
@@ -29,6 +36,42 @@ def to_point(r: Rps, m: Perm) -> int:
     if m not in r.members:
         raise ValueError("permutation is not a member of this set")
     return m(r.basepoint)
+
+
+def member_product(r: Rps, m: Perm, k: Perm) -> Perm:
+    """The unique member whose base-point image equals (m * k)(base).
+
+    This is the loop product transported onto the members; it agrees with
+    m * k at the base point but is generally a different permutation.
+    """
+    if m not in r.members or k not in r.members:
+        raise ValueError("both factors must be members of the set")
+    return r.from_point((m * k)(r.basepoint))
+
+
+def _stabilizer_action(g: S2tGroup) -> dict[int, Perm]:
+    """omega1-image -> element over the stabilizer of omega0, scanned from
+    the whole group and checked regular on the other points on every call."""
+    stab = [p for p in g.group if p(g.omega0) == g.omega0]
+    table = {p(g.omega1): p for p in stab}
+    if len(stab) != g.degree - 1 or set(table) != set(range(g.degree)) - {g.omega0}:
+        raise InvariantViolation("stabilizer of omega0 is regular on the other points", sorted(table))
+    return table
+
+
+def point_add(g: S2tGroup, alpha: int, beta: int) -> int:
+    """alpha + beta via the translation sending omega0 to alpha: the
+    definition of one cell of the derived addition."""
+    return translations(g).from_point(alpha)(beta)
+
+
+def point_mul(g: S2tGroup, alpha: int, beta: int) -> int:
+    """alpha * beta via the omega0-stabilizer element sending omega1 to alpha;
+    any product with omega0 is omega0. The definition of one cell of the
+    derived multiplication; derives the stabilizer table per call."""
+    if alpha == g.omega0 or beta == g.omega0:
+        return g.omega0
+    return _stabilizer_action(g)[alpha](beta)
 
 
 def composition_table(members: PermSet) -> list[list[int]]:
@@ -62,3 +105,76 @@ def is_s2t_morphism(f, phi, src, dst, t_src, t_dst) -> bool:
         and involution_fixed_points(src) == involution_fixed_points(dst)
         and is_homomorphism(f, t_src, t_dst)
     )
+
+
+def check_neardomain_by_triples(add, mul, zero: int, one: int) -> Neardomain:
+    """The six neardomain axioms on well-formed tables, every law over all
+    its cells in row-major order, axioms 3, 5 and 6 over triples: what
+    neardomain.check_neardomain must accept, with the same
+    AxiomViolation(k, witness) on what it must reject. Returns the
+    neardomain unvalidated otherwise."""
+    n = len(add)
+    try:
+        check_loop(add, zero)
+    except (LatinSquareViolation, IdentityViolation) as exc:
+        raise AxiomViolation(1, str(exc)) from exc
+    for a in range(n):
+        for b in range(n):
+            if add[a][b] == zero and add[b][a] != zero:
+                raise AxiomViolation(2, (a, b))
+    nonzero = [x for x in range(n) if x != zero]
+    for a in nonzero:
+        for b in nonzero:
+            if mul[a][b] == zero:
+                raise AxiomViolation(3, ("not closed", a, b))
+    for a in nonzero:
+        if mul[one][a] != a or mul[a][one] != a:
+            raise AxiomViolation(3, ("unit law", a))
+    for a in nonzero:
+        if sorted(mul[a][b] for b in nonzero) != nonzero:
+            raise AxiomViolation(3, ("left translation not bijective", a))
+        if sorted(mul[b][a] for b in nonzero) != nonzero:
+            raise AxiomViolation(3, ("right translation not bijective", a))
+    witness = associativity_witness(mul, nonzero)
+    if witness is not None:
+        raise AxiomViolation(3, ("not associative", *witness))
+    for a in range(n):
+        if mul[zero][a] != zero:
+            raise AxiomViolation(4, (a,))
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
+                    raise AxiomViolation(5, (a, b, c))
+    witness = reassociation_witness(add, mul, zero, one)
+    if witness is not None:
+        raise AxiomViolation(6, witness)
+    return Neardomain(n, tuple(map(tuple, add)), tuple(map(tuple, mul)), zero, one)
+
+
+def reassociation_witness(add, mul, zero: int, one: int) -> tuple | None:
+    """Axiom 6 cell by cell, in row-major order of (a, b) and then x: the
+    first (a, b, "coefficient is zero") or (a, b, x) that fails, or None.
+    The coefficient d of (a, b) is solved at x = one."""
+    n = len(add)
+    for a in range(n):
+        for b in range(n):
+            ab = add[a][b]
+            d = add[ab].index(add[a][add[b][one]])
+            if d == zero:
+                return (a, b, "coefficient is zero")
+            for x in range(n):
+                if add[a][add[b][x]] != add[ab][mul[d][x]]:
+                    return (a, b, x)
+    return None
+
+
+def associativity_witness(table, elements) -> tuple[int, int, int] | None:
+    """The first (a, b, c) over elements in row-major order with
+    (ab)c != a(bc), or None."""
+    for a in elements:
+        for b in elements:
+            for c in elements:
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return (a, b, c)
+    return None

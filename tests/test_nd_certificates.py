@@ -1,0 +1,247 @@
+"""check_neardomain certifies axioms 3 and 5 on a generating set, and keeps
+the coefficient table of axiom 6; here each certificate is compared with the
+full loops of tests/references.py on corrupted inputs. The module imports
+neither pytest nor hypothesis, so its run under python -O starts fast."""
+
+import itertools
+import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+from algcat import neardomain, perms, s2t
+from algcat.errors import AxiomViolation, InvariantViolation
+from algcat.loops import enumerate_loops, is_associative
+from algcat.neardomain import Neardomain, check_neardomain, dickson_nearfield_9, galois_field, is_nearfield
+import references
+
+ORACLE_NEARDOMAINS = [*(galois_field(q) for q in (3, 4, 5, 7, 8, 9, 16)), dickson_nearfield_9()]
+
+
+def _relabeled(table, pi):
+    """The table carried along the point bijection pi: pi(x) * pi(y) is
+    pi(x * y)."""
+    n = len(table)
+    inv = [0] * n
+    for x, y in enumerate(pi):
+        inv[y] = x
+    return tuple(tuple(pi[table[inv[x]][inv[y]]] for y in range(n)) for x in range(n))
+
+
+def _corrupted_multiplications(nd):
+    """Multiplication tables of nd corrupted so that the nonzero elements
+    stay closed, so the greedy set generates them:
+
+    - every swap of two nonzero rows, which breaks the unit law;
+    - every row-cycle switch: rows r, s outside zero and one hold the same
+      values on a set C of columns that avoids zero and one, and swapping
+      their entries on C keeps every row and column of the nonzero part a
+      permutation and keeps the unit law, so axiom 3 comes down to
+      associativity, and an associative result to axiom 5;
+    - a * zero made nonzero in one row, which only axiom 5 catches.
+    """
+    n, zero, one, mul = nd.order, nd.zero, nd.one, nd.mul
+    nonzero = [x for x in range(n) if x != zero]
+    for r, s in itertools.combinations(nonzero, 2):
+        rows = list(mul)
+        rows[r], rows[s] = rows[s], rows[r]
+        yield tuple(rows)
+    inner = [x for x in nonzero if x != one]
+    for r, s in itertools.combinations(inner, 2):
+        col_of = {mul[r][c]: c for c in nonzero}
+        seen = {zero, one}
+        for start in inner:
+            if start in seen:
+                continue
+            cycle, c = [], start
+            while c not in cycle:
+                cycle.append(c)
+                c = col_of[mul[s][c]]
+            seen.update(cycle)
+            if one not in cycle:
+                rows = [list(row) for row in mul]
+                for c in cycle:
+                    rows[r][c], rows[s][c] = mul[s][c], mul[r][c]
+                yield tuple(map(tuple, rows))
+    for a in inner[:2]:
+        rows = [list(row) for row in mul]
+        rows[a][zero] = one
+        yield tuple(map(tuple, rows))
+
+
+def _relabeled_additions(nd, rng):
+    """Addition tables of nd carried along bijections of the points: the
+    power maps x -> x^k that permute the nonzero elements, which pass when
+    they are automorphisms of the multiplicative group; seeded random
+    bijections fixing zero, which mostly fail axiom 5; and bijections moving
+    zero, which fail axiom 1."""
+    n, zero, one, mul = nd.order, nd.zero, nd.one, nd.mul
+    nonzero = [x for x in range(n) if x != zero]
+    for k in range(2, n - 1):
+        pi = [zero] * n
+        for x in nonzero:
+            y = one
+            for _ in range(k):
+                y = mul[y][x]
+            pi[x] = y
+        if sorted(pi) == list(range(n)):
+            yield _relabeled(nd.add, pi)
+    for _ in range(12):
+        rest = nonzero[:]
+        rng.shuffle(rest)
+        yield _relabeled(nd.add, [zero if x == zero else rest.pop() for x in range(n)])
+    for _ in range(2):
+        pi = list(range(n))
+        rng.shuffle(pi)
+        if pi[zero] != zero:
+            yield _relabeled(nd.add, pi)
+
+
+def _outcome(check, add, mul, zero, one):
+    """What a neardomain check returns, as its two tables, or the axiom and
+    witness it raises."""
+    try:
+        nd = check(add, mul, zero, one)
+    except AxiomViolation as exc:
+        return exc.axiom, exc.witness
+    return nd.add, nd.mul
+
+
+def oracle_report() -> dict:
+    """check_neardomain and the full-loop reference on every corrupted input
+    of ORACLE_NEARDOMAINS: the disagreements, the count of each verdict (the
+    axiom failed, 0 for a pass), and how many inputs failed axiom 3 at
+    associativity, the law Light's test certifies."""
+    rng = random.Random(21)
+    report = {"disagreements": [], "verdicts": {}, "not associative": 0}
+    for nd in ORACLE_NEARDOMAINS:
+        cases = [(nd.add, mul) for mul in _corrupted_multiplications(nd)]
+        cases += [(add, nd.mul) for add in _relabeled_additions(nd, rng)]
+        for add, mul in cases:
+            want = _outcome(references.check_neardomain_by_triples, add, mul, nd.zero, nd.one)
+            got = _outcome(check_neardomain, add, mul, nd.zero, nd.one)
+            if got != want:
+                report["disagreements"].append((nd.order, add, mul, got, want))
+            verdict = want[0] if isinstance(want[0], int) else 0
+            report["verdicts"][verdict] = report["verdicts"].get(verdict, 0) + 1
+            report["not associative"] += verdict == 3 and want[1][0] == "not associative"
+    return report
+
+
+def assert_oracle_report(report: dict) -> None:
+    assert report["disagreements"] == [], report["disagreements"][:3]
+    # passes and the failures of every axiom these corruptions reach
+    # (axiom 6 needs an addition that is not a group; see below), with
+    # associativity failures among those of axiom 3
+    assert set(report["verdicts"]) == {0, 1, 3, 5}, report["verdicts"]
+    assert report["not associative"] > 0
+
+
+def test_certificates_agree_with_the_full_loops():
+    assert_oracle_report(oracle_report())
+
+
+def test_certificates_agree_with_the_full_loops_optimized():
+    code = """
+import sys
+if __debug__:
+    sys.exit("not running under -O")
+import test_nd_certificates as t
+t.assert_oracle_report(t.oracle_report())
+"""
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
+def test_light_test_agrees_with_the_full_loop():
+    # every loop of orders 5 and 6, most of them not associative, from a
+    # greedy generating set grown from the identity and from nothing, as
+    # check_neardomain and is_nearfield grow it
+    failing = 0
+    for loop in enumerate_loops(5) + enumerate_loops(6):
+        elements = range(loop.order)
+        want = references.associativity_witness(loop.table, elements)
+        failing += want is not None
+        for unit in (loop.identity, None):
+            gens = neardomain._generators(loop.table, elements, unit)
+            assert neardomain._associativity_witness(loop.table, elements, gens) == want, (loop, unit)
+    assert failing > 100
+
+
+def test_greedy_generating_sets_stay_small():
+    # the certificates cost |A| rows per element: one generator for the
+    # cyclic groups GF(3)*, GF(4)*, GF(5)*, GF(8)* and GF(16)*, two for
+    # GF(7)* (2 has order 3), three for GF(9)* and the quaternion group of
+    # the Dickson nearfield
+    sizes = [
+        len(neardomain._generators(nd.mul, [x for x in range(nd.order) if x != nd.zero], nd.one))
+        for nd in ORACLE_NEARDOMAINS
+    ]
+    assert sizes == [1, 1, 1, 2, 1, 3, 1, 3]
+    # each generator at least doubles the set reached in a group, so no
+    # group of order n needs more than log2(n) of them
+    for n in range(2, 7):
+        for loop in enumerate_loops(n):
+            if is_associative(loop):
+                assert len(neardomain._generators(loop.table, range(n), loop.identity)) <= math.log2(n), loop
+
+
+def test_coefficient_table_agrees_with_the_cell_loop():
+    # every loop of orders 5 and 6 as an addition, beside a multiplication
+    # with zero absorbing and a cyclic group on the rest: the table solves
+    # the coefficients in the reference's order and names its witness
+    failing = 0
+    for loop in enumerate_loops(5) + enumerate_loops(6):
+        n = loop.order
+        mul = tuple(tuple(0 if 0 in (x, y) else (x + y - 2) % (n - 1) + 1 for y in range(n)) for x in range(n))
+        want = references.reassociation_witness(loop.table, mul, 0, 1)
+        try:
+            neardomain.coefficients(Neardomain(n, loop.table, mul, 0, 1))
+            got = None
+        except AxiomViolation as exc:
+            got = exc.witness if exc.axiom == 6 else exc
+        assert got == want, loop
+        failing += want is not None
+    assert failing > 100
+
+
+def test_nearfield_check_names_a_non_associative_addition():
+    # every coefficient of this addition is one, but only against a
+    # multiplication whose row of one is not the identity (x -> 2 - x), and
+    # the addition has no identity: the fact is_nearfield re-checks fails,
+    # at the first triple of the full loop
+    add = ((1, 0, 2), (2, 1, 0), (0, 2, 1))
+    nd = Neardomain(3, add, ((0, 0, 0), (2, 1, 0), (0, 0, 0)), 0, 1)
+    assert set(itertools.chain(*neardomain.coefficients(nd))) == {1}
+    want = ("nearfield addition is associative", references.associativity_witness(add, range(3)))
+    try:
+        is_nearfield(nd)
+    except InvariantViolation as exc:
+        assert (exc.claim, exc.witness) == want
+    else:
+        raise AssertionError("is_nearfield accepted an addition that is not associative")
+
+
+def test_validated_neardomains_keep_their_coefficient_table(monkeypatch):
+    # check_neardomain solves each coefficient once and keeps the table;
+    # affine_group and is_nearfield read it and solve none; on a Neardomain
+    # built directly the first request solves the table
+    calls = []
+    solve = neardomain.d_coeff
+    monkeypatch.setattr(neardomain, "d_coeff", lambda nd, a, b: calls.append((a, b)) or solve(nd, a, b))
+    perms.intern.cache_clear()
+    gf7 = galois_field(7)
+    pi = (0, 3, 6, 2, 5, 1, 4)
+    nd = check_neardomain(_relabeled(gf7.add, pi), _relabeled(gf7.mul, pi), 0, pi[1])
+    assert len(calls) == 49
+    calls.clear()
+    assert s2t.affine_group(nd).degree == 7 and is_nearfield(nd)
+    assert calls == []
+    fresh = Neardomain(nd.order, nd.add, nd.mul, nd.zero, nd.one)
+    assert is_nearfield(fresh) and s2t.affine_group(fresh) == s2t.affine_group(nd)
+    assert len(calls) == 49
+    assert neardomain.coefficients(fresh) == neardomain.coefficients(nd)

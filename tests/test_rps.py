@@ -20,11 +20,10 @@ from algcat.rps import (
     lift_loop_morphism,
     loop_to_rps,
     member_loop,
-    member_product,
 )
 from algcat.s2t import translations
 from algcat.zoo import standard_zoo
-from references import loops_isomorphic, to_point, with_basepoint
+from references import is_identity, loops_isomorphic, member_product, to_point, with_basepoint
 
 Z3 = check_loop(((0, 1, 2), (1, 2, 0), (2, 0, 1)))
 ORDER5 = check_loop(
@@ -159,7 +158,7 @@ def test_lift_loop_morphism():
     ident = lift_loop_morphism((0, 1, 2), r, r)
     assert ident == identity_rps_morphism(r)
     trivial = lift_loop_morphism((0, 0, 0), r, r)
-    id_index = next(i for i, m in enumerate(r.members) if m.is_identity())
+    id_index = next(i for i, m in enumerate(r.members) if is_identity(m))
     assert all(v == id_index for v in trivial.f)
     assert is_rps_morphism(trivial, r, r)
     # the lift checks nothing: a map that is not a loop morphism still

@@ -20,6 +20,7 @@ from algcat import perms, s2t
 from algcat.fileio import emit_structure, parse_structure
 from algcat.neardomain import (
     Neardomain,
+    coefficients,
     d_coeff,
     dickson_nearfield_9,
     enumerate_nd_morphisms,
@@ -47,15 +48,13 @@ from algcat.s2t import (
     involutions,
     is_s2t_morphism,
     lift_nd_morphism,
-    point_add,
-    point_mul,
     relabel,
     translations,
     translations_form_subgroup,
 )
 from algcat.zoo import standard_zoo
 import references
-from references import is_involution
+from references import is_involution, point_add, point_mul
 
 S3 = closure([Perm((1, 2, 0)), Perm((1, 0, 2))])
 AFF = {q: affine_group(galois_field(q)) for q in (2, 3, 4, 5, 7, 8, 9)}
@@ -356,14 +355,21 @@ def test_affine_composition_law():
                 assert by_images[tuple(p[x] for x in q)] == expected, (n, (a, b), (k, l))
 
 
-def test_affine_law_names_a_wrong_coefficient(monkeypatch):
-    # a d_coeff wrong at one (a, c) must be caught by the base-point law,
+def _with_coefficient(nd: Neardomain, a0: int, c0: int, d: int) -> None:
+    """Keep on nd the coefficient table of nd with the entry at (a0, c0)
+    replaced by d, where affine_group reads it."""
+    table = [list(row) for row in coefficients(nd)]
+    table[a0][c0] = d
+    nd._derived["coefficients"] = tuple(map(tuple, table))
+
+
+def test_affine_law_names_a_wrong_coefficient():
+    # a coefficient wrong at one (a, c) must be caught by the base-point law,
     # naming the first pair of maps in (a, b), (k, l) order that reads it
     real = galois_field(5)
     nd = Neardomain(real.order, real.add, real.mul, real.zero, real.one)  # fresh, nothing derived
     a0, c0 = 2, 3
-    wrong = d_coeff(real, a0, c0) % 4 + 1  # another nonzero element of GF(5)
-    monkeypatch.setattr(s2t, "d_coeff", lambda nd, a, c: wrong if (a, c) == (a0, c0) else d_coeff(nd, a, c))
+    _with_coefficient(nd, a0, c0, d_coeff(real, a0, c0) % 4 + 1)  # another nonzero element of GF(5)
     maps = affine_maps(nd)
     expected = next(
         ((m1.a, m1.b), (m2.a, m2.b)) for m1 in maps for m2 in maps if m1.a == a0 and nd.mul[m1.b][m2.a] == c0
@@ -380,7 +386,7 @@ def _gf5_with(add=None, mul=None) -> Neardomain:
 
 
 @pytest.mark.parametrize("fact", ["zero + y == y", "one * y == y", "d(zero, y) == one"])
-def test_affine_law_checks_the_unit_facts_first(monkeypatch, fact):
+def test_affine_law_checks_the_unit_facts_first(fact):
     # each corruption leaves the maps the affine group of GF(5), so
     # check_s2t passes, and the factorization F(a, b) == F(a, one) . F(zero, b)
     # that the checked pairs rest on is refused at the first bad y
@@ -394,7 +400,7 @@ def test_affine_law_checks_the_unit_facts_first(monkeypatch, fact):
     else:
         # wrong at the last y, so that every y is read
         nd, y = _gf5_with(), 4
-        monkeypatch.setattr(s2t, "d_coeff", lambda nd, a, c: 2 if (a, c) == (0, 4) else d_coeff(nd, a, c))
+        _with_coefficient(nd, 0, 4, 2)
     with pytest.raises(InvariantViolation) as exc:
         affine_group(nd)
     assert (exc.value.claim, exc.value.witness) == (fact, y)
