@@ -50,7 +50,7 @@ from .s2t import (
     translations,
     translations_form_subgroup,
 )
-from .perms import Morphism, Perm, compose_morphisms, perm_set
+from .perms import Morphism, compose_morphisms, perm_set
 from .values import Value
 from .zoo import Zoo, standard_zoo
 
@@ -370,12 +370,10 @@ def translation_form_witness(nd: Neardomain) -> str | None:
     """Over an affine group the translation set must be exactly the b == one
     affine maps."""
     g = affine_group(nd)
-    expected = perm_set(
-        Perm(tuple(nd.add[c][x] for x in range(nd.order))) for c in range(nd.order)
-    )
+    expected = perm_set(tuple(nd.add[c][x] for x in range(nd.order)) for c in range(nd.order))
     got = translations(g).members
     if got != expected:
-        return f"translation set {[list(p.images) for p in got]} != affine b=1 maps"
+        return f"translation set {[list(p) for p in got]} != affine b=1 maps"
     return None
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from .errors import ParseError
 from .loops import Loop, check_loop
 from .neardomain import Neardomain, check_neardomain
-from .perms import Perm, closure, perm_set
+from .perms import closure, perm_set
 from .rps import Rps, check_rps
 from .s2t import S2tGroup, check_s2t
 
@@ -115,7 +115,7 @@ def parse_structure(text: str) -> Structure:
             raise ParseError(num, "rps header is: rps <n> <omega>")
         rows, pos = _take_rows(lines, pos, n, n, "permutation")
         _no_trailing(lines, pos)
-        return check_rps(perm_set(Perm(row) for row in rows), n, params[1])
+        return check_rps(perm_set(rows), n, params[1])
 
     if kind == "ndom":
         if len(params) != 3:
@@ -136,20 +136,12 @@ def parse_structure(text: str) -> Structure:
         pos += 1
         if pos >= len(lines):
             raise ParseError(lines[pos - 1][0], "generators line with no generators after it")
-        gens = []
-        while pos < len(lines):
-            gen_num, line = lines[pos]
-            gens.append(Perm(_ints(gen_num, line, n)))
-            pos += 1
+        gens, pos = _take_rows(lines, pos, len(lines) - pos, n, "generator")
         members = closure(gens)
     else:
         if pos >= len(lines):
             raise ParseError(num, "s2t needs a member listing or a 'generators' block")
-        rows = []
-        while pos < len(lines):
-            row_num, line = lines[pos]
-            rows.append(Perm(_ints(row_num, line, n)))
-            pos += 1
+        rows, pos = _take_rows(lines, pos, len(lines) - pos, n, "member")
         members = perm_set(rows)
     return check_s2t(members, params[1], params[2])
 
@@ -163,7 +155,7 @@ def emit_structure(obj: Structure) -> str:
         lines = [header] + [" ".join(map(str, row)) for row in obj.table]
     elif kind == "rps":
         lines = [f"rps {obj.degree} {obj.basepoint}"]
-        lines += [" ".join(map(str, p.images)) for p in obj.members]
+        lines += [" ".join(map(str, p)) for p in obj.members]
     elif kind == "ndom":
         lines = [f"ndom {obj.order} {obj.zero} {obj.one}"]
         lines += [" ".join(map(str, row)) for row in obj.add]
@@ -171,5 +163,5 @@ def emit_structure(obj: Structure) -> str:
         lines += [" ".join(map(str, row)) for row in obj.mul]
     else:
         lines = [f"s2t {obj.degree} {obj.omega0} {obj.omega1}"]
-        lines += [" ".join(map(str, p.images)) for p in obj.group]
+        lines += [" ".join(map(str, p)) for p in obj.group]
     return "\n".join(lines) + "\n"

@@ -1,4 +1,6 @@
-"""Loops (unital quasigroups) as validated Cayley tables."""
+"""Loops (unital quasigroups) as validated Cayley tables. Row a of a table
+is the image tuple of the left translation x -> a * x, the form a member of
+a permutation set takes (see perms)."""
 
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from .errors import (
     ResourceLimitExceeded,
     StructureError,
 )
-from .perms import Perm, check_budget
+from .perms import check_budget
 from .values import Value, cached_hash
 
 ENUMERATION_CAP = 6
@@ -90,11 +92,11 @@ def is_associative(loop: Loop) -> bool:
     )
 
 
-def left_translation(loop: Loop, a: int) -> Perm:
-    """The permutation x -> a * x, i.e. row a of the table."""
+def left_translation(loop: Loop, a: int) -> tuple[int, ...]:
+    """The image tuple of x -> a * x: row a of the table."""
     if not 0 <= a < loop.order:
         raise ValueError(f"element {a} out of range")
-    return Perm(loop.table[a])
+    return loop.table[a]
 
 
 def is_loop_morphism(f: Sequence[int], src: Loop, dst: Loop) -> bool:
@@ -185,7 +187,7 @@ def relabel(loop: Loop, pi: Sequence[int]) -> Loop:
     pi = tuple(pi)
     if sorted(pi) != list(range(n)):
         raise StructureError("relabeling is not a bijection of the carrier")
-    pi_inv = Perm(pi).inverse().images
+    pi_inv = sorted(range(n), key=pi.__getitem__)
     return check_loop(_relabeled_table(loop.table, pi, pi_inv, n), pi[loop.identity])
 
 

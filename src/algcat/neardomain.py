@@ -190,7 +190,7 @@ def _generators(table: Table, elements: Sequence[int], unit: int | None) -> list
     set starts at unit, a two-sided identity the caller has checked, or
     empty when unit is None. Every element is then a product of unit and the
     generators, and in a group each new generator at least doubles the
-    reached set, as in perms.generating_set."""
+    reached set, as in perms.check_group."""
     closed = [] if unit is None else [unit]
     reached = set(closed)
     gens: list[int] = []

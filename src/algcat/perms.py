@@ -4,16 +4,18 @@ Composition is fixed project-wide as the left action: (p * q)(x) == p(q(x)),
 so q is applied first. Everything downstream (translation sets, affine maps,
 group checks) relies on this orientation; test_perms pins it.
 
-A PermSet derives its integer index data once per object: the member index
-(image tuple -> position) and its hash are stored at construction.
-generating_set certifies closure from a greedy generating set, in |G|*|T|
-compositions for a generating set T of at most log2|G| members, and returns
-the indices of T; subgroup_failure wraps it in a witness string. No success
-path builds a composition table: a group validated downstream keeps its
-generating set as the certificate that it is closed, which the morphism
-check of sharply 2-transitive groups reads. composition_table (table[i][j] is the index of members[i] *
-members[j]) is built, and not kept, only to name the first missing product of
-a set that is not closed.
+A PermSet's members are sorted image tuples (images[x] is where x goes),
+checked by perm_set alone and composed through _right_multiplier; Perm, the
+value type of one permutation, is built only at the package's edges. A
+PermSet stores its member index (image tuple -> position) and its hash.
+check_group certifies closure from a greedy generating set, in |G|*|T|
+compositions for a generating set T of at most log2|G| members;
+subgroup_failure wraps it in a witness string. No success path builds a
+composition table: a group validated downstream keeps the certificate that
+it is closed, which the morphism check of sharply 2-transitive groups reads.
+composition_table (table[i][j] is the index of members[i] * members[j]) is
+built, and not kept, only to name the first missing product of a set that is
+not closed.
 
 forced_morphisms is the hom search of both permutation categories, built from
 the definition of a morphism alone.
@@ -22,15 +24,16 @@ the definition of a morphism alone.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import InvariantViolation, NotAGroup, ResourceLimitExceeded, StructureError
 from .values import Value
 
-# sets a field of a value type once, in __init__; bound here because Perm is
-# built in every composition
+# sets a field of a value type once, in __init__
 _set = object.__setattr__
+
+Images = tuple[int, ...]
 
 # the one size budget: most entries a composition table may hold (so, its
 # square root, most members a closure may reach) and most steps a triple loop
@@ -65,12 +68,8 @@ class Perm(Value):
 
     __slots__ = _fields = ("images",)
 
-    def __init__(self, images: tuple[int, ...]):
-        n = len(images)
-        if n < 1:
-            raise StructureError("permutation degree must be at least 1")
-        if sorted(images) != list(range(n)):
-            raise StructureError(f"image array {list(images)} is not a bijection of 0..{n - 1}")
+    def __init__(self, images: Images):
+        _check_images(images)
         _set(self, "images", images)
 
     def __eq__(self, other):
@@ -130,21 +129,30 @@ class Perm(Value):
         return frozenset(i for i, j in enumerate(self.images) if i == j)
 
 
-class PermSet(Value):
-    """A duplicate-free collection of equal-degree permutations.
+def _check_images(images: Images) -> None:
+    """Raise StructureError unless images is a bijection of 0..n-1, n >= 1."""
+    n = len(images)
+    if n < 1:
+        raise StructureError("permutation degree must be at least 1")
+    if sorted(images) != list(range(n)):
+        raise StructureError(f"image array {list(images)} is not a bijection of 0..{n - 1}")
 
-    Members are kept sorted by image array, so equality of two PermSets is
-    plain tuple equality and iteration order is deterministic. Build through
-    perm_set(); direct construction skips validation.
+
+class PermSet(Value):
+    """A duplicate-free collection of equal-degree image tuples.
+
+    Members are kept sorted, so equality of two PermSets is plain tuple
+    equality and iteration order is deterministic. Build through perm_set();
+    direct construction skips validation.
     """
 
     __slots__ = ("degree", "members", "_index", "_hash")
     _fields = ("degree", "members")
 
-    def __init__(self, degree: int, members: tuple[Perm, ...]):
+    def __init__(self, degree: int, members: tuple[Images, ...]):
         _set(self, "degree", degree)
         _set(self, "members", members)
-        _set(self, "_index", {p.images: i for i, p in enumerate(members)})
+        _set(self, "_index", {p: i for i, p in enumerate(members)})
         _set(self, "_hash", hash((degree, members)))
 
     def __eq__(self, other):
@@ -158,18 +166,18 @@ class PermSet(Value):
     def __len__(self) -> int:
         return len(self.members)
 
-    def __iter__(self) -> Iterator[Perm]:
+    def __iter__(self) -> Iterator[Images]:
         return iter(self.members)
 
-    def __contains__(self, p: Perm) -> bool:
-        return p.images in self._index
+    def __contains__(self, p: Images) -> bool:
+        return p in self._index
 
-    def index(self, p: Perm) -> int:
-        return self._index[p.images]
+    def index(self, p: Images) -> int:
+        return self._index[p]
 
     def composition_table(self) -> tuple[tuple[int, ...], ...]:
         """table[i][j] is the index of members[i] * members[j], composed on
-        image tuples, built on each call and not kept: generating_set reads
+        image tuples, built on each call and not kept: check_group reads
         it only to name the witness of a set that is not closed. Raises
         NotAGroup, naming the factors of the first product in row-major
         order that is not a member, and ResourceLimitExceeded, before
@@ -178,30 +186,36 @@ class PermSet(Value):
         size = len(self.members)
         check_budget(size * size, f"composition table of {size} members")
         get = self._index.get
-        images = [p.images for p in self.members]
-        compose = [_right_multiplier(b) for b in images]
+        members = self.members
+        compose = [_right_multiplier(b) for b in members]
         rows = []
-        for a in images:
+        for a in members:
             row = tuple([get(c(a)) for c in compose])
             if None in row:
-                b = images[row.index(None)]
+                b = members[row.index(None)]
                 raise NotAGroup(f"product {list(a)} * {list(b)} missing")
             rows.append(row)
         return tuple(rows)
 
 
-def _right_multiplier(b: tuple[int, ...]):
+def _right_multiplier(b: Images):
     """The map a -> a * b on image tuples; itemgetter of a single index
     returns the bare item, hence degree 1 apart."""
     return itemgetter(*b) if len(b) > 1 else lambda a: (a[b[0]],)
 
 
-def perm_set(perms: Iterable[Perm]) -> PermSet:
-    members = tuple(sorted(set(perms), key=attrgetter("images")))
-    if not members:
+def perm_set(images: Iterable[Images]) -> PermSet:
+    """The set of the given image tuples, validated: each a bijection of
+    0..n-1 with n >= 1 (the first that is not, in the order given, is named),
+    at least one, all of one degree."""
+    distinct = dict.fromkeys(images)
+    for p in distinct:
+        _check_images(p)
+    if not distinct:
         raise StructureError("permutation set cannot be empty")
-    degree = members[0].degree
-    if any(p.degree != degree for p in members):
+    members = tuple(sorted(distinct))
+    degree = len(members[0])
+    if any(len(p) != degree for p in members):
         raise StructureError("permutation set mixes degrees")
     return PermSet(degree, members)
 
@@ -252,7 +266,7 @@ def intertwines(m: Morphism, src: PermSet, dst: PermSet) -> bool:
     after_phi = _right_multiplier(phi)
     dst_ms = dst.members
     for p, i in zip(src.members, f):
-        if _right_multiplier(p.images)(phi) != after_phi(dst_ms[i].images):
+        if _right_multiplier(p)(phi) != after_phi(dst_ms[i]):
             return False
     return True
 
@@ -274,8 +288,7 @@ def forced_morphisms(
     lowest point with no image, over the target points in increasing order."""
     n, m = src.degree, dst.degree
     check_budget(len(src) * n * m, f"morphism search of {len(src)} members on {n} points into {m} points")
-    src_im = [p.images for p in src.members]
-    dst_im = [q.images for q in dst.members]
+    src_im, dst_im = src.members, dst.members
     at = {tuple(q[b] for b in dst_base): j for j, q in enumerate(dst_im)}
     # the members whose forced image waits on each point, read off each
     # member's base images
@@ -329,25 +342,28 @@ def forced_morphisms(
     return tuple(out)
 
 
-def closure(generators: Iterable[Perm]) -> PermSet:
+def closure(generators: Iterable[Images]) -> PermSet:
     """Smallest set containing the generators that is closed under composition,
     inversion, and contains the identity.
 
-    Worklist breadth-first search from the identity on image tuples, each
-    reached member multiplied on the right by each generator through
+    The generators are checked as perm_set checks members, in the order
+    given. Worklist breadth-first search from the identity, each reached
+    member multiplied on the right by each generator through
     _right_multiplier; in a finite setting composition closure alone already
-    yields inverses, and only the members returned become Perms. Raises
-    ResourceLimitExceeded as soon as the set's composition table would hold
-    more than TABLE_CAP entries, the test composition_table applies, so an
-    over-budget group is refused after about sqrt(TABLE_CAP) members.
+    yields inverses. Raises ResourceLimitExceeded as soon as the set's
+    composition table would hold more than TABLE_CAP entries, the test
+    composition_table applies, so an over-budget group is refused after
+    about sqrt(TABLE_CAP) members.
     """
     gens = list(generators)
+    for g in gens:
+        _check_images(g)
     if not gens:
         raise StructureError("closure needs at least one generator")
-    degree = gens[0].degree
-    if any(g.degree != degree for g in gens):
+    degree = len(gens[0])
+    if any(len(g) != degree for g in gens):
         raise StructureError("generators mix degrees")
-    multipliers = [_right_multiplier(g.images) for g in gens]
+    multipliers = [_right_multiplier(g) for g in gens]
     seen = {tuple(range(degree))}
     frontier = list(seen)
     while frontier:
@@ -360,31 +376,31 @@ def closure(generators: Iterable[Perm]) -> PermSet:
                     fresh.append(c)
                     check_budget(len(seen) ** 2, f"closure reached {len(seen)} members, so its composition table")
         frontier = fresh
-    return perm_set(map(Perm, seen))
+    # products of bijections of one degree: nothing left to check
+    return PermSet(degree, tuple(sorted(seen)))
 
 
 def subgroup_failure(members: PermSet) -> str | None:
     """None when members form a subgroup of the symmetric group; otherwise
-    the witness generating_set raises, as text."""
+    the witness check_group raises, as text."""
     try:
-        generating_set(members)
+        check_group(members)
     except NotAGroup as exc:
         return str(exc)
     return None
 
 
-def generating_set(members: PermSet) -> tuple[int, ...]:
-    """Indices of a generating set T of the group members form, in
-    increasing order; raises NotAGroup with a human-readable witness of the
-    first failure found: the identity, then each member's inverse (both
-    looked up as image tuples in the member index), then every ordered
-    product in row-major order.
+def check_group(members: PermSet) -> None:
+    """Certify that members form a group; raises NotAGroup with a
+    human-readable witness of the first failure found: the identity, then
+    each member's inverse (both looked up in the member index), then every
+    ordered product in row-major order.
 
     Closure is certified from a greedy generating set T, not from the |G|^2
     composition table. Walking the members in sorted order, each one that
     the closure H has not reached becomes a new generator t; H grows by
-    right multiplication h -> h * t, on image tuples, until every member of
-    H has been multiplied by every generator, and the certificate stops at
+    right multiplication h -> h * t until every member of H has been
+    multiplied by every generator, and the certificate stops at
     the first product that is not a member. It is exact:
 
     - if every product h * t is a member and H covers the set (it does:
@@ -414,29 +430,27 @@ def generating_set(members: PermSet) -> tuple[int, ...]:
             raise NotAGroup(f"inverse of {list(images)} missing")
     size = len(members)
     check_budget(size * size, f"composition table of {size} members")
-    gens = _generated_closure(members)
-    if gens is not None:
-        return gens
+    if _generated_closure(members):
+        return
     members.composition_table()
     raise InvariantViolation("generating-set closure certificate", f"{size} members the composition table finds closed")
 
 
-def _generated_closure(members: PermSet) -> tuple[int, ...] | None:
-    """The indices of a greedy generating set whose closure, grown by right
-    multiplication, stays inside members, or None when a product leaves it;
-    generating_set has the proof. members must hold the identity."""
+def _generated_closure(members: PermSet) -> bool:
+    """True when the closure of a greedy generating set, grown by right
+    multiplication, stays inside members; False when a product leaves it.
+    check_group has the proof. members must hold the identity."""
     get = members._index.get
-    images = [p.images for p in members.members]
+    images = members.members
     reached = [False] * len(images)
     e = get(tuple(range(members.degree)))
     reached[e] = True
     closed = [images[e]]  # H, in the order reached
-    picked, gens = [], []
+    gens = []
     for i, t in enumerate(images):
         if reached[i]:
             continue
         new = _right_multiplier(t)
-        picked.append(i)
         gens.append(new)
         # every old member of H times the new generator, then every member
         # reached since times every generator
@@ -445,8 +459,8 @@ def _generated_closure(members: PermSet) -> tuple[int, ...] | None:
             for g in (new,) if k < grown else gens:
                 j = get(g(h))
                 if j is None:
-                    return None
+                    return False
                 if not reached[j]:
                     reached[j] = True
                     closed.append(images[j])
-    return tuple(picked)
+    return True

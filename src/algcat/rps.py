@@ -13,10 +13,11 @@ the point structure back and forth along it is what this module implements:
 induced_loop and loop_to_rps invert each other bit-exactly; catcheck verifies this
 on the whole zoo.
 
-check_rps stores that bijection on the object as two integer tuples, member
-index -> base-point image and point -> member index; the second is forced
-by regularity. It builds both loops from them once and stores them too;
-member products and forced member maps are lookups in the tuples.
+Members are image tuples (see perms), so a member is its own row: check_rps
+stores the bijection as two integer tuples, member index -> base-point image
+and point -> member index (forced by regularity), builds both loops from
+them once and stores them too; member products and forced member maps are
+lookups in the tuples.
 
 enumerate_rps_morphisms lifts the induced-loop morphisms; the oracle
 enumerate_rps_morphisms_direct runs perms.forced_morphisms on the members.
@@ -29,7 +30,7 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import InvariantViolation, MissingIdentity, RegularityViolation, StructureError
 from .loops import Loop, check_loop, enumerate_loop_morphisms, is_loop_morphism, left_translation
-from .perms import Morphism, Perm, PermSet, forced_morphisms, identity_morphism, intertwines, perm_set
+from .perms import Morphism, PermSet, forced_morphisms, identity_morphism, intertwines, perm_set
 from .values import Value, cached_hash
 
 
@@ -64,7 +65,7 @@ class Rps(Value):
         object.__setattr__(self, "loop", loop)
         object.__setattr__(self, "member_loop", member_loop)
 
-    def from_point(self, alpha: int) -> Perm:
+    def from_point(self, alpha: int) -> tuple[int, ...]:
         """The unique member sending the base point to alpha."""
         if not 0 <= alpha < self.degree:
             raise ValueError(f"point {alpha} out of range for degree {self.degree}")
@@ -80,28 +81,29 @@ def check_rps(members: PermSet, degree: int, basepoint: int) -> Rps:
         raise StructureError(f"members have degree {members.degree}, expected {degree}")
     if not 0 <= basepoint < degree:
         raise StructureError(f"base point {basepoint} out of range for degree {degree}")
-    if Perm.identity(degree) not in members:
+    identity = tuple(range(degree))
+    if identity not in members:
         raise MissingIdentity("regular set must contain the identity permutation")
+    ms = members.members
     for alpha in range(degree):
         counts = [0] * degree
-        for m in members:
-            counts[m(alpha)] += 1
+        for m in ms:
+            counts[m[alpha]] += 1
         for beta, c in enumerate(counts):
             if c != 1:
                 raise RegularityViolation(alpha, beta, c)
-    base_images = tuple(m.images[basepoint] for m in members)
+    base_images = tuple(m[basepoint] for m in ms)
     at = [0] * degree
     for i, beta in enumerate(base_images):
         at[beta] = i
     member_at = tuple(at)
-    ms = members.members
-    # row alpha of the induced loop is the image tuple of m_alpha, since
+    # row alpha of the induced loop is m_alpha itself, since
     # m_beta(base) == beta; member m times member k is the member at point
     # m(k(base)). Regularity makes both loops; a violation is an internal bug.
-    induced = check_loop(tuple(ms[i].images for i in member_at), basepoint)
+    induced = check_loop(tuple(ms[i] for i in member_at), basepoint)
     on_members = check_loop(
-        tuple(tuple(member_at[m.images[x]] for x in base_images) for m in ms),
-        members.index(Perm.identity(degree)),
+        tuple(tuple(member_at[m[x]] for x in base_images) for m in ms),
+        members.index(identity),
     )
     return Rps(members, degree, basepoint, base_images, member_at, induced, on_members)
 
@@ -158,7 +160,7 @@ def characterize_morphism(f: Sequence[int], phi: Sequence[int], src: Rps, dst: R
     src_ms = src.members.members
     dst_ms = dst.members.members
     cond1 = all(
-        dst_ms[f[i]](dst.basepoint) == phi[p(src.basepoint)]
+        dst_ms[f[i]][dst.basepoint] == phi[p[src.basepoint]]
         for i, p in enumerate(src_ms)
     )
     cond2 = is_loop_morphism(f, member_loop(src), member_loop(dst))

@@ -10,7 +10,7 @@ of zero and one.
 The derived structure rests on the involutions J (never empty here):
 
   involutions      the members that square to the identity without being
-                   it, each squared on its image tuple
+                   it
   characteristic   all involutions fixed-point-free -> TWO; all with exactly
                    one fixed point -> NOT_TWO; anything else is corrupt input
   translations     char two: J plus the identity; otherwise J composed with
@@ -56,7 +56,7 @@ product is compared by its images at the base points, never looked up in a
 |G|^2 table.
 
 Each derived value above is a function of one object, so it is computed on
-the first request and kept on that object (generators, base_pair_index,
+the first request and kept on that object (check_closed, base_pair_index,
 involutions, characteristic, translations and derived_neardomain on the
 group, the coefficient table and affine_group on the neardomain).
 check_s2t and check_neardomain intern what they validate in a table of 64
@@ -84,8 +84,9 @@ from .perms import (
     Morphism,
     Perm,
     PermSet,
+    _right_multiplier,
+    check_group,
     forced_morphisms,
-    generating_set,
     identity_morphism,
     intern,
     intertwines,
@@ -119,17 +120,6 @@ class S2tGroup(Value):
         object.__setattr__(self, "_derived", {})
 
 
-class AffineMap(Value):
-    """x -> a + b * x over a neardomain, with its permutation realization."""
-
-    __slots__ = _fields = ("a", "b", "perm")
-
-    def __init__(self, a: int, b: int, perm: Perm):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "perm", perm)
-
-
 def check_s2t(group: PermSet, omega0: int, omega1: int) -> S2tGroup:
     """Validate the base points, then the group axioms, then sharp
     2-transitivity on the single source pair (0, 1): every ordered target
@@ -143,13 +133,13 @@ def check_s2t(group: PermSet, omega0: int, omega1: int) -> S2tGroup:
     to it. So a scan of all n(n-1) source pairs fails first at (0, 1), with
     the same witness, or not at all.
 
-    The group axioms are checked by generators(g), which certifies closure
-    from a generating set through perms.generating_set and builds no
-    composition table; the group keeps that set, which is_s2t_morphism reads
-    as the certificate that the group is closed.
+    The group axioms are checked by check_closed(g), which certifies closure
+    from a generating set through perms.check_group and builds no
+    composition table; the group keeps that certificate, which
+    is_s2t_morphism reads.
 
     Returns the interned copy of the validated group: a group equal to one
-    among the last 64 interned comes back as that one, with the generators
+    among the last 64 interned comes back as that one, with the certificate
     and derived values it already carries."""
     n = group.degree
     if n < 2:
@@ -157,10 +147,10 @@ def check_s2t(group: PermSet, omega0: int, omega1: int) -> S2tGroup:
     if not 0 <= omega0 < n or not 0 <= omega1 < n or omega0 == omega1:
         raise DegenerateOmega(f"base points ({omega0}, {omega1}) invalid for degree {n}")
     g = S2tGroup(group, n, omega0, omega1)
-    generators(g)
+    check_closed(g)
     seen: dict[tuple[int, int], int] = {}
     for p in group:
-        key = p.images[:2]
+        key = p[:2]
         seen[key] = seen.get(key, 0) + 1
     # targets generated rather than listed: a listing of a few members on many
     # points fails at the second target, and a list of all n(n-1) pairs would
@@ -173,19 +163,19 @@ def check_s2t(group: PermSet, omega0: int, omega1: int) -> S2tGroup:
 
 
 @per_object
-def generators(g: S2tGroup) -> tuple[int, ...]:
-    """Indices of a generating set of g.group, from perms.generating_set,
-    which certifies the group axioms; check_s2t calls it first, so a
-    validated group carries it. Raises NotAGroup when g.group is not a group
-    (only for an S2tGroup built without check_s2t)."""
-    return generating_set(g.group)
+def check_closed(g: S2tGroup) -> None:
+    """Certify the group axioms of g.group through perms.check_group, once
+    per group: check_s2t calls it first, so a validated group carries the
+    certificate. Raises NotAGroup when g.group is not a group (only for an
+    S2tGroup built without check_s2t)."""
+    check_group(g.group)
 
 
 @per_object
 def base_pair_index(g: S2tGroup) -> dict[tuple[int, int], int]:
     """(p(omega0), p(omega1)) -> index of p, over the members of g: sharp
     2-transitivity pins a member down by its two base images."""
-    at = {(p.images[g.omega0], p.images[g.omega1]): i for i, p in enumerate(g.group.members)}
+    at = {(p[g.omega0], p[g.omega1]): i for i, p in enumerate(g.group.members)}
     if len(at) != len(g.group):
         raise InvariantViolation("members of a sharply 2-transitive group differ on the base points", len(at))
     return at
@@ -195,24 +185,25 @@ def forced_member_map(phi: Sequence[int], src: S2tGroup, dst: S2tGroup) -> tuple
     """The member map phi forces: f(p) is the dst member agreeing with phi . p
     on the base points, read off base_pair_index(dst); else StructureError."""
     at, s0, s1 = base_pair_index(dst), src.omega0, src.omega1
-    f = tuple(at.get((phi[p.images[s0]], phi[p.images[s1]])) for p in src.group.members)
+    f = tuple(at.get((phi[p[s0]], phi[p[s1]])) for p in src.group.members)
     if None in f:
-        p = src.group.members[f.index(None)].images
+        p = src.group.members[f.index(None)]
         raise StructureError(f"member {list(p)} matches no target member on the base points")
     return f
 
 
 @per_object
 def involutions(g: S2tGroup) -> PermSet:
-    """All elements of order exactly two: each member squared on its image
-    tuple. Never empty in a valid group."""
+    """All elements of order exactly two: the members p other than the
+    identity with p[p[x]] == x at every point. Never empty in a valid
+    group."""
     e = tuple(range(g.degree))
-    return perm_set(p for p in g.group if p.images != e and all(x == p.images[y] for x, y in enumerate(p.images)))
+    return perm_set(p for p in g.group if p != e and all(x == p[y] for x, y in enumerate(p)))
 
 
 @per_object
 def characteristic(g: S2tGroup) -> Characteristic:
-    counts = {len(p.fixed_points()) for p in involutions(g)}
+    counts = {sum(x == y for x, y in enumerate(p)) for p in involutions(g)}
     if counts == {0}:
         return Characteristic.TWO
     if counts == {1}:
@@ -220,12 +211,12 @@ def characteristic(g: S2tGroup) -> Characteristic:
     raise DichotomyViolation(f"involution fixed-point counts {sorted(counts)}, expected all 0 or all 1")
 
 
-def base_involution(g: S2tGroup) -> Perm:
+def base_involution(g: S2tGroup) -> tuple[int, ...]:
     """The involution fixing omega0; only defined away from characteristic
     two. Its uniqueness holds in every valid group and is re-verified here."""
     if characteristic(g) is Characteristic.TWO:
         raise ValueError("characteristic two groups have no involution with a fixed point")
-    fixing = [p for p in involutions(g) if p(g.omega0) == g.omega0]
+    fixing = [p for p in involutions(g) if p[g.omega0] == g.omega0]
     if len(fixing) != 1:
         raise StructureError(f"expected exactly one involution fixing {g.omega0}, found {len(fixing)}")
     return fixing[0]
@@ -242,10 +233,9 @@ def translations(g: S2tGroup) -> Rps:
     """
     J = involutions(g)
     if characteristic(g) is Characteristic.TWO:
-        members = perm_set([Perm.identity(g.degree), *J])
+        members = perm_set([tuple(range(g.degree)), *J])
     else:
-        base = base_involution(g)
-        members = perm_set(j * base for j in J)
+        members = perm_set(map(_right_multiplier(base_involution(g)), J))
     return check_rps(members, g.degree, g.omega0)
 
 
@@ -260,8 +250,8 @@ def derived_neardomain(g: S2tGroup) -> Neardomain:
     n, zero = g.degree, g.omega0
     trans = translations(g)
     at, members = base_pair_index(g), g.group.members
-    add = tuple(trans.from_point(a).images for a in range(n))
-    mul = tuple((zero,) * n if a == zero else members[at[(zero, a)]].images for a in range(n))
+    add = tuple(trans.from_point(a) for a in range(n))
+    mul = tuple((zero,) * n if a == zero else members[at[(zero, a)]] for a in range(n))
     return check_neardomain(add, mul, zero, g.omega1)
 
 
@@ -280,8 +270,8 @@ def is_s2t_morphism(m: Morphism, src: S2tGroup, dst: S2tGroup) -> bool:
     of phi, which holds both base points of dst. Both are members of dst,
     so they are equal. That needs src closed (pq is a member, so f(pq) is
     defined), dst closed (f(p) f(q) is a member) and the members of dst
-    pinned down by their base images: the generators and base_pair_index
-    that a validated group carries. An unvalidated group that fails any of
+    pinned down by their base images: the closure certificate and
+    base_pair_index that a validated group carries. An unvalidated group that fails any of
     the three gives False; the closure certificate's own InvariantViolation
     still propagates.
 
@@ -293,8 +283,8 @@ def is_s2t_morphism(m: Morphism, src: S2tGroup, dst: S2tGroup) -> bool:
     if not intertwines(m, src.group, dst.group):
         return False
     try:
-        generators(src)
-        generators(dst)
+        check_closed(src)
+        check_closed(dst)
     except NotAGroup:
         return False
     try:
@@ -320,26 +310,25 @@ def image_inclusion_witness(m: Morphism, src: S2tGroup, dst: S2tGroup) -> str | 
     for p in involutions(src):
         q = dst_ms[m.f[src.group.index(p)]]
         if q not in inv_dst:
-            return f"involution {list(p.images)} maps to non-involution {list(q.images)}"
+            return f"involution {list(p)} maps to non-involution {list(q)}"
     trans_dst = translations(dst).members
     for p in translations(src).members:
         q = dst_ms[m.f[src.group.index(p)]]
         if q not in trans_dst:
-            return f"translation {list(p.images)} maps to non-translation {list(q.images)}"
+            return f"translation {list(p)} maps to non-translation {list(q)}"
     return None
 
 
-def affine_maps(nd: Neardomain) -> tuple[AffineMap, ...]:
-    """All maps x -> a + b * x with b nonzero, ordered by (a, b)."""
-    n = nd.order
-    out = []
-    for a in range(n):
-        for b in range(n):
-            if b == nd.zero:
-                continue
-            images = tuple(nd.add[a][nd.mul[b][x]] for x in range(n))
-            out.append(AffineMap(a, b, Perm(images)))
-    return tuple(out)
+def affine_maps(nd: Neardomain) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """All maps x -> a + b * x with b nonzero, as (a, b, image tuple),
+    ordered by (a, b)."""
+    n, add, mul = nd.order, nd.add, nd.mul
+    return tuple(
+        (a, b, tuple([add[a][mul[b][x]] for x in range(n)]))
+        for a in range(n)
+        for b in range(n)
+        if b != nd.zero
+    )
 
 
 @per_object
@@ -380,9 +369,10 @@ def affine_group(nd: Neardomain) -> S2tGroup:
     sharply 2-transitive group that agree at the two base points.
     """
     maps = affine_maps(nd)
-    if len({am.perm for am in maps}) != len(maps):
+    members = perm_set(p for _, _, p in maps)
+    if len(members) != len(maps):
         raise InvariantViolation("distinct parameters give distinct affine maps", len(maps))
-    grp = check_s2t(perm_set(am.perm for am in maps), nd.zero, nd.one)
+    grp = check_s2t(members, nd.zero, nd.one)
     n, zero, one = nd.order, nd.zero, nd.one
     add, mul = nd.add, nd.mul
     for y in range(n):
@@ -395,13 +385,12 @@ def affine_group(nd: Neardomain) -> S2tGroup:
     for y in range(n):
         if coeff[zero][y] != one:
             raise InvariantViolation("d(zero, y) == one", y)
-    images = [(am.a, am.b, am.perm.images) for am in maps]
-    base = {(a, b): (im[zero], im[one]) for a, b, im in images}
-    for a, b, p in images:
+    base = {(a, b): (p[zero], p[one]) for a, b, p in maps}
+    for a, b, p in maps:
         if b != one and a != zero:
             continue
         add_a, mul_b, coeff_a = add[a], mul[b], coeff[a]
-        for k, l, q in images:
+        for k, l, q in maps:
             bk = mul_b[k]
             if base.get((add_a[bk], mul[coeff_a[bk]][mul_b[l]])) != (p[q[zero]], p[q[one]]):
                 raise InvariantViolation("affine composition law", ((a, b), (k, l)))
@@ -450,15 +439,17 @@ def translations_form_subgroup(g: S2tGroup) -> bool:
 
 def involution_products_form_subgroup(g: S2tGroup) -> bool:
     J = involutions(g)
-    return subgroup_failure(perm_set(p * q for p in J for q in J)) is None
+    times = [_right_multiplier(q) for q in J]
+    return subgroup_failure(perm_set(t(p) for p in J for t in times)) is None
 
 
 def relabel(g: S2tGroup, pi: Perm) -> S2tGroup:
     """Conjugate the whole group by pi and move the base points along."""
     if pi.degree != g.degree:
         raise StructureError("relabeling degree mismatch")
-    pi_inv = pi.inverse()
-    members = perm_set(pi * p * pi_inv for p in g.group)
+    # (pi * p * pi^-1)(x) == pi(p(pi^-1(x))), on image tuples
+    images, inv = pi.images, pi.inverse().images
+    members = perm_set(tuple([images[p[x]] for x in inv]) for p in g.group)
     return check_s2t(members, pi(g.omega0), pi(g.omega1))
 
 

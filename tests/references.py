@@ -17,13 +17,17 @@ def loops_isomorphic(a: Loop, b: Loop) -> tuple[int, ...] | None:
     return next((f for f in homs if len(set(f)) == a.order), None)
 
 
-def is_identity(p: Perm) -> bool:
-    return all(i == j for i, j in enumerate(p.images))
+Images = tuple[int, ...]
 
 
-def is_involution(p: Perm) -> bool:
+def is_identity(p: Images) -> bool:
+    return all(i == j for i, j in enumerate(p))
+
+
+def is_involution(p: Images) -> bool:
     """Order exactly two: squares to the identity without being it."""
-    return not is_identity(p) and is_identity(p * p)
+    q = Perm(p)
+    return not is_identity(p) and is_identity((q * q).images)
 
 
 def with_basepoint(r: Rps, basepoint: int) -> Rps:
@@ -31,14 +35,14 @@ def with_basepoint(r: Rps, basepoint: int) -> Rps:
     return check_rps(r.members, r.degree, basepoint)
 
 
-def to_point(r: Rps, m: Perm) -> int:
+def to_point(r: Rps, m: Images) -> int:
     """Evaluate a member of r at the base point."""
     if m not in r.members:
         raise ValueError("permutation is not a member of this set")
-    return m(r.basepoint)
+    return m[r.basepoint]
 
 
-def member_product(r: Rps, m: Perm, k: Perm) -> Perm:
+def member_product(r: Rps, m: Images, k: Images) -> Images:
     """The unique member whose base-point image equals (m * k)(base).
 
     This is the loop product transported onto the members; it agrees with
@@ -46,14 +50,14 @@ def member_product(r: Rps, m: Perm, k: Perm) -> Perm:
     """
     if m not in r.members or k not in r.members:
         raise ValueError("both factors must be members of the set")
-    return r.from_point((m * k)(r.basepoint))
+    return r.from_point((Perm(m) * Perm(k))(r.basepoint))
 
 
-def _stabilizer_action(g: S2tGroup) -> dict[int, Perm]:
+def _stabilizer_action(g: S2tGroup) -> dict[int, Images]:
     """omega1-image -> element over the stabilizer of omega0, scanned from
     the whole group and checked regular on the other points on every call."""
-    stab = [p for p in g.group if p(g.omega0) == g.omega0]
-    table = {p(g.omega1): p for p in stab}
+    stab = [p for p in g.group if p[g.omega0] == g.omega0]
+    table = {p[g.omega1]: p for p in stab}
     if len(stab) != g.degree - 1 or set(table) != set(range(g.degree)) - {g.omega0}:
         raise InvariantViolation("stabilizer of omega0 is regular on the other points", sorted(table))
     return table
@@ -62,7 +66,7 @@ def _stabilizer_action(g: S2tGroup) -> dict[int, Perm]:
 def point_add(g: S2tGroup, alpha: int, beta: int) -> int:
     """alpha + beta via the translation sending omega0 to alpha: the
     definition of one cell of the derived addition."""
-    return translations(g).from_point(alpha)(beta)
+    return translations(g).from_point(alpha)[beta]
 
 
 def point_mul(g: S2tGroup, alpha: int, beta: int) -> int:
@@ -71,13 +75,13 @@ def point_mul(g: S2tGroup, alpha: int, beta: int) -> int:
     derived multiplication; derives the stabilizer table per call."""
     if alpha == g.omega0 or beta == g.omega0:
         return g.omega0
-    return _stabilizer_action(g)[alpha](beta)
+    return _stabilizer_action(g)[alpha][beta]
 
 
 def composition_table(members: PermSet) -> list[list[int]]:
     """table[i][j] is the index of members[i] * members[j], by Perm.__mul__
     and PermSet.index; KeyError when a product is not a member."""
-    return [[members.index(p * q) for q in members] for p in members]
+    return [[members.index((Perm(p) * Perm(q)).images) for q in members] for p in members]
 
 
 def is_homomorphism(f, t_src, t_dst) -> bool:
@@ -88,7 +92,7 @@ def is_homomorphism(f, t_src, t_dst) -> bool:
 def involution_fixed_points(g) -> set[int]:
     """The fixed-point counts of the involutions of a group, {0} in
     characteristic two and {1} otherwise."""
-    return {len(p.fixed_points()) for p in g.group if is_involution(p)}
+    return {len(Perm(p).fixed_points()) for p in g.group if is_involution(p)}
 
 
 def is_s2t_morphism(f, phi, src, dst, t_src, t_dst) -> bool:
@@ -101,7 +105,7 @@ def is_s2t_morphism(f, phi, src, dst, t_src, t_dst) -> bool:
     return (
         len(set(phi)) == len(phi)
         and (phi[src.omega0], phi[src.omega1]) == (dst.omega0, dst.omega1)
-        and all(phi[y] == dst_ms[f[i]].images[phi[x]] for i, p in enumerate(src.group) for x, y in enumerate(p.images))
+        and all(phi[y] == dst_ms[f[i]][phi[x]] for i, p in enumerate(src.group) for x, y in enumerate(p))
         and involution_fixed_points(src) == involution_fixed_points(dst)
         and is_homomorphism(f, t_src, t_dst)
     )

@@ -28,7 +28,7 @@ from algcat.catcheck import (
     s2t_to_ndom,
     translation_form_witness,
 )
-from algcat.loops import check_loop, enumerate_loop_morphisms, is_associative
+from algcat.loops import Loop, check_loop, enumerate_loop_morphisms, is_associative
 from algcat.neardomain import Neardomain, dickson_nearfield_9, enumerate_nd_morphisms, galois_field
 from algcat.perms import Morphism, Perm, PermSet, perm_set
 from algcat.rps import enumerate_rps_morphisms_direct, identity_rps_morphism, induced_loop, lift_loop_morphism, loop_to_rps
@@ -349,7 +349,7 @@ def test_roundtrip_families_fail_on_a_corrupted_input():
     gf5 = galois_field(5)
     nd = Neardomain(5, gf5.add, (tuple(range(5)),) + gf5.mul[1:], 0, 1)
     members = affine_group(gf5).group.members
-    moved = [Perm((1, 3, 2, 0, 4)) if p.images == (1, 3, 0, 2, 4) else p for p in members]
+    moved = [(1, 3, 2, 0, 4) if p == (1, 3, 0, 2, 4) else p for p in members]
     g = S2tGroup(perm_set(moved), 5, 0, 1)
     assert g.group != affine_group(gf5).group
     verdicts = {v.name: v for v in run_all(Zoo((), (), (("gf5/mul0", nd),), (("aff(gf5)/moved", g),)))}
@@ -558,3 +558,45 @@ def test_category_ops_compose():
     assert loop_cat.identity(Z3) == (0, 1, 2)
     assert isinstance(loop_cat, CategoryOps)
     assert S2T_TO_NDOM.name == "s2t->ndom" and NDOM_TO_S2T.name == "ndom->s2t"
+
+
+def test_translation_form_names_a_group_that_is_not_the_affine_one():
+    # a neardomain built directly carries whatever affine group is kept for
+    # it; relabeled by the swap of 1 and 2, the translations of that group
+    # are not the addition rows of GF(5)
+    gf5 = galois_field(5)
+    nd = Neardomain(5, gf5.add, gf5.mul, 0, 1)
+    nd._derived["affine_group"] = s2t.relabel(affine_group(gf5), Perm((0, 2, 1, 3, 4)))
+    verdict = _run_family("translation-form", [("gf5/relabeled", (nd,))], translation_form_witness)
+    assert verdict.witness == (
+        "gf5/relabeled: translation set [[0, 1, 2, 3, 4], [1, 4, 3, 0, 2], [2, 3, 1, 4, 0], "
+        "[3, 0, 4, 2, 1], [4, 2, 0, 1, 3]] != affine b=1 maps"
+    )
+
+
+def test_image_inclusions_name_an_involution_sent_to_the_identity(zoo):
+    g = dict(zoo.groups)["aff(gf5)"]
+    f = list(identity_s2t_morphism(g).f)
+    # the identity member sorts first, so its index is 0
+    f[g.group.index(s2t.involutions(g).members[0])] = 0
+    m = Morphism(tuple(f), tuple(range(5)))
+    verdict = _run_family("s2t-image-inclusions", [("aff(gf5)->aff(gf5)", (m, g, g))], catcheck.image_inclusion_witness)
+    assert verdict.witness == "aff(gf5)->aff(gf5): involution [0, 4, 3, 2, 1] maps to non-involution [0, 1, 2, 3, 4]"
+
+
+def test_loop_rps_roundtrip_names_a_loop_with_the_wrong_identity(zoo):
+    # the table of Z3 listed with identity 1, built without check_loop
+    loop = Loop(3, dict(zoo.loops)["loop3_0"].table, 1)
+    verdict = _run_family("loop-rps-roundtrip", [("loop3_0@1", (loop,))], loop_roundtrip_witness)
+    assert verdict.witness == (
+        "loop3_0@1: rebuilt loop differs: identity 1 vs 1, "
+        "table ((2, 0, 1), (0, 1, 2), (1, 2, 0)) vs ((0, 1, 2), (1, 2, 0), (2, 0, 1))"
+    )
+
+
+def test_rps_oracle_agreement_names_a_dropped_morphism(zoo):
+    r3 = dict(zoo.rps_objects)["rps(loop3_0)"]
+    fast = lambda src, dst: rps.enumerate_rps_morphisms(src, dst)[1:]
+    pairs = [("rps(loop3_0)->rps(loop3_0)", (fast, enumerate_rps_morphisms_direct, r3, r3))]
+    verdict = _run_family("rps-hom-oracle-agreement", pairs, oracle_agreement_witness)
+    assert verdict.witness == "rps(loop3_0)->rps(loop3_0): fast path found 2, direct oracle 3"

@@ -248,7 +248,7 @@ def test_homset_refused_within_budget(tmp_path, capsys, reference_cpu):
 def test_budget_refusals_read_no_member_or_row(monkeypatch):
     # the composition table and the cubic checks refuse an over-budget input
     # before they read a member or a row
-    members = perm_set(Perm(p) for p in itertools.islice(itertools.permutations(range(7)), 1001))
+    members = perm_set(itertools.islice(itertools.permutations(range(7)), 1001))
     rows = _CountingRows(1001)
     object.__setattr__(members, "members", rows)
     with pytest.raises(ResourceLimitExceeded, match="composition table of 1001 members"):
@@ -275,7 +275,7 @@ def test_budget_refusals_read_no_member_or_row(monkeypatch):
 
     monkeypatch.setattr(perms, "check_budget", recording)
     with pytest.raises(ResourceLimitExceeded, match="closure reached 1001 members"):
-        perms.closure([Perm((*range(1, 7), 0)), Perm((1, 0, *range(2, 7)))])
+        perms.closure([(*range(1, 7), 0), (1, 0, *range(2, 7))])
     assert works == [k * k for k in range(2, 1002)]
 
 

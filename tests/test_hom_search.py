@@ -26,7 +26,7 @@ from algcat.neardomain import (
     galois_field,
     is_nd_morphism,
 )
-from algcat.perms import Perm, closure
+from algcat.perms import closure
 from algcat.s2t import S2tGroup, affine_group, base_pair_index, enumerate_s2t_morphisms_direct
 from references import loops_isomorphic
 
@@ -144,7 +144,7 @@ def test_field_hom_counts_match_the_closed_form():
 def test_broken_invariant_names_its_witness():
     # S4 is a closed group, but not sharply 2-transitive: its 24 members
     # reach only the 12 ordered pairs of distinct points
-    s4 = S2tGroup(closure([Perm((1, 2, 3, 0)), Perm((1, 0, 2, 3))]), 4, 0, 1)
+    s4 = S2tGroup(closure([(1, 2, 3, 0), (1, 0, 2, 3)]), 4, 0, 1)
     with pytest.raises(InvariantViolation) as info:
         base_pair_index(s4)
     assert info.value.claim == "members of a sharply 2-transitive group differ on the base points"
@@ -167,9 +167,9 @@ if __debug__:
     sys.exit("not running under -O")
 from algcat.errors import InvariantViolation
 from algcat.neardomain import galois_field
-from algcat.perms import Perm, closure
+from algcat.perms import closure
 from algcat.s2t import S2tGroup, affine_group, base_pair_index, enumerate_s2t_morphisms_direct
-s4 = S2tGroup(closure([Perm((1, 2, 3, 0)), Perm((1, 0, 2, 3))]), 4, 0, 1)
+s4 = S2tGroup(closure([(1, 2, 3, 0), (1, 0, 2, 3)]), 4, 0, 1)
 try:
     base_pair_index(s4)
 except InvariantViolation as exc:
@@ -196,12 +196,12 @@ from algcat.s2t import check_s2t
 from algcat.zoo import standard_zoo
 g = dict(standard_zoo().groups)["aff(gf5)"]
 e = Perm.identity(g.degree)
-dropped = next(p for p in g.group if p != e and p * p == e)
+dropped = next(p for p in g.group if Perm(p) != e and Perm(p) * Perm(p) == e)
 members = [p for p in g.group if p != dropped]
 present = set(members)
 expected = next(
-    f"product {list(p.images)} * {list(q.images)} missing"
-    for p in members for q in members if p * q not in present
+    f"product {list(p)} * {list(q)} missing"
+    for p in members for q in members if (Perm(p) * Perm(q)).images not in present
 )
 try:
     check_s2t(perm_set(members), g.omega0, g.omega1)
@@ -220,7 +220,7 @@ except InvariantViolation as exc:
         sys.exit(f"disagreement witness {exc}")
     PermSet.composition_table = real_table
 try:
-    check_s2t(closure([Perm((1, 2, 0))]), 0, 1)
+    check_s2t(closure([(1, 2, 0)]), 0, 1)
     sys.exit("rotation group accepted")
 except NotSharplyTransitive as exc:
     if (exc.source_pair, exc.target_pair, exc.count) != ((0, 1), (0, 2), 0):

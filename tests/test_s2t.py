@@ -56,7 +56,7 @@ from algcat.zoo import standard_zoo
 import references
 from references import is_involution, point_add, point_mul
 
-S3 = closure([Perm((1, 2, 0)), Perm((1, 0, 2))])
+S3 = closure([(1, 2, 0), (1, 0, 2)])
 AFF = {q: affine_group(galois_field(q)) for q in (2, 3, 4, 5, 7, 8, 9)}
 AFFD = affine_group(dickson_nearfield_9())
 
@@ -76,32 +76,32 @@ def test_check_s2t_rejects():
     with pytest.raises(DegenerateOmega):
         check_s2t(S3, 0, 0)
     with pytest.raises(NotAGroup):
-        check_s2t(perm_set([p for p in S3 if p != Perm((1, 2, 0))]), 0, 1)
+        check_s2t(perm_set([p for p in S3 if p != (1, 2, 0)]), 0, 1)
     with pytest.raises(NotSharplyTransitive):
-        check_s2t(closure([Perm((1, 2, 0))]), 0, 1)
+        check_s2t(closure([(1, 2, 0)]), 0, 1)
     with pytest.raises(StructureError):
         check_s2t(S3, 0, 9)
     # degree below 2 cannot carry two distinct base points
     with pytest.raises(StructureError):
-        check_s2t(perm_set([Perm((0,))]), 0, 0)
+        check_s2t(perm_set([(0,)]), 0, 0)
 
 
 def test_check_s2t_witnesses():
-    rotations = closure([Perm((1, 2, 0))])
+    rotations = closure([(1, 2, 0)])
     with pytest.raises(NotSharplyTransitive) as info:
         check_s2t(rotations, 0, 1)
     assert (info.value.source_pair, info.value.target_pair, info.value.count) == ((0, 1), (0, 2), 0)
     assert str(info.value) == "0 elements map (0, 1) to (0, 2), expected exactly 1"
     # S3 with the involution (0, 2, 1) removed: inverses survive, closure fails
     with pytest.raises(NotAGroup) as info:
-        check_s2t(perm_set([p for p in S3 if p != Perm((0, 2, 1))]), 0, 1)
+        check_s2t(perm_set([p for p in S3 if p != (0, 2, 1)]), 0, 1)
     assert str(info.value) == "product [1, 0, 2] * [1, 2, 0] missing"
     with pytest.raises(NotAGroup) as info:
-        check_s2t(perm_set([p for p in S3 if p != Perm((1, 2, 0))]), 0, 1)
+        check_s2t(perm_set([p for p in S3 if p != (1, 2, 0)]), 0, 1)
     assert str(info.value) == "inverse of [2, 0, 1] missing"
     # base points are checked before the group axioms (no identity here)
     with pytest.raises(DegenerateOmega):
-        check_s2t(perm_set([Perm((1, 0, 2))]), 1, 1)
+        check_s2t(perm_set([(1, 0, 2)]), 1, 1)
 
 
 def _reference_check_s2t(group: PermSet, omega0: int, omega1: int) -> S2tGroup:
@@ -109,10 +109,9 @@ def _reference_check_s2t(group: PermSet, omega0: int, omega1: int) -> S2tGroup:
     every ordered target pair, both in lexicographic order. Expects a group
     and valid base points."""
     n = group.degree
-    images = [g.images for g in group]
     for a1, a2 in itertools.permutations(range(n), 2):
         seen: dict[tuple[int, int], int] = {}
-        for im in images:
+        for im in group:
             key = (im[a1], im[a2])
             seen[key] = seen.get(key, 0) + 1
         for target in itertools.permutations(range(n), 2):
@@ -153,7 +152,7 @@ ONE_PAIR_CASES = [
 
 def test_one_pair_check_reaches_both_verdicts():
     for gens, sharp in ONE_PAIR_CASES:
-        group = closure(Perm(g) for g in gens)
+        group = closure(gens)
         assert isinstance(_outcome(_reference_check_s2t, group, 0, 1), S2tGroup) == sharp, gens
         _assert_one_pair_matches_reference(group)
 
@@ -162,7 +161,7 @@ def test_one_pair_check_reaches_both_verdicts():
 def _generated_groups(draw):
     n = draw(st.integers(2, 5))
     gens = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=2))
-    return closure(Perm(tuple(g)) for g in gens)
+    return closure(tuple(g) for g in gens)
 
 
 @settings(max_examples=100)
@@ -173,21 +172,24 @@ def test_one_pair_check_matches_all_pairs_reference(group):
     _assert_one_pair_matches_reference(group)
 
 
-def test_certified_group_keeps_its_generating_set():
-    # check_s2t certifies closure from a greedy generating set and keeps it
-    # on the group; an equal listing comes back as the first copy, with it
+def test_certified_group_keeps_its_closure_certificate(monkeypatch):
+    # check_s2t certifies closure once per validated group and keeps the
+    # certificate on it; the morphism check reads it without running it
+    # again, and an equal listing comes back as the first copy, with it
     perms.intern.cache_clear()
+    runs = []
+    monkeypatch.setattr(s2t, "check_group", lambda members: runs.append(members) or perms.check_group(members))
     members = perm_set(S3.members)
     g = check_s2t(members, 0, 1)
-    assert g.group is members
-    gens = g._derived["generators"]
-    assert gens == s2t.generators(g) == perms.generating_set(members)
-    # at most log2|G| generators, and they generate the group
-    assert 1 <= len(gens) <= 2
-    assert closure(members.members[i] for i in gens) == members
+    assert g.group is members and runs == [members]
+    assert "check_closed" in g._derived
+    s2t.check_closed(g)
+    assert is_s2t_morphism(identity_s2t_morphism(g), g, g)
     again = perm_set(S3.members)
     h = check_s2t(again, 0, 1)
-    assert h is g and s2t.generators(h) is gens
+    assert h is g and runs == [members, again]
+    s2t.check_closed(h)
+    assert len(runs) == 2
     # a PermSet stores its member index and its hash, and no table
     assert set(PermSet.__slots__) == {"degree", "members", "_index", "_hash"}
 
@@ -210,7 +212,7 @@ def test_fresh_listing_is_certified_without_its_table(monkeypatch):
     table = members.composition_table()
     listed = members.members
     for p, row in zip(listed, table):
-        assert [listed[k] for k in row] == [p * q for q in listed]
+        assert [listed[k] for k in row] == [(Perm(p) * Perm(q)).images for q in listed]
 
 
 def test_no_success_path_builds_a_composition_table(tmp_path):
@@ -275,11 +277,11 @@ def test_derived_sets_match_perm_products(zoo):
     # are the references
     for name, g in zoo.groups:
         assert set(involutions(g)) == {p for p in g.group if is_involution(p)}, name
-        J = list(involutions(g))
+        J = [Perm(p) for p in involutions(g)]
         if characteristic(g) is Characteristic.NOT_TWO:
-            nu = base_involution(g)
-            assert set(translations(g).members) == {j * nu for j in J}, name
-        products = perm_set(p * q for p in J for q in J)
+            nu = Perm(base_involution(g))
+            assert set(translations(g).members) == {(j * nu).images for j in J}, name
+        products = perm_set((p * q).images for p in J for q in J)
         assert involution_products_form_subgroup(g) == (subgroup_failure(products) is None), name
 
 
@@ -295,17 +297,17 @@ def test_characteristic_dichotomy():
         j = involutions(g)
         if characteristic(g) is Characteristic.TWO:
             assert len(j) == q - 1
-            assert all(not p.fixed_points() for p in j)
+            assert all(not Perm(p).fixed_points() for p in j)
         else:
             assert len(j) == q
-            assert all(len(p.fixed_points()) == 1 for p in j)
+            assert all(len(Perm(p).fixed_points()) == 1 for p in j)
 
 
 def test_base_involution():
-    assert base_involution(AFF[3]) == Perm((0, 2, 1))
+    assert base_involution(AFF[3]) == (0, 2, 1)
     for q in (3, 5, 7, 9):
         nu = base_involution(AFF[q])
-        assert is_involution(nu) and nu.fixed_points() == frozenset({0})
+        assert is_involution(nu) and Perm(nu).fixed_points() == frozenset({0})
     with pytest.raises(ValueError):
         base_involution(AFF[2])  # characteristic 2 has no fixing involution
 
@@ -316,7 +318,7 @@ def test_translations_encode_addition():
         t = translations(g)
         assert isinstance(t, Rps)
         assert t.basepoint == g.omega0
-        expected = {Perm(tuple(nd.add[c][x] for x in range(q))) for c in range(q)}
+        expected = {tuple(nd.add[c][x] for x in range(q)) for c in range(q)}
         assert set(t.members) == expected
         for a in range(q):
             for b in range(q):
@@ -345,7 +347,7 @@ def test_affine_composition_law():
     # checks; composed on image tuples, 57,600 pairs at q = 16
     for nd in (*map(galois_field, (3, 4, 9, 11, 13, 16)), dickson_nearfield_9()):
         n, add, mul = nd.order, nd.add, nd.mul
-        maps = [(m.a, m.b, m.perm.images) for m in affine_maps(nd)]
+        maps = affine_maps(nd)
         by_images = {p: (a, b) for a, b, p in maps}
         coeff = [[d_coeff(nd, a, c) for c in range(n)] for a in range(n)]
         for a, b, p in maps:
@@ -371,9 +373,7 @@ def test_affine_law_names_a_wrong_coefficient():
     a0, c0 = 2, 3
     _with_coefficient(nd, a0, c0, d_coeff(real, a0, c0) % 4 + 1)  # another nonzero element of GF(5)
     maps = affine_maps(nd)
-    expected = next(
-        ((m1.a, m1.b), (m2.a, m2.b)) for m1 in maps for m2 in maps if m1.a == a0 and nd.mul[m1.b][m2.a] == c0
-    )
+    expected = next(((a, b), (k, l)) for a, b, _ in maps for k, l, _ in maps if a == a0 and nd.mul[b][k] == c0)
     with pytest.raises(InvariantViolation) as exc:
         affine_group(nd)
     assert (exc.value.claim, exc.value.witness) == ("affine composition law", expected)
@@ -424,7 +424,7 @@ def test_composition_table_matches_perm_products(zoo):
         table = g.group.composition_table()
         for i, p in enumerate(g.group):
             for j, q in enumerate(g.group):
-                assert table[i][j] == g.group.index(p * q), (name, i, j)
+                assert table[i][j] == g.group.index((Perm(p) * Perm(q)).images), (name, i, j)
 
 
 def test_composition_table_rejects_non_closed_set():
@@ -441,9 +441,9 @@ def test_base_pair_index_and_lift_read_the_affine_maps(zoo):
         g = affine_group(nd)
         at = base_pair_index(g)
         assert len(at) == len(g.group), name
-        for am in affine_maps(nd):
-            assert g.group.members[at[(am.a, nd.add[am.a][am.b])]] == am.perm, (name, am.a, am.b)
-        params[name] = {(am.a, am.b): am.perm for am in affine_maps(nd)}
+        for a, b, p in affine_maps(nd):
+            assert g.group.members[at[(a, nd.add[a][b])]] == p, (name, a, b)
+        params[name] = {(a, b): p for a, b, p in affine_maps(nd)}
     lifted = 0
     for (ns, src), (nd_name, dst) in itertools.product(zoo.neardomains, repeat=2):
         g_s, g_d = affine_group(src), affine_group(dst)
@@ -457,7 +457,7 @@ def test_base_pair_index_and_lift_read_the_affine_maps(zoo):
 
 
 def test_base_pair_index_and_forced_map_refuse_what_they_cannot_read():
-    s4 = S2tGroup(closure([Perm((1, 2, 3, 0)), Perm((1, 0, 2, 3))]), 4, 0, 1)
+    s4 = S2tGroup(closure([(1, 2, 3, 0), (1, 0, 2, 3)]), 4, 0, 1)
     with pytest.raises(InvariantViolation, match="differ on the base points"):
         base_pair_index(s4)
     with pytest.raises(StructureError, match=r"member \[0, 1, 2\] matches no target member"):
@@ -511,7 +511,7 @@ def _forced(phi, src: S2tGroup, dst: S2tGroup) -> tuple[int, ...]:
     phi(omega0) and phi(omega1) where phi . p does, found by a scan of dst."""
     s0, s1 = src.omega0, src.omega1
     return tuple(
-        next(j for j, q in enumerate(dst.group) if (q(phi[s0]), q(phi[s1])) == (phi[p(s0)], phi[p(s1)]))
+        next(j for j, q in enumerate(dst.group) if (q[phi[s0]], q[phi[s1]]) == (phi[p[s0]], phi[p[s1]]))
         for p in src.group
     )
 
@@ -545,7 +545,7 @@ def test_generating_set_homomorphism_check_matches_full_tables(zoo):
         t_src = references.composition_table(src.group)
         for dst in small:
             t_dst = references.composition_table(dst.group)
-            e = dst.group.index(Perm.identity(dst.degree))
+            e = dst.group.index(tuple(range(dst.degree)))
             for phi in itertools.permutations(range(dst.degree), src.degree):
                 forced = _forced(phi, src, dst)
                 intertwined += perms.intertwines(Morphism(forced, phi), src.group, dst.group)
@@ -599,7 +599,7 @@ def test_homomorphism_check_on_an_unvalidated_source_is_false():
     embed = Morphism(tuple(g5.group.index(p) for p in loose), tuple(range(5)))
     assert perms.intertwines(embed, loose, g5.group)
     with pytest.raises(NotAGroup):
-        s2t.generators(src)
+        s2t.check_closed(src)
     assert is_s2t_morphism(embed, src, g5) is False
     # the reference has no table for it: a product is not a member
     with pytest.raises(KeyError):
@@ -619,19 +619,19 @@ def test_s2t_morphism_check_on_an_unvalidated_target_is_false():
     open9 = S2tGroup(loose, 9, 0, 1)
     into_loose = Morphism(tuple(loose.index(g9.members[k]) for k in embed.f), embed.phi)
     with pytest.raises(NotAGroup):
-        s2t.generators(open9)
+        s2t.check_closed(open9)
     assert base_pair_index(open9) and characteristic(open9) is Characteristic.NOT_TWO
     assert is_s2t_morphism(into_loose, AFF[3], open9) is False
     # closed but not pinned: S3 inside S4, the characteristic planted so that
     # only the base pairs refuse it
-    sym4 = closure([Perm((1, 2, 3, 0)), Perm((1, 0, 2, 3))])
+    sym4 = closure([(1, 2, 3, 0), (1, 0, 2, 3)])
     unpinned = S2tGroup(sym4, 4, 0, 1)
     unpinned._derived["characteristic"] = Characteristic.NOT_TWO
-    into_sym4 = Morphism(tuple(sym4.index(Perm(p.images + (3,))) for p in AFF[3].group), (0, 1, 2))
+    into_sym4 = Morphism(tuple(sym4.index(p + (3,)) for p in AFF[3].group), (0, 1, 2))
     assert perms.intertwines(into_sym4, AFF[3].group, sym4)
     t3, t4 = references.composition_table(AFF[3].group), references.composition_table(sym4)
     assert references.is_homomorphism(into_sym4.f, t3, t4)
-    s2t.generators(unpinned)
+    s2t.check_closed(unpinned)
     with pytest.raises(InvariantViolation, match="differ on the base points"):
         base_pair_index(unpinned)
     assert is_s2t_morphism(into_sym4, AFF[3], unpinned) is False
@@ -642,10 +642,11 @@ def test_s2t_morphism_check_refuses_a_non_injective_point_map():
     # points is injective: its fibres are blocks, and a 2-transitive group
     # has none but the trivial ones. A closed source that is not
     # 2-transitive shows the injectivity of phi as a condition of its own
-    z2 = S2tGroup(perm_set([Perm((0, 1, 2, 3)), Perm((1, 0, 3, 2))]), 4, 0, 1)
+    z2 = S2tGroup(perm_set([(0, 1, 2, 3), (1, 0, 3, 2)]), 4, 0, 1)
     fold = Morphism((0, 1), (0, 1, 0, 1))
     assert perms.intertwines(fold, z2.group, AFF[2].group)
-    assert s2t.generators(z2) and characteristic(z2) is characteristic(AFF[2])
+    s2t.check_closed(z2)
+    assert characteristic(z2) is characteristic(AFF[2])
     assert is_s2t_morphism(fold, z2, AFF[2]) is False
 
 
@@ -653,7 +654,7 @@ def test_closure_certificate_violation_propagates(monkeypatch):
     # only NotAGroup means an unvalidated group; the certificate's own
     # InvariantViolation is a bug and is not turned into False
     src = S2tGroup(AFF[5].group, 5, 0, 1)
-    monkeypatch.setattr(perms, "_generated_closure", lambda members: None)
+    monkeypatch.setattr(perms, "_generated_closure", lambda members: False)
     with pytest.raises(InvariantViolation, match="generating-set closure certificate"):
         is_s2t_morphism(identity_s2t_morphism(AFF[5]), src, AFF[5])
 
@@ -673,9 +674,9 @@ def _reference_s2t_morphisms(src: S2tGroup, dst: S2tGroup) -> tuple[Morphism, ..
     n = src.degree
     others = [x for x in range(n) if x not in (src.omega0, src.omega1)]
     targets = [y for y in range(dst.degree) if y not in (dst.omega0, dst.omega1)]
-    dst_im = [q.images for q in dst.group]
+    dst_im = dst.group.members
     pair_index = {(q[dst.omega0], q[dst.omega1]): j for j, q in enumerate(dst_im)}
-    src_im = [p.images for p in src.group]
+    src_im = src.group.members
     out = []
     for choice in itertools.permutations(targets, len(others)):
         phi = [0] * n
@@ -733,11 +734,11 @@ def _lift_and_conjugate(src: S2tGroup, dst: S2tGroup) -> tuple[Morphism, ...]:
 
     def params(nd):
         grp = affine_group(nd).group
-        return {(am.a, am.b): grp.index(am.perm) for am in affine_maps(nd)}
+        return {(a, b): grp.index(p) for a, b, p in affine_maps(nd)}
 
     def rebuild(g):
-        at = {(p(g.omega0), p(g.omega1)): i for i, p in enumerate(g.group)}
-        return [at[(m(g.omega0), m(g.omega1))] for m in affine_group(derived_neardomain(g)).group]
+        at = {(p[g.omega0], p[g.omega1]): i for i, p in enumerate(g.group)}
+        return [at[(m[g.omega0], m[g.omega1])] for m in affine_group(derived_neardomain(g)).group]
 
     nd_s, nd_d = derived_neardomain(src), derived_neardomain(dst)
     p_s, p_d = params(nd_s), params(nd_d)
@@ -832,6 +833,6 @@ def test_sharp_transitivity(g):
             if alpha == beta:
                 continue
             count = sum(
-                1 for p in g.group if p(g.omega0) == alpha and p(g.omega1) == beta
+                1 for p in g.group if p[g.omega0] == alpha and p[g.omega1] == beta
             )
             assert count == 1

@@ -11,13 +11,13 @@ from algcat.loops import Loop, check_loop
 from algcat.neardomain import Neardomain, galois_field
 from algcat.perms import Morphism, Perm, PermSet
 from algcat.rps import Rps, loop_to_rps
-from algcat.s2t import AffineMap, S2tGroup, affine_group
+from algcat.s2t import S2tGroup, affine_group
 from algcat.zoo import Zoo
 
 Z2 = check_loop(((0, 1), (1, 0)))
 P01, P10 = Perm((0, 1)), Perm((1, 0))
-S2 = PermSet(2, (P01, P10))
-S2_REPR = "PermSet(degree=2, members=(Perm(images=(0, 1)), Perm(images=(1, 0))))"
+S2 = PermSet(2, ((0, 1), (1, 0)))
+S2_REPR = "PermSet(degree=2, members=((0, 1), (1, 0)))"
 C = CategoryOps(len, abs, max, callable)
 C_REPR = (
     "CategoryOps(hom=<built-in function len>, identity=<built-in function abs>, compose=<built-in function max>, "
@@ -29,7 +29,7 @@ G = affine_group(galois_field(2))
 # class, positional arguments, keyword arguments, compared fields, repr
 CASES = [
     (Perm, ((1, 0, 2),), {"images": (1, 0, 2)}, ((1, 0, 2),), "Perm(images=(1, 0, 2))"),
-    (PermSet, (2, (P01, P10)), {"degree": 2, "members": (P01, P10)}, (2, (P01, P10)), S2_REPR),
+    (PermSet, (2, S2.members), {"degree": 2, "members": S2.members}, (2, S2.members), S2_REPR),
     (Morphism, ((0,), (0,)), {"f": (0,), "phi": (0,)}, ((0,), (0,)), "Morphism(f=(0,), phi=(0,))"),
     (
         Loop,
@@ -66,13 +66,6 @@ CASES = [
         {"group": S2, "degree": 2, "omega0": 0, "omega1": 1},
         (S2, 2, 0, 1),
         f"S2tGroup(group={S2_REPR}, degree=2, omega0=0, omega1=1)",
-    ),
-    (
-        AffineMap,
-        (0, 1, P01),
-        {"a": 0, "b": 1, "perm": P01},
-        (0, 1, P01),
-        "AffineMap(a=0, b=1, perm=Perm(images=(0, 1)))",
     ),
     (
         Zoo,
