@@ -271,9 +271,9 @@ def is_s2t_morphism(m: Morphism, src: S2tGroup, dst: S2tGroup) -> bool:
     so they are equal. That needs src closed (pq is a member, so f(pq) is
     defined), dst closed (f(p) f(q) is a member) and the members of dst
     pinned down by their base images: the closure certificate and
-    base_pair_index that a validated group carries. An unvalidated group that fails any of
-    the three gives False; the closure certificate's own InvariantViolation
-    still propagates.
+    base_pair_index that a validated group carries. An unvalidated group
+    that fails any of the three gives False; the closure certificate's own
+    InvariantViolation still propagates.
 
     A true result is checked to have injective f (forced by phi injective
     and the intertwining; a failure means a source listing one permutation
@@ -322,13 +322,10 @@ def image_inclusion_witness(m: Morphism, src: S2tGroup, dst: S2tGroup) -> str | 
 def affine_maps(nd: Neardomain) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     """All maps x -> a + b * x with b nonzero, as (a, b, image tuple),
     ordered by (a, b)."""
-    n, add, mul = nd.order, nd.add, nd.mul
-    return tuple(
-        (a, b, tuple([add[a][mul[b][x]] for x in range(n)]))
-        for a in range(n)
-        for b in range(n)
-        if b != nd.zero
-    )
+    n, add = nd.order, nd.add
+    # x -> a + b*x is add[a] after mul[b]
+    times = [_right_multiplier(row) for row in nd.mul]
+    return tuple((a, b, times[b](add[a])) for a in range(n) for b in range(n) if b != nd.zero)
 
 
 @per_object

@@ -87,14 +87,18 @@ def test_perm_set_sorts_and_dedups():
 
 
 def test_perm_set_and_closure_check_members_as_perm_does():
-    # the messages Perm raises, the first bad member named in the order given
-    for bad, message in (((0, 0, 1), "image array [0, 0, 1] is not a bijection of 0..2"), ((), "permutation degree must be at least 1")):
+    # the messages Perm raises, the first bad member named in the order given:
+    # (0, 0), bad too, sorts before (0, 0, 1)
+    for bad, message in (
+        ((0, 0, 1), "image array [0, 0, 1] is not a bijection of 0..2"),
+        ((), "permutation degree must be at least 1"),
+    ):
         with pytest.raises(StructureError) as perm_error:
             Perm(bad)
         assert str(perm_error.value) == message
         for build in (perm_set, closure):
             with pytest.raises(StructureError) as set_error:
-                build([(1, 0, 2), bad, (1, 2)])
+                build([(1, 0, 2), bad, (0, 0)])
             assert str(set_error.value) == message
     for build, args, message in (
         (perm_set, [], "permutation set cannot be empty"),

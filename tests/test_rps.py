@@ -44,6 +44,10 @@ def test_check_rps_rejects():
     no_id = perm_set([(1, 2, 0), (2, 0, 1), (1, 0, 2)])
     with pytest.raises(MissingIdentity):
         check_rps(no_id, 3, 0)
+    # regular at point 0 only: 0 goes to every point once, 1 to 0 twice
+    with pytest.raises(RegularityViolation) as info:
+        check_rps(perm_set([(0, 1, 2), (1, 0, 2), (2, 0, 1)]), 3, 0)
+    assert (info.value.alpha, info.value.beta, info.value.count) == (1, 0, 2)
     with pytest.raises(StructureError):
         check_rps(closure([(1, 2, 0)]), 3, 5)
     with pytest.raises(StructureError):
@@ -140,12 +144,13 @@ def test_is_rps_morphism():
 
 def test_characterize_agrees_exhaustively():
     src = ROTATIONS
-    dst = loop_to_rps(Z3)
-    for f in itertools.product(range(3), repeat=3):
-        for rest in itertools.product(range(3), repeat=2):
-            phi = (0, rest[0], rest[1])
-            cand = Morphism(f, phi)
-            assert characterize_morphism(f, phi, src, dst) == is_rps_morphism(cand, src, dst)
+    # a target based at another point tells the two base points apart
+    for dst in (loop_to_rps(Z3), with_basepoint(loop_to_rps(Z3), 1)):
+        for f in itertools.product(range(3), repeat=3):
+            for rest in itertools.product(range(3), repeat=2):
+                phi = (dst.basepoint, *rest)
+                cand = Morphism(f, phi)
+                assert characterize_morphism(f, phi, src, dst) == is_rps_morphism(cand, src, dst)
 
 
 def test_characterize_requires_basepoint():

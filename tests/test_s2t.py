@@ -406,6 +406,16 @@ def test_affine_law_checks_the_unit_facts_first(fact):
     assert (exc.value.claim, exc.value.witness) == (fact, y)
 
 
+def test_affine_group_refuses_parameters_that_give_one_map():
+    # rows 2 and 3 of multiplication equal: x -> a + 2x and x -> a + 3x are
+    # one map, so 20 parameter pairs give 15 maps
+    gf5 = galois_field(5)
+    nd = _gf5_with(mul=gf5.mul[:3] + (gf5.mul[2],) + gf5.mul[4:])
+    with pytest.raises(InvariantViolation) as exc:
+        affine_group(nd)
+    assert (exc.value.claim, exc.value.witness) == ("distinct parameters give distinct affine maps", 20)
+
+
 def test_affine_law_checks_the_multiplication_case():
     # rows 2 and 3 of multiplication swapped: the unit facts and every pair
     # with a translation on the left hold, and the maps are those of GF(5),
