@@ -6,13 +6,15 @@ or an input over the size budget (perms.TABLE_CAP).
 Reports are line-oriented ``key: value`` text, or JSON with --json; identical
 inputs produce byte-identical output apart from the timestamp field, which
 --no-timestamp removes.
+A structure file is read on every request; _parse keeps the last 64 it
+validated, keyed on their bytes.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .catcheck import (
@@ -72,6 +74,7 @@ def _print_report(report: dict, args) -> None:
     if not args.no_timestamp:
         report["timestamp"] = _timestamp()
     if args.json:
+        import json  # here: a text report never pays for it
         print(json.dumps(report, indent=2))
         return
     for key, value in report.items():
@@ -94,6 +97,14 @@ def _read(path: str):
         data = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(0, f"cannot read {path}: {exc.strerror or exc}") from None
+    return _parse(data)
+
+
+@lru_cache(maxsize=64)
+def _parse(data: bytes):
+    """The structure data lists, validated by parse_structure. Kept for the
+    last 64 distinct inputs, so the same bytes give back the same object;
+    an error is not kept, and the same bad bytes raise it on every read."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

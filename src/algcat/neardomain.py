@@ -41,7 +41,7 @@ from .errors import (
     StructureError,
 )
 from .loops import Table, check_loop, table_homomorphisms
-from .perms import check_budget, intern
+from .perms import check_budget
 from .values import Value, cached_hash, per_object
 
 
@@ -88,8 +88,8 @@ def check_neardomain(
 ) -> Neardomain:
     """Validate the six axioms in order; the first failure is reported as
     AxiomViolation(k, witness), the witness being the first failing cell in
-    row-major order. Returns the interned copy of the validated neardomain,
-    which keeps its coefficient table (see coefficients).
+    row-major order. Returns the neardomain it built and validated, which
+    keeps its coefficient table (see coefficients).
 
     Only axiom 6 loops over triples. The triple laws of axioms 3 and 5 are
     certified on a greedy generating set A of the nonzero elements under mul
@@ -179,7 +179,7 @@ def check_neardomain(
     # axiom 6: the reassociation coefficient exists, is nonzero, works for all x
     nd = Neardomain(n, add_t, mul_t, zero, one)
     coefficients(nd)
-    return intern(nd)
+    return nd
 
 
 def _generators(table: Table, elements: Sequence[int], unit: int | None) -> list[int]:

@@ -23,7 +23,6 @@ the definition of a morphism alone.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -50,16 +49,6 @@ def check_budget(work: int, what: str) -> None:
     step."""
     if work > TABLE_CAP:
         raise ResourceLimitExceeded(f"{what} needs {work}, over the cap of {TABLE_CAP} entries")
-
-
-@lru_cache(maxsize=64)
-def intern(obj):
-    """The first-seen object equal to obj among the last 64 interned, or obj
-    itself. check_neardomain and check_s2t validate in full and then return
-    intern(result), so an equal structure parsed or derived again comes back
-    with the derived data its first copy already carries, and a long-lived
-    process keeps at most 64 of them alive through this table."""
-    return obj
 
 
 class Perm(Value):

@@ -59,10 +59,6 @@ Each derived value above is a function of one object, so it is computed on
 the first request and kept on that object (check_closed, base_pair_index,
 involutions, characteristic, translations and derived_neardomain on the
 group, the coefficient table and affine_group on the neardomain).
-check_s2t and check_neardomain intern what they validate in a table of 64
-(perms.intern), so a structure parsed or rebuilt again reuses the derived
-values of its equal first copy, and a long-lived process keeps a bounded
-number of them.
 """
 
 from __future__ import annotations
@@ -88,7 +84,6 @@ from .perms import (
     check_group,
     forced_morphisms,
     identity_morphism,
-    intern,
     intertwines,
     perm_set,
     subgroup_failure,
@@ -138,9 +133,7 @@ def check_s2t(group: PermSet, omega0: int, omega1: int) -> S2tGroup:
     composition table; the group keeps that certificate, which
     is_s2t_morphism reads.
 
-    Returns the interned copy of the validated group: a group equal to one
-    among the last 64 interned comes back as that one, with the certificate
-    and derived values it already carries."""
+    Returns the group it built and validated."""
     n = group.degree
     if n < 2:
         raise DegenerateOmega("need at least 2 points")
@@ -159,7 +152,7 @@ def check_s2t(group: PermSet, omega0: int, omega1: int) -> S2tGroup:
         count = seen.get(target, 0)
         if count != 1:
             raise NotSharplyTransitive((0, 1), target, count)
-    return intern(g)
+    return g
 
 
 @per_object

@@ -3,6 +3,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, settings
 
+from algcat import cli
 from algcat.zoo import standard_zoo
 
 settings.register_profile(
@@ -19,6 +20,13 @@ _acceptance_lines: list[str] = []
 @pytest.fixture(scope="session")
 def zoo():
     return standard_zoo()
+
+
+@pytest.fixture(autouse=True)
+def empty_cli_input_cache():
+    """Each test starts with the CLI's input cache empty, so no test's
+    answer depends on which files the tests before it read."""
+    cli._parse.cache_clear()
 
 
 # CPU seconds _reference_loop takes, the median of 600 runs on the machine the

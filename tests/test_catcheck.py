@@ -18,6 +18,7 @@ from algcat.catcheck import (
     group_roundtrip_witness,
     loop_roundtrip_witness,
     naturality_witness,
+    nd_injectivity_witness,
     nearfield_equivalence_witness,
     ndom_to_s2t,
     neardomain_roundtrip_witness,
@@ -31,7 +32,7 @@ from algcat.catcheck import (
 from algcat.loops import Loop, check_loop, enumerate_loop_morphisms, is_associative
 from algcat.neardomain import Neardomain, dickson_nearfield_9, enumerate_nd_morphisms, galois_field
 from algcat.perms import Morphism, Perm, PermSet, perm_set
-from algcat.rps import enumerate_rps_morphisms_direct, identity_rps_morphism, induced_loop, lift_loop_morphism, loop_to_rps
+from algcat.rps import Rps, enumerate_rps_morphisms_direct, identity_rps_morphism, induced_loop, lift_loop_morphism, loop_to_rps
 from algcat.s2t import (
     S2tGroup,
     affine_group,
@@ -112,14 +113,14 @@ def test_module_level_caches_are_pinned():
             if hasattr(value, "cache_info") and value.__module__ == mod.__name__:
                 found.add(f"{info.name}.{name}")
     assert found == {
+        "cli._parse",
         "neardomain.galois_field",
         "neardomain.dickson_nearfield_9",
-        "perms.intern",
         "zoo.standard_zoo",
     }
-    # the three constant constructors take no structure; the intern is the
-    # one cache that does, and it is bounded
-    assert algcat.perms.intern.cache_parameters()["maxsize"] == 64
+    # the three constant constructors take no structure; the CLI's input
+    # cache is keyed on bytes, not on structures, and it is bounded
+    assert cli._parse.cache_parameters()["maxsize"] == 64
 
 
 def test_functor_laws_pass_on_slice(zoo):
@@ -284,6 +285,34 @@ def test_s2t_hom_set_families_fail_on_one_bad_member(zoo):
     verdict = _run_family("s2t-hom-oracle-agreement", items, oracle_agreement_witness)
     assert not verdict.passed
     assert verdict.witness == "aff(gf4)->aff(gf4): fast path found 3, direct oracle 2"
+
+
+def test_nd_injectivity_family_fails_on_one_non_injective_map(zoo):
+    # a hom-set of gf3 that also lists a map folding 1 and 2 together
+    gf3 = dict(zoo.neardomains)["gf3"]
+    hom = _listing_also(enumerate_nd_morphisms, gf3, gf3, (0, 1, 1))
+    items = [(f"{na}->{nb}", (a, b, hom)) for na, a in zoo.neardomains for nb, b in zoo.neardomains]
+    verdict = _run_family("nd-morphism-injectivity", items, nd_injectivity_witness)
+    assert (verdict.passed, verdict.checked) == (False, 10)
+    assert verdict.witness == "gf3->gf3: non-injective morphism (0, 1, 1)"
+
+
+def test_characterization_family_fails_on_a_corrupted_member_loop(zoo):
+    # the rps of Z3 built directly with two entries of its stored member
+    # loop swapped: the two-condition test reads that table, the definition
+    # reads the members, and they part at the first automorphism of Z3
+    r3 = dict(zoo.rps_objects)["rps(loop3_0)"]
+    table = [list(row) for row in r3.member_loop.table]
+    table[1][1], table[1][2] = table[1][2], table[1][1]
+    swapped = Loop(3, tuple(map(tuple, table)), r3.member_loop.identity)
+    bad = Rps(r3.members, r3.degree, r3.basepoint, r3.base_images, r3.member_at, r3.loop, swapped)
+    verdicts = {v.name: v for v in run_all(Zoo((), (("rps(loop3_0)/swapped", bad),), (), ()))}
+    verdict = verdicts["rps-morphism-characterization"]
+    assert (verdict.passed, verdict.checked) == (False, 71)
+    assert verdict.witness == (
+        "rps(loop3_0)/swapped->rps(loop3_0)/swapped:f=(0, 2, 1),phi=(0, 2, 1): "
+        "characterization disagrees on f=(0, 2, 1), phi=(0, 2, 1)"
+    )
 
 
 def test_morphism_maps_check_nothing(zoo, monkeypatch):

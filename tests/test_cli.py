@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from algcat import cli, perms
+from algcat import cli, perms, s2t
 from algcat.cli import main
-from algcat.errors import ResourceLimitExceeded
+from algcat.errors import ParseError, ResourceLimitExceeded
 from algcat.fileio import emit_structure, parse_structure
 from algcat.loops import Loop, check_loop, is_associative, table_homomorphisms
 from algcat.neardomain import Neardomain, check_neardomain, dickson_nearfield_9, galois_field, is_nearfield
@@ -301,7 +301,7 @@ def test_parser_built_once_leaks_no_flag(files, capsys, monkeypatch):
 
 def test_live_memory_stays_bounded_over_distinct_groups(tmp_path, capsys):
     # one process checking many distinct relabelings of one group: after the
-    # intern of validated structures fills, each request leaves nothing
+    # CLI's input cache of 64 files fills, each request leaves nothing
     # behind (a cache keyed on whole structures grew by about 10 KiB per
     # request here)
     g = affine_group(galois_field(5))
@@ -322,6 +322,41 @@ def test_live_memory_stays_bounded_over_distinct_groups(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert live[100] - live[50] < 150_000, live
+
+
+def test_same_bytes_read_again_give_the_validated_object(tmp_path, monkeypatch):
+    # the CLI reads the file on every request and parses each distinct
+    # content once: a second read returns the first object, certified once;
+    # the same path rewritten with another relabeling is parsed again
+    g = affine_group(galois_field(5))
+    texts = [emit_structure(g), emit_structure(relabel(g, Perm((1, 2, 3, 4, 0))))]
+    runs = []
+    monkeypatch.setattr(s2t, "check_group", lambda members: runs.append(members) or perms.check_group(members))
+    path = tmp_path / "g.txt"
+    path.write_text(texts[0])
+    first = cli._read(str(path))
+    assert first == g and cli._read(str(path)) is first and len(runs) == 1
+    path.write_text(texts[1])
+    other = cli._read(str(path))
+    assert other != first and len(runs) == 2
+    path.write_text(texts[0])
+    assert cli._read(str(path)) is first and len(runs) == 2
+
+
+def test_a_bad_file_fails_on_every_read(tmp_path, capsys):
+    # an error is not kept: the same malformed bytes raise the same
+    # ParseError, and exit 2, on every read
+    bad = tmp_path / "bad.txt"
+    bad.write_text("loop 2\n0 x\n1 0\n")
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ParseError) as info:
+            cli._read(str(bad))
+        errors.append((info.value.line, str(info.value)))
+    assert errors[0] == errors[1] and errors[0][0] == 2
+    assert cli._parse.cache_info().currsize == 0
+    answers = [run(capsys, "check", str(bad), "--no-timestamp") for _ in range(2)]
+    assert answers[0] == answers[1] and answers[0][0] == 2
 
 
 def test_convert_loop_rps_roundtrip(files, capsys, tmp_path):
@@ -456,6 +491,8 @@ def test_over_budget_generators_exit_2(tmp_path, capsys, monkeypatch):
     code, _, _ = run(capsys, "check", str(p), "--no-timestamp")
     assert code == 0
     monkeypatch.setattr(perms, "TABLE_CAP", 35)  # S3 needs 36 entries
+    # the budget is a process constant: the S3 read under the old one is kept
+    cli._parse.cache_clear()
     code, out, _ = run(capsys, "check", str(p), "--no-timestamp")
     assert code == 2  # over budget: a resource refusal, not invalidity
     assert "error_type: ResourceLimitExceeded" in out
@@ -496,13 +533,14 @@ def test_cold_process_imports_no_dataclasses_inspect_or_datetime():
     """The value types generate no code, so a fresh process that imports the
     CLI and runs the whole battery never loads dataclasses, nor inspect,
     which dataclasses pulls in; nor datetime, which only a timestamped
-    report reads. Each costs every process its import time."""
+    report reads; nor json, which only a --json report reads. Each costs
+    every process its import time."""
     root = Path(__file__).resolve().parents[1]
     code = """
 import sys
 import algcat.cli as cli
 rc = cli.main(["verify-all", "--no-timestamp"])
-print(rc, sorted(m for m in ("dataclasses", "datetime", "inspect") if m in sys.modules), file=sys.stderr)
+print(rc, sorted(m for m in ("dataclasses", "datetime", "inspect", "json") if m in sys.modules), file=sys.stderr)
 """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)

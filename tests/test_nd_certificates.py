@@ -11,9 +11,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-from algcat import neardomain, perms, s2t
+from algcat import cli, neardomain, s2t
 from algcat.errors import AxiomViolation, InvariantViolation
-from algcat.loops import enumerate_loops, is_associative
+from algcat.fileio import emit_structure
+from algcat.loops import check_loop, enumerate_loops, is_associative
 from algcat.neardomain import Neardomain, check_neardomain, dickson_nearfield_9, galois_field, is_nearfield
 import references
 
@@ -226,14 +227,14 @@ def test_nearfield_check_names_a_non_associative_addition():
         raise AssertionError("is_nearfield accepted an addition that is not associative")
 
 
-def test_validated_neardomains_keep_their_coefficient_table(monkeypatch):
+def test_validated_neardomains_keep_their_coefficient_table(monkeypatch, tmp_path):
     # check_neardomain solves each coefficient once and keeps the table;
     # affine_group and is_nearfield read it and solve none; on a Neardomain
-    # built directly the first request solves the table
+    # built directly the first request solves the table; the CLI reading
+    # one file twice validates it, and solves its table, once
     calls = []
     solve = neardomain.d_coeff
     monkeypatch.setattr(neardomain, "d_coeff", lambda nd, a, b: calls.append((a, b)) or solve(nd, a, b))
-    perms.intern.cache_clear()
     gf7 = galois_field(7)
     pi = (0, 3, 6, 2, 5, 1, 4)
     nd = check_neardomain(_relabeled(gf7.add, pi), _relabeled(gf7.mul, pi), 0, pi[1])
@@ -245,3 +246,41 @@ def test_validated_neardomains_keep_their_coefficient_table(monkeypatch):
     assert is_nearfield(fresh) and s2t.affine_group(fresh) == s2t.affine_group(nd)
     assert len(calls) == 49
     assert neardomain.coefficients(fresh) == neardomain.coefficients(nd)
+    calls.clear()
+    path = tmp_path / "nd.txt"
+    path.write_text(emit_structure(nd))
+    read = cli._read(str(path))
+    assert read == nd and read is not nd and len(calls) == 49
+    assert cli._read(str(path)) is read and is_nearfield(read)
+    assert len(calls) == 49
+
+
+# Additions that are loops but not groups, each with the multiplication
+# mul[sigma^k(1)] = sigma^k for an automorphism sigma of the loop of order 5
+# fixing 0: the three such non-associative loops of order 6 with symmetric
+# zero sums. They pass axioms 1 to 5 and fail axiom 6, which no corruption
+# above reaches; the witness is the first failing (a, b, x)
+AXIOM_6_FAILURES = [
+    (
+        ((0, 1, 2, 3, 4, 5), (1, 0, 3, 2, 5, 4), (2, 4, 0, 5, 1, 3), (3, 5, 4, 0, 2, 1), (4, 3, 5, 1, 0, 2), (5, 2, 1, 4, 3, 0)),
+        ((0,) * 6, (0, 1, 2, 3, 4, 5), (0, 2, 4, 1, 5, 3), (0, 3, 1, 5, 2, 4), (0, 4, 5, 2, 3, 1), (0, 5, 3, 4, 1, 2)),
+        (1, 2, 2),
+    ),
+    (
+        ((0, 1, 2, 3, 4, 5), (1, 0, 3, 4, 5, 2), (2, 3, 0, 5, 1, 4), (3, 4, 5, 0, 2, 1), (4, 5, 1, 2, 0, 3), (5, 2, 4, 1, 3, 0)),
+        ((0,) * 6, (0, 1, 2, 3, 4, 5), (0, 2, 5, 4, 1, 3), (0, 3, 4, 2, 5, 1), (0, 4, 1, 5, 3, 2), (0, 5, 3, 1, 2, 4)),
+        (1, 1, 2),
+    ),
+    (
+        ((0, 1, 2, 3, 4, 5), (1, 0, 3, 4, 5, 2), (2, 4, 0, 5, 3, 1), (3, 5, 1, 0, 2, 4), (4, 2, 5, 1, 0, 3), (5, 3, 4, 2, 1, 0)),
+        ((0,) * 6, (0, 1, 2, 3, 4, 5), (0, 2, 3, 5, 1, 4), (0, 3, 5, 4, 2, 1), (0, 4, 1, 2, 5, 3), (0, 5, 4, 1, 3, 2)),
+        (1, 1, 2),
+    ),
+]
+
+
+def test_axiom_6_fails_end_to_end():
+    for add, mul, witness in AXIOM_6_FAILURES:
+        assert not is_associative(check_loop(add))
+        for check in (check_neardomain, references.check_neardomain_by_triples):
+            assert _outcome(check, add, mul, 0, 1) == (6, witness), (check, add)

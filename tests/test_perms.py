@@ -235,10 +235,8 @@ def test_perm_set_hash_and_index_contract():
     with pytest.raises(KeyError):
         rotations.index((1, 0, 2))
     assert (0, 1) not in rotations
-    # the bounded intern of validated structures is the one cache here
-    caches = [v for v in vars(perms_module).values() if hasattr(v, "cache_info")]
-    assert caches == [perms_module.intern]
-    assert perms_module.intern.cache_parameters()["maxsize"] == 64
+    # perms keeps no cache
+    assert not [v for v in vars(perms_module).values() if hasattr(v, "cache_info")]
 
 
 def test_composition_table_of_small_sets():

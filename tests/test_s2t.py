@@ -16,10 +16,11 @@ from algcat.errors import (
     NotSharplyTransitive,
     StructureError,
 )
-from algcat import perms, s2t
+from algcat import cli, perms, s2t
 from algcat.fileio import emit_structure, parse_structure
 from algcat.neardomain import (
     Neardomain,
+    check_neardomain,
     coefficients,
     d_coeff,
     dickson_nearfield_9,
@@ -172,11 +173,11 @@ def test_one_pair_check_matches_all_pairs_reference(group):
     _assert_one_pair_matches_reference(group)
 
 
-def test_certified_group_keeps_its_closure_certificate(monkeypatch):
+def test_certified_group_keeps_its_closure_certificate(monkeypatch, tmp_path):
     # check_s2t certifies closure once per validated group and keeps the
     # certificate on it; the morphism check reads it without running it
-    # again, and an equal listing comes back as the first copy, with it
-    perms.intern.cache_clear()
+    # again; an equal listing is a group of its own, certified on its own;
+    # the CLI reading one file twice gets back the first group, with it
     runs = []
     monkeypatch.setattr(s2t, "check_group", lambda members: runs.append(members) or perms.check_group(members))
     members = perm_set(S3.members)
@@ -187,19 +188,27 @@ def test_certified_group_keeps_its_closure_certificate(monkeypatch):
     assert is_s2t_morphism(identity_s2t_morphism(g), g, g)
     again = perm_set(S3.members)
     h = check_s2t(again, 0, 1)
-    assert h is g and runs == [members, again]
+    assert h == g and h is not g and runs == [members, again]
     s2t.check_closed(h)
     assert len(runs) == 2
+    path = tmp_path / "s3.txt"
+    path.write_text(emit_structure(g))
+    read = cli._read(str(path))
+    assert read == g and len(runs) == 3
+    assert cli._read(str(path)) is read
+    s2t.check_closed(read)
+    assert len(runs) == 3
     # a PermSet stores its member index and its hash, and no table
     assert set(PermSet.__slots__) == {"degree", "members", "_index", "_hash"}
 
 
-def test_fresh_listing_is_certified_without_its_table(monkeypatch):
-    # a listing of AGL(1,16) that no earlier check has interned: check_s2t
-    # certifies its 240 members without a table, and the table, built only
-    # on request, agrees with Perm.__mul__ on all 57,600 pairs
+def test_fresh_listing_is_certified_without_its_table(monkeypatch, tmp_path):
+    # a listing of AGL(1,16): check_s2t, and the CLI reading it from a file,
+    # certify its 240 members without a table, and the table, built only on
+    # request, agrees with Perm.__mul__ on all 57,600 pairs
     members = perm_set(affine_group(galois_field(16)).group.members)
-    perms.intern.cache_clear()
+    path = tmp_path / "agl16.txt"
+    path.write_text(emit_structure(S2tGroup(members, 16, 0, 1)))
 
     def refuse(self):
         raise AssertionError("a certificate built a composition table")
@@ -208,6 +217,8 @@ def test_fresh_listing_is_certified_without_its_table(monkeypatch):
         patch.setattr(PermSet, "composition_table", refuse)
         g = check_s2t(members, 0, 1)
         assert is_s2t_morphism(identity_s2t_morphism(g), g, g)
+        read = cli._read(str(path))
+        assert read == g and read is not g and cli._read(str(path)) is read
     assert g.group is members
     table = members.composition_table()
     listed = members.members
@@ -254,21 +265,38 @@ for argv in requests:
     assert [line for line in done.stdout.splitlines() if line.startswith("count: ")] == ["count: 0", "count: 6"]
 
 
-def test_equal_structures_parsed_again_share_derived_values(monkeypatch):
-    # a validated structure is interned: parsing the same text again returns
-    # the first object, which already carries what was derived from it
-    perms.intern.cache_clear()
+def test_equal_structures_parsed_again_share_derived_values(monkeypatch, tmp_path):
+    # the CLI keeps what it parsed, keyed on the file's bytes: reading the
+    # same text again returns the first object, which already carries what
+    # was derived from it; the library keeps nothing, so parse_structure
+    # builds an equal, new object on every call
     text = emit_structure(relabel(AFF[5], Perm((1, 2, 3, 4, 0))))
-    first = parse_structure(text)
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    first = cli._read(str(path))
     built = []
     real = s2t.check_neardomain
     monkeypatch.setattr(s2t, "check_neardomain", lambda *args: built.append(args) or real(*args))
     nd = derived_neardomain(first)
-    again = parse_structure(text)
+    again = cli._read(str(path))
     assert again is first
     assert derived_neardomain(again) is nd
     assert len(built) == 1
-    assert parse_structure(emit_structure(nd)) is nd
+    fresh = parse_structure(text)
+    assert fresh == first and fresh is not first
+    path.write_text(emit_structure(nd))
+    assert cli._read(str(path)) == nd and cli._read(str(path)) is not nd
+
+
+def test_validators_return_what_they_validated():
+    # check_s2t and check_neardomain keep no structures: validating an equal
+    # input again builds and returns a new, equal object
+    g = AFF[5]
+    again = check_s2t(g.group, g.omega0, g.omega1)
+    assert again == g and again is not g
+    nd = galois_field(5)
+    again = check_neardomain(nd.add, nd.mul, nd.zero, nd.one)
+    assert again == nd and again is not nd
 
 
 def test_derived_sets_match_perm_products(zoo):
