@@ -15,7 +15,7 @@ from .errors import (
     ResourceLimitExceeded,
     StructureError,
 )
-from .perms import check_budget
+from .perms import _check_images, check_budget
 from .values import Value, cached_hash
 
 ENUMERATION_CAP = 6
@@ -37,9 +37,6 @@ class Loop(Value):
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "identity", identity)
-
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
 
 
 def check_loop(table: Sequence[Sequence[int]], identity: int = 0) -> Loop:
@@ -182,11 +179,13 @@ def enumerate_loop_morphisms(src: Loop, dst: Loop) -> tuple[tuple[int, ...], ...
 
 
 def relabel(loop: Loop, pi: Sequence[int]) -> Loop:
-    """Transport the table along the bijection pi; the identity moves with it."""
+    """Transport the table along the image tuple pi; the identity moves with
+    it. Raises StructureError unless pi is a bijection of the carrier."""
     n = loop.order
     pi = tuple(pi)
-    if sorted(pi) != list(range(n)):
-        raise StructureError("relabeling is not a bijection of the carrier")
+    _check_images(pi)
+    if len(pi) != n:
+        raise StructureError("relabeling degree mismatch")
     pi_inv = sorted(range(n), key=pi.__getitem__)
     return check_loop(_relabeled_table(loop.table, pi, pi_inv, n), pi[loop.identity])
 

@@ -1,13 +1,16 @@
 """Finite permutations of {0..n-1} and composition-closure utilities.
 
-Composition is fixed project-wide as the left action: (p * q)(x) == p(q(x)),
-so q is applied first. Everything downstream (translation sets, affine maps,
-group checks) relies on this orientation; test_perms pins it.
+A permutation is its image tuple: images[x] is where x goes. Composition is
+fixed project-wide as the left action on image tuples: p * q is the tuple
+whose x-th entry is p[q[x]], so q is applied first, and
+_right_multiplier(q) is the map p -> p * q that every algorithm composes
+through. Everything downstream (translation sets, affine maps, group checks)
+relies on this orientation; test_perms pins it.
 
-A PermSet's members are sorted image tuples (images[x] is where x goes),
-checked by perm_set alone and composed through _right_multiplier; Perm, the
-value type of one permutation, is built only at the package's edges. A
-PermSet stores its member index (image tuple -> position) and its hash.
+_check_images is the one check of a single permutation; perm_set and closure
+run it on each member, and both relabel functions on their argument. A
+PermSet's members are its sorted image tuples, and it stores its member
+index (image tuple -> position) and its hash.
 check_group certifies closure from a greedy generating set, in |G|*|T|
 compositions for a generating set T of at most log2|G| members;
 subgroup_failure wraps it in a witness string. No success path builds a
@@ -49,73 +52,6 @@ def check_budget(work: int, what: str) -> None:
     step."""
     if work > TABLE_CAP:
         raise ResourceLimitExceeded(f"{what} needs {work}, over the cap of {TABLE_CAP} entries")
-
-
-class Perm(Value):
-    """A permutation stored as its image tuple: images[x] is where x goes.
-    Ordered by image tuple."""
-
-    __slots__ = _fields = ("images",)
-
-    def __init__(self, images: Images):
-        _check_images(images)
-        _set(self, "images", images)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.images == other.images
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.images,))
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return self.images < other.images
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return self.images <= other.images
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return self.images > other.images
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return self.images >= other.images
-        return NotImplemented
-
-    @staticmethod
-    def identity(n: int) -> Perm:
-        return Perm(tuple(range(n)))
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def __call__(self, x: int) -> int:
-        if not 0 <= x < len(self.images):
-            raise ValueError(f"point {x} out of range for degree {len(self.images)}")
-        return self.images[x]
-
-    def __mul__(self, other: Perm) -> Perm:
-        """Composite self after other: (self * other)(x) == self(other(x))."""
-        if len(self.images) != len(other.images):
-            raise ValueError("cannot compose permutations of different degree")
-        return Perm(tuple(self.images[i] for i in other.images))
-
-    def inverse(self) -> Perm:
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Perm(tuple(inv))
-
-    def fixed_points(self) -> frozenset[int]:
-        return frozenset(i for i, j in enumerate(self.images) if i == j)
 
 
 def _check_images(images: Images) -> None:

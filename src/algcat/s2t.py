@@ -78,8 +78,8 @@ from .errors import (
 from .neardomain import Neardomain, check_neardomain, coefficients, enumerate_nd_morphisms
 from .perms import (
     Morphism,
-    Perm,
     PermSet,
+    _check_images,
     _right_multiplier,
     check_group,
     forced_morphisms,
@@ -433,14 +433,16 @@ def involution_products_form_subgroup(g: S2tGroup) -> bool:
     return subgroup_failure(perm_set(t(p) for p in J for t in times)) is None
 
 
-def relabel(g: S2tGroup, pi: Perm) -> S2tGroup:
-    """Conjugate the whole group by pi and move the base points along."""
-    if pi.degree != g.degree:
+def relabel(g: S2tGroup, pi: Sequence[int]) -> S2tGroup:
+    """Conjugate the group by the image tuple pi, a bijection of its points
+    (else StructureError), and move the base points along."""
+    _check_images(pi)
+    if len(pi) != g.degree:
         raise StructureError("relabeling degree mismatch")
-    # (pi * p * pi^-1)(x) == pi(p(pi^-1(x))), on image tuples
-    images, inv = pi.images, pi.inverse().images
-    members = perm_set(tuple([images[p[x]] for x in inv]) for p in g.group)
-    return check_s2t(members, pi(g.omega0), pi(g.omega1))
+    # (pi * p * pi^-1)(x) == pi[p[pi^-1[x]]]
+    inv = sorted(range(g.degree), key=pi.__getitem__)
+    members = perm_set(tuple([pi[p[x]] for x in inv]) for p in g.group)
+    return check_s2t(members, pi[g.omega0], pi[g.omega1])
 
 
 def identity_s2t_morphism(g: S2tGroup) -> Morphism:

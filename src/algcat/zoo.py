@@ -13,7 +13,6 @@ from functools import lru_cache
 
 from .loops import Loop, enumerate_loops
 from .neardomain import Neardomain, dickson_nearfield_9, galois_field
-from .perms import Perm
 from .rps import Rps, loop_to_rps
 from .s2t import S2tGroup, affine_group, check_s2t, relabel
 from .values import Value
@@ -57,9 +56,9 @@ def standard_zoo() -> Zoo:
     g3 = affine_group(galois_field(3))
     g4 = affine_group(galois_field(4))
     d9 = affine_group(dickson_nearfield_9())
-    rot9 = Perm(tuple((i + 1) % 9 for i in range(9)))
-    groups.append(("aff(gf3)/relabeled", relabel(g3, Perm((2, 0, 1)))))
-    groups.append(("aff(gf4)/relabeled", relabel(g4, Perm((3, 2, 1, 0)))))
+    rot9 = tuple((i + 1) % 9 for i in range(9))
+    groups.append(("aff(gf3)/relabeled", relabel(g3, (2, 0, 1))))
+    groups.append(("aff(gf4)/relabeled", relabel(g4, (3, 2, 1, 0))))
     groups.append(("aff(dickson9)/relabeled", relabel(d9, rot9)))
     # same carrier group, different base points: forces a derived
     # structure that is isomorphic but not equal to the native one

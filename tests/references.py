@@ -4,7 +4,7 @@ plainly, for tests to compare the package's own computations against."""
 from algcat.errors import AxiomViolation, IdentityViolation, InvariantViolation, LatinSquareViolation
 from algcat.loops import Loop, check_loop, table_homomorphisms
 from algcat.neardomain import Neardomain
-from algcat.perms import Perm, PermSet
+from algcat.perms import PermSet
 from algcat.rps import Rps, check_rps
 from algcat.s2t import S2tGroup, translations
 
@@ -20,14 +20,27 @@ def loops_isomorphic(a: Loop, b: Loop) -> tuple[int, ...] | None:
 Images = tuple[int, ...]
 
 
+def compose(p: Images, q: Images) -> Images:
+    """p * q, the left action: compose(p, q)[x] == p[q[x]], q applied first."""
+    return tuple(p[x] for x in q)
+
+
+def inverse(p: Images) -> Images:
+    """The image tuple of the inverse: inverse(p)[p[x]] == x."""
+    return tuple(p.index(y) for y in range(len(p)))
+
+
+def fixed_points(p: Images) -> frozenset[int]:
+    return frozenset(x for x, y in enumerate(p) if x == y)
+
+
 def is_identity(p: Images) -> bool:
     return all(i == j for i, j in enumerate(p))
 
 
 def is_involution(p: Images) -> bool:
     """Order exactly two: squares to the identity without being it."""
-    q = Perm(p)
-    return not is_identity(p) and is_identity((q * q).images)
+    return not is_identity(p) and is_identity(compose(p, p))
 
 
 def with_basepoint(r: Rps, basepoint: int) -> Rps:
@@ -50,7 +63,7 @@ def member_product(r: Rps, m: Images, k: Images) -> Images:
     """
     if m not in r.members or k not in r.members:
         raise ValueError("both factors must be members of the set")
-    return r.from_point((Perm(m) * Perm(k))(r.basepoint))
+    return r.from_point(compose(m, k)[r.basepoint])
 
 
 def _stabilizer_action(g: S2tGroup) -> dict[int, Images]:
@@ -79,9 +92,9 @@ def point_mul(g: S2tGroup, alpha: int, beta: int) -> int:
 
 
 def composition_table(members: PermSet) -> list[list[int]]:
-    """table[i][j] is the index of members[i] * members[j], by Perm.__mul__
-    and PermSet.index; KeyError when a product is not a member."""
-    return [[members.index((Perm(p) * Perm(q)).images) for q in members] for p in members]
+    """table[i][j] is the index of members[i] * members[j], by compose and
+    PermSet.index; KeyError when a product is not a member."""
+    return [[members.index(compose(p, q)) for q in members] for p in members]
 
 
 def is_homomorphism(f, t_src, t_dst) -> bool:
@@ -92,7 +105,7 @@ def is_homomorphism(f, t_src, t_dst) -> bool:
 def involution_fixed_points(g) -> set[int]:
     """The fixed-point counts of the involutions of a group, {0} in
     characteristic two and {1} otherwise."""
-    return {len(Perm(p).fixed_points()) for p in g.group if is_involution(p)}
+    return {len(fixed_points(p)) for p in g.group if is_involution(p)}
 
 
 def is_s2t_morphism(f, phi, src, dst, t_src, t_dst) -> bool:

@@ -36,7 +36,7 @@ from algcat.neardomain import (
     galois_field,
     is_nearfield,
 )
-from algcat.perms import Morphism, Perm, PermSet
+from algcat.perms import Morphism, PermSet
 from algcat.rps import (
     characterize_morphism,
     enumerate_rps_morphisms_direct,
@@ -56,7 +56,7 @@ from algcat.s2t import (
     translations,
 )
 from algcat.zoo import standard_zoo
-from references import is_involution
+from references import compose, fixed_points, inverse, is_involution
 
 ZOO = standard_zoo()
 RPS_TO_LOOP = rps_to_loop()
@@ -204,7 +204,7 @@ def test_criterion_04_affine_construction(acceptance_report):
                 bk = nd.mul[b][k]
                 d = d_coeff(nd, a, bk)
                 want = (nd.add[a][bk], nd.mul[d][nd.mul[b][l]])
-                if by_perm[(Perm(p) * Perm(q)).images] != want:
+                if by_perm[compose(p, q)] != want:
                     failures.append(f"{name}: composition law fails at {(a, b)} {(k, l)}")
     ok = not failures
     acceptance_report(4, "affine group construction", ok, f"{len(built)} neardomains, all pairs")
@@ -215,7 +215,7 @@ def test_criterion_04_affine_construction(acceptance_report):
 def test_criterion_05_characteristic_coherence(acceptance_report):
     failures = []
     for name, g in ZOO.groups:
-        counts = {len(Perm(p).fixed_points()) for p in g.group if is_involution(p)}
+        counts = {len(fixed_points(p)) for p in g.group if is_involution(p)}
         if counts not in ({0}, {1}):
             failures.append(f"{name}: involution fixpoint counts {counts}")
         char_two = characteristic(g) is Characteristic.TWO
@@ -384,7 +384,7 @@ def test_criterion_10_mutation_sensitivity(acceptance_report):
 
     # criterion 8 material: a poisoned member set must fail with a witness
     poisoned_members = list(g3.group.members)
-    poisoned_members[-1] = (Perm(poisoned_members[-1]).inverse() * Perm(poisoned_members[1])).images
+    poisoned_members[-1] = compose(inverse(poisoned_members[-1]), poisoned_members[1])
     poisoned = S2tGroup(
         group=PermSet(3, tuple(sorted(set(poisoned_members)))),
         degree=3,

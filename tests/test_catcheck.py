@@ -11,6 +11,7 @@ from algcat.catcheck import (
     CategoryOps,
     FunctorOps,
     _run_family,
+    characteristic_coherence_witness,
     characterization_witness,
     check_full_faithful,
     check_functor_laws,
@@ -28,10 +29,11 @@ from algcat.catcheck import (
     s2t_injectivity_witness,
     s2t_to_ndom,
     translation_form_witness,
+    translation_regularity_witness,
 )
 from algcat.loops import Loop, check_loop, enumerate_loop_morphisms, is_associative
-from algcat.neardomain import Neardomain, dickson_nearfield_9, enumerate_nd_morphisms, galois_field
-from algcat.perms import Morphism, Perm, PermSet, perm_set
+from algcat.neardomain import Neardomain, coefficients, dickson_nearfield_9, enumerate_nd_morphisms, galois_field
+from algcat.perms import Morphism, PermSet, closure, perm_set
 from algcat.rps import Rps, enumerate_rps_morphisms_direct, identity_rps_morphism, induced_loop, lift_loop_morphism, loop_to_rps
 from algcat.s2t import (
     S2tGroup,
@@ -595,7 +597,7 @@ def test_translation_form_names_a_group_that_is_not_the_affine_one():
     # are not the addition rows of GF(5)
     gf5 = galois_field(5)
     nd = Neardomain(5, gf5.add, gf5.mul, 0, 1)
-    nd._derived["affine_group"] = s2t.relabel(affine_group(gf5), Perm((0, 2, 1, 3, 4)))
+    nd._derived["affine_group"] = s2t.relabel(affine_group(gf5), (0, 2, 1, 3, 4))
     verdict = _run_family("translation-form", [("gf5/relabeled", (nd,))], translation_form_witness)
     assert verdict.witness == (
         "gf5/relabeled: translation set [[0, 1, 2, 3, 4], [1, 4, 3, 0, 2], [2, 3, 1, 4, 0], "
@@ -629,3 +631,34 @@ def test_rps_oracle_agreement_names_a_dropped_morphism(zoo):
     pairs = [("rps(loop3_0)->rps(loop3_0)", (fast, enumerate_rps_morphisms_direct, r3, r3))]
     verdict = _run_family("rps-hom-oracle-agreement", pairs, oracle_agreement_witness)
     assert verdict.witness == "rps(loop3_0)->rps(loop3_0): fast path found 2, direct oracle 3"
+
+
+def test_characteristic_coherence_names_a_group_kept_with_another_neardomain():
+    # aff(gf3) built directly, keeping GF(4) as its derived neardomain: the
+    # involutions of the group fix one point, while 1 + 1 == 0 in GF(4)
+    g3 = affine_group(galois_field(3))
+    g = S2tGroup(g3.group, 3, g3.omega0, g3.omega1)
+    g._derived["derived_neardomain"] = galois_field(4)
+    verdict = _run_family("characteristic-coherence", [("aff(gf3)/gf4", (g,))], characteristic_coherence_witness)
+    assert verdict.witness == "aff(gf3)/gf4: group characteristic not 2 but derived 1+1 == 0"
+
+
+def test_nearfield_family_names_a_neardomain_with_a_coefficient_other_than_one():
+    # every finite neardomain is a nearfield, so only an object built without
+    # check_neardomain can fail: GF(5) built directly, keeping a coefficient
+    # table with d(2, 3) == 2
+    gf5 = galois_field(5)
+    nd = Neardomain(5, gf5.add, gf5.mul, 0, 1)
+    table = [list(row) for row in coefficients(gf5)]
+    table[2][3] = 2
+    nd._derived["coefficients"] = tuple(map(tuple, table))
+    verdicts = {v.name: v for v in run_all(Zoo((), (), (("gf5/d23", nd),), ()))}
+    assert verdicts["neardomain-is-nearfield"].witness == "gf5/d23: finite neardomain is not a nearfield"
+
+
+def test_translation_regularity_names_a_group_whose_translations_raise():
+    # S4 is 2-transitive but not sharply: its involutions fix 0 or 2 points,
+    # so translations cannot settle the characteristic
+    s4 = S2tGroup(closure([(1, 2, 3, 0), (1, 0, 2, 3)]), 4, 0, 1)
+    verdict = _run_family("translation-regularity", [("s4", (s4,))], translation_regularity_witness)
+    assert verdict.witness == "s4: DichotomyViolation: involution fixed-point counts [0, 2], expected all 0 or all 1"

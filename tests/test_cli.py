@@ -15,7 +15,7 @@ from algcat.errors import ParseError, ResourceLimitExceeded
 from algcat.fileio import emit_structure, parse_structure
 from algcat.loops import Loop, check_loop, is_associative, table_homomorphisms
 from algcat.neardomain import Neardomain, check_neardomain, dickson_nearfield_9, galois_field, is_nearfield
-from algcat.perms import TABLE_CAP, Perm, forced_morphisms, perm_set
+from algcat.perms import TABLE_CAP, forced_morphisms, perm_set
 from algcat.rps import loop_to_rps
 from algcat.s2t import affine_group, relabel
 
@@ -308,7 +308,7 @@ def test_live_memory_stays_bounded_over_distinct_groups(tmp_path, capsys):
     paths = []
     for k, images in enumerate(itertools.islice(itertools.permutations(range(5)), 100)):
         path = tmp_path / f"g{k}.txt"
-        path.write_text(emit_structure(relabel(g, Perm(images))))
+        path.write_text(emit_structure(relabel(g, images)))
         paths.append(str(path))
     live = {}
     tracemalloc.start()
@@ -329,7 +329,7 @@ def test_same_bytes_read_again_give_the_validated_object(tmp_path, monkeypatch):
     # content once: a second read returns the first object, certified once;
     # the same path rewritten with another relabeling is parsed again
     g = affine_group(galois_field(5))
-    texts = [emit_structure(g), emit_structure(relabel(g, Perm((1, 2, 3, 4, 0))))]
+    texts = [emit_structure(g), emit_structure(relabel(g, (1, 2, 3, 4, 0)))]
     runs = []
     monkeypatch.setattr(s2t, "check_group", lambda members: runs.append(members) or perms.check_group(members))
     path = tmp_path / "g.txt"

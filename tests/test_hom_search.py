@@ -191,17 +191,17 @@ if __debug__:
     sys.exit("not running under -O")
 from algcat.errors import InvariantViolation, NotAGroup, NotSharplyTransitive, ResourceLimitExceeded
 from algcat.fileio import parse_structure
-from algcat.perms import Perm, PermSet, closure, perm_set, subgroup_failure
+from algcat.perms import PermSet, closure, perm_set, subgroup_failure
 from algcat.s2t import check_s2t
 from algcat.zoo import standard_zoo
 g = dict(standard_zoo().groups)["aff(gf5)"]
-e = Perm.identity(g.degree)
-dropped = next(p for p in g.group if Perm(p) != e and Perm(p) * Perm(p) == e)
+e = tuple(range(g.degree))
+dropped = next(p for p in g.group if p != e and tuple(p[x] for x in p) == e)
 members = [p for p in g.group if p != dropped]
 present = set(members)
 expected = next(
     f"product {list(p)} * {list(q)} missing"
-    for p in members for q in members if (Perm(p) * Perm(q)).images not in present
+    for p in members for q in members if tuple(p[x] for x in q) not in present
 )
 try:
     check_s2t(perm_set(members), g.omega0, g.omega1)

@@ -5,52 +5,55 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import algcat.perms as perms_module
-from algcat import zoo as zoo_module
-from algcat.catcheck import run_all
+from algcat import loops, s2t
 from algcat.errors import ResourceLimitExceeded, StructureError
-from algcat.perms import Morphism, Perm, PermSet, closure, perm_set, subgroup_failure
+from algcat.neardomain import galois_field
+from algcat.perms import Morphism, PermSet, _right_multiplier, closure, perm_set, subgroup_failure
 from algcat.zoo import standard_zoo
-from references import is_involution
-
-perms = st.integers(min_value=1, max_value=6).flatmap(
-    lambda n: st.permutations(range(n)).map(lambda xs: Perm(tuple(xs)))
-)
+from references import compose, fixed_points, inverse, is_involution
 
 
-def same_degree_pair(n_max=6):
-    return st.integers(min_value=1, max_value=n_max).flatmap(
-        lambda n: st.tuples(
-            *[st.permutations(range(n)).map(lambda xs: Perm(tuple(xs)))] * 3
-        )
-    )
+Z3 = loops.check_loop(((0, 1, 2), (1, 2, 0), (2, 0, 1)))
+AFF3 = s2t.affine_group(galois_field(3))
+
+
+def images_of_degree(n):
+    return st.permutations(range(n)).map(tuple)
+
+
+perms = st.integers(min_value=1, max_value=6).flatmap(images_of_degree)
+
+
+def same_degree_triple(n_max=6):
+    return st.integers(min_value=1, max_value=n_max).flatmap(lambda n: st.tuples(*[images_of_degree(n)] * 3))
 
 
 def test_composition_is_left_action():
-    # Fixed project-wide: (p * q)(x) == p(q(x)), q applied first.
-    p, q = Perm((0, 2, 1)), Perm((1, 0, 2))
-    assert (p * q).images == (2, 0, 1)
-    assert (p * q)(0) == p(q(0))
-
-
-def test_apply():
-    assert Perm.identity(3)(2) == 2
-    assert Perm((1, 2, 0))(0) == 1
-    assert Perm((1, 0, 3, 4, 2))(2) == 3
-    with pytest.raises(ValueError):
-        Perm((1, 0))(2)
+    # Fixed project-wide: (p * q)[x] == p[q[x]], q applied first, and
+    # _right_multiplier(q) is p -> p * q
+    p, q = (0, 2, 1), (1, 0, 2)
+    assert _right_multiplier(q)(p) == compose(p, q) == (2, 0, 1)
+    assert _right_multiplier(q)(p)[0] == p[q[0]]
 
 
 def test_compose():
-    assert Perm((1, 2, 0)) * Perm((2, 0, 1)) == Perm.identity(3)
-    assert Perm((1, 0)) * Perm((1, 0)) == Perm.identity(2)
-    with pytest.raises(ValueError):
-        Perm((0, 1)) * Perm((0, 1, 2))
+    assert _right_multiplier((2, 0, 1))((1, 2, 0)) == compose((1, 2, 0), (2, 0, 1)) == (0, 1, 2)
+    assert _right_multiplier((1, 0))((1, 0)) == compose((1, 0), (1, 0)) == (0, 1)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@given(data=st.data())
+def test_right_multiplier_matches_reference_composition(n, data):
+    # degree 1 included: itemgetter of one index gives a bare item, so
+    # _right_multiplier builds that case apart
+    p, q = data.draw(images_of_degree(n)), data.draw(images_of_degree(n))
+    assert _right_multiplier(q)(p) == compose(p, q)
 
 
 def test_inverse():
-    assert Perm((0, 1, 2)).inverse() == Perm((0, 1, 2))
-    assert Perm((1, 2, 0)).inverse() == Perm((2, 0, 1))
-    assert Perm((1, 0, 3, 4, 2)).inverse() == Perm((1, 0, 4, 2, 3))
+    assert inverse((0, 1, 2)) == (0, 1, 2)
+    assert inverse((1, 2, 0)) == (2, 0, 1)
+    assert inverse((1, 0, 3, 4, 2)) == (1, 0, 4, 2, 3)
 
 
 def test_is_involution():
@@ -60,18 +63,9 @@ def test_is_involution():
 
 
 def test_fixed_points():
-    assert Perm.identity(4).fixed_points() == frozenset(range(4))
-    assert Perm((1, 0)).fixed_points() == frozenset()
-    assert Perm((0, 2, 1)).fixed_points() == frozenset({0})
-
-
-def test_perm_validation():
-    with pytest.raises(StructureError):
-        Perm((0, 0, 1))
-    with pytest.raises(StructureError):
-        Perm(())
-    with pytest.raises(StructureError):
-        Perm((1, 2))
+    assert fixed_points((0, 1, 2, 3)) == frozenset(range(4))
+    assert fixed_points((1, 0)) == frozenset()
+    assert fixed_points((0, 2, 1)) == frozenset({0})
 
 
 def test_perm_set_sorts_and_dedups():
@@ -87,15 +81,12 @@ def test_perm_set_sorts_and_dedups():
 
 
 def test_perm_set_and_closure_check_members_as_perm_does():
-    # the messages Perm raises, the first bad member named in the order given:
-    # (0, 0), bad too, sorts before (0, 0, 1)
+    # the messages of perms._check_images, the first bad member named in the
+    # order given: (0, 0), bad too, sorts before (0, 0, 1)
     for bad, message in (
         ((0, 0, 1), "image array [0, 0, 1] is not a bijection of 0..2"),
         ((), "permutation degree must be at least 1"),
     ):
-        with pytest.raises(StructureError) as perm_error:
-            Perm(bad)
-        assert str(perm_error.value) == message
         for build in (perm_set, closure):
             with pytest.raises(StructureError) as set_error:
                 build([(1, 0, 2), bad, (0, 0)])
@@ -109,6 +100,25 @@ def test_perm_set_and_closure_check_members_as_perm_does():
         with pytest.raises(StructureError) as error:
             build(args)
         assert str(error.value) == message
+
+
+@pytest.mark.parametrize(
+    "pi, message",
+    [
+        ((0, 0, 1), "image array [0, 0, 1] is not a bijection of 0..2"),
+        ((), "permutation degree must be at least 1"),
+        ((1, 0), "relabeling degree mismatch"),
+        ((1, 0, 3, 2), "relabeling degree mismatch"),
+    ],
+    ids=["non-bijection", "empty", "too-short", "too-long"],
+)
+@pytest.mark.parametrize("relabel, structure", [(loops.relabel, Z3), (s2t.relabel, AFF3)], ids=["loop", "s2t"])
+def test_relabel_refuses_a_non_bijection_and_a_wrong_degree(relabel, structure, pi, message):
+    # both relabel functions check pi as perm_set checks a member, then its
+    # degree against the structure's
+    with pytest.raises(StructureError) as error:
+        relabel(structure, pi)
+    assert str(error.value) == message
 
 
 def test_closure_examples():
@@ -134,18 +144,18 @@ def test_closure_cap(monkeypatch):
 
 def _reference_subgroup_failure(members: PermSet) -> str | None:
     """Brute-force oracle: the same three checks in the same order, with
-    products formed by Perm.__mul__ and membership in a plain set."""
-    listed = [Perm(p) for p in members]
+    products formed by references.compose and membership in a plain set."""
+    listed = list(members)
     present = set(listed)
-    if Perm.identity(members.degree) not in present:
+    if tuple(range(members.degree)) not in present:
         return "identity missing"
     for p in listed:
-        if p.inverse() not in present:
-            return f"inverse of {list(p.images)} missing"
+        if inverse(p) not in present:
+            return f"inverse of {list(p)} missing"
     for p in listed:
         for q in listed:
-            if p * q not in present:
-                return f"product {list(p.images)} * {list(q.images)} missing"
+            if compose(p, q) not in present:
+                return f"product {list(p)} * {list(q)} missing"
     return None
 
 
@@ -180,7 +190,7 @@ def _subsets_of_symmetric_group(n: int):
         if mode != "raw":
             members.add(tuple(range(n)))
         if mode == "inverse-closed":
-            members |= {Perm(p).inverse().images for p in members}
+            members |= {inverse(p) for p in members}
         if mode in ("group", "group-minus-one"):
             members = set(closure(members))
         if mode == "group-minus-one" and len(members) > 1:
@@ -198,19 +208,20 @@ def test_subgroup_failure_matches_brute_force(members):
     assert subgroup_failure(members) == _reference_subgroup_failure(members)
 
 
-@given(same_degree_pair())
+@given(same_degree_triple())
 def test_composition_associative(triple):
     p, q, r = triple
-    assert (p * q) * r == p * (q * r)
+    times = _right_multiplier
+    assert times(r)(times(q)(p)) == times(times(r)(q))(p) == compose(p, compose(q, r))
 
 
 @given(perms)
 def test_inverse_laws(p):
-    e = Perm.identity(p.degree)
-    assert p * p.inverse() == e
-    assert p.inverse() * p == e
-    assert p.inverse().inverse() == p
-    assert p * e == e * p == p
+    e, p_inv = tuple(range(len(p))), inverse(p)
+    assert _right_multiplier(p_inv)(p) == e
+    assert _right_multiplier(p)(p_inv) == e
+    assert inverse(p_inv) == p
+    assert _right_multiplier(e)(p) == _right_multiplier(p)(e) == p
 
 
 @given(st.lists(st.permutations(range(4)), min_size=1, max_size=3))
@@ -246,7 +257,7 @@ def test_composition_table_of_small_sets():
     assert table == s3.composition_table() and table is not s3.composition_table()
     for i, p in enumerate(s3):
         for j, q in enumerate(s3):
-            assert s3.members[table[i][j]] == (Perm(p) * Perm(q)).images
+            assert s3.members[table[i][j]] == compose(p, q)
     assert PermSet(1, ((0,),)).composition_table() == ((0,),)
 
 
@@ -289,20 +300,3 @@ def test_forced_morphisms_match_the_definition_on_arbitrary_sources(data):
     want = _reference_forced_morphisms(src, dst, src_base, dst_base)
     assert perms_module.forced_morphisms(src, dst, src_base, dst_base) == want
 
-
-def test_internal_paths_build_no_perm(monkeypatch):
-    # members are image tuples on every internal path: a fresh zoo builds only
-    # its three relabeling arguments and their inverses, and the battery none
-    built = [0]
-    init = Perm.__init__
-
-    def counting(self, images):
-        built[0] += 1
-        init(self, images)
-
-    monkeypatch.setattr(Perm, "__init__", counting)
-    fresh = zoo_module.standard_zoo.__wrapped__()
-    assert built[0] == 6
-    built[0] = 0
-    assert all(v.passed for v in run_all(fresh))
-    assert built[0] == 0

@@ -29,7 +29,7 @@ from algcat.neardomain import (
     is_nd_morphism,
     is_nearfield,
 )
-from algcat.perms import Morphism, Perm, PermSet, closure, compose_morphisms, perm_set, subgroup_failure
+from algcat.perms import Morphism, PermSet, closure, compose_morphisms, perm_set, subgroup_failure
 from algcat.rps import Rps
 from algcat.s2t import (
     Characteristic,
@@ -55,7 +55,7 @@ from algcat.s2t import (
 )
 from algcat.zoo import standard_zoo
 import references
-from references import is_involution, point_add, point_mul
+from references import compose, fixed_points, inverse, is_involution, point_add, point_mul
 
 S3 = closure([(1, 2, 0), (1, 0, 2)])
 AFF = {q: affine_group(galois_field(q)) for q in (2, 3, 4, 5, 7, 8, 9)}
@@ -205,7 +205,7 @@ def test_certified_group_keeps_its_closure_certificate(monkeypatch, tmp_path):
 def test_fresh_listing_is_certified_without_its_table(monkeypatch, tmp_path):
     # a listing of AGL(1,16): check_s2t, and the CLI reading it from a file,
     # certify its 240 members without a table, and the table, built only on
-    # request, agrees with Perm.__mul__ on all 57,600 pairs
+    # request, agrees with references.compose on all 57,600 pairs
     members = perm_set(affine_group(galois_field(16)).group.members)
     path = tmp_path / "agl16.txt"
     path.write_text(emit_structure(S2tGroup(members, 16, 0, 1)))
@@ -223,7 +223,7 @@ def test_fresh_listing_is_certified_without_its_table(monkeypatch, tmp_path):
     table = members.composition_table()
     listed = members.members
     for p, row in zip(listed, table):
-        assert [listed[k] for k in row] == [(Perm(p) * Perm(q)).images for q in listed]
+        assert [listed[k] for k in row] == [compose(p, q) for q in listed]
 
 
 def test_no_success_path_builds_a_composition_table(tmp_path):
@@ -236,7 +236,7 @@ from algcat import cli
 from algcat.catcheck import run_all
 from algcat.fileio import emit_structure
 from algcat.neardomain import dickson_nearfield_9, galois_field
-from algcat.perms import Perm, PermSet
+from algcat.perms import PermSet
 from algcat.s2t import affine_group, relabel
 from algcat.zoo import standard_zoo
 
@@ -250,7 +250,7 @@ if failed:
     sys.exit(f"families failed: {{failed}}")
 paths = []
 for i, nd in enumerate((galois_field(9), dickson_nearfield_9())):
-    g = relabel(affine_group(nd), Perm(tuple((4 * x + 2 + i) % 9 for x in range(9))))
+    g = relabel(affine_group(nd), tuple((4 * x + 2 + i) % 9 for x in range(9)))
     path = {str(tmp_path)!r} + f"/g{{i}}.txt"
     open(path, "w").write(emit_structure(g))
     paths.append(path)
@@ -270,7 +270,7 @@ def test_equal_structures_parsed_again_share_derived_values(monkeypatch, tmp_pat
     # same text again returns the first object, which already carries what
     # was derived from it; the library keeps nothing, so parse_structure
     # builds an equal, new object on every call
-    text = emit_structure(relabel(AFF[5], Perm((1, 2, 3, 4, 0))))
+    text = emit_structure(relabel(AFF[5], (1, 2, 3, 4, 0)))
     path = tmp_path / "g.txt"
     path.write_text(text)
     first = cli._read(str(path))
@@ -301,15 +301,15 @@ def test_validators_return_what_they_validated():
 
 def test_derived_sets_match_perm_products(zoo):
     # involutions are squared on image tuples, translations and involution
-    # products composed directly; references.is_involution and Perm.__mul__
-    # are the references
+    # products composed directly; references.is_involution and
+    # references.compose are the references
     for name, g in zoo.groups:
         assert set(involutions(g)) == {p for p in g.group if is_involution(p)}, name
-        J = [Perm(p) for p in involutions(g)]
+        J = involutions(g)
         if characteristic(g) is Characteristic.NOT_TWO:
-            nu = Perm(base_involution(g))
-            assert set(translations(g).members) == {(j * nu).images for j in J}, name
-        products = perm_set((p * q).images for p in J for q in J)
+            nu = base_involution(g)
+            assert set(translations(g).members) == {compose(j, nu) for j in J}, name
+        products = perm_set(compose(p, q) for p in J for q in J)
         assert involution_products_form_subgroup(g) == (subgroup_failure(products) is None), name
 
 
@@ -325,17 +325,17 @@ def test_characteristic_dichotomy():
         j = involutions(g)
         if characteristic(g) is Characteristic.TWO:
             assert len(j) == q - 1
-            assert all(not Perm(p).fixed_points() for p in j)
+            assert all(not fixed_points(p) for p in j)
         else:
             assert len(j) == q
-            assert all(len(Perm(p).fixed_points()) == 1 for p in j)
+            assert all(len(fixed_points(p)) == 1 for p in j)
 
 
 def test_base_involution():
     assert base_involution(AFF[3]) == (0, 2, 1)
     for q in (3, 5, 7, 9):
         nu = base_involution(AFF[q])
-        assert is_involution(nu) and Perm(nu).fixed_points() == frozenset({0})
+        assert is_involution(nu) and fixed_points(nu) == frozenset({0})
     with pytest.raises(ValueError):
         base_involution(AFF[2])  # characteristic 2 has no fixing involution
 
@@ -462,7 +462,7 @@ def test_composition_table_matches_perm_products(zoo):
         table = g.group.composition_table()
         for i, p in enumerate(g.group):
             for j, q in enumerate(g.group):
-                assert table[i][j] == g.group.index((Perm(p) * Perm(q)).images), (name, i, j)
+                assert table[i][j] == g.group.index(compose(p, q)), (name, i, j)
 
 
 def test_composition_table_rejects_non_closed_set():
@@ -516,9 +516,9 @@ def test_canonical_isomorphism(zoo):
 
 
 def test_relabeled_group_roundtrip():
-    rot = Perm((1, 2, 3, 4, 5, 6, 7, 8, 0))
+    rot = (1, 2, 3, 4, 5, 6, 7, 8, 0)
     moved = relabel(AFF[9], rot)
-    assert (moved.omega0, moved.omega1) == (rot(AFF[9].omega0), rot(AFF[9].omega1))
+    assert (moved.omega0, moved.omega1) == (rot[AFF[9].omega0], rot[AFF[9].omega1])
     assert derived_neardomain(moved).zero == moved.omega0
     rebuilt = affine_group(derived_neardomain(moved))
     assert rebuilt == moved
@@ -780,7 +780,7 @@ def _lift_and_conjugate(src: S2tGroup, dst: S2tGroup) -> tuple[Morphism, ...]:
 
     nd_s, nd_d = derived_neardomain(src), derived_neardomain(dst)
     p_s, p_d = params(nd_s), params(nd_d)
-    k_s_inv, k_d = Perm(tuple(rebuild(src))).inverse().images, rebuild(dst)
+    k_s_inv, k_d = inverse(tuple(rebuild(src))), rebuild(dst)
     out = []
     for phi in enumerate_nd_morphisms(nd_s, nd_d):
         lifted = [0] * len(p_s)

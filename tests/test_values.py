@@ -1,21 +1,19 @@
 """The value types keep the semantics of the frozen dataclasses they were:
 equality only within one class, the hash of the tuple of compared fields,
-the same repr text, Perm ordering, no assignment or deletion, and
-construction by position or by keyword. The repr literals are the text the
-dataclasses printed."""
+the same repr text, no assignment or deletion, and construction by position
+or by keyword. The repr literals are the text the dataclasses printed."""
 
 import pytest
 
 from algcat.catcheck import CategoryOps, FunctorOps, HomSetReport, Verdict
 from algcat.loops import Loop, check_loop
 from algcat.neardomain import Neardomain, galois_field
-from algcat.perms import Morphism, Perm, PermSet
+from algcat.perms import Morphism, PermSet
 from algcat.rps import Rps, loop_to_rps
 from algcat.s2t import S2tGroup, affine_group
 from algcat.zoo import Zoo
 
 Z2 = check_loop(((0, 1), (1, 0)))
-P01, P10 = Perm((0, 1)), Perm((1, 0))
 S2 = PermSet(2, ((0, 1), (1, 0)))
 S2_REPR = "PermSet(degree=2, members=((0, 1), (1, 0)))"
 C = CategoryOps(len, abs, max, callable)
@@ -28,7 +26,6 @@ G = affine_group(galois_field(2))
 
 # class, positional arguments, keyword arguments, compared fields, repr
 CASES = [
-    (Perm, ((1, 0, 2),), {"images": (1, 0, 2)}, ((1, 0, 2),), "Perm(images=(1, 0, 2))"),
     (PermSet, (2, S2.members), {"degree": 2, "members": S2.members}, (2, S2.members), S2_REPR),
     (Morphism, ((0,), (0,)), {"f": (0,), "phi": (0,)}, ((0,), (0,)), "Morphism(f=(0,), phi=(0,))"),
     (
@@ -139,17 +136,6 @@ def test_only_compared_fields_decide_equality():
     derived._derived["x"] = 1
     assert derived == G == S2tGroup(S2, 2, 0, 1) and hash(derived) == hash(G)
     assert Verdict("x", True, elapsed_ms=1.0) != Verdict("x", True)
-
-
-def test_perm_order_is_image_tuple_order():
-    a, b = Perm((0, 2, 1)), Perm((1, 0, 2))
-    assert a < b and a <= b and b > a and b >= a
-    assert not (b < a or b <= a or a > b or a >= b)
-    assert a <= Perm((0, 2, 1)) and a >= Perm((0, 2, 1)) and not a < Perm((0, 2, 1))
-    assert sorted([b, P10, a, P01]) == [P01, a, P10, b]
-    assert a.__lt__((0, 2, 1)) is NotImplemented
-    with pytest.raises(TypeError):
-        a < (0, 2, 1)
 
 
 def test_structures_built_from_rows_hash_only_when_hashed():
