@@ -174,20 +174,29 @@ def ndom_to_s2t(nd_hom: Callable | None = None) -> FunctorOps:
     )
 
 
-def _run_family(name: str, items, witness_fn) -> Verdict:
+def _run_family(name: str, items, witness_fn, hom: Callable | None = None) -> Verdict:
     """Run witness_fn over labelled argument tuples; first failure wins.
 
-    Structured validation errors (broken invariants included) become
-    failing verdicts so corrupted inputs yield witnesses instead of crashes.
+    With hom, each item's arguments are an object pair (a, b), and
+    witness_fn runs on (a, b, m) for each morphism m of hom(a, b), and each
+    run is one checked. Structured validation errors (broken invariants
+    included), raised by witness_fn or by hom, become failing verdicts
+    labelled with the item and counted once, so corrupted inputs yield
+    witnesses instead of crashes.
     """
     t0 = time.perf_counter()
     checked = 0
     for label, args in items:
+        witness = None
         try:
-            witness = witness_fn(*args)
+            for each in (args,) if hom is None else [(*args, m) for m in hom(*args)]:
+                witness = witness_fn(*each)
+                checked += 1
+                if witness is not None:
+                    break
         except (StructureError, KeyError, ValueError) as exc:
             witness = f"{type(exc).__name__}: {exc}"
-        checked += 1
+            checked += 1
         if witness is not None:
             elapsed = (time.perf_counter() - t0) * 1000
             return Verdict(name, False, f"{label}: {witness}", checked, elapsed)
@@ -532,25 +541,13 @@ def run_all(zoo: Zoo | None = None) -> list[Verdict]:
         ],
         full_faithful_witness,
     ))
-    verdicts.append(_run_family(
-        "s2t-naturality",
-        [
-            (f"{na}->{nb}", (a, b, m))
-            for na, a in groups
-            for nb, b in groups
-            for m in s2t_homs(a, b)
-        ],
-        naturality_witness,
-    ))
+    group_pairs = [(f"{na}->{nb}", (a, b)) for na, a in groups for nb, b in groups]
+    verdicts.append(_run_family("s2t-naturality", group_pairs, naturality_witness, s2t_homs))
     verdicts.append(_run_family(
         "s2t-image-inclusions",
-        [
-            (f"{na}->{nb}", (m, a, b))
-            for na, a in groups
-            for nb, b in groups
-            for m in s2t_homs(a, b)
-        ],
-        image_inclusion_witness,
+        group_pairs,
+        lambda a, b, m: image_inclusion_witness(m, a, b),
+        s2t_homs,
     ))
     small_groups = [(n, g) for n, g in groups if g.degree <= 4]
     verdicts.append(_run_family(

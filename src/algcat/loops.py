@@ -5,6 +5,7 @@ a permutation set takes (see perms)."""
 from __future__ import annotations
 
 import itertools
+from math import factorial
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -202,27 +203,31 @@ def canonical_table(loop: Loop) -> tuple[tuple[int, ...], ...]:
 
     Defined only for loops whose identity is 0 (the enumerated families).
     A full scan of the (n-1)! relabelings, kept apart from the orderly search
-    of enumerate_loops so that it can confirm it. Each relabeled row is one
-    gather of the source row through pi^-1 and one map through pi; it is
-    compared with the best table so far row by row, and a whole candidate is
-    built only when it wins. Row 0 is the identity row in every relabeling,
-    so the comparison starts at row 1.
+    of enumerate_loops so that it can confirm it; an order whose n! entries
+    are over the budget is refused before any row is read. Each row is also
+    held as bytes. The scan runs over pi^-1, and pi is its translation table
+    (bytes.maketrans), so a relabeled row is two C calls: the source row's
+    bytes translated through pi, then gathered through pi^-1 by an
+    itemgetter, which gives a tuple of ints. It is compared with the best
+    table so far row by row, and a whole candidate is built only when it
+    wins. Row 0 is the identity row in every relabeling, so the comparison
+    starts at row 1.
     """
     if loop.identity != 0:
         raise StructureError(f"canonical_table needs identity 0, got identity {loop.identity}")
     n = loop.order
-    table = best = loop.table
+    check_budget(factorial(n - 1) * n, f"canonical form of order {n}")
+    best = loop.table
+    blobs = [bytes(row) for row in best]
+    points = bytes(range(n))
     for rest in itertools.permutations(range(1, n)):
-        pi = (0, *rest)
-        pi_inv = [0] * n
-        for i, v in enumerate(pi):
-            pi_inv[v] = i
-        gather, relabel = itemgetter(*pi_inv), pi.__getitem__
+        pi_inv = (0, *rest)
+        pi, gather = bytes.maketrans(bytes(pi_inv), points), itemgetter(*pi_inv)
         for r in range(1, n):
-            row = tuple(map(relabel, gather(table[pi_inv[r]])))
+            row = gather(blobs[pi_inv[r]].translate(pi))
             if row != best[r]:
                 if row < best[r]:
-                    best = tuple(tuple(map(relabel, gather(table[s]))) for s in pi_inv)
+                    best = tuple(gather(blobs[s].translate(pi)) for s in pi_inv)
                 break
     return best
 
@@ -237,26 +242,33 @@ def _relabelings_fixing_zero(n: int) -> Iterator[tuple[tuple[int, ...], tuple[in
         yield pi, tuple(pi_inv)
 
 
-def _advance(rows: Sequence[tuple[int, ...]], k: int, live: Iterable[tuple]) -> list[tuple] | None:
+def _live_relabeling(pi_inv: tuple[int, ...]) -> tuple:
+    """The _advance entry of the relabeling with inverse pi_inv, tied on
+    row 0: (pi as a bytes translation table, pi_inv, itemgetter(*pi_inv), 1)."""
+    return (bytes.maketrans(bytes(pi_inv), bytes(range(len(pi_inv)))), pi_inv, itemgetter(*pi_inv), 1)
+
+
+def _advance(rows: Sequence[tuple[int, ...]], blobs: Sequence[bytes], k: int, live: Iterable[tuple]) -> list[tuple] | None:
     """The relabelings of live that still tie with the table once rows
     0..k are placed, or None when one of them beats it.
 
-    Each entry is (pi.__getitem__, pi_inv, gather, j), gather being
-    itemgetter(*pi_inv): the relabeled table is tied with the table on rows
-    0..j-1. Its row j is pi applied to row pi_inv[j] gathered through pi_inv,
-    so it is known once j <= k and pi_inv[j] <= k. While it is known it is
-    compared with row j: smaller means the relabeling beats the table,
-    larger drops the entry, equal moves j on.
+    blobs[r] is rows[r] as bytes. Each entry is (pi, pi_inv, gather, j), as
+    _live_relabeling builds it: the relabeled table is tied with the table
+    on rows 0..j-1. Its row j is the bytes of row pi_inv[j] translated
+    through pi and gathered through pi_inv, a tuple of ints, so it is known
+    once j <= k and pi_inv[j] <= k. While it is known it is compared with
+    row j: smaller means the relabeling beats the table, larger drops the
+    entry, equal moves j on.
     """
     kept = []
-    for relabel, pi_inv, gather, j in live:
+    for pi, pi_inv, gather, j in live:
         while j <= k and pi_inv[j] <= k:
-            img = tuple(map(relabel, gather(rows[pi_inv[j]])))
+            img = gather(blobs[pi_inv[j]].translate(pi))
             if img != rows[j]:
                 break
             j += 1
         else:
-            kept.append((relabel, pi_inv, gather, j))
+            kept.append((pi, pi_inv, gather, j))
             continue
         if img < rows[j]:
             return None
@@ -269,9 +281,10 @@ def _orderly_tables(n: int) -> list[Table]:
 
     Backtracking row by row. Row r (0 < r < n-1) is a permutation with
     row[0] == r, taken in lexicographic order; it fits when its (column,
-    value) bitmask misses the OR of the rows above. Rows 0..n-2 of a Latin
-    table leave one value free in each column, and each value is free in
-    exactly one column, so row n-1 is forced and is itself a permutation.
+    value) bitmask misses the OR of the rows above. Each placed row is held
+    as a tuple and, for _advance's translate, as bytes. Rows 0..n-2 of a
+    Latin table leave one value free in each column, and each value is free
+    in exactly one column, so row n-1 is forced and is itself a permutation.
     After each row every non-identity relabeling still tied with the table is
     moved on by _advance. A prefix is cut only when some relabeling's first
     differing row is smaller than the table's, and both rows are read from
@@ -288,34 +301,36 @@ def _orderly_tables(n: int) -> list[Table]:
         return sum(1 << (c * n + v) for c, v in enumerate(row))
 
     top = mask(identity)
-    candidates: dict[int, list[tuple[tuple[int, ...], int]]] = {r: [] for r in range(1, n - 1)}
+    candidates: dict[int, list[tuple[tuple[int, ...], bytes, int]]] = {r: [] for r in range(1, n - 1)}
     for row in itertools.permutations(identity):
         if row[0] in candidates and not (m := mask(row)) & top:
-            candidates[row[0]].append((row, m))
+            candidates[row[0]].append((row, bytes(row), m))
     column_total = n * (n - 1) // 2
-    rows = [identity]
+    rows, blobs = [identity], [bytes(identity)]
     found: list[Table] = []
 
     def rec(k: int, used: int, live: list[tuple]) -> None:
         if k == n - 1:
-            rows.append(tuple(column_total - s for s in map(sum, zip(*rows))))
-            if _advance(rows, k, live) is not None:
+            last = tuple(column_total - s for s in map(sum, zip(*rows)))
+            rows.append(last)
+            blobs.append(bytes(last))
+            if _advance(rows, blobs, k, live) is not None:
                 found.append(tuple(rows))
             rows.pop()
+            blobs.pop()
             return
-        for row, m in candidates[k]:
+        for row, blob, m in candidates[k]:
             if m & used:
                 continue
             rows.append(row)
-            kept = _advance(rows, k, live)
+            blobs.append(blob)
+            kept = _advance(rows, blobs, k, live)
             if kept is not None:
                 rec(k + 1, used | m, kept)
             rows.pop()
+            blobs.pop()
 
-    relabelings = [
-        (pi.__getitem__, pi_inv, itemgetter(*pi_inv), 1)
-        for pi, pi_inv in _relabelings_fixing_zero(n)
-    ]
+    relabelings = [_live_relabeling(pi_inv) for _, pi_inv in _relabelings_fixing_zero(n)]
     rec(1, top, relabelings[1:])
     return found
 

@@ -295,14 +295,18 @@ def is_nearfield(nd: Neardomain) -> bool:
     table (coefficients). Addition is then a group: with d == one, axiom 6
     reads a + (b + x) == (a + b) + x. That associativity is re-checked by
     Light's test on add (see _associativity_witness), from a greedy
-    generating set of all elements, so it needs no unit, and a failure
-    raises InvariantViolation naming the first triple. The budget counts n^3
-    steps, the full loop a failure runs."""
+    generating set of all elements. The set is grown from zero once zero is
+    checked to be a two-sided identity of add (n steps), so zero is never
+    taken as a generator. On a Neardomain built directly whose zero is no
+    identity of add, it is grown from nothing, and the test stays exact. A
+    failure raises InvariantViolation naming the first triple. The budget
+    counts n^3 steps, the full loop a failure runs."""
     check_budget(nd.order**3, f"nearfield check of order {nd.order}")
     if any(d != nd.one for row in coefficients(nd) for d in row):
         return False
-    elements = range(nd.order)
-    witness = _associativity_witness(nd.add, elements, _generators(nd.add, elements, None))
+    add, zero, elements = nd.add, nd.zero, range(nd.order)
+    unit = zero if all(add[zero][x] == x == add[x][zero] for x in elements) else None
+    witness = _associativity_witness(add, elements, _generators(add, elements, unit))
     if witness is not None:
         raise InvariantViolation("nearfield addition is associative", witness)
     return True

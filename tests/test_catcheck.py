@@ -633,32 +633,90 @@ def test_rps_oracle_agreement_names_a_dropped_morphism(zoo):
     assert verdict.witness == "rps(loop3_0)->rps(loop3_0): fast path found 2, direct oracle 3"
 
 
-def test_characteristic_coherence_names_a_group_kept_with_another_neardomain():
+def _s4():
+    # S4 is 2-transitive but not sharply: its involutions fix 0 or 2 points,
+    # so translations cannot settle the characteristic
+    return S2tGroup(closure([(1, 2, 3, 0), (1, 0, 2, 3)]), 4, 0, 1)
+
+
+def _aff_gf3_kept_with_gf4():
     # aff(gf3) built directly, keeping GF(4) as its derived neardomain: the
     # involutions of the group fix one point, while 1 + 1 == 0 in GF(4)
     g3 = affine_group(galois_field(3))
     g = S2tGroup(g3.group, 3, g3.omega0, g3.omega1)
     g._derived["derived_neardomain"] = galois_field(4)
+    return g
+
+
+def _gf5_with_d23():
+    # GF(5) built directly, keeping a coefficient table with d(2, 3) == 2
+    gf5 = galois_field(5)
+    nd = Neardomain(5, gf5.add, gf5.mul, 0, 1)
+    table = [list(row) for row in coefficients(gf5)]
+    table[2][3] = 2
+    nd._derived["coefficients"] = tuple(map(tuple, table))
+    return nd
+
+
+def test_characteristic_coherence_names_a_group_kept_with_another_neardomain():
+    g = _aff_gf3_kept_with_gf4()
     verdict = _run_family("characteristic-coherence", [("aff(gf3)/gf4", (g,))], characteristic_coherence_witness)
     assert verdict.witness == "aff(gf3)/gf4: group characteristic not 2 but derived 1+1 == 0"
 
 
 def test_nearfield_family_names_a_neardomain_with_a_coefficient_other_than_one():
     # every finite neardomain is a nearfield, so only an object built without
-    # check_neardomain can fail: GF(5) built directly, keeping a coefficient
-    # table with d(2, 3) == 2
-    gf5 = galois_field(5)
-    nd = Neardomain(5, gf5.add, gf5.mul, 0, 1)
-    table = [list(row) for row in coefficients(gf5)]
-    table[2][3] = 2
-    nd._derived["coefficients"] = tuple(map(tuple, table))
+    # check_neardomain can fail
+    nd = _gf5_with_d23()
     verdicts = {v.name: v for v in run_all(Zoo((), (), (("gf5/d23", nd),), ()))}
     assert verdicts["neardomain-is-nearfield"].witness == "gf5/d23: finite neardomain is not a nearfield"
 
 
 def test_translation_regularity_names_a_group_whose_translations_raise():
-    # S4 is 2-transitive but not sharply: its involutions fix 0 or 2 points,
-    # so translations cannot settle the characteristic
-    s4 = S2tGroup(closure([(1, 2, 3, 0), (1, 0, 2, 3)]), 4, 0, 1)
+    s4 = _s4()
     verdict = _run_family("translation-regularity", [("s4", (s4,))], translation_regularity_witness)
     assert verdict.witness == "s4: DichotomyViolation: involution fixed-point counts [0, 2], expected all 0 or all 1"
+
+
+@pytest.mark.parametrize(
+    "name, make, error",
+    [
+        ("s4", _s4, "DichotomyViolation: involution fixed-point counts [0, 2], expected all 0 or all 1"),
+        ("aff(gf3)/gf4", _aff_gf3_kept_with_gf4, "StructureError: member [0, 2, 1] matches no target member on the base points"),
+    ],
+)
+def test_run_all_names_the_pair_whose_hom_set_raises(name, make, error):
+    # the two per-morphism families enumerate each pair's hom-set under the
+    # family's guard, so a hom-set that cannot be listed fails its pair
+    verdicts = {v.name: v for v in run_all(Zoo((), (), (), ((name, make()),)))}
+    for family in ("s2t-naturality", "s2t-image-inclusions"):
+        verdict = verdicts[family]
+        assert (verdict.passed, verdict.checked) == (False, 1)
+        assert verdict.witness == f"{name}->{name}: {error}"
+
+
+def test_naturality_names_a_group_kept_with_a_relabeled_neardomain():
+    # aff(gf5) built directly, keeping as its derived neardomain GF(5)
+    # relabeled by the swap of 2 and 3: isomorphic, but its affine group is
+    # another member set, so the unit square cannot close
+    g5 = affine_group(galois_field(5))
+    g = S2tGroup(g5.group, 5, g5.omega0, g5.omega1)
+    g._derived["derived_neardomain"] = s2t.derived_neardomain(s2t.relabel(g5, (0, 1, 3, 2, 4)))
+    m = identity_s2t_morphism(g)
+    verdict = _run_family("s2t-naturality", [("aff(gf5)/swap23->aff(gf5)/swap23", (g, g, m))], naturality_witness)
+    assert verdict.witness == "aff(gf5)/swap23->aff(gf5)/swap23: rebuilt group is not the original source"
+    verdicts = {v.name: v for v in run_all(Zoo((), (), (), (("aff(gf5)/swap23", g),)))}
+    assert verdicts["s2t-naturality"].witness == verdict.witness
+    assert verdicts["s2t-image-inclusions"].passed
+
+
+def test_nearfield_equivalence_names_a_group_kept_with_a_non_nearfield():
+    # aff(gf5) built directly, keeping GF(5) with d(2, 3) == 2: the group's
+    # two bits hold, the kept neardomain is not a nearfield
+    g5 = affine_group(galois_field(5))
+    g = S2tGroup(g5.group, 5, g5.omega0, g5.omega1)
+    g._derived["derived_neardomain"] = _gf5_with_d23()
+    verdict = _run_family("nearfield-equivalence", [("aff(gf5)/d23", (g,))], nearfield_equivalence_witness)
+    assert verdict.witness == (
+        "aff(gf5)/d23: translations-subgroup=True, involution-products-subgroup=True, derived-nearfield=False"
+    )

@@ -4,7 +4,6 @@ import subprocess
 import sys
 from fractions import Fraction
 from math import factorial
-from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -20,6 +19,7 @@ from algcat.errors import (
 from algcat.loops import (
     Loop,
     _advance,
+    _live_relabeling,
     _relabeled_table,
     _relabelings_fixing_zero,
     canonical_table,
@@ -236,11 +236,12 @@ def test_relabeling_beats_matches_full_comparison(n):
     # or tied through every row; while undecided it has moved as far as the
     # placed rows allow
     for t in _normalized_tables(n):
+        blobs = [bytes(row) for row in t]
         for pi, pi_inv in _relabelings_fixing_zero(n):
             full = _relabeled_table(t, pi, pi_inv, n)
-            live = [(pi.__getitem__, pi_inv, itemgetter(*pi_inv), 1)]
+            live = [_live_relabeling(pi_inv)]
             for k in range(1, n):
-                live = _advance(t[: k + 1], k, live)
+                live = _advance(t[: k + 1], blobs[: k + 1], k, live)
                 if not live:
                     break
                 ((*_, j),) = live
@@ -300,6 +301,20 @@ raise SystemExit("no InvariantViolation")
 def test_canonical_table_rejects_nonzero_identity():
     with pytest.raises(StructureError, match="identity 1"):
         canonical_table(check_loop([[1, 0], [0, 1]], 1))
+
+
+def _cyclic(n):
+    return check_loop([[(i + j) % n for j in range(n)] for i in range(n)])
+
+
+def test_canonical_table_is_budgeted():
+    # 9! * 10 entries are over the cap, so order 10 is refused before any
+    # row is read; 8! * 9 is under it, and order 9 is scanned
+    with pytest.raises(ResourceLimitExceeded) as refused:
+        canonical_table(_cyclic(10))
+    assert str(refused.value) == "canonical form of order 10 needs 3628800, over the cap of 1000000 entries"
+    best = canonical_table(_cyclic(9))
+    assert best[0] == tuple(range(9)) and best <= _cyclic(9).table
 
 
 @st.composite

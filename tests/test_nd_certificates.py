@@ -227,6 +227,41 @@ def test_nearfield_check_names_a_non_associative_addition():
         raise AssertionError("is_nearfield accepted an addition that is not associative")
 
 
+def test_nearfield_check_grows_the_additive_generators_from_zero(monkeypatch):
+    # zero is the additive identity of every validated neardomain, so it is
+    # never taken as a generator: GF(5)+ is cyclic, GF(9)+ and GF(16)+ are
+    # elementary abelian of ranks 2 and 4
+    fields = [galois_field(q) for q in (5, 9, 16)]
+    grown = []
+    greedy = neardomain._generators
+    monkeypatch.setattr(neardomain, "_generators", lambda *args: grown.append(greedy(*args)) or grown[-1])
+    assert all(map(is_nearfield, fields))
+    assert grown == [[1], [1, 3], [1, 2, 4, 8]]
+
+
+def test_nearfield_check_agrees_with_the_full_loop_from_either_start():
+    # every loop of orders 5 and 6 as an addition, kept beside a coefficient
+    # table that is all one (element 2 here), so that the associativity
+    # re-check runs: with zero its identity the generators grow from zero,
+    # with zero == 1 (no identity) from nothing, and either way is_nearfield
+    # passes exactly the associative ones and names the reference's first
+    # triple otherwise
+    failing = 0
+    for loop in enumerate_loops(5) + enumerate_loops(6):
+        n = loop.order
+        want = references.associativity_witness(loop.table, range(n))
+        failing += want is not None
+        for zero in (0, 1):
+            nd = Neardomain(n, loop.table, loop.table, zero, 2)
+            nd._derived["coefficients"] = ((2,) * n,) * n
+            try:
+                got = None if is_nearfield(nd) else "refused"
+            except InvariantViolation as exc:
+                got = exc.witness
+            assert got == want, (loop, zero)
+    assert failing > 100
+
+
 def test_validated_neardomains_keep_their_coefficient_table(monkeypatch, tmp_path):
     # check_neardomain solves each coefficient once and keeps the table;
     # affine_group and is_nearfield read it and solve none; on a Neardomain
