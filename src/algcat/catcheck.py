@@ -1,6 +1,12 @@
 """Exhaustive certification battery: round trips, functor laws, hom-set
-bijections, naturality, and the nearfield equivalence, each packaged as a
-Verdict with a concrete witness on failure.
+bijections, naturality, and the nearfield equivalence.
+
+run_all declares the battery once, as an ordered table of families. Each
+entry names a family, a lazily produced source of labelled items, a witness
+and an optional hom, and one runner, _run_family, turns each entry into a
+Verdict: it pulls the items one at a time, stops at the first failure, and
+labels the failure with its item. The functor laws are items of that same
+runner, labelled with the object, the pair or the triple they check.
 
 Checks never assume the properties they certify; failing inputs (including
 the deliberately corrupted ones in the test suite) produce failing verdicts,
@@ -175,21 +181,24 @@ def ndom_to_s2t(nd_hom: Callable | None = None) -> FunctorOps:
 
 
 def _run_family(name: str, items, witness_fn, hom: Callable | None = None) -> Verdict:
-    """Run witness_fn over labelled argument tuples; first failure wins.
+    """Run witness_fn over labelled argument tuples, pulled from items one at
+    a time; the first failure wins, and no item after it is pulled.
 
-    With hom, each item's arguments are an object pair (a, b), and
-    witness_fn runs on (a, b, m) for each morphism m of hom(a, b), and each
-    run is one checked. Structured validation errors (broken invariants
-    included), raised by witness_fn or by hom, become failing verdicts
-    labelled with the item and counted once, so corrupted inputs yield
-    witnesses instead of crashes.
+    With hom, witness_fn runs on (*args, m) for each m of hom(*args), and
+    each run is one checked: for the pair families args is an object pair
+    and hom lists its morphisms; for the functor laws args holds a generator
+    of witnesses and hom is iter (see _functor_laws). Structured validation
+    errors (broken invariants included), raised by witness_fn or by hom,
+    become a failing verdict labelled with the item and counted once, so
+    corrupted inputs yield witnesses instead of crashes. This is the only
+    place a Verdict is made.
     """
     t0 = time.perf_counter()
     checked = 0
+    witness = label = None
     for label, args in items:
-        witness = None
         try:
-            for each in (args,) if hom is None else [(*args, m) for m in hom(*args)]:
+            for each in (args,) if hom is None else ((*args, m) for m in hom(*args)):
                 witness = witness_fn(*each)
                 checked += 1
                 if witness is not None:
@@ -198,10 +207,9 @@ def _run_family(name: str, items, witness_fn, hom: Callable | None = None) -> Ve
             witness = f"{type(exc).__name__}: {exc}"
             checked += 1
         if witness is not None:
-            elapsed = (time.perf_counter() - t0) * 1000
-            return Verdict(name, False, f"{label}: {witness}", checked, elapsed)
+            break
     elapsed = (time.perf_counter() - t0) * 1000
-    return Verdict(name, True, None, checked, elapsed)
+    return Verdict(name, witness is None, None if witness is None else f"{label}: {witness}", checked, elapsed)
 
 
 # ---------------------------------------------------------------- round trips
@@ -235,52 +243,71 @@ def group_roundtrip_witness(g: S2tGroup) -> str | None:
 
 # ------------------------------------------------------------- functor checks
 
-def check_functor_laws(functor: FunctorOps, objects: Sequence[tuple[str, object]]) -> Verdict:
-    """Each image a target morphism, uncounted in checked: the morphism maps
-    check nothing, so this family owns that check, and names the pair and
-    the morphism whether the map or the predicate fails or raises.
-    Identities to identities; composition preserved on every composable
-    pair drawn from the enumerated hom-sets of the given objects. Each
-    hom-set is enumerated, and each of its morphisms mapped, once per call;
-    only identities and composites are mapped again."""
-    t0 = time.perf_counter()
-    checked = 0
+def _functor_laws(functor: FunctorOps, objects: Sequence[tuple[str, object]]) -> tuple:
+    """The functor-law family of functor over objects, as an entry of
+    run_all's table. Its items, in order:
+
+    - each object's image, labelled with the object;
+    - each hom-set of an ordered pair, labelled with the pair, then the image
+      of each of its members, labelled with the pair and the member, and
+      confirmed by the target's is_morphism (the morphism maps check
+      nothing, so this family owns that check);
+    - each identity, labelled with the object;
+    - the composites of the composable pairs drawn from those hom-sets,
+      labelled with the triple.
+
+    An item's one argument is a generator of witnesses, one per case it
+    checks, which the runner pulls through hom=iter. Object, hom-set and image
+    items yield only a failure, so checked counts identities and composites.
+    Each hom-set is enumerated, and each of its members mapped, once per
+    family; only identities and composites are mapped again."""
     hom = _memoized(functor.source.hom)
-    images: dict = {}  # (a, b) -> the image of each morphism of hom(a, b)
+    image: dict = {}  # object -> its image; (a, b) -> the images of hom(a, b), in order
 
-    def verdict(witness: str | None) -> Verdict:
-        ms = (time.perf_counter() - t0) * 1000
-        return Verdict(f"functor-laws/{functor.name}", witness is None, witness, checked, ms)
+    def object_image(a):
+        image[a] = functor.obj(a)
+        yield from ()
 
-    try:
-        mapped = [(name, a, functor.obj(a)) for name, a in objects]
-        for (name_a, a, fa), (name_b, b, fb) in itertools.product(mapped, repeat=2):
-            images[a, b] = pair = []
-            for m in hom(a, b):
-                try:
-                    image = functor.mor(m, a, b)
-                    ok = functor.target.is_morphism(image, fa, fb)
-                except (StructureError, KeyError, ValueError) as exc:
-                    return verdict(f"image of {m} on {name_a}->{name_b} raised {type(exc).__name__}: {exc}")
-                if not ok:
-                    return verdict(f"image of {m} on {name_a}->{name_b} is not a morphism: {image}")
-                pair.append(image)
-        for name, a, fa in mapped:
-            image = functor.mor(functor.source.identity(a), a, a)
-            checked += 1
-            if image != functor.target.identity(fa):
-                return verdict(f"identity of {name} maps to non-identity {image}")
-        for (name_a, a), (name_b, b), (name_c, c) in itertools.product(objects, repeat=3):
-            for m1, image1 in zip(hom(a, b), images[a, b]):
-                for m2, image2 in zip(hom(b, c), images[b, c]):
-                    left = functor.mor(functor.source.compose(m2, m1), a, c)
-                    right = functor.target.compose(image2, image1)
-                    checked += 1
-                    if left != right:
-                        return verdict(f"composition broken on {name_a}->{name_b}->{name_c}: {left} != {right}")
-    except (StructureError, KeyError, ValueError) as exc:
-        return verdict(f"{type(exc).__name__}: {exc}")
-    return verdict(None)
+    def hom_set(a, b):
+        image[a, b] = []
+        hom(a, b)
+        yield from ()
+
+    def member_image(m, a, b):
+        mapped = functor.mor(m, a, b)
+        image[a, b].append(mapped)
+        if not functor.target.is_morphism(mapped, image[a], image[b]):
+            yield f"not a morphism: {mapped}"
+
+    def identity(a):
+        mapped = functor.mor(functor.source.identity(a), a, a)
+        yield None if mapped == functor.target.identity(image[a]) else f"identity maps to non-identity {mapped}"
+
+    def composites(a, b, c):
+        for m1, image1 in zip(hom(a, b), image[a, b]):
+            for m2, image2 in zip(hom(b, c), image[b, c]):
+                left = functor.mor(functor.source.compose(m2, m1), a, c)
+                right = functor.target.compose(image2, image1)
+                yield None if left == right else f"composition broken: {left} != {right}"
+
+    def items():
+        for name, a in objects:
+            yield name, (object_image(a),)
+        for (na, a), (nb, b) in itertools.product(objects, repeat=2):
+            yield f"{na}->{nb}", (hom_set(a, b),)
+            for m in hom(a, b):  # listed by the item before, so it cannot raise here
+                yield f"{na}->{nb}: image of {m}", (member_image(m, a, b),)
+        for name, a in objects:
+            yield name, (identity(a),)
+        for (na, a), (nb, b), (nc, c) in itertools.product(objects, repeat=3):
+            yield f"{na}->{nb}->{nc}", (composites(a, b, c),)
+
+    return f"functor-laws/{functor.name}", items(), lambda cases, witness: witness, iter
+
+
+def check_functor_laws(functor: FunctorOps, objects: Sequence[tuple[str, object]]) -> Verdict:
+    """Functoriality of functor on objects: the family of _functor_laws, run."""
+    return _run_family(*_functor_laws(functor, objects))
 
 
 def check_full_faithful(
@@ -316,8 +343,8 @@ def check_full_faithful(
     )
 
 
-def full_faithful_witness(functor: FunctorOps, name_a: str, a, name_b: str, b) -> str | None:
-    report = check_full_faithful(functor, name_a, a, name_b, b)
+def full_faithful_witness(functor: FunctorOps, a, b) -> str | None:
+    report = check_full_faithful(functor, "", a, "", b)
     if not report.bijection:
         return f"{report.source_count} vs {report.target_count}: {report.witness or 'count mismatch'}"
     return None
@@ -381,6 +408,10 @@ def translation_regularity_witness(g: S2tGroup) -> None:
     translations(g)
 
 
+def nearfield_witness(nd: Neardomain) -> str | None:
+    return None if is_nearfield(nd) else "finite neardomain is not a nearfield"
+
+
 def translation_form_witness(nd: Neardomain) -> str | None:
     """Over an affine group the translation set must be exactly the b == one
     affine maps."""
@@ -424,11 +455,24 @@ def s2t_injectivity_witness(src: S2tGroup, dst: S2tGroup, hom: Callable) -> str 
 
 # ------------------------------------------------------------------ run_all
 
-def _all_candidates(src: Rps, dst: Rps):
-    """Every (f, phi) pair with phi fixing the base point."""
-    for f in itertools.product(range(len(dst.members)), repeat=len(src.members)):
-        for phi in based_point_maps(src, dst):
-            yield f, phi
+def _each(objects):
+    """One item per object, labelled with its name."""
+    return ((name, (obj,)) for name, obj in objects)
+
+
+def _pairs(objects):
+    """One item per ordered pair of objects (a, b), labelled a->b."""
+    return ((f"{na}->{nb}", (a, b)) for na, a in objects for nb, b in objects)
+
+
+def _candidates(objects):
+    """One item per (f, phi) with phi fixing the base point, on each ordered
+    pair of objects (a, b), labelled a->b:f=...,phi=..."""
+    for na, a in objects:
+        for nb, b in objects:
+            for f in itertools.product(range(len(b.members)), repeat=len(a.members)):
+                for phi in based_point_maps(a, b):
+                    yield f"{na}->{nb}:f={f},phi={phi}", (a, b, f, phi)
 
 
 def _memoized(hom: Callable) -> Callable:
@@ -445,11 +489,12 @@ def _memoized(hom: Callable) -> Callable:
 
 
 def run_all(zoo: Zoo | None = None) -> list[Verdict]:
-    """The whole battery over the zoo; deterministic order, one verdict per
-    check family, each witness naming the failing instance."""
+    """The whole battery over the zoo: one table of families, run in order,
+    one verdict each, each witness naming the failing instance. The table is
+    built on each call from the module's names as bound at that moment, like
+    the functors, so a stub or a tracer's wrapper bound before reaches it."""
     if zoo is None:
         zoo = standard_zoo()
-    verdicts: list[Verdict] = []
     # the rps oracle, loop, s2t and neardomain hom-sets of each ordered pair,
     # enumerated once in this run and shared by the families that read them
     rps_hom_direct = _memoized(enumerate_rps_morphisms_direct)
@@ -458,133 +503,31 @@ def run_all(zoo: Zoo | None = None) -> list[Verdict]:
     s2t_homs = _memoized(lambda src, dst: enumerate_s2t_morphisms(src, dst, nd_homs))
     rps_functor = rps_to_loop(rps_hom_direct, loop_homs)
     s2t_functor = s2t_to_ndom(s2t_homs, nd_homs)
-
-    loops = list(zoo.loops)
-    rps_objects = list(zoo.rps_objects)
-    ndoms = list(zoo.neardomains)
-    groups = list(zoo.groups)
-
-    verdicts.append(_run_family(
-        "loop-rps-roundtrip",
-        [(name, (loop,)) for name, loop in loops],
-        loop_roundtrip_witness,
-    ))
-    verdicts.append(_run_family(
-        "rps-full-faithful",
-        [
-            (f"{na}->{nb}", (rps_functor, na, a, nb, b))
-            for na, a in rps_objects
-            for nb, b in rps_objects
-        ],
-        full_faithful_witness,
-    ))
-    verdicts.append(_run_family(
-        "rps-hom-oracle-agreement",
-        [
-            (f"{na}->{nb}", (partial(enumerate_rps_morphisms, loop_hom=loop_homs), rps_hom_direct, a, b))
-            for na, a in rps_objects
-            for nb, b in rps_objects
-        ],
-        oracle_agreement_witness,
-    ))
-    small_rps = [(n, r) for n, r in rps_objects if r.degree <= 3]
-    verdicts.append(_run_family(
-        "rps-morphism-characterization",
-        [
-            (f"{na}->{nb}:f={f},phi={phi}", (a, b, f, phi))
-            for na, a in small_rps
-            for nb, b in small_rps
-            for f, phi in _all_candidates(a, b)
-        ],
-        characterization_witness,
-    ))
-    slice_rps = [(n, r) for n, r in rps_objects if r.degree <= 4]
-    verdicts.append(check_functor_laws(rps_functor, slice_rps))
-
-    verdicts.append(_run_family(
-        "neardomain-is-nearfield",
-        [(name, (nd,)) for name, nd in ndoms],
-        lambda nd: None if is_nearfield(nd) else "finite neardomain is not a nearfield",
-    ))
-    verdicts.append(_run_family(
-        "neardomain-roundtrip",
-        [(name, (nd,)) for name, nd in ndoms],
-        neardomain_roundtrip_witness,
-    ))
-    verdicts.append(_run_family(
-        "translation-form",
-        [(name, (nd,)) for name, nd in ndoms],
-        translation_form_witness,
-    ))
-
-    verdicts.append(_run_family(
-        "group-roundtrip",
-        [(name, (g,)) for name, g in groups],
-        group_roundtrip_witness,
-    ))
-    verdicts.append(_run_family(
-        "characteristic-coherence",
-        [(name, (g,)) for name, g in groups],
-        characteristic_coherence_witness,
-    ))
-    verdicts.append(_run_family(
-        "translation-regularity",
-        [(name, (g,)) for name, g in groups],
-        translation_regularity_witness,
-    ))
-    verdicts.append(_run_family(
-        "s2t-full-faithful",
-        [
-            (f"{na}->{nb}", (s2t_functor, na, a, nb, b))
-            for na, a in groups
-            for nb, b in groups
-        ],
-        full_faithful_witness,
-    ))
-    group_pairs = [(f"{na}->{nb}", (a, b)) for na, a in groups for nb, b in groups]
-    verdicts.append(_run_family("s2t-naturality", group_pairs, naturality_witness, s2t_homs))
-    verdicts.append(_run_family(
-        "s2t-image-inclusions",
-        group_pairs,
-        lambda a, b, m: image_inclusion_witness(m, a, b),
-        s2t_homs,
-    ))
+    rpss, ndoms, groups = zoo.rps_objects, zoo.neardomains, zoo.groups
+    small_rps = [(n, r) for n, r in rpss if r.degree <= 3]
     small_groups = [(n, g) for n, g in groups if g.degree <= 4]
-    verdicts.append(_run_family(
-        "s2t-hom-oracle-agreement",
-        [
-            (f"{na}->{nb}", (s2t_homs, enumerate_s2t_morphisms_direct, a, b))
-            for na, a in small_groups
-            for nb, b in small_groups
-        ],
-        oracle_agreement_witness,
-    ))
-    verdicts.append(_run_family(
-        "nearfield-equivalence",
-        [(name, (g,)) for name, g in groups],
-        nearfield_equivalence_witness,
-    ))
-    verdicts.append(_run_family(
-        "nd-morphism-injectivity",
-        [
-            (f"{na}->{nb}", (a, b, nd_homs))
-            for na, a in ndoms
-            for nb, b in ndoms
-        ],
-        nd_injectivity_witness,
-    ))
-    verdicts.append(_run_family(
-        "s2t-morphism-injectivity",
-        [
-            (f"{na}->{nb}", (a, b, s2t_homs))
-            for na, a in groups
-            for nb, b in groups
-        ],
-        s2t_injectivity_witness,
-    ))
-    nd_slice = [(n, nd) for n, nd in ndoms if nd.order <= 4 or n in ("gf9", "dickson9")]
-    verdicts.append(check_functor_laws(ndom_to_s2t(nd_homs), nd_slice))
-    group_slice = [(n, g) for n, g in groups if g.degree <= 4]
-    verdicts.append(check_functor_laws(s2t_functor, group_slice))
-
-    return verdicts
+    rps_fast = partial(enumerate_rps_morphisms, loop_hom=loop_homs)
+    table = (
+        ("loop-rps-roundtrip", _each(zoo.loops), loop_roundtrip_witness),
+        ("rps-full-faithful", _pairs(rpss), partial(full_faithful_witness, rps_functor)),
+        ("rps-hom-oracle-agreement", _pairs(rpss), partial(oracle_agreement_witness, rps_fast, rps_hom_direct)),
+        ("rps-morphism-characterization", _candidates(small_rps), characterization_witness),
+        _functor_laws(rps_functor, [(n, r) for n, r in rpss if r.degree <= 4]),
+        ("neardomain-is-nearfield", _each(ndoms), nearfield_witness),
+        ("neardomain-roundtrip", _each(ndoms), neardomain_roundtrip_witness),
+        ("translation-form", _each(ndoms), translation_form_witness),
+        ("group-roundtrip", _each(groups), group_roundtrip_witness),
+        ("characteristic-coherence", _each(groups), characteristic_coherence_witness),
+        ("translation-regularity", _each(groups), translation_regularity_witness),
+        ("s2t-full-faithful", _pairs(groups), partial(full_faithful_witness, s2t_functor)),
+        ("s2t-naturality", _pairs(groups), naturality_witness, s2t_homs),
+        ("s2t-image-inclusions", _pairs(groups), lambda a, b, m: image_inclusion_witness(m, a, b), s2t_homs),
+        ("s2t-hom-oracle-agreement", _pairs(small_groups),
+         partial(oracle_agreement_witness, s2t_homs, enumerate_s2t_morphisms_direct)),
+        ("nearfield-equivalence", _each(groups), nearfield_equivalence_witness),
+        ("nd-morphism-injectivity", _pairs(ndoms), partial(nd_injectivity_witness, hom=nd_homs)),
+        ("s2t-morphism-injectivity", _pairs(groups), partial(s2t_injectivity_witness, hom=s2t_homs)),
+        _functor_laws(ndom_to_s2t(nd_homs), [(n, nd) for n, nd in ndoms if nd.order <= 4 or n in ("gf9", "dickson9")]),
+        _functor_laws(s2t_functor, small_groups),
+    )
+    return [_run_family(*family) for family in table]

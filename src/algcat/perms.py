@@ -343,7 +343,10 @@ def check_group(members: PermSet) -> None:
     A set that fails is handed to members.composition_table(), which names
     the first missing product in row-major order; a table that passes there
     contradicts the certificate and raises InvariantViolation. A set that
-    passes builds no table."""
+    passes builds no table. The budget bounds that table, |G|^2, not the
+    certificate's |G| * |T| compositions, so about 1,000 listed members is
+    the size policy: the one path that names a failing set's witness is a
+    full |G|^2 table. closure applies the same bound as it grows."""
     index, degree = members._index, members.degree
     if tuple(range(degree)) not in index:
         raise NotAGroup("identity missing")

@@ -80,7 +80,7 @@ def test_criterion_01_loop_rps_equivalence(acceptance_report):
             direct = enumerate_rps_morphisms_direct(a, b)
             if loop_count != len(direct):
                 failures.append(f"count {na}->{nb}: {loop_count} vs {len(direct)}")
-            witness = full_faithful_witness(RPS_TO_LOOP, na, a, nb, b)
+            witness = full_faithful_witness(RPS_TO_LOOP, a, b)
             if witness is not None:
                 failures.append(f"bijection {na}->{nb}: {witness}")
     ok = not failures

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import pkgutil
 from collections import Counter
 from pathlib import Path
@@ -31,6 +32,7 @@ from algcat.catcheck import (
     translation_form_witness,
     translation_regularity_witness,
 )
+from algcat.errors import StructureError
 from algcat.loops import Loop, check_loop, enumerate_loop_morphisms, is_associative
 from algcat.neardomain import Neardomain, coefficients, dickson_nearfield_9, enumerate_nd_morphisms, galois_field
 from algcat.perms import Morphism, PermSet, closure, perm_set
@@ -178,7 +180,7 @@ def test_full_faithful_report():
     broken = FunctorOps("c", RPS_TO_LOOP.source, RPS_TO_LOOP.target, RPS_TO_LOOP.obj, collapse)
     bad = check_full_faithful(broken, "a", r3, "b", r3)
     assert not bad.bijection and bad.witness
-    assert full_faithful_witness(broken, "a", r3, "b", r3) is not None
+    assert full_faithful_witness(broken, r3, r3) is not None
 
 
 # fixes 0 and 1 of GF(5) and is a bijection, so it forces a member map, but
@@ -216,10 +218,10 @@ def test_families_fail_on_a_hom_set_with_one_bad_member(zoo, family):
     name, obj = objects[-1]
     verdict = check_functor_laws(functor, objects)
     assert (verdict.name, verdict.passed) == (f"functor-laws/{family}", False)
-    assert verdict.witness == f"image of {bad} on {name}->{name} is not a morphism: {image}"
+    assert verdict.witness == f"{name}->{name}: image of {bad}: not a morphism: {image}"
     if full_faithful:
         count = len(functor.source.hom(obj, obj))
-        verdict = _run_family(full_faithful, [(f"{name}->{name}", (functor, name, obj, name, obj))], full_faithful_witness)
+        verdict = _run_family(full_faithful, [(f"{name}->{name}", (functor, obj, obj))], full_faithful_witness)
         assert not verdict.passed
         assert verdict.witness == (
             f"{name}->{name}: {count} vs {count - 1}: induced morphism not in target hom-set: {image}"
@@ -245,7 +247,7 @@ def test_functor_laws_name_the_pair_when_an_image_raises(zoo, family):
     name = objects[-1][0]
     verdict = check_functor_laws(functor, objects)
     assert (verdict.name, verdict.passed) == (f"functor-laws/{family}", False)
-    assert verdict.witness == f"image of {bad} on {name}->{name} raised {raised}"
+    assert verdict.witness == f"{name}->{name}: image of {bad}: {raised}"
 
 
 def test_functor_laws_map_each_morphism_once(zoo, monkeypatch):
@@ -603,6 +605,8 @@ def test_translation_form_names_a_group_that_is_not_the_affine_one():
         "gf5/relabeled: translation set [[0, 1, 2, 3, 4], [1, 4, 3, 0, 2], [2, 3, 1, 4, 0], "
         "[3, 0, 4, 2, 1], [4, 2, 0, 1, 3]] != affine b=1 maps"
     )
+    verdicts = {v.name: v for v in run_all(Zoo((), (), (("gf5/relabeled", nd),), ()))}
+    assert verdicts["translation-form"].witness == verdict.witness
 
 
 def test_image_inclusions_name_an_involution_sent_to_the_identity(zoo):
@@ -623,6 +627,8 @@ def test_loop_rps_roundtrip_names_a_loop_with_the_wrong_identity(zoo):
         "loop3_0@1: rebuilt loop differs: identity 1 vs 1, "
         "table ((2, 0, 1), (0, 1, 2), (1, 2, 0)) vs ((0, 1, 2), (1, 2, 0), (2, 0, 1))"
     )
+    verdicts = {v.name: v for v in run_all(Zoo((("loop3_0@1", loop),), (), (), ()))}
+    assert verdicts["loop-rps-roundtrip"].witness == verdict.witness
 
 
 def test_rps_oracle_agreement_names_a_dropped_morphism(zoo):
@@ -662,6 +668,8 @@ def test_characteristic_coherence_names_a_group_kept_with_another_neardomain():
     g = _aff_gf3_kept_with_gf4()
     verdict = _run_family("characteristic-coherence", [("aff(gf3)/gf4", (g,))], characteristic_coherence_witness)
     assert verdict.witness == "aff(gf3)/gf4: group characteristic not 2 but derived 1+1 == 0"
+    verdicts = {v.name: v for v in run_all(Zoo((), (), (), (("aff(gf3)/gf4", g),)))}
+    assert verdicts["characteristic-coherence"].witness == verdict.witness
 
 
 def test_nearfield_family_names_a_neardomain_with_a_coefficient_other_than_one():
@@ -676,6 +684,8 @@ def test_translation_regularity_names_a_group_whose_translations_raise():
     s4 = _s4()
     verdict = _run_family("translation-regularity", [("s4", (s4,))], translation_regularity_witness)
     assert verdict.witness == "s4: DichotomyViolation: involution fixed-point counts [0, 2], expected all 0 or all 1"
+    verdicts = {v.name: v for v in run_all(Zoo((), (), (), (("s4", s4),)))}
+    assert verdicts["translation-regularity"].witness == verdict.witness
 
 
 @pytest.mark.parametrize(
@@ -720,3 +730,47 @@ def test_nearfield_equivalence_names_a_group_kept_with_a_non_nearfield():
     assert verdict.witness == (
         "aff(gf5)/d23: translations-subgroup=True, involution-products-subgroup=True, derived-nearfield=False"
     )
+    verdicts = {v.name: v for v in run_all(Zoo((), (), (), (("aff(gf5)/d23", g),)))}
+    assert verdicts["nearfield-equivalence"].witness == verdict.witness
+
+
+def test_functor_laws_name_the_object_whose_image_raises():
+    # the object map of s2t->ndom raises on S4, and the family's first item,
+    # the image of that object, fails with its name and is counted once
+    verdicts = {v.name: v for v in run_all(Zoo((), (), (), (("s4", _s4()),)))}
+    verdict = verdicts["functor-laws/s2t->ndom"]
+    assert (verdict.passed, verdict.checked, verdict.witness) == (
+        False,
+        1,
+        "s4: DichotomyViolation: involution fixed-point counts [0, 2], expected all 0 or all 1",
+    )
+
+
+def test_functor_laws_name_the_pair_whose_hom_set_raises(zoo):
+    # a source hom that cannot list one pair fails that pair's hom-set item
+    nds = dict(zoo.neardomains)
+    gf2, gf3 = nds["gf2"], nds["gf3"]
+
+    def hom(a, b):
+        if (a, b) == (gf3, gf2):
+            raise StructureError("no listing")
+        return enumerate_nd_morphisms(a, b)
+
+    verdict = check_functor_laws(ndom_to_s2t(hom), [("gf2", gf2), ("gf3", gf3)])
+    assert (verdict.name, verdict.passed, verdict.checked) == ("functor-laws/ndom->s2t", False, 1)
+    assert verdict.witness == "gf3->gf2: StructureError: no listing"
+
+
+def test_families_pull_items_lazily():
+    # the first item fails, so the family returns without pulling the
+    # second, which an endless source would never let a list reach
+    pulled = []
+
+    def endless():
+        for i in itertools.count():
+            pulled.append(i)
+            yield f"item{i}", (i,)
+
+    verdict = _run_family("lazy", endless(), lambda i: f"item {i} fails")
+    assert (verdict.passed, verdict.checked, verdict.witness) == (False, 1, "item0: item 0 fails")
+    assert pulled == [0]
