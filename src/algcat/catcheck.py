@@ -2,11 +2,12 @@
 bijections, naturality, and the nearfield equivalence.
 
 run_all declares the battery once, as an ordered table of families. Each
-entry names a family, a lazily produced source of labelled items, a witness
-and an optional hom, and one runner, _run_family, turns each entry into a
-Verdict: it pulls the items one at a time, stops at the first failure, and
-labels the failure with its item. The functor laws are items of that same
-runner, labelled with the object, the pair or the triple they check.
+entry names a family, a lazily produced source of labelled items and, when
+each item is one case, its witness; one runner, _run_family, turns each
+entry into a Verdict: it pulls the items one at a time, stops at the first
+failure, and labels the failure with its item. The per-morphism families
+and the functor laws are items of that same runner, labelled with the
+object, the pair, the member or the triple they check.
 
 Checks never assume the properties they certify; failing inputs (including
 the deliberately corrupted ones in the test suite) produce failing verdicts,
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Sequence
 
 from .errors import StructureError
@@ -72,37 +73,8 @@ class Verdict(Value):
         object.__setattr__(self, "elapsed_ms", elapsed_ms)
 
 
-class HomSetReport(Value):
-    """One ordered pair's hom-count comparison. source_homs, the source
-    hom-set the report was computed from, is kept for callers that list it
-    and is neither compared nor shown."""
-
-    __slots__ = ("source", "target", "source_count", "target_count", "bijection", "witness", "source_homs")
-    _fields = ("source", "target", "source_count", "target_count", "bijection", "witness")
-
-    def __init__(
-        self,
-        source: str,
-        target: str,
-        source_count: int,
-        target_count: int,
-        bijection: bool,
-        witness: str | None = None,
-        source_homs: tuple = (),
-    ):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "source_count", source_count)
-        object.__setattr__(self, "target_count", target_count)
-        object.__setattr__(self, "bijection", bijection)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "source_homs", source_homs)
-
-
-# Lightweight category plumbing: hom-set enumeration, identities, composition
-# and the definitional morphism predicate per world, wired into the three
-# object-and-morphism maps. No further abstraction; the functions below are
-# the whole story.
+# Category plumbing: hom-set enumeration, identities, composition and the
+# definitional morphism predicate per world, wired into the three functors.
 class CategoryOps(Value):
     __slots__ = _fields = ("hom", "identity", "compose", "is_morphism")
 
@@ -147,11 +119,12 @@ def _point_map(m: Morphism, src, dst) -> tuple[int, ...]:
 # default, so full faithfulness compares two independent enumerations.
 
 def rps_to_loop(rps_hom: Callable | None = None, loop_hom: Callable | None = None) -> FunctorOps:
-    """Regular permutation sets onto their induced loops: phi of each
-    morphism."""
+    """Regular permutation sets onto their induced loops: phi of each morphism."""
     return FunctorOps(
         "rps->loop",
-        CategoryOps(rps_hom or enumerate_rps_morphisms_direct, identity_rps_morphism, compose_morphisms, is_rps_morphism),
+        CategoryOps(
+            rps_hom or enumerate_rps_morphisms_direct, identity_rps_morphism, compose_morphisms, is_rps_morphism
+        ),
         CategoryOps(loop_hom or enumerate_loop_morphisms, _identity_map, _compose_maps, is_loop_morphism),
         induced_loop,
         _point_map,
@@ -162,7 +135,9 @@ def s2t_to_ndom(s2t_hom: Callable | None = None, nd_hom: Callable | None = None)
     """Sharply 2-transitive groups onto their derived neardomains: phi of each morphism."""
     return FunctorOps(
         "s2t->ndom",
-        CategoryOps(s2t_hom or enumerate_s2t_morphisms_direct, identity_s2t_morphism, compose_morphisms, is_s2t_morphism),
+        CategoryOps(
+            s2t_hom or enumerate_s2t_morphisms_direct, identity_s2t_morphism, compose_morphisms, is_s2t_morphism
+        ),
         CategoryOps(nd_hom or enumerate_nd_morphisms, _identity_map, _compose_maps, is_nd_morphism),
         derived_neardomain,
         _point_map,
@@ -180,26 +155,24 @@ def ndom_to_s2t(nd_hom: Callable | None = None) -> FunctorOps:
     )
 
 
-def _run_family(name: str, items, witness_fn, hom: Callable | None = None) -> Verdict:
-    """Run witness_fn over labelled argument tuples, pulled from items one at
-    a time; the first failure wins, and no item after it is pulled.
+def _run_family(name: str, items, witness_fn: Callable | None = None) -> Verdict:
+    """Check labelled items, pulled one at a time; the first failure wins,
+    and no item after it is pulled.
 
-    With hom, witness_fn runs on (*args, m) for each m of hom(*args), and
-    each run is one checked: for the pair families args is an object pair
-    and hom lists its morphisms; for the functor laws args holds a generator
-    of witnesses and hom is iter (see _functor_laws). Structured validation
-    errors (broken invariants included), raised by witness_fn or by hom,
-    become a failing verdict labelled with the item and counted once, so
-    corrupted inputs yield witnesses instead of crashes. This is the only
-    place a Verdict is made.
-    """
+    With witness_fn, an item is a label and an argument tuple, one case
+    witnessed by witness_fn(*args). Without, an item is a label and a lazy
+    iterable of the witnesses of its cases, zero or more (see _members and
+    _functor_laws). Each case is one checked. Structured validation errors
+    (broken invariants included), raised while an item is checked, become a
+    failing verdict labelled with the item and counted once, so corrupted
+    inputs yield witnesses instead of crashes. This is the only place a
+    Verdict is made."""
     t0 = time.perf_counter()
     checked = 0
     witness = label = None
-    for label, args in items:
+    for label, cases in items:
         try:
-            for each in (args,) if hom is None else ((*args, m) for m in hom(*args)):
-                witness = witness_fn(*each)
+            for witness in cases if witness_fn is None else (witness_fn(*cases),):
                 checked += 1
                 if witness is not None:
                     break
@@ -256,21 +229,15 @@ def _functor_laws(functor: FunctorOps, objects: Sequence[tuple[str, object]]) ->
     - the composites of the composable pairs drawn from those hom-sets,
       labelled with the triple.
 
-    An item's one argument is a generator of witnesses, one per case it
-    checks, which the runner pulls through hom=iter. Object, hom-set and image
-    items yield only a failure, so checked counts identities and composites.
-    Each hom-set is enumerated, and each of its members mapped, once per
-    family; only identities and composites are mapped again."""
-    hom = _memoized(functor.source.hom)
+    Each item's cases are a generator. Object, hom-set and image items yield
+    only a failure, so checked counts identities and composites. Each
+    hom-set is enumerated, and each member mapped, once per family; only
+    identities and composites are mapped again."""
+    hom = cache(functor.source.hom)
     image: dict = {}  # object -> its image; (a, b) -> the images of hom(a, b), in order
 
     def object_image(a):
         image[a] = functor.obj(a)
-        yield from ()
-
-    def hom_set(a, b):
-        image[a, b] = []
-        hom(a, b)
         yield from ()
 
     def member_image(m, a, b):
@@ -292,17 +259,18 @@ def _functor_laws(functor: FunctorOps, objects: Sequence[tuple[str, object]]) ->
 
     def items():
         for name, a in objects:
-            yield name, (object_image(a),)
+            yield name, object_image(a)
         for (na, a), (nb, b) in itertools.product(objects, repeat=2):
-            yield f"{na}->{nb}", (hom_set(a, b),)
+            image[a, b] = []
+            yield f"{na}->{nb}", _listing(hom, a, b)
             for m in hom(a, b):  # listed by the item before, so it cannot raise here
-                yield f"{na}->{nb}: image of {m}", (member_image(m, a, b),)
+                yield f"{na}->{nb}: image of {m}", member_image(m, a, b)
         for name, a in objects:
-            yield name, (identity(a),)
+            yield name, identity(a)
         for (na, a), (nb, b), (nc, c) in itertools.product(objects, repeat=3):
-            yield f"{na}->{nb}->{nc}", (composites(a, b, c),)
+            yield f"{na}->{nb}->{nc}", composites(a, b, c)
 
-    return f"functor-laws/{functor.name}", items(), lambda cases, witness: witness, iter
+    return f"functor-laws/{functor.name}", items()
 
 
 def check_functor_laws(functor: FunctorOps, objects: Sequence[tuple[str, object]]) -> Verdict:
@@ -310,44 +278,32 @@ def check_functor_laws(functor: FunctorOps, objects: Sequence[tuple[str, object]
     return _run_family(*_functor_laws(functor, objects))
 
 
-def check_full_faithful(
-    functor: FunctorOps,
-    name_a: str,
-    a: object,
-    name_b: str,
-    b: object,
-) -> HomSetReport:
-    """Hom-count bijection through the functor on one ordered object pair.
-    The report keeps the source hom-set it enumerated."""
+def check_full_faithful(functor: FunctorOps, a, b) -> tuple[Sequence, Sequence, str | None]:
+    """Full faithfulness of functor on the ordered object pair (a, b): the
+    source hom-set, the target hom-set between the images, and a witness,
+    None exactly when the functor maps the first bijectively onto the
+    second. The witness names the first of: two members with one image, a
+    target morphism not hit, an image outside the target hom-set, and two
+    listings of different lengths (a listing that repeats a morphism)."""
     src_homs = functor.source.hom(a, b)
     dst_homs = functor.target.hom(functor.obj(a), functor.obj(b))
     induced = [functor.mor(m, a, b) for m in src_homs]
+    hit, listed = set(induced), set(dst_homs)
     witness = None
-    if len(set(induced)) != len(induced):
+    if len(hit) != len(induced):
         witness = "induced map is not injective (faithfulness fails)"
-    elif set(induced) != set(dst_homs):
-        missing = set(dst_homs) - set(induced)
-        extra = set(induced) - set(dst_homs)
-        if missing:
-            witness = f"target morphism not hit: {sorted(missing)[0]}"
-        else:
-            witness = f"induced morphism not in target hom-set: {sorted(extra)[0]}"
-    return HomSetReport(
-        source=name_a,
-        target=name_b,
-        source_count=len(src_homs),
-        target_count=len(dst_homs),
-        bijection=witness is None and len(src_homs) == len(dst_homs),
-        witness=witness,
-        source_homs=src_homs,
-    )
+    elif listed - hit:
+        witness = f"target morphism not hit: {min(listed - hit)}"
+    elif hit - listed:
+        witness = f"induced morphism not in target hom-set: {min(hit - listed)}"
+    elif len(src_homs) != len(dst_homs):
+        witness = "count mismatch"
+    return src_homs, dst_homs, witness
 
 
 def full_faithful_witness(functor: FunctorOps, a, b) -> str | None:
-    report = check_full_faithful(functor, "", a, "", b)
-    if not report.bijection:
-        return f"{report.source_count} vs {report.target_count}: {report.witness or 'count mismatch'}"
-    return None
+    src_homs, dst_homs, witness = check_full_faithful(functor, a, b)
+    return None if witness is None else f"{len(src_homs)} vs {len(dst_homs)}: {witness}"
 
 
 # ---------------------------------------------------------- pointwise witnesses
@@ -430,9 +386,7 @@ def nearfield_equivalence_witness(g: S2tGroup) -> str | None:
     b = involution_products_form_subgroup(g)
     c = is_nearfield(derived_neardomain(g))
     if not (a == b == c):
-        return (
-            f"translations-subgroup={a}, involution-products-subgroup={b}, derived-nearfield={c}"
-        )
+        return f"translations-subgroup={a}, involution-products-subgroup={b}, derived-nearfield={c}"
     return None
 
 
@@ -475,17 +429,26 @@ def _candidates(objects):
                     yield f"{na}->{nb}:f={f},phi={phi}", (a, b, f, phi)
 
 
-def _memoized(hom: Callable) -> Callable:
-    """hom over ordered object pairs, each pair enumerated once for the life
-    of the returned function."""
-    homs: dict = {}
+def _listing(hom: Callable, a, b):
+    """No case: lists hom(a, b) when pulled, so a listing that raises fails."""
+    hom(a, b)
+    yield from ()
 
-    def memo(src, dst):
-        if (src, dst) not in homs:
-            homs[src, dst] = hom(src, dst)
-        return homs[src, dst]
 
-    return memo
+def _once(witness_fn: Callable, *args):
+    """One case: witness_fn(*args), computed when pulled."""
+    yield witness_fn(*args)
+
+
+def _members(objects, hom: Callable, witness_fn: Callable):
+    """Per ordered pair of objects (a, b), an item listing hom(a, b),
+    labelled a->b, then one case per member m, labelled a->b: m, witnessed
+    by witness_fn(a, b, m). hom is read twice per pair: memoize it."""
+    for na, a in objects:
+        for nb, b in objects:
+            yield f"{na}->{nb}", _listing(hom, a, b)
+            for m in hom(a, b):  # listed by the item before, so it cannot raise here
+                yield f"{na}->{nb}: {m}", _once(witness_fn, a, b, m)
 
 
 def run_all(zoo: Zoo | None = None) -> list[Verdict]:
@@ -497,10 +460,10 @@ def run_all(zoo: Zoo | None = None) -> list[Verdict]:
         zoo = standard_zoo()
     # the rps oracle, loop, s2t and neardomain hom-sets of each ordered pair,
     # enumerated once in this run and shared by the families that read them
-    rps_hom_direct = _memoized(enumerate_rps_morphisms_direct)
-    loop_homs = _memoized(enumerate_loop_morphisms)
-    nd_homs = _memoized(enumerate_nd_morphisms)
-    s2t_homs = _memoized(lambda src, dst: enumerate_s2t_morphisms(src, dst, nd_homs))
+    rps_hom_direct = cache(enumerate_rps_morphisms_direct)
+    loop_homs = cache(enumerate_loop_morphisms)
+    nd_homs = cache(enumerate_nd_morphisms)
+    s2t_homs = cache(lambda src, dst: enumerate_s2t_morphisms(src, dst, nd_homs))
     rps_functor = rps_to_loop(rps_hom_direct, loop_homs)
     s2t_functor = s2t_to_ndom(s2t_homs, nd_homs)
     rpss, ndoms, groups = zoo.rps_objects, zoo.neardomains, zoo.groups
@@ -520,8 +483,8 @@ def run_all(zoo: Zoo | None = None) -> list[Verdict]:
         ("characteristic-coherence", _each(groups), characteristic_coherence_witness),
         ("translation-regularity", _each(groups), translation_regularity_witness),
         ("s2t-full-faithful", _pairs(groups), partial(full_faithful_witness, s2t_functor)),
-        ("s2t-naturality", _pairs(groups), naturality_witness, s2t_homs),
-        ("s2t-image-inclusions", _pairs(groups), lambda a, b, m: image_inclusion_witness(m, a, b), s2t_homs),
+        ("s2t-naturality", _members(groups, s2t_homs, naturality_witness)),
+        ("s2t-image-inclusions", _members(groups, s2t_homs, lambda a, b, m: image_inclusion_witness(m, a, b))),
         ("s2t-hom-oracle-agreement", _pairs(small_groups),
          partial(oracle_agreement_witness, s2t_homs, enumerate_s2t_morphisms_direct)),
         ("nearfield-equivalence", _each(groups), nearfield_equivalence_witness),

@@ -191,7 +191,9 @@ def relabel(loop: Loop, pi: Sequence[int]) -> Loop:
     return check_loop(_relabeled_table(loop.table, pi, pi_inv, n), pi[loop.identity])
 
 
-def _relabeled_table(table: Sequence[Sequence[int]], pi: Sequence[int], pi_inv: Sequence[int], n: int) -> tuple[tuple[int, ...], ...]:
+def _relabeled_table(
+    table: Sequence[Sequence[int]], pi: Sequence[int], pi_inv: Sequence[int], n: int
+) -> tuple[tuple[int, ...], ...]:
     return tuple(
         tuple(pi[table[pi_inv[r]][pi_inv[c]]] for c in range(n))
         for r in range(n)
@@ -248,7 +250,9 @@ def _live_relabeling(pi_inv: tuple[int, ...]) -> tuple:
     return (bytes.maketrans(bytes(pi_inv), bytes(range(len(pi_inv)))), pi_inv, itemgetter(*pi_inv), 1)
 
 
-def _advance(rows: Sequence[tuple[int, ...]], blobs: Sequence[bytes], k: int, live: Iterable[tuple]) -> list[tuple] | None:
+def _advance(
+    rows: Sequence[tuple[int, ...]], blobs: Sequence[bytes], k: int, live: Iterable[tuple]
+) -> list[tuple] | None:
     """The relabelings of live that still tie with the table once rows
     0..k are placed, or None when one of them beats it.
 

@@ -267,9 +267,9 @@ def test_criterion_07_main_equivalence(acceptance_report):
                 witness = naturality_witness(a, b, m)
                 if witness is not None:
                     failures.append(f"naturality {na}->{nb}: {witness}")
-            report = check_full_faithful(S2T_TO_NDOM, na, a, nb, b)
-            if not report.bijection:
-                failures.append(f"hom bijection {na}->{nb}: {report.witness}")
+            _, _, witness = check_full_faithful(S2T_TO_NDOM, a, b)
+            if witness is not None:
+                failures.append(f"hom bijection {na}->{nb}: {witness}")
     ok = not failures
     acceptance_report(
         7,
@@ -366,7 +366,7 @@ def test_criterion_10_mutation_sensitivity(acceptance_report):
     bad = Morphism(f=good.f, phi=tuple(range(9)))
     if naturality_witness(g9, g9, bad) is None:
         failures.append("corrupted naturality square not flagged")
-    ff = check_full_faithful(
+    _, _, witness = check_full_faithful(
         FunctorOps(
             name="collapse",
             source=S2T_TO_NDOM.source,
@@ -374,12 +374,10 @@ def test_criterion_10_mutation_sensitivity(acceptance_report):
             obj=S2T_TO_NDOM.obj,
             mor=lambda m, s, d: tuple(range(9)),
         ),
-        "gf9",
         g9,
-        "gf9",
         g9,
     )
-    if ff.bijection or not ff.witness:
+    if not witness:
         failures.append("collapsed functor reported as a bijection")
 
     # criterion 8 material: a poisoned member set must fail with a witness

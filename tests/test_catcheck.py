@@ -127,6 +127,19 @@ def test_module_level_caches_are_pinned():
     assert cli._parse.cache_parameters()["maxsize"] == 64
 
 
+def test_no_source_line_is_over_120_characters():
+    # the package's size is read in lines, so a line count must not fall by
+    # packing more onto each line
+    package = Path(algcat.__file__).parent
+    long_lines = [
+        f"{path.name}:{number}"
+        for path in sorted(package.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if len(line) > 120
+    ]
+    assert not long_lines, long_lines
+
+
 def test_functor_laws_pass_on_slice(zoo):
     slice_rps = [(n, r) for n, r in zoo.rps_objects if r.degree <= 3]
     verdict = check_functor_laws(RPS_TO_LOOP, slice_rps)
@@ -171,16 +184,37 @@ def test_corrupted_functor_fails_laws():
 
 def test_full_faithful_report():
     r3 = loop_to_rps(Z3)
-    report = check_full_faithful(RPS_TO_LOOP, "a", r3, "b", r3)
-    assert report.bijection and report.source_count == report.target_count == 3
+    src_homs, dst_homs, witness = check_full_faithful(RPS_TO_LOOP, r3, r3)
+    assert witness is None and len(src_homs) == len(dst_homs) == 3
 
     def collapse(m, src, dst):
         return tuple(0 for _ in m.phi)
 
     broken = FunctorOps("c", RPS_TO_LOOP.source, RPS_TO_LOOP.target, RPS_TO_LOOP.obj, collapse)
-    bad = check_full_faithful(broken, "a", r3, "b", r3)
-    assert not bad.bijection and bad.witness
+    _, _, witness = check_full_faithful(broken, r3, r3)
+    assert witness
     assert full_faithful_witness(broken, r3, r3) is not None
+
+
+def test_full_faithful_names_a_count_mismatch():
+    # a target hom-set listing one loop morphism twice: every induced
+    # morphism is hit, injectively, and the two listings still differ in
+    # length
+    r3 = loop_to_rps(Z3)
+    target = RPS_TO_LOOP.target
+
+    def doubled(a, b):
+        homs = enumerate_loop_morphisms(a, b)
+        return homs + homs[:1]
+
+    functor = FunctorOps(
+        "doubled",
+        RPS_TO_LOOP.source,
+        CategoryOps(doubled, target.identity, target.compose, target.is_morphism),
+        RPS_TO_LOOP.obj,
+        RPS_TO_LOOP.mor,
+    )
+    assert full_faithful_witness(functor, r3, r3) == "3 vs 4: count mismatch"
 
 
 # fixes 0 and 1 of GF(5) and is a bijection, so it forces a member map, but
@@ -439,7 +473,40 @@ def test_naturality_family_confirms_each_lift(zoo, monkeypatch):
     monkeypatch.setattr(catcheck, "is_s2t_morphism", lambda m, src, dst: False)
     verdict = next(v for v in run_all(zoo) if v.name == "s2t-naturality")
     assert not verdict.passed
-    assert verdict.witness == "aff(gf2)->aff(gf2): lift of phi=(0, 1) is not a morphism of the affine groups"
+    assert verdict.witness == (
+        "aff(gf2)->aff(gf2): Morphism(f=(0, 1), phi=(0, 1)): lift of phi=(0, 1) is not a morphism of the affine groups"
+    )
+
+
+def test_per_morphism_families_name_the_failing_member(zoo):
+    # a hom-set listing a good morphism of aff(gf9), then a bad one: the
+    # witness names the pair and the bad member, whether the witness
+    # function returns a witness or raises, and both members are counted
+    g = affine_group(galois_field(9))
+    good = enumerate_s2t_morphisms(g, g)[1]
+    for phi, error in (
+        ((0, 1), "ValueError: phi is not a total map into the target carrier"),
+        (good.phi[::-1], "point map is not a neardomain morphism"),
+    ):
+        bad = Morphism(good.f, phi)
+        items = catcheck._members([("gf9", g)], lambda a, b: (good, bad), naturality_witness)
+        verdict = _run_family("s2t-naturality", items)
+        assert (verdict.passed, verdict.checked, verdict.witness) == (False, 2, f"gf9->gf9: {bad}: {error}")
+    # s2t-image-inclusions, on aff(gf5) listing its identity and then that
+    # identity with one involution sent to the identity member
+    g = dict(zoo.groups)["aff(gf5)"]
+    identity = identity_s2t_morphism(g)
+    f = list(identity.f)
+    f[g.group.index(s2t.involutions(g).members[0])] = 0
+    bad = Morphism(tuple(f), identity.phi)
+    witness_fn = lambda a, b, m: catcheck.image_inclusion_witness(m, a, b)
+    items = catcheck._members([("aff(gf5)", g)], lambda a, b: (identity, bad), witness_fn)
+    verdict = _run_family("s2t-image-inclusions", items)
+    assert (verdict.passed, verdict.checked, verdict.witness) == (
+        False,
+        2,
+        f"aff(gf5)->aff(gf5): {bad}: involution [0, 4, 3, 2, 1] maps to non-involution [0, 1, 2, 3, 4]",
+    )
 
 
 def test_naturality_checks_each_point_map_once(zoo, monkeypatch):
@@ -713,8 +780,9 @@ def test_naturality_names_a_group_kept_with_a_relabeled_neardomain():
     g = S2tGroup(g5.group, 5, g5.omega0, g5.omega1)
     g._derived["derived_neardomain"] = s2t.derived_neardomain(s2t.relabel(g5, (0, 1, 3, 2, 4)))
     m = identity_s2t_morphism(g)
-    verdict = _run_family("s2t-naturality", [("aff(gf5)/swap23->aff(gf5)/swap23", (g, g, m))], naturality_witness)
-    assert verdict.witness == "aff(gf5)/swap23->aff(gf5)/swap23: rebuilt group is not the original source"
+    label = f"aff(gf5)/swap23->aff(gf5)/swap23: {m}"
+    verdict = _run_family("s2t-naturality", [(label, (g, g, m))], naturality_witness)
+    assert verdict.witness == f"{label}: rebuilt group is not the original source"
     verdicts = {v.name: v for v in run_all(Zoo((), (), (), (("aff(gf5)/swap23", g),)))}
     assert verdicts["s2t-naturality"].witness == verdict.witness
     assert verdicts["s2t-image-inclusions"].passed

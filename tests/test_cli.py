@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from algcat import cli, perms, s2t
+from algcat.catcheck import FunctorOps
 from algcat.cli import main
 from algcat.errors import ParseError, ResourceLimitExceeded
 from algcat.fileio import emit_structure, parse_structure
@@ -455,6 +456,32 @@ def test_homset_mixed_pair_enumerates_source_homs_once(files, capsys, tmp_path, 
             assert code == 0
             assert f"count: {count}\n" in out and "bijection: true" in out
             assert len(calls) == 1, (name, pair, calls)
+
+
+def test_homset_mixed_pair_names_a_map_that_is_not_injective(files, capsys, tmp_path, monkeypatch):
+    # a morphism map sending every morphism to the identity folds the two
+    # automorphisms of aff(gf9) onto one, in both directions
+    build = cli.s2t_to_ndom
+
+    def collapsed():
+        functor = build()
+        identity = lambda m, src, dst: tuple(range(dst.degree))
+        return FunctorOps(functor.name, functor.source, functor.target, functor.obj, identity)
+
+    monkeypatch.setattr(cli, "s2t_to_ndom", collapsed)
+    _, text, _ = run(capsys, "convert", files["gf9"], "--to", "s2t")
+    p = tmp_path / "s2t-gf9.txt"
+    p.write_text(text)
+    cases = ((files["gf9"], p, "ndom", "s2t", "source"), (p, files["gf9"], "s2t", "ndom", "target"))
+    for src, dst, kind_s, kind_d, lifted in cases:
+        code, out, _ = run(capsys, "homset", str(src), str(dst), "--no-timestamp")
+        assert code == 1
+        assert out.startswith(
+            f"command: homset\nsource: {src}\ntarget: {dst}\nsource_kind: {kind_s}\ntarget_kind: {kind_d}\n"
+            f"lifted: {lifted}\ncount: 2\nalgebraic_count: 2\n"
+            "bijection: false\nwitness: induced map is not injective (faithfulness fails)\nhom: "
+        )
+        assert out.count("\nhom: ") == 2
 
 
 def test_homset_kind_mismatch(files, capsys):

@@ -5,7 +5,7 @@ or by keyword. The repr literals are the text the dataclasses printed."""
 
 import pytest
 
-from algcat.catcheck import CategoryOps, FunctorOps, HomSetReport, Verdict
+from algcat.catcheck import CategoryOps, FunctorOps, Verdict
 from algcat.loops import Loop, check_loop
 from algcat.neardomain import Neardomain, galois_field
 from algcat.perms import Morphism, PermSet
@@ -79,13 +79,6 @@ CASES = [
         "Verdict(name='x', passed=True, witness=None, checked=0, elapsed_ms=0.0)",
     ),
     (
-        HomSetReport,
-        ("a", "b", 1, 1, True),
-        {"source": "a", "target": "b", "source_count": 1, "target_count": 1, "bijection": True},
-        ("a", "b", 1, 1, True, None),
-        "HomSetReport(source='a', target='b', source_count=1, target_count=1, bijection=True, witness=None)",
-    ),
-    (
         CategoryOps,
         (len, abs, max, callable),
         {"hom": len, "identity": abs, "compose": max, "is_morphism": callable},
@@ -125,13 +118,10 @@ def test_value_type_semantics(cls, args, kwargs, compared, text):
 
 
 def test_only_compared_fields_decide_equality():
-    # the derived fields of a structure and the hom-set a report keeps are
-    # neither compared nor hashed
+    # the derived fields of a structure are neither compared nor hashed
     moved = Rps(S2, 2, 0, (1, 0), (1, 0), Z2, Z2)
     assert moved == R and hash(moved) == hash(R)
     assert Rps(S2, 2, 1, R.base_images, R.member_at, R.loop, R.member_loop) != R
-    report = HomSetReport("a", "b", 1, 1, True, None, (Morphism((0,), (0,)),))
-    assert report == HomSetReport("a", "b", 1, 1, True) and report.source_homs
     derived = S2tGroup(S2, 2, 0, 1)
     derived._derived["x"] = 1
     assert derived == G == S2tGroup(S2, 2, 0, 1) and hash(derived) == hash(G)
