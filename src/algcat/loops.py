@@ -5,6 +5,7 @@ a permutation set takes (see perms)."""
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from math import factorial
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -200,37 +201,58 @@ def _relabeled_table(
     )
 
 
+@lru_cache(maxsize=1)
+def _canonical_scan(n: int) -> tuple[tuple[tuple[int, ...], bytes, itemgetter], ...]:
+    """One entry (pi_inv, pi, gather) for every relabeling of order n that
+    fixes 0, the identity first: pi is the relabeling as a bytes translation
+    table (bytes.maketrans) and gather is itemgetter(*pi_inv). Keyed on the
+    order and holding one order, so a census builds each order's scan once."""
+    points = bytes(range(n))
+    scan = []
+    for rest in itertools.permutations(range(1, n)):
+        pi_inv = (0, *rest)
+        scan.append((pi_inv, bytes.maketrans(bytes(pi_inv), points), itemgetter(*pi_inv)))
+    return tuple(scan)
+
+
 def canonical_table(loop: Loop) -> tuple[tuple[int, ...], ...]:
     """Lexicographically least table among all relabelings fixing element 0.
 
     Defined only for loops whose identity is 0 (the enumerated families).
-    A full scan of the (n-1)! relabelings, kept apart from the orderly search
-    of enumerate_loops so that it can confirm it; an order whose n! entries
-    are over the budget is refused before any row is read. Each row is also
-    held as bytes. The scan runs over pi^-1, and pi is its translation table
-    (bytes.maketrans), so a relabeled row is two C calls: the source row's
-    bytes translated through pi, then gathered through pi^-1 by an
-    itemgetter, which gives a tuple of ints. It is compared with the best
-    table so far row by row, and a whole candidate is built only when it
-    wins. Row 0 is the identity row in every relabeling, so the comparison
-    starts at row 1.
+    A full scan of the (n-1)! relabelings of _canonical_scan, kept apart from
+    the orderly search of enumerate_loops so that it can confirm it; an order
+    whose n! entries are over the budget is refused before the scan is asked
+    for. Each row is also held as bytes, so a relabeled row is two C calls:
+    the source row's bytes translated through pi, then gathered through
+    pi^-1, which gives a tuple of ints. Row 0 is the identity row in every
+    relabeling, so each relabeling is first compared on row 1, which decides
+    nearly all of them; rows 2..n-1 are read only on a tie, and a whole
+    candidate is built only when it wins.
     """
     if loop.identity != 0:
         raise StructureError(f"canonical_table needs identity 0, got identity {loop.identity}")
     n = loop.order
     check_budget(factorial(n - 1) * n, f"canonical form of order {n}")
     best = loop.table
+    if n == 1:
+        return best
     blobs = [bytes(row) for row in best]
-    points = bytes(range(n))
-    for rest in itertools.permutations(range(1, n)):
-        pi_inv = (0, *rest)
-        pi, gather = bytes.maketrans(bytes(pi_inv), points), itemgetter(*pi_inv)
-        for r in range(1, n):
-            row = gather(blobs[pi_inv[r]].translate(pi))
-            if row != best[r]:
-                if row < best[r]:
-                    best = tuple(gather(blobs[s].translate(pi)) for s in pi_inv)
-                break
+    first = best[1]
+    for pi_inv, pi, gather in _canonical_scan(n):
+        row = gather(blobs[pi_inv[1]].translate(pi))
+        if row > first:
+            continue
+        if row == first:
+            for r in range(2, n):
+                row = gather(blobs[pi_inv[r]].translate(pi))
+                if row != best[r]:
+                    break
+            else:
+                continue
+            if row > best[r]:
+                continue
+        best = tuple(gather(blobs[s].translate(pi)) for s in pi_inv)
+        first = best[1]
     return best
 
 
@@ -349,7 +371,9 @@ def enumerate_loops(n: int) -> tuple[Loop, ...]:
     row and cuts every prefix that a relabeling already beats, so most
     non-canonical tables are never built. Every kept table is confirmed
     against the full scan of canonical_table, which shares no code with the
-    pruning. Orders above ENUMERATION_CAP raise ResourceLimitExceeded.
+    pruning; its relabelings are derived once per order (_canonical_scan),
+    not once per table. Orders above ENUMERATION_CAP raise
+    ResourceLimitExceeded.
     """
     if n < 1:
         raise StructureError("loop order must be at least 1")

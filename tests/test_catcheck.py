@@ -118,13 +118,17 @@ def test_module_level_caches_are_pinned():
                 found.add(f"{info.name}.{name}")
     assert found == {
         "cli._parse",
+        "loops._canonical_scan",
         "neardomain.galois_field",
         "neardomain.dickson_nearfield_9",
         "zoo.standard_zoo",
     }
     # the three constant constructors take no structure; the CLI's input
-    # cache is keyed on bytes, not on structures, and it is bounded
+    # cache is keyed on bytes, not on structures, and it is bounded; the
+    # canonical-form scan is keyed on an order, not a structure, and it
+    # holds one order
     assert cli._parse.cache_parameters()["maxsize"] == 64
+    assert loops._canonical_scan.cache_parameters()["maxsize"] == 1
 
 
 def test_no_source_line_is_over_120_characters():

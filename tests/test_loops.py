@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from algcat.errors import (
 from algcat.loops import (
     Loop,
     _advance,
+    _canonical_scan,
     _live_relabeling,
     _relabeled_table,
     _relabelings_fixing_zero,
@@ -315,6 +317,57 @@ def test_canonical_table_is_budgeted():
     assert str(refused.value) == "canonical form of order 10 needs 3628800, over the cap of 1000000 entries"
     best = canonical_table(_cyclic(9))
     assert best[0] == tuple(range(9)) and best <= _cyclic(9).table
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_canonical_scan_lists_each_relabeling_fixing_zero_once(n):
+    # a scan that dropped a relabeling would still confirm every canonical
+    # table, so the scan is checked against the permutations themselves
+    scan = _canonical_scan(n)
+    expected = [(0, *rest) for rest in itertools.permutations(range(1, n))]
+    assert len(scan) == factorial(n - 1) == len(expected)
+    assert sorted(pi_inv for pi_inv, _, _ in scan) == expected
+    assert scan[0][0] == tuple(range(n))
+    labels = tuple(range(10, 10 + n))
+    for pi_inv, pi, gather in scan:
+        assert all(pi[pi_inv[x]] == x for x in range(n))
+        if n > 1:
+            assert gather(labels) == tuple(labels[i] for i in pi_inv)
+        else:
+            assert gather(labels) == labels[0]
+
+
+def test_canonical_table_returns_orders_one_and_two_unchanged():
+    trivial = check_loop([[0]])
+    assert canonical_table(trivial) == trivial.table
+    assert canonical_table(Z2) == Z2.table
+
+
+def test_refused_canonical_table_asks_for_no_scan():
+    # the budget is checked before the scan is asked for, so an order-10
+    # call builds none of its 9! entries
+    before = _canonical_scan.cache_info()
+    with pytest.raises(ResourceLimitExceeded) as refused:
+        canonical_table(_cyclic(10))
+    assert str(refused.value) == "canonical form of order 10 needs 3628800, over the cap of 1000000 entries"
+    assert _canonical_scan.cache_info() == before
+
+
+def test_canonical_table_is_unchanged_by_scan_eviction():
+    # the scan holds one order: asking orders 6, 5 and 6 again evicts it
+    # twice, and each answer is still the plain minimum
+    neg6 = tuple(-x % 6 for x in range(6))
+    tables = {
+        6: [_relabeled_table(l.table, neg6, neg6, 6) for l in enumerate_loops(6)[:20]],
+        5: list(_normalized_tables(5)),
+    }
+    _canonical_scan.cache_clear()
+    for n in (6, 5, 6):
+        for t in tables[n]:
+            plain = min(_relabeled_table(t, pi, pi_inv, n) for pi, pi_inv in _relabelings_fixing_zero(n))
+            assert canonical_table(Loop(n, t, 0)) == plain, t
+    info = _canonical_scan.cache_info()
+    assert (info.misses, info.currsize) == (3, 1)
 
 
 @st.composite
