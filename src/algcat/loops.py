@@ -17,7 +17,7 @@ from .errors import (
     ResourceLimitExceeded,
     StructureError,
 )
-from .perms import _check_images, check_budget
+from .perms import _all_bijections, _check_images, check_budget
 from .values import Value, cached_hash
 
 ENUMERATION_CAP = 6
@@ -42,14 +42,38 @@ class Loop(Value):
 
 
 def check_loop(table: Sequence[Sequence[int]], identity: int = 0) -> Loop:
-    """Validate a Cayley table as a loop: every row and column a permutation,
-    plus two-sided unit laws for the designated identity."""
+    """Validate a Cayley table of integers as a loop: every row and column a
+    permutation, plus two-sided unit laws for the designated identity.
+
+    Valid rows and columns pass one test each, in C: a row has length n and
+    holds the set 0..n-1, and so does each column. n entries covering n
+    values repeat none, so the test holds exactly when the row-major scan
+    below finds nothing: each row's length and range in turn, then
+    repeats in each row, then in each column. Only a table that fails the
+    test runs the scan, which names the first failing row, entry or repeat
+    as StructureError or LatinSquareViolation. The unit laws read 2n cells
+    either way."""
     n = len(table)
     if n < 1:
         raise StructureError("loop order must be at least 1")
     if not 0 <= identity < n:
         raise StructureError(f"identity {identity} out of range for order {n}")
-    rows = tuple(tuple(row) for row in table)
+    rows = tuple(map(tuple, table))
+    if not (_all_bijections(rows, n) and _all_bijections(zip(*rows), n)):
+        _latin_scan(rows, n)
+        raise InvariantViolation("check_loop's row and column test", n)
+    for x in range(n):
+        if rows[identity][x] != x:
+            raise IdentityViolation("left", x)
+        if rows[x][identity] != x:
+            raise IdentityViolation("right", x)
+    return Loop(n, rows, identity)
+
+
+def _latin_scan(rows: Table, n: int) -> None:
+    """The row-major scan check_loop runs on a table that fails its test:
+    raises at the first row of the wrong length or entry out of range, then
+    at the first repeat in a row, then in a column."""
     for r, row in enumerate(rows):
         if len(row) != n:
             raise StructureError(f"row {r} has length {len(row)}, expected {n}")
@@ -69,12 +93,6 @@ def check_loop(table: Sequence[Sequence[int]], identity: int = 0) -> Loop:
             if v in seen:
                 raise LatinSquareViolation("column", c, v)
             seen.add(v)
-    for x in range(n):
-        if rows[identity][x] != x:
-            raise IdentityViolation("left", x)
-        if rows[x][identity] != x:
-            raise IdentityViolation("right", x)
-    return Loop(n, rows, identity)
 
 
 def is_associative(loop: Loop) -> bool:

@@ -41,7 +41,7 @@ from .errors import (
     StructureError,
 )
 from .loops import Table, check_loop, table_homomorphisms
-from .perms import check_budget
+from .perms import _right_multiplier, check_budget
 from .values import Value, cached_hash, per_object
 
 
@@ -66,18 +66,22 @@ class Neardomain(Value):
 
 
 def _as_table(rows: Sequence[Sequence[int]], n: int, name: str) -> Table:
+    """rows as a tuple of n tuples of n entries in 0..n-1, n >= 1. Valid
+    rows pass one length test each and one min and one max per row, in C;
+    only rows that fail run the row-major scan, which names the first row
+    of the wrong length or entry out of range."""
     if len(rows) != n:
         raise StructureError(f"{name} table has {len(rows)} rows, expected {n}")
-    out = []
-    for r, row in enumerate(rows):
-        row = tuple(row)
+    out = tuple(map(tuple, rows))
+    if all(len(row) == n for row in out) and min(map(min, out)) >= 0 and max(map(max, out)) < n:
+        return out
+    for r, row in enumerate(out):
         if len(row) != n:
             raise StructureError(f"{name} row {r} has length {len(row)}, expected {n}")
         for v in row:
             if not 0 <= v < n:
                 raise StructureError(f"{name} entry {v} in row {r} out of range")
-        out.append(row)
-    return tuple(out)
+    raise InvariantViolation("_as_table's length and range test", name)
 
 
 def check_neardomain(
@@ -133,35 +137,54 @@ def check_neardomain(
     except (LatinSquareViolation, IdentityViolation) as exc:
         raise AxiomViolation(1, str(exc)) from exc
 
-    # axiom 2: zero sums are symmetric
-    for a in range(n):
-        for b in range(n):
-            if add_t[a][b] == zero and add_t[b][a] != zero:
-                raise AxiomViolation(2, (a, b))
+    # axiom 2: zero sums are symmetric. Row a holds zero once, at -a; the
+    # law is -(-a) == a for every a
+    negative = [row.index(zero) for row in add_t]
+    if list(map(negative.__getitem__, negative)) != list(range(n)):
+        for a in range(n):
+            for b in range(n):
+                if add_t[a][b] == zero and add_t[b][a] != zero:
+                    raise AxiomViolation(2, (a, b))
+        raise InvariantViolation("check_neardomain's axiom 2 test", tuple(negative))
 
-    # axiom 3: nonzero elements are a group under mul
+    # axiom 3: nonzero elements are a group under mul. On the nonzero
+    # elements each row and each column of mul holds every nonzero element,
+    # and row and column one are the identity map
     nonzero = [x for x in range(n) if x != zero]
-    for a in nonzero:
-        for b in nonzero:
-            if mul_t[a][b] == zero:
-                raise AxiomViolation(3, ("not closed", a, b))
-    for a in nonzero:
-        if mul_t[one][a] != a or mul_t[a][one] != a:
-            raise AxiomViolation(3, ("unit law", a))
-    for a in nonzero:
-        if sorted(mul_t[a][b] for b in nonzero) != nonzero:
-            raise AxiomViolation(3, ("left translation not bijective", a))
-        if sorted(mul_t[b][a] for b in nonzero) != nonzero:
-            raise AxiomViolation(3, ("right translation not bijective", a))
+    on_nonzero = _right_multiplier(nonzero)  # row -> its entries at nonzero
+    rows = [on_nonzero(mul_t[a]) for a in nonzero]
+    columns = list(zip(*rows))
+    units, at_one = set(nonzero), nonzero.index(one)
+    if not (
+        all(set(row) == units for row in rows)
+        and all(set(column) == units for column in columns)
+        and list(rows[at_one]) == nonzero
+        and list(columns[at_one]) == nonzero
+    ):
+        for a in nonzero:
+            for b in nonzero:
+                if mul_t[a][b] == zero:
+                    raise AxiomViolation(3, ("not closed", a, b))
+        for a in nonzero:
+            if mul_t[one][a] != a or mul_t[a][one] != a:
+                raise AxiomViolation(3, ("unit law", a))
+        for a in nonzero:
+            if sorted(mul_t[a][b] for b in nonzero) != nonzero:
+                raise AxiomViolation(3, ("left translation not bijective", a))
+            if sorted(mul_t[b][a] for b in nonzero) != nonzero:
+                raise AxiomViolation(3, ("right translation not bijective", a))
+        raise InvariantViolation("check_neardomain's axiom 3 row and column test", one)
     gens = _generators(mul_t, nonzero, one)
     witness = _associativity_witness(mul_t, nonzero, gens)
     if witness is not None:
         raise AxiomViolation(3, ("not associative", *witness))
 
     # axiom 4: zero absorbs from the left
-    for a in range(n):
-        if mul_t[zero][a] != zero:
-            raise AxiomViolation(4, (a,))
+    if mul_t[zero].count(zero) != n:
+        for a in range(n):
+            if mul_t[zero][a] != zero:
+                raise AxiomViolation(4, (a,))
+        raise InvariantViolation("check_neardomain's axiom 4 test", zero)
 
     # axiom 5: left distributivity, on the generators once zero absorbs on
     # the right

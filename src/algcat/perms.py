@@ -27,7 +27,7 @@ the definition of a morphism alone.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InvariantViolation, NotAGroup, ResourceLimitExceeded, StructureError
 from .values import Value
@@ -132,17 +132,34 @@ def _right_multiplier(b: Images):
 def perm_set(images: Iterable[Images]) -> PermSet:
     """The set of the given image tuples, validated: each a bijection of
     0..n-1 with n >= 1 (the first that is not, in the order given, is named),
-    at least one, all of one degree."""
+    at least one, all of one degree.
+
+    Valid input passes one test per distinct member: it has the first
+    member's length n >= 1 and holds the set 0..n-1. That holds exactly
+    when every member is a bijection of 0..n-1 (n entries covering n
+    values repeat none) of one degree, so exactly when the checks below
+    raise nothing. Only input that fails runs them: _check_images on each
+    member in the order given, then the empty set, then mixed degrees."""
     distinct = dict.fromkeys(images)
-    for p in distinct:
-        _check_images(p)
-    if not distinct:
-        raise StructureError("permutation set cannot be empty")
-    members = tuple(sorted(distinct))
-    degree = len(members[0])
-    if any(len(p) != degree for p in members):
-        raise StructureError("permutation set mixes degrees")
-    return PermSet(degree, members)
+    degree = len(next(iter(distinct), ()))
+    if not (degree and _all_bijections(distinct, degree)):
+        for p in distinct:
+            _check_images(p)
+        if not distinct:
+            raise StructureError("permutation set cannot be empty")
+        if any(len(p) != degree for p in distinct):
+            raise StructureError("permutation set mixes degrees")
+        raise InvariantViolation("perm_set's one-pass member test", degree)
+    return PermSet(degree, tuple(sorted(distinct)))
+
+
+def _all_bijections(lines: Iterable[Sequence[int]], n: int) -> bool:
+    """True when every sequence in lines has length n and holds each of
+    0..n-1, so each is a bijection of 0..n-1 (n entries covering n values
+    repeat none): one length and one set comparison per sequence, each one
+    C call."""
+    full = set(range(n))
+    return all(len(p) == n and set(p) == full for p in lines)
 
 
 class Morphism(Value):
@@ -340,26 +357,33 @@ def check_group(members: PermSet) -> None:
       pairs (Dixon and Mortimer, Permutation Groups, 1996; Seress,
       Permutation Group Algorithms, 2003).
 
-    A set that fails is handed to members.composition_table(), which names
-    the first missing product in row-major order; a table that passes there
-    contradicts the certificate and raises InvariantViolation. A set that
-    passes builds no table. The budget bounds that table, |G|^2, not the
-    certificate's |G| * |T| compositions, so about 1,000 listed members is
-    the size policy: the one path that names a failing set's witness is a
-    full |G|^2 table. closure applies the same bound as it grows."""
+    Valid input within the budget runs the identity lookup and the
+    certificate only. The inverse scan is not needed there: a finite set of
+    permutations closed under products is a group, since the powers of a
+    member p repeat, so p^-1 is a power of p and a member. Only a set that
+    fails the certificate, or is over the budget, runs the checks in the
+    order named above: the inverse scan, then the budget refusal, then
+    members.composition_table(), which names the first missing product in
+    row-major order. So an over-budget set missing an inverse is named by
+    that inverse before it is refused. A table that passes contradicts the
+    certificate and raises InvariantViolation. A set that passes builds no
+    table. The budget bounds that table, |G|^2, not the certificate's
+    |G| * |T| compositions, so about 1,000 listed members is the size
+    policy: the one path that names a failing set's witness is a full
+    |G|^2 table. closure applies the same bound as it grows."""
     index, degree = members._index, members.degree
     if tuple(range(degree)) not in index:
         raise NotAGroup("identity missing")
+    size = len(members)
+    if size * size <= TABLE_CAP and _generated_closure(members):
+        return
     inv = [0] * degree
     for images in index:
         for x, y in enumerate(images):
             inv[y] = x
         if tuple(inv) not in index:
             raise NotAGroup(f"inverse of {list(images)} missing")
-    size = len(members)
     check_budget(size * size, f"composition table of {size} members")
-    if _generated_closure(members):
-        return
     members.composition_table()
     raise InvariantViolation("generating-set closure certificate", f"{size} members the composition table finds closed")
 

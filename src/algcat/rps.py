@@ -30,7 +30,15 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import InvariantViolation, MissingIdentity, RegularityViolation, StructureError
 from .loops import Loop, check_loop, enumerate_loop_morphisms, is_loop_morphism, left_translation
-from .perms import Morphism, PermSet, forced_morphisms, identity_morphism, intertwines, perm_set
+from .perms import (
+    Morphism,
+    PermSet,
+    _all_bijections,
+    forced_morphisms,
+    identity_morphism,
+    intertwines,
+    perm_set,
+)
 from .values import Value, cached_hash
 
 
@@ -76,7 +84,15 @@ def check_rps(members: PermSet, degree: int, basepoint: int) -> Rps:
     """Validate regularity: identity present, every ordered point pair hit by
     exactly one member. Then store the evaluation bijection and the two
     loops it carries (see induced_loop and member_loop); each is O(n^2),
-    like the regularity check."""
+    like the regularity check.
+
+    A regular set passes one length and one set test per point alpha, in C:
+    the images m(alpha), one per member, number n and hold every point. n
+    images covering n points hit each once, and a set hitting each
+    (alpha, beta) once has n members, so the test holds exactly when the
+    count below finds nothing. Only a set that fails it runs the count,
+    point by point, which names the first (alpha, beta) in lexicographic
+    order hit by other than one member as RegularityViolation."""
     if members.degree != degree:
         raise StructureError(f"members have degree {members.degree}, expected {degree}")
     if not 0 <= basepoint < degree:
@@ -85,13 +101,15 @@ def check_rps(members: PermSet, degree: int, basepoint: int) -> Rps:
     if identity not in members:
         raise MissingIdentity("regular set must contain the identity permutation")
     ms = members.members
-    for alpha in range(degree):
-        counts = [0] * degree
-        for m in ms:
-            counts[m[alpha]] += 1
-        for beta, c in enumerate(counts):
-            if c != 1:
-                raise RegularityViolation(alpha, beta, c)
+    if not _all_bijections(zip(*ms), degree):
+        for alpha in range(degree):
+            counts = [0] * degree
+            for m in ms:
+                counts[m[alpha]] += 1
+            for beta, c in enumerate(counts):
+                if c != 1:
+                    raise RegularityViolation(alpha, beta, c)
+        raise InvariantViolation("check_rps's point-column test", degree)
     base_images = tuple(m[basepoint] for m in ms)
     at = [0] * degree
     for i, beta in enumerate(base_images):

@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .errors import (
@@ -128,6 +129,13 @@ def check_s2t(group: PermSet, omega0: int, omega1: int) -> S2tGroup:
     to it. So a scan of all n(n-1) source pairs fails first at (0, 1), with
     the same witness, or not at all.
 
+    A sharp group passes one test, in C: it has n(n-1) members and their
+    images of (0, 1) are distinct. Each image is a pair of distinct points,
+    and there are n(n-1) of those, so n(n-1) distinct images hit each once
+    (pigeonhole); conversely a group hitting each once has n(n-1) members
+    with distinct images. So the test holds exactly when the count below
+    finds nothing, and only a group that fails it runs the count.
+
     The group axioms are checked by check_closed(g), which certifies closure
     from a generating set through perms.check_group and builds no
     composition table; the group keeps that certificate, which
@@ -141,6 +149,9 @@ def check_s2t(group: PermSet, omega0: int, omega1: int) -> S2tGroup:
         raise DegenerateOmega(f"base points ({omega0}, {omega1}) invalid for degree {n}")
     g = S2tGroup(group, n, omega0, omega1)
     check_closed(g)
+    size = len(group)
+    if size == n * (n - 1) and len(set(map(itemgetter(0, 1), group.members))) == size:
+        return g
     seen: dict[tuple[int, int], int] = {}
     for p in group:
         key = p[:2]
@@ -152,7 +163,7 @@ def check_s2t(group: PermSet, omega0: int, omega1: int) -> S2tGroup:
         count = seen.get(target, 0)
         if count != 1:
             raise NotSharplyTransitive((0, 1), target, count)
-    return g
+    raise InvariantViolation("check_s2t's order and distinct-images test", size)
 
 
 @per_object
