@@ -60,7 +60,25 @@ def check_loop(table: Sequence[Sequence[int]], identity: int = 0) -> Loop:
         raise StructureError(f"identity {identity} out of range for order {n}")
     rows = tuple(map(tuple, table))
     if not (_all_bijections(rows, n) and _all_bijections(zip(*rows), n)):
-        _latin_scan(rows, n)
+        for r, row in enumerate(rows):
+            if len(row) != n:
+                raise StructureError(f"row {r} has length {len(row)}, expected {n}")
+            for v in row:
+                if v not in range(n):
+                    raise StructureError(f"entry {v} in row {r} out of range for order {n}")
+        for r, row in enumerate(rows):
+            seen = set()
+            for v in row:
+                if v in seen:
+                    raise LatinSquareViolation("row", r, v)
+                seen.add(v)
+        for c in range(n):
+            seen = set()
+            for r in range(n):
+                v = rows[r][c]
+                if v in seen:
+                    raise LatinSquareViolation("column", c, v)
+                seen.add(v)
         raise InvariantViolation("check_loop's row and column test", n)
     for x in range(n):
         if rows[identity][x] != x:
@@ -68,31 +86,6 @@ def check_loop(table: Sequence[Sequence[int]], identity: int = 0) -> Loop:
         if rows[x][identity] != x:
             raise IdentityViolation("right", x)
     return Loop(n, rows, identity)
-
-
-def _latin_scan(rows: Table, n: int) -> None:
-    """The row-major scan check_loop runs on a table that fails its test:
-    raises at the first row of the wrong length or entry out of range, then
-    at the first repeat in a row, then in a column."""
-    for r, row in enumerate(rows):
-        if len(row) != n:
-            raise StructureError(f"row {r} has length {len(row)}, expected {n}")
-        for v in row:
-            if not 0 <= v < n:
-                raise StructureError(f"entry {v} in row {r} out of range for order {n}")
-    for r, row in enumerate(rows):
-        seen = set()
-        for v in row:
-            if v in seen:
-                raise LatinSquareViolation("row", r, v)
-            seen.add(v)
-    for c in range(n):
-        seen = set()
-        for r in range(n):
-            v = rows[r][c]
-            if v in seen:
-                raise LatinSquareViolation("column", c, v)
-            seen.add(v)
 
 
 def is_associative(loop: Loop) -> bool:

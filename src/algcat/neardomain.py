@@ -121,7 +121,23 @@ def check_neardomain(
     nothing contradicts the certificate and raises InvariantViolation. A
     valid input never runs a full loop. The budget still counts the n^3
     steps of axiom 6 and the full loops, so an order whose cube is over it
-    is refused before anything is read."""
+    is refused before anything is read.
+
+    The cell laws read before axiom 5 pass valid tables with one test per
+    row or column, in C, and run their row-major scans only when that test
+    fails, to name the witness; a scan that then finds nothing raises
+    InvariantViolation. Each test holds exactly when its scan finds
+    nothing:
+
+    - the table reads: each row's length, its min and its max;
+    - axiom 1: check_loop's test on the rows and columns of add;
+    - axiom 2: once add is a loop, row a holds zero only at -a, so the law
+      reads -(-a) == a;
+    - axiom 3, its scans up to Light's test: restricted to the nonzero
+      elements, each row and column of mul holds every nonzero element
+      (so no product is zero and each translation is bijective), and row
+      and column one are the identity map;
+    - axiom 4: row zero of mul holds zero n times."""
     n = len(add)
     if n < 2:
         raise StructureError("neardomain order must be at least 2, zero and one are distinct")
@@ -158,8 +174,7 @@ def check_neardomain(
     if not (
         all(set(row) == units for row in rows)
         and all(set(column) == units for column in columns)
-        and list(rows[at_one]) == nonzero
-        and list(columns[at_one]) == nonzero
+        and rows[at_one] == columns[at_one] == tuple(nonzero)
     ):
         for a in nonzero:
             for b in nonzero:

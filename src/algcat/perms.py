@@ -7,8 +7,10 @@ _right_multiplier(q) is the map p -> p * q that every algorithm composes
 through. Everything downstream (translation sets, affine maps, group checks)
 relies on this orientation; test_perms pins it.
 
-_check_images is the one check of a single permutation; perm_set and closure
-run it on each member, and both relabel functions on their argument. A
+_check_images is the one check of a single permutation; closure runs it on
+each generator, both relabel functions on their argument, and perm_set on
+each member of a set that fails its one-pass test (_all_bijections), to name
+the first member that is not a bijection. A
 PermSet's members are its sorted image tuples, and it stores its member
 index (image tuple -> position) and its hash.
 check_group certifies closure from a greedy generating set, in |G|*|T|

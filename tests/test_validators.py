@@ -210,3 +210,12 @@ def test_perm_set_names_a_member_that_is_no_bijection_before_mixed_degrees():
     with pytest.raises(StructureError) as info:
         perm_set([(0, 1), (1, 0, 0)])
     assert str(info.value) == "image array [1, 0, 0] is not a bijection of 0..2"
+
+
+def test_check_loop_names_an_entry_that_is_no_point():
+    # 1.5 lies between two points and repeats nothing; it is named as out of
+    # range, not accepted, and not left to the row and column test alone
+    with pytest.raises(StructureError) as info:
+        check_loop(((0, 1), (1, 1.5)))
+    assert type(info.value) is StructureError
+    assert str(info.value) == "entry 1.5 in row 1 out of range for order 2"
