@@ -8,14 +8,17 @@ inputs produce byte-identical output apart from the timestamp field, which
 --no-timestamp removes.
 A structure file is read on every request; _parse keeps the last 64 it
 validated, keyed on their bytes.
+main reads a well-formed command line straight from the grammar table
+(_COMMANDS); argparse is imported, and its parser built from the same table,
+only for help and usage errors, whose text and exit codes are argparse's.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from functools import lru_cache
 from pathlib import Path
+from types import SimpleNamespace
 
 from .catcheck import (
     check_full_faithful,
@@ -309,12 +312,101 @@ def cmd_verify_all(args) -> int:
     return 0 if failed == 0 else 1
 
 
+# The command-line grammar, read by main for a well-formed line and turned
+# into argparse's parser by build_parser for any other. Each option maps its
+# spelling to the keywords build_parser passes to add_argument.
+_COMMON = {
+    "--json": {"action": "store_true", "help": "emit a JSON report"},
+    "--no-timestamp": {"action": "store_true", "help": "omit the timestamp field"},
+}
+
+# command -> (handler, help, positionals, options, required one-of group)
+_COMMANDS = {
+    "check": (cmd_check, "validate a structure file", ("path",), {}, {}),
+    "convert": (
+        cmd_convert,
+        "convert along a functor (loop/rps, ndom/s2t)",
+        ("path",),
+        {"--to": {"required": True, "choices": ("loop", "rps", "ndom", "s2t")}},
+        {},
+    ),
+    "roundtrip": (cmd_roundtrip, "run the applicable round-trip check", ("path",), {}, {}),
+    "homset": (cmd_homset, "enumerate the hom-set of a pair of files", ("path1", "path2"), {}, {}),
+    "zoo": (
+        cmd_zoo,
+        "emit canonical structure files",
+        (),
+        {"--out": {"metavar": "DIR", "help": "write one file per object into DIR"}},
+        {
+            "--enumerate-loops": {"type": int, "metavar": "N"},
+            "--gf": {"type": int, "metavar": "Q"},
+            "--dickson9": {"action": "store_true"},
+        },
+    ),
+    "verify-all": (cmd_verify_all, "run the full certification battery", (), {}, {}),
+}
+
+
+def _read_argv(argv: list[str]):
+    """The namespace argparse gives a well-formed argv, read from the
+    grammar; None for any other line.
+
+    A line is read only when its first token names a command and each later
+    token is an exact option spelling of that command, the value after a
+    valued option (not starting with "-", and passing the option's int or
+    choices test), or a positional not starting with "-", with exactly the
+    command's positionals, every required option, and one option of the
+    one-of group. Help, abbreviations, "--opt=value" and every malformed
+    line are left to argparse."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, names, options, one_of = _COMMANDS[argv[0]]
+    spellings = {**_COMMON, **options, **one_of}
+    values = {"subcommand": argv[0], "func": func}
+    for flag, kw in spellings.items():
+        values[flag[2:].replace("-", "_")] = False if kw.get("action") == "store_true" else None
+    positionals, given = [], set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        kw = spellings.get(token)
+        if kw is None:
+            return None
+        given.add(token)
+        dest = token[2:].replace("-", "_")
+        if kw.get("action") == "store_true":
+            values[dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        try:
+            value = kw.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+        values[dest] = value
+    if len(positionals) != len(names):
+        return None
+    if any(kw.get("required") and flag not in given for flag, kw in options.items()):
+        return None
+    if one_of and len(given & one_of.keys()) != 1:
+        return None
+    values.update(zip(names, positionals))
+    return SimpleNamespace(**values)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """argparse's parser for the grammar: its help, usage errors and exit
+    codes are the CLI's."""
+    import argparse  # here: a well-formed command line never pays for it
+
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument(
-        "--no-timestamp", action="store_true", help="omit the timestamp field"
-    )
+    for flag, kw in _COMMON.items():
+        common.add_argument(flag, **kw)
     parser = argparse.ArgumentParser(
         prog="algcat",
         description="Finite loops, regular permutation sets, neardomains, and "
@@ -328,60 +420,37 @@ def build_parser() -> argparse.ArgumentParser:
         "of a set that is not closed.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("check", parents=[common], help="validate a structure file")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser(
-        "convert", parents=[common], help="convert along a functor (loop/rps, ndom/s2t)"
-    )
-    p.add_argument("path")
-    p.add_argument("--to", required=True, choices=("loop", "rps", "ndom", "s2t"))
-    p.set_defaults(func=cmd_convert)
-
-    p = sub.add_parser(
-        "roundtrip", parents=[common], help="run the applicable round-trip check"
-    )
-    p.add_argument("path")
-    p.set_defaults(func=cmd_roundtrip)
-
-    p = sub.add_parser(
-        "homset", parents=[common], help="enumerate the hom-set of a pair of files"
-    )
-    p.add_argument("path1")
-    p.add_argument("path2")
-    p.set_defaults(func=cmd_homset)
-
-    p = sub.add_parser("zoo", parents=[common], help="emit canonical structure files")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--enumerate-loops", type=int, metavar="N")
-    group.add_argument("--gf", type=int, metavar="Q")
-    group.add_argument("--dickson9", action="store_true")
-    p.add_argument("--out", metavar="DIR", help="write one file per object into DIR")
-    p.set_defaults(func=cmd_zoo)
-
-    p = sub.add_parser(
-        "verify-all", parents=[common], help="run the full certification battery"
-    )
-    p.set_defaults(func=cmd_verify_all)
-
+    for name, (func, summary, names, options, one_of) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=summary)
+        for dest in names:
+            p.add_argument(dest)
+        if one_of:
+            group = p.add_mutually_exclusive_group(required=True)
+            for flag, kw in one_of.items():
+                group.add_argument(flag, **kw)
+        for flag, kw in options.items():
+            p.add_argument(flag, **kw)
+        p.set_defaults(func=func)
     return parser
 
 
-# built on the first main() call and reused: parse_args keeps no state
-# between calls, and building the parser costs more than most requests
+# built on the first line the grammar does not read, and reused: parse_args
+# keeps no state between calls
 _parser: argparse.ArgumentParser | None = None
 
 
 def main(argv: list[str] | None = None) -> int:
     global _parser
-    if _parser is None:
-        _parser = build_parser()
-    try:
-        args = _parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv)
+    if args is None:
+        if _parser is None:
+            _parser = build_parser()
+        try:
+            args = _parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         return args.func(args)
     except (ParseError, OSError, ResourceLimitExceeded) as exc:

@@ -1,4 +1,7 @@
+import contextlib
 import gc
+import inspect
+import io
 import itertools
 import json
 import os
@@ -8,6 +11,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from algcat import cli, perms, s2t
 from algcat.catcheck import FunctorOps
@@ -281,48 +286,66 @@ def test_budget_refusals_read_no_member_or_row(monkeypatch):
 
 
 def test_parser_built_once_leaks_no_flag(files, capsys, monkeypatch):
-    # main builds its parser on the first call and reuses it; each answer of
-    # a request sequence must equal the answer from a freshly built parser
+    # main reads a well-formed line from the grammar and never builds
+    # argparse's parser for it; each answer of a request sequence must equal
+    # the answer through a freshly built parser
     requests = [
         ["check", files["dickson9"], "--json", "--no-timestamp"],
         ["check", files["dickson9"], "--no-timestamp"],
         ["homset", files["gf9"], files["gf9"], "--no-timestamp"],
-        ["--help"],
+        ["convert", files["z2"], "--to", "rps"],
+        ["zoo", "--gf", "3"],
     ]
     monkeypatch.setattr(cli, "_parser", None)
-    reused = [run(capsys, *argv) for argv in requests]
+    read = [run(capsys, *argv) for argv in requests]
+    assert cli._parser is None
+    for argv, answer in zip(requests, read):
+        args = cli.build_parser().parse_args(argv)
+        assert (args.func(args), *capsys.readouterr()) == answer, argv
+    assert read[0][1].startswith("{") and not read[1][1].startswith("{")
+    # a line the grammar leaves to argparse builds the parser on the first
+    # such line and reuses it, leaking no flag from one line to the next
+    declined = [
+        ["check", files["dickson9"], "--js", "--no-timestamp"],
+        ["check", files["dickson9"], "--no-time"],
+        ["--help"],
+    ]
+    answers = [run(capsys, *argv) for argv in declined]
     parser = cli._parser
     assert parser is not None
-    for argv, answer in zip(requests, reused):
+    assert [run(capsys, *argv) for argv in declined] == answers and cli._parser is parser
+    for argv, answer in zip(declined, answers):
         monkeypatch.setattr(cli, "_parser", None)
         assert run(capsys, *argv) == answer, argv
         assert cli._parser is not parser
-    assert reused[0][1].startswith("{") and not reused[1][1].startswith("{")
+    assert answers[0][1].startswith("{") and not answers[1][1].startswith("{")
 
 
 def test_live_memory_stays_bounded_over_distinct_groups(tmp_path, capsys):
-    # one process checking many distinct relabelings of one group: after the
-    # CLI's input cache of 64 files fills, each request leaves nothing
-    # behind (a cache keyed on whole structures grew by about 10 KiB per
-    # request here)
+    # one process checking the 120 relabelings of one group: once the CLI's
+    # input cache holds its 64 files, each request leaves nothing behind, so
+    # live memory is read from request 70 on (a cache keyed on whole
+    # structures grows by about 8 KiB per request here, 400 KB over the 50
+    # requests read)
     g = affine_group(galois_field(5))
     paths = []
-    for k, images in enumerate(itertools.islice(itertools.permutations(range(5)), 100)):
+    for k, images in enumerate(itertools.permutations(range(5))):
         path = tmp_path / f"g{k}.txt"
         path.write_text(emit_structure(relabel(g, images)))
         paths.append(str(path))
+    assert len(paths) == 120
     live = {}
     tracemalloc.start()
     try:
         for k, path in enumerate(paths, 1):
             assert main(["check", path, "--no-timestamp"]) == 0
             capsys.readouterr()
-            if k in (50, 100):
+            if k in (70, 120):
                 gc.collect()
                 live[k] = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert live[100] - live[50] < 150_000, live
+    assert live[120] - live[70] < 150_000, live
 
 
 def test_same_bytes_read_again_give_the_validated_object(tmp_path, monkeypatch):
@@ -556,23 +579,31 @@ def test_verify_all_report_matches_golden_file(flags):
     assert done.stdout == golden
 
 
-def test_cold_process_imports_no_dataclasses_inspect_or_datetime():
+def test_cold_process_imports_no_dataclasses_inspect_or_datetime(tmp_path):
     """The value types generate no code, so a fresh process that imports the
     CLI and runs the whole battery never loads dataclasses, nor inspect,
     which dataclasses pulls in; nor datetime, which only a timestamped
-    report reads; nor json, which only a --json report reads. Each costs
-    every process its import time."""
+    report reads; nor json, which only a --json report reads; nor argparse,
+    gettext and locale, which only help and usage errors read. Neither does
+    a fresh process checking a zoo file. Each costs every process its
+    import time."""
     root = Path(__file__).resolve().parents[1]
     code = """
 import sys
 import algcat.cli as cli
-rc = cli.main(["verify-all", "--no-timestamp"])
-print(rc, sorted(m for m in ("dataclasses", "datetime", "inspect", "json") if m in sys.modules), file=sys.stderr)
+rc = cli.main(sys.argv[1:])
+late = ("argparse", "dataclasses", "datetime", "gettext", "inspect", "json", "locale")
+print(rc, sorted(m for m in late if m in sys.modules), file=sys.stderr)
 """
+    gf9 = tmp_path / "gf9.txt"
+    gf9.write_text(emit_structure(galois_field(9)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    assert done.stderr.splitlines()[-1] == "0 []"
+    for argv in (["verify-all", "--no-timestamp"], ["check", str(gf9), "--no-timestamp"]):
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.splitlines()[-1] == "0 []", argv
 
 
 def test_json_reports_are_deterministic(files, capsys):
@@ -599,3 +630,197 @@ def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "verify-all" in out
+
+
+# what the CLI prints for lines the grammar leaves to argparse, byte for byte
+# (Python 3.11's argparse at 80 columns); F is a GF(3) ndom file
+_USAGE = "usage: algcat [-h] {check,convert,roundtrip,homset,zoo,verify-all} ...\n"
+_ZOO_USAGE = (
+    "usage: algcat zoo [-h] [--json] [--no-timestamp]\n"
+    "                  (--enumerate-loops N | --gf Q | --dickson9) [--out DIR]\n"
+)
+FALLBACK = [
+    (["--help"], 0, (
+        _USAGE
+        + "\n"
+        "Finite loops, regular permutation sets, neardomains, and sharply 2-transitive\n"
+        "groups: validation, conversion, and certification.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {check,convert,roundtrip,homset,zoo,verify-all}\n"
+        "    check               validate a structure file\n"
+        "    convert             convert along a functor (loop/rps, ndom/s2t)\n"
+        "    roundtrip           run the applicable round-trip check\n"
+        "    homset              enumerate the hom-set of a pair of files\n"
+        "    zoo                 emit canonical structure files\n"
+        "    verify-all          run the full certification battery\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "\n"
+        "A group whose composition table would exceed 1000000 entries (listed, or\n"
+        "closed from generators), a loop, rps or ndom file whose order cubed exceeds\n"
+        "1000000, and a homset whose source order squared times target order exceeds\n"
+        "1000000, are refused with exit code 2. Group closure is certified from a\n"
+        "generating set; the composition table is built only to name the first missing\n"
+        "product of a set that is not closed.\n"
+    ), ""),
+    (["check", "--help"], 0, (
+        "usage: algcat check [-h] [--json] [--no-timestamp] path\n"
+        "\n"
+        "positional arguments:\n"
+        "  path\n"
+        "\n"
+        "options:\n"
+        "  -h, --help      show this help message and exit\n"
+        "  --json          emit a JSON report\n"
+        "  --no-timestamp  omit the timestamp field\n"
+    ), ""),
+    (["zoo", "--help"], 0, (
+        _ZOO_USAGE
+        + "\n"
+        "options:\n"
+        "  -h, --help           show this help message and exit\n"
+        "  --json               emit a JSON report\n"
+        "  --no-timestamp       omit the timestamp field\n"
+        "  --enumerate-loops N\n"
+        "  --gf Q\n"
+        "  --dickson9\n"
+        "  --out DIR            write one file per object into DIR\n"
+    ), ""),
+    (["nope"], 2, "", (
+        _USAGE
+        + "algcat: error: argument subcommand: invalid choice: 'nope' (choose from "
+        "'check', 'convert', 'roundtrip', 'homset', 'zoo', 'verify-all')\n"
+    )),
+    ([], 2, "", _USAGE + "algcat: error: the following arguments are required: subcommand\n"),
+    (["convert", "x.txt"], 2, "", (
+        "usage: algcat convert [-h] [--json] [--no-timestamp] --to {loop,rps,ndom,s2t}\n"
+        "                      path\n"
+        "algcat convert: error: the following arguments are required: --to\n"
+    )),
+    (["check", "x", "--max-closure", "3"], 2, "", _USAGE + "algcat: error: unrecognized arguments: --max-closure 3\n"),
+    (["zoo", "--gf", "4", "--dickson9"], 2, "", (
+        _ZOO_USAGE + "algcat zoo: error: argument --dickson9: not allowed with argument --gf\n"
+    )),
+    (["convert", "F", "--to=ndom"], 2, "", (
+        "error: cannot convert ndom to ndom; legal pairs: loop->rps, rps->loop, ndom->s2t, s2t->ndom\n"
+    )),
+    (["check", "F", "--no-time"], 0, (
+        "command: check\npath: F\nkind: ndom\nvalid: true\norder: 3\nzero: 0\none: 1\n"
+        "nearfield: true\nchar2: false\n"
+    ), ""),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", FALLBACK, ids=[" ".join(c[0]) or "(none)" for c in FALLBACK])
+def test_lines_left_to_argparse_print_its_text(tmp_path, capsys, monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    path = tmp_path / "gf3.txt"
+    path.write_text(emit_structure(galois_field(3)))
+    argv = [str(path) if a == "F" else a for a in argv]
+    assert cli._read_argv(argv) is None
+    assert run(capsys, *argv) == (code, out.replace("path: F", f"path: {path}"), err)
+
+
+# the CLI's vocabulary: command names, every spelling of every option, its
+# abbreviations and --opt=value forms, help, values that pass and fail each
+# option's test, tokens starting with "-" and "--", and the empty string
+_SPELLINGS = [
+    "--json", "--no-timestamp", "--to", "--out", "--enumerate-loops", "--gf", "--dickson9",
+    "--js", "--no", "--no-time", "--t", "--o", "--enumerate", "--e", "--g", "--d", "--dick",
+    "--to=ndom", "--to=x", "--gf=5", "--out=d", "--json=1", "--dickson9=", "-h", "--help", "--h",
+    "-j", "-", "--", "---json", "-5", "-x y", "--JSON",
+]
+_VALUES = [
+    "loop", "rps", "ndom", "s2t", "LOOP", "rps ", "0", "1", "5", "16", "-3", "+7", " 9 ", "5_0", "1.5",
+    "0x5", "٣", "x", "a.txt", "a=b", "", "check", "zoo", "nope", " -x",
+]
+_TOKENS = st.sampled_from([*cli._COMMANDS, *_SPELLINGS, *_VALUES])
+_PARSER = cli.build_parser()
+
+
+def _argparse_namespace(argv):
+    """argparse's namespace for argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return _PARSER.parse_args(argv)
+        except SystemExit:
+            return None
+
+
+@st.composite
+def _well_formed(draw):
+    """A line of one command: its positionals, its required options, one of
+    its one-of group, any others, each option with a value that passes,
+    store-true flags once or twice, in any order."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    _, _, names, options, one_of = cli._COMMANDS[command]
+    groups = [[draw(st.sampled_from(["a", "b.txt", "", "check", "a=b", " -x"]))] for _ in names]
+    chosen = {**cli._COMMON, **options}
+    if one_of:
+        flag = draw(st.sampled_from(list(one_of)))
+        chosen[flag] = one_of[flag]
+    for flag, kw in chosen.items():
+        if not (kw.get("required") or flag in one_of or draw(st.booleans())):
+            continue
+        if kw.get("action") == "store_true":
+            groups.append([flag] * draw(st.integers(1, 2)))
+        elif "choices" in kw:
+            groups.append([flag, draw(st.sampled_from(kw["choices"]))])
+        elif kw.get("type") is int:
+            groups.append([flag, str(draw(st.integers(0, 20)))])
+        else:
+            groups.append([flag, draw(st.sampled_from(["d", "out dir", ""]))])
+    return [command, *itertools.chain.from_iterable(draw(st.permutations(groups)))]
+
+
+@st.composite
+def _edited(draw):
+    """A well-formed line with up to three tokens inserted, deleted or
+    replaced from the vocabulary."""
+    argv = draw(_well_formed())
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if edit == "insert":
+            argv.insert(i, draw(_TOKENS))
+        elif i < len(argv) and edit == "delete":
+            del argv[i]
+        elif i < len(argv):
+            argv[i] = draw(_TOKENS)
+    return argv
+
+
+@settings(max_examples=600)
+@given(st.one_of(st.lists(_TOKENS, max_size=7), _edited()))
+# a token starting with "-" where a positional goes: argparse reads "-",
+# "-5" and "-x y" as positionals, and "-h" and "-j" as options
+@example(["check", "-h"])
+@example(["homset", "-j", "a"])
+@example(["roundtrip", "-"])
+# a value that fails its option's test, and an option where a value goes
+@example(["convert", "a", "--to", "LOOP"])
+@example(["zoo", "--gf", "1.5"])
+@example(["zoo", "--out", "--json", "--dickson9"])
+def test_grammar_reader_declines_or_agrees_with_argparse(argv):
+    # the reader never reads a line argparse rejects, and a line it reads
+    # gets argparse's fields, values and handler
+    mine = cli._read_argv(argv)
+    if mine is not None:
+        theirs = _argparse_namespace(argv)
+        assert theirs is not None, argv
+        assert vars(mine) == vars(theirs), argv
+
+
+@settings(max_examples=200)
+@given(_well_formed())
+def test_grammar_reader_reads_well_formed_lines_as_argparse_does(argv):
+    mine = cli._read_argv(argv)
+    assert mine is not None, argv
+    assert vars(mine) == vars(_argparse_namespace(argv)), argv
+
+
+def test_grammar_reader_rests_on_no_assert():
+    # python -O strips asserts: every test the reader makes is an if
+    assert "assert" not in inspect.getsource(cli._read_argv)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from algcat import rps
 from algcat.errors import InvariantViolation, MissingIdentity, RegularityViolation, StructureError
-from algcat.loops import check_loop, enumerate_loop_morphisms
+from algcat.loops import check_loop, enumerate_loop_morphisms, enumerate_loops
 from algcat.perms import Morphism, closure, compose_morphisms, perm_set
 from algcat.rps import (
     based_point_maps,
@@ -115,6 +115,17 @@ def test_point_tables_agree_with_evaluation(zoo):
         ROTATIONS.from_point(3)
     with pytest.raises(ValueError):
         ROTATIONS.from_point(-1)
+
+
+def test_derived_loops_pass_check_loop(zoo):
+    # check_rps builds both loops straight from the tables regularity
+    # guarantees; each must be the loop check_loop makes of its own table
+    objects = [r for _, r in zoo.rps_objects] + [translations(g) for _, g in zoo.groups]
+    objects += [loop_to_rps(loop) for loop in enumerate_loops(6)]
+    assert len(objects) == len(zoo.rps_objects) + len(zoo.groups) + 109
+    for r in objects:
+        for loop in (r.loop, r.member_loop):
+            assert check_loop(loop.table, loop.identity) == loop
 
 
 def test_induced_loop():
