@@ -267,45 +267,29 @@ def canonical_table(loop: Loop) -> tuple[tuple[int, ...], ...]:
     return best
 
 
-def _relabelings_fixing_zero(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Every (pi, pi_inv) with pi(0) == 0, the identity first."""
-    for rest in itertools.permutations(range(1, n)):
-        pi = (0, *rest)
-        pi_inv = [0] * n
-        for i, v in enumerate(pi):
-            pi_inv[v] = i
-        yield pi, tuple(pi_inv)
-
-
-def _live_relabeling(pi_inv: tuple[int, ...]) -> tuple:
-    """The _advance entry of the relabeling with inverse pi_inv, tied on
-    row 0: (pi as a bytes translation table, pi_inv, itemgetter(*pi_inv), 1)."""
-    return (bytes.maketrans(bytes(pi_inv), bytes(range(len(pi_inv)))), pi_inv, itemgetter(*pi_inv), 1)
-
-
 def _advance(
     rows: Sequence[tuple[int, ...]], blobs: Sequence[bytes], k: int, live: Iterable[tuple]
 ) -> list[tuple] | None:
     """The relabelings of live that still tie with the table once rows
     0..k are placed, or None when one of them beats it.
 
-    blobs[r] is rows[r] as bytes. Each entry is (pi, pi_inv, gather, j), as
-    _live_relabeling builds it: the relabeled table is tied with the table
-    on rows 0..j-1. Its row j is the bytes of row pi_inv[j] translated
-    through pi and gathered through pi_inv, a tuple of ints, so it is known
-    once j <= k and pi_inv[j] <= k. While it is known it is compared with
-    row j: smaller means the relabeling beats the table, larger drops the
-    entry, equal moves j on.
+    blobs[r] is rows[r] as bytes. Each entry is an entry of _canonical_scan,
+    (pi_inv, pi, gather), with j appended: the relabeled table is tied with
+    the table on rows 0..j-1. Its row j is the bytes of row pi_inv[j]
+    translated through pi and gathered through pi_inv, a tuple of ints, so
+    it is known once j <= k and pi_inv[j] <= k. While it is known it is
+    compared with row j: smaller means the relabeling beats the table,
+    larger drops the entry, equal moves j on.
     """
     kept = []
-    for pi, pi_inv, gather, j in live:
+    for pi_inv, pi, gather, j in live:
         while j <= k and pi_inv[j] <= k:
             img = gather(blobs[pi_inv[j]].translate(pi))
             if img != rows[j]:
                 break
             j += 1
         else:
-            kept.append((pi, pi_inv, gather, j))
+            kept.append((pi_inv, pi, gather, j))
             continue
         if img < rows[j]:
             return None
@@ -322,13 +306,15 @@ def _orderly_tables(n: int) -> list[Table]:
     as a tuple and, for _advance's translate, as bytes. Rows 0..n-2 of a
     Latin table leave one value free in each column, and each value is free
     in exactly one column, so row n-1 is forced and is itself a permutation.
-    After each row every non-identity relabeling still tied with the table is
-    moved on by _advance. A prefix is cut only when some relabeling's first
-    differing row is smaller than the table's, and both rows are read from
-    rows already placed; every completion of the prefix then has the same
-    first differing row, so each is beaten by that relabeling and none is
-    canonical. With the last row placed every relabeling is decided, so the
-    tables returned are exactly the canonical ones.
+    After each row every non-identity relabeling of _canonical_scan still
+    tied with the table is moved on by _advance. A prefix is cut only when
+    some relabeling's first differing row is smaller than the table's, and
+    both rows are read from rows already placed; every completion of the
+    prefix then has the same first differing row, so each is beaten by that
+    relabeling and none is canonical. The order of the relabelings does not
+    matter: a prefix is cut exactly when some one of them beats it. With the
+    last row placed every relabeling is decided, so the tables returned are
+    exactly the canonical ones.
     """
     identity = tuple(range(n))
     if n == 1:
@@ -367,8 +353,8 @@ def _orderly_tables(n: int) -> list[Table]:
             rows.pop()
             blobs.pop()
 
-    relabelings = [_live_relabeling(pi_inv) for _, pi_inv in _relabelings_fixing_zero(n)]
-    rec(1, top, relabelings[1:])
+    # every relabeling but the identity is tied with the table on row 0
+    rec(1, top, [(*entry, 1) for entry in _canonical_scan(n)[1:]])
     return found
 
 
@@ -381,10 +367,11 @@ def enumerate_loops(n: int) -> tuple[Loop, ...]:
     lexicographically smaller. _orderly_tables builds those tables row by
     row and cuts every prefix that a relabeling already beats, so most
     non-canonical tables are never built. Every kept table is confirmed
-    against the full scan of canonical_table, which shares no code with the
-    pruning; its relabelings are derived once per order (_canonical_scan),
-    not once per table. Orders above ENUMERATION_CAP raise
-    ResourceLimitExceeded.
+    against the full scan of canonical_table. The two read one list of
+    relabelings, derived once per order (_canonical_scan), but share no
+    comparison: the pruning moves each relabeling on row by row as rows are
+    placed, the full scan relabels a finished table. Orders above
+    ENUMERATION_CAP raise ResourceLimitExceeded.
     """
     if n < 1:
         raise StructureError("loop order must be at least 1")

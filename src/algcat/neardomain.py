@@ -14,12 +14,12 @@ It is a nearfield when every such d equals one; addition is then a group.
 Every finite neardomain is a nearfield, which the test suite re-checks as a
 standing property on everything this module ever builds.
 
-check_neardomain certifies axioms 3 and 5 on a greedy generating set of the
-nonzero elements, associativity by Light's test and left distributivity on
-the generators alone, and runs a full triple loop only to name the witness
-of an input that fails. Axiom 6 solves all n^2 coefficients, n^3 steps, and
-the neardomain keeps them as one table (coefficients), which affine_group
-and is_nearfield read.
+check_neardomain certifies axioms 3 and 5 on the generating set of the
+nonzero elements that perms.greedy_walk grows from one, associativity by
+Light's test and left distributivity on the generators alone, and runs a
+full triple loop only to name the witness of an input that fails. Axiom 6
+solves all n^2 coefficients, n^3 steps, and the neardomain keeps them as one
+table (coefficients), which affine_group and is_nearfield read.
 
 Morphisms preserve both operations and the multiplicative identity (without
 the unital requirement the constant-zero map would slip in, collapsing the
@@ -41,7 +41,7 @@ from .errors import (
     StructureError,
 )
 from .loops import Table, check_loop, table_homomorphisms
-from .perms import _right_multiplier, check_budget
+from .perms import _right_multiplier, check_budget, greedy_walk
 from .values import Value, cached_hash, per_object
 
 
@@ -67,19 +67,21 @@ class Neardomain(Value):
 
 def _as_table(rows: Sequence[Sequence[int]], n: int, name: str) -> Table:
     """rows as a tuple of n tuples of n entries in 0..n-1, n >= 1. Valid
-    rows pass one length test each and one min and one max per row, in C;
-    only rows that fail run the row-major scan, which names the first row
-    of the wrong length or entry out of range."""
+    rows pass one length test and one subset test of their entries against
+    0..n-1 each, in C; only rows that fail run the row-major scan, which
+    names the first row of the wrong length or entry out of range, a
+    non-integral entry included."""
     if len(rows) != n:
         raise StructureError(f"{name} table has {len(rows)} rows, expected {n}")
     out = tuple(map(tuple, rows))
-    if all(len(row) == n for row in out) and min(map(min, out)) >= 0 and max(map(max, out)) < n:
+    points = set(range(n))
+    if all(len(row) == n and points.issuperset(row) for row in out):
         return out
     for r, row in enumerate(out):
         if len(row) != n:
             raise StructureError(f"{name} row {r} has length {len(row)}, expected {n}")
         for v in row:
-            if not 0 <= v < n:
+            if v not in range(n):
                 raise StructureError(f"{name} entry {v} in row {r} out of range")
     raise InvariantViolation("_as_table's length and range test", name)
 
@@ -96,9 +98,9 @@ def check_neardomain(
     keeps its coefficient table (see coefficients).
 
     Only axiom 6 loops over triples. The triple laws of axioms 3 and 5 are
-    certified on a greedy generating set A of the nonzero elements under mul
-    (1 to 3 elements for the bundled neardomains, at most log2(n - 1) in a
-    group):
+    certified on the generating set A of the nonzero elements under mul that
+    perms.greedy_walk grows from one (1 to 3 elements for the bundled
+    neardomains, at most log2(n - 1) in a group):
 
     - associativity of the nonzero elements by Light's test, (n - 1)^2 |A|
       steps (see _associativity_witness);
@@ -129,7 +131,7 @@ def check_neardomain(
     InvariantViolation. Each test holds exactly when its scan finds
     nothing:
 
-    - the table reads: each row's length, its min and its max;
+    - the table reads: each row's length, and its entries a subset of 0..n-1;
     - axiom 1: check_loop's test on the rows and columns of add;
     - axiom 2: once add is a loop, row a holds zero only at -a, so the law
       reads -(-a) == a;
@@ -189,7 +191,7 @@ def check_neardomain(
             if sorted(mul_t[b][a] for b in nonzero) != nonzero:
                 raise AxiomViolation(3, ("right translation not bijective", a))
         raise InvariantViolation("check_neardomain's axiom 3 row and column test", one)
-    gens = _generators(mul_t, nonzero, one)
+    gens = greedy_walk(nonzero, _right_multiplication(mul_t), [one])
     witness = _associativity_witness(mul_t, nonzero, gens)
     if witness is not None:
         raise AxiomViolation(3, ("not associative", *witness))
@@ -220,39 +222,16 @@ def check_neardomain(
     return nd
 
 
-def _generators(table: Table, elements: Sequence[int], unit: int | None) -> list[int]:
-    """A greedy generating set of elements under table, which must be closed
-    on them: walking elements in order, each one not yet reached becomes a
-    generator, and the reached set grows by right multiplication h -> h * t
-    until every member has been multiplied by every generator. The reached
-    set starts at unit, a two-sided identity the caller has checked, or
-    empty when unit is None. Every element is then a product of unit and the
-    generators, and in a group each new generator at least doubles the
-    reached set, as in perms.check_group."""
-    closed = [] if unit is None else [unit]
-    reached = set(closed)
-    gens: list[int] = []
-    for t in elements:
-        if t in reached:
-            continue
-        gens.append(t)
-        grown = len(closed)
-        reached.add(t)
-        closed.append(t)
-        for k, h in enumerate(closed):
-            row = table[h]
-            for g in (t,) if k < grown else gens:
-                c = row[g]
-                if c not in reached:
-                    reached.add(c)
-                    closed.append(c)
-    return gens
+def _right_multiplication(table: Table):
+    """t -> the map h -> table[h][t], by which greedy_walk grows a set of
+    elements under table."""
+    return lambda t: [row[t] for row in table].__getitem__
 
 
 def _associativity_witness(table: Table, elements: Sequence[int], gens: Sequence[int]) -> tuple[int, int, int] | None:
     """None when table is associative on elements, else the first triple
     (a, b, c) in row-major order with (ab)c != a(bc). gens comes from
-    _generators over the same elements.
+    greedy_walk over the same elements.
 
     Light's test (Clifford and Preston, The Algebraic Theory of Semigroups,
     vol. 1, 1961, section 1.2) checks (xa)y == x(ay) for every x, y and each
@@ -332,19 +311,19 @@ def is_nearfield(nd: Neardomain) -> bool:
     """True iff every reassociation coefficient is one, read off the kept
     table (coefficients). Addition is then a group: with d == one, axiom 6
     reads a + (b + x) == (a + b) + x. That associativity is re-checked by
-    Light's test on add (see _associativity_witness), from a greedy
-    generating set of all elements. The set is grown from zero once zero is
-    checked to be a two-sided identity of add (n steps), so zero is never
-    taken as a generator. On a Neardomain built directly whose zero is no
-    identity of add, it is grown from nothing, and the test stays exact. A
-    failure raises InvariantViolation naming the first triple. The budget
-    counts n^3 steps, the full loop a failure runs."""
+    Light's test on add (see _associativity_witness), from the generating
+    set of all elements that perms.greedy_walk grows. It is grown from zero
+    once zero is checked to be a two-sided identity of add (n steps), so
+    zero is never taken as a generator. On a Neardomain built directly whose
+    zero is no identity of add, it is grown from nothing, and the test stays
+    exact. A failure raises InvariantViolation naming the first triple. The
+    budget counts n^3 steps, the full loop a failure runs."""
     check_budget(nd.order**3, f"nearfield check of order {nd.order}")
     if any(d != nd.one for row in coefficients(nd) for d in row):
         return False
     add, zero, elements = nd.add, nd.zero, range(nd.order)
-    unit = zero if all(add[zero][x] == x == add[x][zero] for x in elements) else None
-    witness = _associativity_witness(add, elements, _generators(add, elements, unit))
+    start = [zero] if all(add[zero][x] == x == add[x][zero] for x in elements) else []
+    witness = _associativity_witness(add, elements, greedy_walk(elements, _right_multiplication(add), start))
     if witness is not None:
         raise InvariantViolation("nearfield addition is associative", witness)
     return True

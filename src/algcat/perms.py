@@ -13,14 +13,14 @@ each member of a set that fails its one-pass test (_all_bijections), to name
 the first member that is not a bijection. A
 PermSet's members are its sorted image tuples, and it stores its member
 index (image tuple -> position) and its hash.
-check_group certifies closure from a greedy generating set, in |G|*|T|
-compositions for a generating set T of at most log2|G| members;
-subgroup_failure wraps it in a witness string. No success path builds a
-composition table: a group validated downstream keeps the certificate that
-it is closed, which the morphism check of sharply 2-transitive groups reads.
-composition_table (table[i][j] is the index of members[i] * members[j]) is
-built, and not kept, only to name the first missing product of a set that is
-not closed.
+
+greedy_walk is the one way a set is grown by right multiplication: closure
+grows a group from its generators with it, check_group certifies that a
+listed set is closed with it, and the neardomain checks take their
+generating sets from it. No path builds a composition table: a group
+validated downstream keeps the certificate that it is closed, which the
+morphism check of sharply 2-transitive groups reads, and a set that is not
+closed has its first missing product named by a row-major scan.
 
 forced_morphisms is the hom search of both permutation categories, built from
 the definition of a morphism alone.
@@ -29,7 +29,7 @@ the definition of a morphism alone.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Container, Iterable, Iterator, Sequence
 
 from .errors import InvariantViolation, NotAGroup, ResourceLimitExceeded, StructureError
 from .values import Value
@@ -101,28 +101,6 @@ class PermSet(Value):
 
     def index(self, p: Images) -> int:
         return self._index[p]
-
-    def composition_table(self) -> tuple[tuple[int, ...], ...]:
-        """table[i][j] is the index of members[i] * members[j], composed on
-        image tuples, built on each call and not kept: check_group reads
-        it only to name the witness of a set that is not closed. Raises
-        NotAGroup, naming the factors of the first product in row-major
-        order that is not a member, and ResourceLimitExceeded, before
-        building any row, when the table would hold more than TABLE_CAP
-        entries."""
-        size = len(self.members)
-        check_budget(size * size, f"composition table of {size} members")
-        get = self._index.get
-        members = self.members
-        compose = [_right_multiplier(b) for b in members]
-        rows = []
-        for a in members:
-            row = tuple([get(c(a)) for c in compose])
-            if None in row:
-                b = members[row.index(None)]
-                raise NotAGroup(f"product {list(a)} * {list(b)} missing")
-            rows.append(row)
-        return tuple(rows)
 
 
 def _right_multiplier(b: Images):
@@ -286,18 +264,68 @@ def forced_morphisms(
     return tuple(out)
 
 
+def greedy_walk(
+    candidates: Iterable, right_multiplier: Callable, reached: list, members: Container | None = None
+) -> list | None:
+    """The greedy generating set of candidates, walked in order: each
+    candidate not yet reached becomes a generator t, and reached grows by
+    right multiplication h -> h * t, right_multiplier(t) being that map,
+    until every member of reached has been multiplied by every generator.
+    reached is the caller's list, holding a unit or nothing, and is grown in
+    place; it ends holding every candidate and every product of its start
+    and the generators. When members is given, the walk returns None at the
+    first product not yet reached that is not in members; the start and the
+    candidates must be in members, so a product already reached is one, and
+    reached never outgrows members. When members is not given, the walk
+    raises ResourceLimitExceeded as soon as reached holds more members than
+    a composition table of TABLE_CAP entries can index.
+
+    Grown from the unit of a group, reached is a subgroup H whenever a new
+    generator t is picked, and t is not in H, so the coset H * t is disjoint
+    from H and |H| at least doubles (Lagrange): there are at most log2|G|
+    generators, and the walk composes |G| times that many pairs (Dixon and
+    Mortimer, Permutation Groups, 1996; Seress, Permutation Group
+    Algorithms, 2003)."""
+    seen = set(reached)
+    gens: list = []
+    multipliers: list = []
+
+    def reach(c) -> None:
+        seen.add(c)
+        reached.append(c)
+        if members is None:
+            check_budget(len(reached) ** 2, f"closure reached {len(reached)} members, so its composition table")
+
+    for t in candidates:
+        if t in seen:
+            continue
+        new = right_multiplier(t)
+        gens.append(t)
+        multipliers.append(new)
+        # every member reached before t times t, then t and every member
+        # reached since times every generator
+        grown = len(reached)
+        reach(t)
+        for k, h in enumerate(reached):
+            for g in (new,) if k < grown else multipliers:
+                c = g(h)
+                if c not in seen:
+                    if members is not None and c not in members:
+                        return None
+                    reach(c)
+    return gens
+
+
 def closure(generators: Iterable[Images]) -> PermSet:
     """Smallest set containing the generators that is closed under composition,
     inversion, and contains the identity.
 
     The generators are checked as perm_set checks members, in the order
-    given. Worklist breadth-first search from the identity, each reached
-    member multiplied on the right by each generator through
-    _right_multiplier; in a finite setting composition closure alone already
-    yields inverses. Raises ResourceLimitExceeded as soon as the set's
-    composition table would hold more than TABLE_CAP entries, the test
-    composition_table applies, so an over-budget group is refused after
-    about sqrt(TABLE_CAP) members.
+    given, then greedy_walk grows the set from the identity over them; in a
+    finite setting composition closure alone already yields inverses. The
+    walk refuses the set as soon as its composition table would hold more
+    than TABLE_CAP entries, so an over-budget group is refused after about
+    sqrt(TABLE_CAP) members.
     """
     gens = list(generators)
     for g in gens:
@@ -307,21 +335,10 @@ def closure(generators: Iterable[Images]) -> PermSet:
     degree = len(gens[0])
     if any(len(g) != degree for g in gens):
         raise StructureError("generators mix degrees")
-    multipliers = [_right_multiplier(g) for g in gens]
-    seen = {tuple(range(degree))}
-    frontier = list(seen)
-    while frontier:
-        fresh = []
-        for g in multipliers:
-            for h in frontier:
-                c = g(h)
-                if c not in seen:
-                    seen.add(c)
-                    fresh.append(c)
-                    check_budget(len(seen) ** 2, f"closure reached {len(seen)} members, so its composition table")
-        frontier = fresh
+    reached = [tuple(range(degree))]
+    greedy_walk(gens, _right_multiplier, reached)
     # products of bijections of one degree: nothing left to check
-    return PermSet(degree, tuple(sorted(seen)))
+    return PermSet(degree, tuple(sorted(reached)))
 
 
 def subgroup_failure(members: PermSet) -> str | None:
@@ -340,44 +357,36 @@ def check_group(members: PermSet) -> None:
     each member's inverse (both looked up in the member index), then every
     ordered product in row-major order.
 
-    Closure is certified from a greedy generating set T, not from the |G|^2
-    composition table. Walking the members in sorted order, each one that
-    the closure H has not reached becomes a new generator t; H grows by
-    right multiplication h -> h * t until every member of H has been
-    multiplied by every generator, and the certificate stops at
-    the first product that is not a member. It is exact:
+    Closure is certified by greedy_walk over the members in sorted order,
+    grown from the identity and bounded by the member set, not from the
+    |G|^2 products. The certificate is exact:
 
-    - if every product h * t is a member and H covers the set (it does:
-      every member not reached becomes a generator, and e * t = t), H is
-      the set and is closed under right multiplication by T; a finite set of
-      permutations containing the identity and closed under multiplication
-      by T is the group T generates, so the set is a group;
-    - conversely, in a group every product is a member, so no group fails;
-    - H is a group whenever a new generator t is picked, and t is not in H,
-      so the coset H * t is disjoint from H and |H| at least doubles
-      (Lagrange): |T| <= log2|G|, and the certificate composes |G| * |T|
-      pairs (Dixon and Mortimer, Permutation Groups, 1996; Seress,
-      Permutation Group Algorithms, 2003).
+    - if the walk never leaves the set, it reaches every member (each one
+      not reached becomes a generator), and the set is closed under right
+      multiplication by the generators T; a finite set of permutations
+      containing the identity and closed under multiplication by T is the
+      group T generates, so the set is a group;
+    - conversely, in a group every product is a member, so no group fails.
 
-    Valid input within the budget runs the identity lookup and the
-    certificate only. The inverse scan is not needed there: a finite set of
+    Valid input within the budget runs the identity lookup and the walk
+    only. The inverse scan is not needed there: a finite set of
     permutations closed under products is a group, since the powers of a
     member p repeat, so p^-1 is a power of p and a member. Only a set that
-    fails the certificate, or is over the budget, runs the checks in the
-    order named above: the inverse scan, then the budget refusal, then
-    members.composition_table(), which names the first missing product in
-    row-major order. So an over-budget set missing an inverse is named by
-    that inverse before it is refused. A table that passes contradicts the
-    certificate and raises InvariantViolation. A set that passes builds no
-    table. The budget bounds that table, |G|^2, not the certificate's
-    |G| * |T| compositions, so about 1,000 listed members is the size
-    policy: the one path that names a failing set's witness is a full
-    |G|^2 table. closure applies the same bound as it grows."""
+    fails the walk, or is over the budget, runs the checks in the order
+    named above: the inverse scan, then the budget refusal, then the
+    row-major scan of the products, which stops at the first one missing.
+    So an over-budget set missing an inverse is named by that inverse
+    before it is refused. A scan that finds no missing product contradicts
+    the walk and raises InvariantViolation. The budget bounds the scan's
+    |G|^2 products, not the walk's |G| * |T|, so about 1,000 listed members
+    is the size policy: the one path that names a failing set's witness
+    reads every product. closure applies the same bound as it grows."""
     index, degree = members._index, members.degree
-    if tuple(range(degree)) not in index:
+    identity = tuple(range(degree))
+    if identity not in index:
         raise NotAGroup("identity missing")
     size = len(members)
-    if size * size <= TABLE_CAP and _generated_closure(members):
+    if size * size <= TABLE_CAP and greedy_walk(members.members, _right_multiplier, [identity], index) is not None:
         return
     inv = [0] * degree
     for images in index:
@@ -386,35 +395,9 @@ def check_group(members: PermSet) -> None:
         if tuple(inv) not in index:
             raise NotAGroup(f"inverse of {list(images)} missing")
     check_budget(size * size, f"composition table of {size} members")
-    members.composition_table()
-    raise InvariantViolation("generating-set closure certificate", f"{size} members the composition table finds closed")
-
-
-def _generated_closure(members: PermSet) -> bool:
-    """True when the closure of a greedy generating set, grown by right
-    multiplication, stays inside members; False when a product leaves it.
-    check_group has the proof. members must hold the identity."""
-    get = members._index.get
-    images = members.members
-    reached = [False] * len(images)
-    e = get(tuple(range(members.degree)))
-    reached[e] = True
-    closed = [images[e]]  # H, in the order reached
-    gens = []
-    for i, t in enumerate(images):
-        if reached[i]:
-            continue
-        new = _right_multiplier(t)
-        gens.append(new)
-        # every old member of H times the new generator, then every member
-        # reached since times every generator
-        grown = len(closed)
-        for k, h in enumerate(closed):
-            for g in (new,) if k < grown else gens:
-                j = get(g(h))
-                if j is None:
-                    return False
-                if not reached[j]:
-                    reached[j] = True
-                    closed.append(images[j])
-    return True
+    factors = [(b, _right_multiplier(b)) for b in members.members]
+    for a in members.members:
+        for b, times_b in factors:
+            if times_b(a) not in index:
+                raise NotAGroup(f"product {list(a)} * {list(b)} missing")
+    raise InvariantViolation("generating-set closure certificate", f"{size} members the product scan finds closed")

@@ -1,6 +1,8 @@
 """Reference definitions that only the tests read: each states a notion
 plainly, for tests to compare the package's own computations against."""
 
+import itertools
+
 from algcat.errors import (
     AxiomViolation,
     IdentityViolation,
@@ -34,6 +36,12 @@ def compose(p: Images, q: Images) -> Images:
 def inverse(p: Images) -> Images:
     """The image tuple of the inverse: inverse(p)[p[x]] == x."""
     return tuple(p.index(y) for y in range(len(p)))
+
+
+def relabelings_fixing_zero(n: int) -> list[tuple[Images, Images]]:
+    """Every (pi, inverse(pi)) over the permutations pi of 0..n-1 with
+    pi[0] == 0, in lexicographic order of pi."""
+    return [(pi, inverse(pi)) for pi in itertools.permutations(range(n)) if pi[0] == 0]
 
 
 def fixed_points(p: Images) -> frozenset[int]:

@@ -21,7 +21,7 @@ from algcat.errors import ParseError, ResourceLimitExceeded
 from algcat.fileio import emit_structure, parse_structure
 from algcat.loops import Loop, check_loop, is_associative, table_homomorphisms
 from algcat.neardomain import Neardomain, check_neardomain, dickson_nearfield_9, galois_field, is_nearfield
-from algcat.perms import TABLE_CAP, forced_morphisms, perm_set
+from algcat.perms import TABLE_CAP, check_group, forced_morphisms, perm_set
 from algcat.rps import loop_to_rps
 from algcat.s2t import affine_group, relabel
 
@@ -126,8 +126,9 @@ def test_check_refuses_oversized_composition_table(tmp_path, capsys):
     assert "composition table of 5040 members" in out
     assert peak < 5_000_000, peak
     # the largest bundled group, the affine group of GF(16), is within the budget
-    table = affine_group(galois_field(16)).group.composition_table()
-    assert len(table) * len(table[0]) == 57_600 <= TABLE_CAP
+    group = affine_group(galois_field(16)).group
+    assert len(group) ** 2 == 57_600 <= TABLE_CAP
+    check_group(group)
 
 
 @pytest.mark.parametrize("n", [7, 8, 9])
@@ -252,13 +253,17 @@ def test_homset_refused_within_budget(tmp_path, capsys, reference_cpu):
 
 
 def test_budget_refusals_read_no_member_or_row(monkeypatch):
-    # the composition table and the cubic checks refuse an over-budget input
-    # before they read a member or a row
-    members = perm_set(itertools.islice(itertools.permutations(range(7)), 1001))
-    rows = _CountingRows(1001)
+    # check_group's product scan and the cubic checks refuse an over-budget
+    # input before they read a member or a row; the set holds the identity
+    # and every inverse, so check_group reaches its budget call
+    listed = set()
+    for p in itertools.takewhile(lambda p: len(listed) <= 1000, itertools.permutations(range(7))):
+        listed |= {p, tuple(sorted(range(7), key=p.__getitem__))}
+    members = perm_set(listed)
+    rows = _CountingRows(len(members))
     object.__setattr__(members, "members", rows)
-    with pytest.raises(ResourceLimitExceeded, match="composition table of 1001 members"):
-        members.composition_table()
+    with pytest.raises(ResourceLimitExceeded, match=f"composition table of {len(listed)} members"):
+        check_group(members)
     assert rows.reads == 0
     p = 101
     rows = _CountingRows(p)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from math import factorial
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -21,9 +22,7 @@ from algcat.loops import (
     Loop,
     _advance,
     _canonical_scan,
-    _live_relabeling,
     _relabeled_table,
-    _relabelings_fixing_zero,
     canonical_table,
     check_loop,
     enumerate_loop_morphisms,
@@ -34,7 +33,7 @@ from algcat.loops import (
     relabel,
     table_homomorphisms,
 )
-from references import loops_isomorphic
+from references import loops_isomorphic, relabelings_fixing_zero
 
 Z2 = check_loop(((0, 1), (1, 0)))
 Z3 = check_loop(((0, 1, 2), (1, 2, 0), (2, 0, 1)))
@@ -239,9 +238,9 @@ def test_relabeling_beats_matches_full_comparison(n):
     # placed rows allow
     for t in _normalized_tables(n):
         blobs = [bytes(row) for row in t]
-        for pi, pi_inv in _relabelings_fixing_zero(n):
+        for pi, pi_inv in relabelings_fixing_zero(n):
             full = _relabeled_table(t, pi, pi_inv, n)
-            live = [_live_relabeling(pi_inv)]
+            live = [(pi_inv, bytes.maketrans(bytes(range(n)), bytes(pi)), itemgetter(*pi_inv), 1)]
             for k in range(1, n):
                 live = _advance(t[: k + 1], blobs[: k + 1], k, live)
                 if not live:
@@ -268,7 +267,7 @@ def test_canonical_table_matches_plain_minimum(n):
         neg = tuple(-x % n for x in range(n))
         tables += [_relabeled_table(t, neg, neg, n) for t in tables]
     for t in tables:
-        plain = min(_relabeled_table(t, pi, pi_inv, n) for pi, pi_inv in _relabelings_fixing_zero(n))
+        plain = min(_relabeled_table(t, pi, pi_inv, n) for pi, pi_inv in relabelings_fixing_zero(n))
         assert canonical_table(Loop(n, t, 0)) == plain, t
 
 
@@ -364,7 +363,7 @@ def test_canonical_table_is_unchanged_by_scan_eviction():
     _canonical_scan.cache_clear()
     for n in (6, 5, 6):
         for t in tables[n]:
-            plain = min(_relabeled_table(t, pi, pi_inv, n) for pi, pi_inv in _relabelings_fixing_zero(n))
+            plain = min(_relabeled_table(t, pi, pi_inv, n) for pi, pi_inv in relabelings_fixing_zero(n))
             assert canonical_table(Loop(n, t, 0)) == plain, t
     info = _canonical_scan.cache_info()
     assert (info.misses, info.currsize) == (3, 1)

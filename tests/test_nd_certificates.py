@@ -16,6 +16,7 @@ from algcat.errors import AxiomViolation, InvariantViolation
 from algcat.fileio import emit_structure
 from algcat.loops import check_loop, enumerate_loops, is_associative
 from algcat.neardomain import Neardomain, check_neardomain, dickson_nearfield_9, galois_field, is_nearfield
+from algcat.perms import greedy_walk
 import references
 
 ORACLE_NEARDOMAINS = [*(galois_field(q) for q in (3, 4, 5, 7, 8, 9, 16)), dickson_nearfield_9()]
@@ -167,9 +168,9 @@ def test_light_test_agrees_with_the_full_loop():
         elements = range(loop.order)
         want = references.associativity_witness(loop.table, elements)
         failing += want is not None
-        for unit in (loop.identity, None):
-            gens = neardomain._generators(loop.table, elements, unit)
-            assert neardomain._associativity_witness(loop.table, elements, gens) == want, (loop, unit)
+        for start in ([loop.identity], []):
+            gens = greedy_walk(elements, neardomain._right_multiplication(loop.table), start)
+            assert neardomain._associativity_witness(loop.table, elements, gens) == want, (loop, start)
     assert failing > 100
 
 
@@ -178,17 +179,18 @@ def test_greedy_generating_sets_stay_small():
     # cyclic groups GF(3)*, GF(4)*, GF(5)*, GF(8)* and GF(16)*, two for
     # GF(7)* (2 has order 3), three for GF(9)* and the quaternion group of
     # the Dickson nearfield
-    sizes = [
-        len(neardomain._generators(nd.mul, [x for x in range(nd.order) if x != nd.zero], nd.one))
-        for nd in ORACLE_NEARDOMAINS
-    ]
+    sizes = []
+    for nd in ORACLE_NEARDOMAINS:
+        nonzero = [x for x in range(nd.order) if x != nd.zero]
+        sizes.append(len(greedy_walk(nonzero, neardomain._right_multiplication(nd.mul), [nd.one])))
     assert sizes == [1, 1, 1, 2, 1, 3, 1, 3]
     # each generator at least doubles the set reached in a group, so no
     # group of order n needs more than log2(n) of them
     for n in range(2, 7):
         for loop in enumerate_loops(n):
             if is_associative(loop):
-                assert len(neardomain._generators(loop.table, range(n), loop.identity)) <= math.log2(n), loop
+                gens = greedy_walk(range(n), neardomain._right_multiplication(loop.table), [loop.identity])
+                assert len(gens) <= math.log2(n), loop
 
 
 def test_coefficient_table_agrees_with_the_cell_loop():
@@ -233,8 +235,7 @@ def test_nearfield_check_grows_the_additive_generators_from_zero(monkeypatch):
     # elementary abelian of ranks 2 and 4
     fields = [galois_field(q) for q in (5, 9, 16)]
     grown = []
-    greedy = neardomain._generators
-    monkeypatch.setattr(neardomain, "_generators", lambda *args: grown.append(greedy(*args)) or grown[-1])
+    monkeypatch.setattr(neardomain, "greedy_walk", lambda *args: grown.append(greedy_walk(*args)) or grown[-1])
     assert all(map(is_nearfield, fields))
     assert grown == [[1], [1, 3], [1, 2, 4, 8]]
 

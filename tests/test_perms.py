@@ -8,7 +8,7 @@ import algcat.perms as perms_module
 from algcat import loops, s2t
 from algcat.errors import ResourceLimitExceeded, StructureError
 from algcat.neardomain import galois_field
-from algcat.perms import Morphism, PermSet, _right_multiplier, closure, perm_set, subgroup_failure
+from algcat.perms import Morphism, PermSet, _right_multiplier, closure, greedy_walk, perm_set, subgroup_failure
 from algcat.zoo import standard_zoo
 from references import compose, fixed_points, inverse, is_involution
 
@@ -250,15 +250,57 @@ def test_perm_set_hash_and_index_contract():
     assert not [v for v in vars(perms_module).values() if hasattr(v, "cache_info")]
 
 
-def test_composition_table_of_small_sets():
+def test_greedy_walk_of_small_sets():
     s3 = closure([(1, 2, 0), (1, 0, 2)])
-    table = s3.composition_table()
-    # built on each call, not kept
-    assert table == s3.composition_table() and table is not s3.composition_table()
-    for i, p in enumerate(s3):
-        for j, q in enumerate(s3):
-            assert s3.members[table[i][j]] == compose(p, q)
-    assert PermSet(1, ((0,),)).composition_table() == ((0,),)
+    e = (0, 1, 2)
+    reached = [e]
+    # (0, 2, 1) reaches only itself; (1, 0, 2) then reaches the rest
+    assert greedy_walk(s3, _right_multiplier, reached, s3._index) == [(0, 2, 1), (1, 0, 2)]
+    assert sorted(reached) == list(s3) and reached[0] == e
+    # grown from nothing, the first candidate is a generator too
+    reached = []
+    assert greedy_walk(s3, _right_multiplier, reached) == [e, (0, 2, 1), (1, 0, 2)]
+    assert sorted(reached) == list(s3)
+    # the one-member group has no generators, and the walk succeeds
+    for n in (1, 3):
+        one = PermSet(n, (tuple(range(n)),))
+        assert greedy_walk(one, _right_multiplier, [tuple(range(n))], one._index) == []
+        assert subgroup_failure(one) is None
+    # a product that leaves the member set ends the walk
+    rotations = closure([(1, 2, 0)])
+    assert greedy_walk(s3, _right_multiplier, [e], rotations._index) is None
+
+
+def _translation_sets():
+    """The translations of every loop of order at most 6 and the member sets
+    of every zoo group, each whole and with each one member removed, and
+    the one-member group."""
+    sets = [perm_set(l.table) for n in range(1, 7) for l in loops.enumerate_loops(n)]
+    sets += [g.group for _, g in standard_zoo().groups]
+    for whole in list(sets):
+        listed = whole.members
+        sets += [PermSet(whole.degree, listed[:k] + listed[k + 1 :]) for k in range(len(listed)) if len(listed) > 1]
+    return [*sets, PermSet(4, ((0, 1, 2, 3),))]
+
+
+def test_subgroup_failure_matches_the_reference_on_loops_and_zoo_groups():
+    verdicts = set()
+    for members in _translation_sets():
+        want = _reference_subgroup_failure(members)
+        assert subgroup_failure(members) == want, members
+        verdicts.add(want.split(" ")[0] if want else want)
+    assert verdicts == {None, "identity", "inverse", "product"}
+
+
+def test_closure_of_generator_choices_is_the_zoo_group():
+    # every member, the greedy generators over the members in sorted and in
+    # reversed order, and the last two generators beside the first
+    for name, g in standard_zoo().groups:
+        e = tuple(range(g.degree))
+        greedy = greedy_walk(g.group, _right_multiplier, [e])
+        backwards = greedy_walk(reversed(g.group.members), _right_multiplier, [e])
+        for gens in (g.group.members, greedy, backwards, greedy[:1] + backwards[-2:] + greedy[1:]):
+            assert closure(gens) == g.group, (name, gens)
 
 
 def _reference_forced_morphisms(src: PermSet, dst: PermSet, src_base, dst_base) -> tuple[Morphism, ...]:

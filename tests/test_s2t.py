@@ -29,7 +29,7 @@ from algcat.neardomain import (
     is_nd_morphism,
     is_nearfield,
 )
-from algcat.perms import Morphism, PermSet, closure, compose_morphisms, perm_set, subgroup_failure
+from algcat.perms import Morphism, PermSet, check_group, closure, compose_morphisms, perm_set, subgroup_failure
 from algcat.rps import Rps
 from algcat.s2t import (
     Characteristic,
@@ -204,31 +204,33 @@ def test_certified_group_keeps_its_closure_certificate(monkeypatch, tmp_path):
 
 def test_fresh_listing_is_certified_without_its_table(monkeypatch, tmp_path):
     # a listing of AGL(1,16): check_s2t, and the CLI reading it from a file,
-    # certify its 240 members without a table, and the table, built only on
-    # request, agrees with references.compose on all 57,600 pairs
+    # certify its 240 members by the walk alone, with the product scan that
+    # names a failing set's witness refused at its budget call; all 57,600
+    # products, by references.compose, are members
     members = perm_set(affine_group(galois_field(16)).group.members)
     path = tmp_path / "agl16.txt"
     path.write_text(emit_structure(S2tGroup(members, 16, 0, 1)))
+    budget = perms.check_budget
 
-    def refuse(self):
-        raise AssertionError("a certificate built a composition table")
+    def refuse(work, what):
+        if what.startswith("composition table"):
+            raise AssertionError("a certificate ran the product scan")
+        budget(work, what)
 
     with monkeypatch.context() as patch:
-        patch.setattr(PermSet, "composition_table", refuse)
+        patch.setattr(perms, "check_budget", refuse)
         g = check_s2t(members, 0, 1)
         assert is_s2t_morphism(identity_s2t_morphism(g), g, g)
         read = cli._read(str(path))
         assert read == g and read is not g and cli._read(str(path)) is read
     assert g.group is members
-    table = members.composition_table()
-    listed = members.members
-    for p, row in zip(listed, table):
-        assert [listed[k] for k in row] == [compose(p, q) for q in listed]
+    assert sum(map(len, references.composition_table(members))) == 57_600
 
 
 def test_no_success_path_builds_a_composition_table(tmp_path):
-    # a cold process with PermSet.composition_table raising builds the zoo,
-    # runs the verify-all battery and answers check, roundtrip and homset on
+    # a cold process whose product scan, the one path that reads every
+    # product, is refused at its budget call builds the zoo, runs the
+    # verify-all battery and answers check, roundtrip and homset on
     # relabeled order-9 files
     code = f"""
 import sys
@@ -236,14 +238,17 @@ from algcat import cli
 from algcat.catcheck import run_all
 from algcat.fileio import emit_structure
 from algcat.neardomain import dickson_nearfield_9, galois_field
-from algcat.perms import PermSet
+from algcat import perms
 from algcat.s2t import affine_group, relabel
 from algcat.zoo import standard_zoo
+budget = perms.check_budget
 
-def refuse(self):
-    raise AssertionError("a success path built a composition table")
+def refuse(work, what):
+    if what.startswith("composition table"):
+        raise AssertionError("a success path ran the product scan")
+    budget(work, what)
 
-PermSet.composition_table = refuse
+perms.check_budget = refuse
 standard_zoo()
 failed = [v.name for v in run_all() if not v.passed]
 if failed:
@@ -456,19 +461,10 @@ def test_affine_law_checks_the_multiplication_case():
     assert (exc.value.claim, exc.value.witness) == ("affine composition law", ((0, 2), (0, 1)))
 
 
-def test_composition_table_matches_perm_products(zoo):
-    # every zoo group, the relabeled ones and sym3@(1,2) included
-    for name, g in zoo.groups:
-        table = g.group.composition_table()
-        for i, p in enumerate(g.group):
-            for j, q in enumerate(g.group):
-                assert table[i][j] == g.group.index(compose(p, q)), (name, i, j)
-
-
-def test_composition_table_rejects_non_closed_set():
+def test_check_group_rejects_non_closed_set():
     g3 = AFF[3]
     with pytest.raises(NotAGroup, match=r"product \[.*\] \* \[.*\] missing"):
-        PermSet(g3.degree, g3.group.members[:-1]).composition_table()
+        check_group(PermSet(g3.degree, g3.group.members[:-1]))
 
 
 def test_base_pair_index_and_lift_read_the_affine_maps(zoo):
@@ -692,7 +688,7 @@ def test_closure_certificate_violation_propagates(monkeypatch):
     # only NotAGroup means an unvalidated group; the certificate's own
     # InvariantViolation is a bug and is not turned into False
     src = S2tGroup(AFF[5].group, 5, 0, 1)
-    monkeypatch.setattr(perms, "_generated_closure", lambda members: False)
+    monkeypatch.setattr(perms, "greedy_walk", lambda *args: None)
     with pytest.raises(InvariantViolation, match="generating-set closure certificate"):
         is_s2t_morphism(identity_s2t_morphism(AFF[5]), src, AFF[5])
 

@@ -219,3 +219,19 @@ def test_check_loop_names_an_entry_that_is_no_point():
         check_loop(((0, 1), (1, 1.5)))
     assert type(info.value) is StructureError
     assert str(info.value) == "entry 1.5 in row 1 out of range for order 2"
+
+
+@pytest.mark.parametrize("name", ["add", "mul"])
+def test_check_neardomain_names_an_entry_that_is_no_point(name):
+    # GF(3) with 1.5 in row 1, column 0 of one table: the entry lies between
+    # two points, so a min and max test passes it; it is named as out of
+    # range before any axiom reads it, as the reference reads it
+    gf = galois_field(3)
+    tables = {"add": [list(row) for row in gf.add], "mul": [list(row) for row in gf.mul]}
+    tables[name][1][0] = 1.5
+    args = (tables["add"], tables["mul"], gf.zero, gf.one)
+    with pytest.raises(StructureError) as info:
+        check_neardomain(*args)
+    assert type(info.value) is StructureError
+    assert str(info.value) == f"{name} entry 1.5 in row 1 out of range"
+    assert _outcome(check_neardomain, *args) == _outcome(_reference_check_neardomain, *args)
