@@ -93,7 +93,8 @@ def _print_report(report: dict, args) -> None:
 
 def _read(path: str):
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as file:
+            data = file.read()
     except OSError as exc:
         raise ParseError(0, f"cannot read {path}: {exc.strerror or exc}") from None
     return _parse(data)

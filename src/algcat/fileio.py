@@ -52,7 +52,7 @@ def _significant_lines(text: str) -> list[tuple[int, str]]:
 
 def _ints(num: int, line: str, expect: int | None = None) -> tuple[int, ...]:
     try:
-        values = tuple(int(tok) for tok in line.split())
+        values = tuple(map(int, line.split()))
     except ValueError:
         raise ParseError(num, f"expected integers, got {line!r}") from None
     if expect is not None and len(values) != expect:

@@ -18,8 +18,10 @@ check_neardomain certifies axioms 3 and 5 on the generating set of the
 nonzero elements that perms.greedy_walk grows from one, associativity by
 Light's test and left distributivity on the generators alone, and runs a
 full triple loop only to name the witness of an input that fails. Axiom 6
-solves all n^2 coefficients, n^3 steps, and the neardomain keeps them as one
-table (coefficients), which affine_group and is_nearfield read.
+solves and verifies the n^2 coefficients a row at a time, n^3 steps taken by
+gathers of whole rows, runs its pair-by-pair scan (d_coeff) only on a row
+that fails, and the neardomain keeps the coefficients as one table
+(coefficients), which affine_group and is_nearfield read.
 
 Morphisms preserve both operations and the multiplicative identity (without
 the unital requirement the constant-zero map would slip in, collapsing the
@@ -298,13 +300,57 @@ def d_coeff(nd: Neardomain, a: int, b: int) -> int:
 
 @per_object
 def coefficients(nd: Neardomain) -> tuple[tuple[int, ...], ...]:
-    """table[a][b] is d_coeff(nd, a, b), solved in row-major order, so the
-    first failing pair names the AxiomViolation(6). check_neardomain builds
-    it as its axiom-6 check and the neardomain keeps it, so affine_group and
+    """table[a][b] is d_coeff(nd, a, b). check_neardomain builds it as its
+    axiom-6 check and the neardomain keeps it, so affine_group and
     is_nearfield read it without solving a coefficient again; on a
-    Neardomain built directly it is solved on the first request."""
-    n = nd.order
-    return tuple(tuple(d_coeff(nd, a, b) for b in range(n)) for a in range(n))
+    Neardomain built directly it is solved on the first request.
+
+    Each row a is solved and verified at once by _row_solver, with a few
+    gathers per b and no call per pair. A row it rejects runs d_coeff over
+    its pairs, which names the first failing pair; the rows before passed,
+    so that pair is the first in row-major order, and the AxiomViolation(6)
+    is the one a pair-by-pair solve raises. A scan that finds no failure
+    contradicts the row test and raises InvariantViolation."""
+    solve = _row_solver(nd)
+    table = []
+    for a in range(nd.order):
+        row = solve(a)
+        if row is None:
+            row = tuple(d_coeff(nd, a, b) for b in range(nd.order))
+            raise InvariantViolation("axiom 6's row test", (a, row))
+        table.append(row)
+    return tuple(table)
+
+
+def _row_solver(nd: Neardomain):
+    """a -> row a of the coefficient table, or None when some pair (a, b)
+    fails axiom 6. Over b, the sums a + b are add[a] itself, so one gather
+    of add through add[a] lists the rows of a + b, and one gather of add[a]
+    through column one of add lists a + (b + one); tuple.index solves
+    every d at once, as d_coeff does for one pair. The row passes when no d
+    is zero and, for every b, a + (b + x) and (a + b) + d * x agree at
+    every x, each side one prebuilt gather of a whole row: add[a] through
+    add[b], and the row of a + b through mul[d]. On a Neardomain built
+    directly, a gather or solve that fails (a target missing from its row,
+    an entry out of range) rejects the row too, and d_coeff then meets the
+    failure at its pair."""
+    add, zero = nd.add, nd.zero
+    through_add = [_right_multiplier(row) for row in add]
+    through_mul = [_right_multiplier(row) for row in nd.mul]
+    plus_one = _right_multiplier([row[nd.one] for row in add])
+
+    def solve(a: int) -> tuple[int, ...] | None:
+        row_a = add[a]
+        try:
+            sums = _right_multiplier(row_a)(add)
+            d = tuple(map(tuple.index, sums, plus_one(row_a)))
+            if zero in d or any(left(row_a) != through_mul[c](row_ab) for left, c, row_ab in zip(through_add, d, sums)):
+                return None
+        except (LookupError, TypeError, ValueError):
+            return None
+        return d
+
+    return solve
 
 
 def is_nearfield(nd: Neardomain) -> bool:

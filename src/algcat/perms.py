@@ -28,6 +28,7 @@ the definition of a morphism alone.
 
 from __future__ import annotations
 
+from math import inf, isqrt
 from operator import itemgetter
 from typing import Callable, Container, Iterable, Iterator, Sequence
 
@@ -280,6 +281,12 @@ def greedy_walk(
     raises ResourceLimitExceeded as soon as reached holds more members than
     a composition table of TABLE_CAP entries can index.
 
+    A member is reached inline, with no Python call: a product is hashed
+    once by the reached-set test, and a new member once more when it is
+    added and, in a walk bounded by members, once by the member-set test.
+    The budget is one comparison with the largest count whose square is
+    within TABLE_CAP, and check_budget runs only to refuse.
+
     Grown from the unit of a group, reached is a subgroup H whenever a new
     generator t is picked, and t is not in H, so the coset H * t is disjoint
     from H and |H| at least doubles (Lagrange): there are at most log2|G|
@@ -289,13 +296,9 @@ def greedy_walk(
     seen = set(reached)
     gens: list = []
     multipliers: list = []
-
-    def reach(c) -> None:
-        seen.add(c)
-        reached.append(c)
-        if members is None:
-            check_budget(len(reached) ** 2, f"closure reached {len(reached)} members, so its composition table")
-
+    # the most members reached holds before the budget refuses it; a walk
+    # bounded by members is never refused
+    most = isqrt(TABLE_CAP) if members is None else inf
     for t in candidates:
         if t in seen:
             continue
@@ -305,15 +308,25 @@ def greedy_walk(
         # every member reached before t times t, then t and every member
         # reached since times every generator
         grown = len(reached)
-        reach(t)
+        seen.add(t)
+        reached.append(t)
+        if len(reached) > most:
+            _refuse_walk(len(reached))
         for k, h in enumerate(reached):
             for g in (new,) if k < grown else multipliers:
                 c = g(h)
                 if c not in seen:
                     if members is not None and c not in members:
                         return None
-                    reach(c)
+                    seen.add(c)
+                    reached.append(c)
+                    if len(reached) > most:
+                        _refuse_walk(len(reached))
     return gens
+
+
+def _refuse_walk(size: int) -> None:
+    check_budget(size**2, f"closure reached {size} members, so its composition table")
 
 
 def closure(generators: Iterable[Images]) -> PermSet:

@@ -26,6 +26,7 @@ enumerate_rps_morphisms_direct runs perms.forced_morphisms on the members.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .errors import InvariantViolation, MissingIdentity, RegularityViolation, StructureError
@@ -34,6 +35,7 @@ from .perms import (
     Morphism,
     PermSet,
     _all_bijections,
+    _right_multiplier,
     forced_morphisms,
     identity_morphism,
     intertwines,
@@ -92,7 +94,12 @@ def check_rps(members: PermSet, degree: int, basepoint: int) -> Rps:
     (alpha, beta) once has n members, so the test holds exactly when the
     count below finds nothing. Only a set that fails it runs the count,
     point by point, which names the first (alpha, beta) in lexicographic
-    order hit by other than one member as RegularityViolation."""
+    order hit by other than one member as RegularityViolation.
+
+    The loops are read off with gathers, no step per cell: the base
+    images are one gather over the members, the induced loop's rows one
+    gather of the members through member_at, and each member's row of the
+    member loop two gathers."""
     if members.degree != degree:
         raise StructureError(f"members have degree {members.degree}, expected {degree}")
     if not 0 <= basepoint < degree:
@@ -110,21 +117,20 @@ def check_rps(members: PermSet, degree: int, basepoint: int) -> Rps:
                 if c != 1:
                     raise RegularityViolation(alpha, beta, c)
         raise InvariantViolation("check_rps's point-column test", degree)
-    base_images = tuple(m[basepoint] for m in ms)
+    base_images = tuple(map(itemgetter(basepoint), ms))
     at = [0] * degree
     for i, beta in enumerate(base_images):
         at[beta] = i
     member_at = tuple(at)
     # row alpha of the induced loop is m_alpha itself, since
     # m_beta(base) == beta; member m times member k is the member at point
-    # m(k(base)). Regularity makes both tables loops, so neither is checked
-    # again; the test suite checks each against check_loop.
-    induced = Loop(degree, tuple(ms[i] for i in member_at), basepoint)
-    on_members = Loop(
-        degree,
-        tuple(tuple(member_at[m[x]] for x in base_images) for m in ms),
-        members.index(identity),
-    )
+    # m(k(base)), so row m of the member loop is member_at gathered through
+    # m gathered through base_images. Regularity makes both tables loops, so
+    # neither is checked again; the test suite checks each against check_loop.
+    induced = Loop(degree, _right_multiplier(member_at)(ms), basepoint)
+    at_base = _right_multiplier(base_images)
+    rows = tuple([_right_multiplier(at_base(m))(member_at) for m in ms])
+    on_members = Loop(degree, rows, members.index(identity))
     return Rps(members, degree, basepoint, base_images, member_at, induced, on_members)
 
 

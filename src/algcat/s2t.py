@@ -199,10 +199,10 @@ def forced_member_map(phi: Sequence[int], src: S2tGroup, dst: S2tGroup) -> tuple
 @per_object
 def involutions(g: S2tGroup) -> PermSet:
     """All elements of order exactly two: the members p other than the
-    identity with p[p[x]] == x at every point. Never empty in a valid
-    group."""
+    identity with p * p the identity, each square one gather of p through
+    itself. Never empty in a valid group."""
     e = tuple(range(g.degree))
-    return perm_set(p for p in g.group if p != e and all(x == p[y] for x, y in enumerate(p)))
+    return perm_set(p for p in g.group if p != e and _right_multiplier(p)(p) == e)
 
 
 @per_object

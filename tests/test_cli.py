@@ -108,6 +108,23 @@ def test_check_missing_file_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_check_names_a_path_it_cannot_read(tmp_path, capsys, target):
+    # a missing path and a directory: exit 2, a ParseError at line 0 naming
+    # the path and the operating system's reason
+    path = tmp_path / "no-such-file.txt" if target == "missing" else tmp_path
+    reason = "No such file or directory" if target == "missing" else "Is a directory"
+    code, out, _ = run(capsys, "check", str(path), "--no-timestamp")
+    assert code == 2
+    assert out.splitlines() == [
+        "command: check",
+        f"path: {path}",
+        "valid: false",
+        "error_type: ParseError",
+        f"error: line 0: cannot read {path}: {reason}",
+    ]
+
+
 def test_check_refuses_oversized_composition_table(tmp_path, capsys):
     # S7 listed member by member: 5040 members, so its 25.4M-entry
     # composition table must be refused before any row is built (building it
@@ -275,8 +292,8 @@ def test_budget_refusals_read_no_member_or_row(monkeypatch):
         with pytest.raises(ResourceLimitExceeded, match=f"of order {p} needs {p**3}"):
             check()
     assert rows.reads == 0
-    # the closure checks the budget at every member it reaches past the
-    # identity and refuses at exactly the 1,001st
+    # the closure refuses at exactly the 1,001st member it reaches, and
+    # calls the budget check only then
     works = []
     budget = perms.check_budget
 
@@ -287,7 +304,7 @@ def test_budget_refusals_read_no_member_or_row(monkeypatch):
     monkeypatch.setattr(perms, "check_budget", recording)
     with pytest.raises(ResourceLimitExceeded, match="closure reached 1001 members"):
         perms.closure([(*range(1, 7), 0), (1, 0, *range(2, 7))])
-    assert works == [k * k for k in range(2, 1002)]
+    assert works == [1001 * 1001]
 
 
 def test_parser_built_once_leaks_no_flag(files, capsys, monkeypatch):

@@ -44,6 +44,20 @@ def test_parse_loop():
     assert shifted.identity == 1
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1 1.5", "expected integers, got '1 1.5'"),
+        ("1 0x1", "expected integers, got '1 0x1'"),
+        ("1", "expected 2 integers, got 1"),
+    ],
+)
+def test_parse_names_a_row_that_is_not_integers(row, message):
+    with pytest.raises(ParseError) as info:
+        parse_structure(f"loop 2\n0 1\n{row}\n")
+    assert str(info.value) == f"line 3: {message}"
+
+
 def test_parse_ndom():
     gf3 = galois_field(3)
     text = emit_structure(gf3)

@@ -264,31 +264,32 @@ def test_nearfield_check_agrees_with_the_full_loop_from_either_start():
 
 
 def test_validated_neardomains_keep_their_coefficient_table(monkeypatch, tmp_path):
-    # check_neardomain solves each coefficient once and keeps the table;
+    # check_neardomain solves the coefficient table once and keeps it;
     # affine_group and is_nearfield read it and solve none; on a Neardomain
     # built directly the first request solves the table; the CLI reading
-    # one file twice validates it, and solves its table, once
-    calls = []
-    solve = neardomain.d_coeff
-    monkeypatch.setattr(neardomain, "d_coeff", lambda nd, a, b: calls.append((a, b)) or solve(nd, a, b))
+    # one file twice validates it, and solves its table, once. A solve is
+    # counted as one build of the row solver
+    solves = []
+    solver = neardomain._row_solver
+    monkeypatch.setattr(neardomain, "_row_solver", lambda nd: solves.append(nd) or solver(nd))
     gf7 = galois_field(7)
     pi = (0, 3, 6, 2, 5, 1, 4)
     nd = check_neardomain(_relabeled(gf7.add, pi), _relabeled(gf7.mul, pi), 0, pi[1])
-    assert len(calls) == 49
-    calls.clear()
+    assert solves == [nd]
+    solves.clear()
     assert s2t.affine_group(nd).degree == 7 and is_nearfield(nd)
-    assert calls == []
+    assert solves == []
     fresh = Neardomain(nd.order, nd.add, nd.mul, nd.zero, nd.one)
     assert is_nearfield(fresh) and s2t.affine_group(fresh) == s2t.affine_group(nd)
-    assert len(calls) == 49
+    assert len(solves) == 1 and solves[0] is fresh
     assert neardomain.coefficients(fresh) == neardomain.coefficients(nd)
-    calls.clear()
+    solves.clear()
     path = tmp_path / "nd.txt"
     path.write_text(emit_structure(nd))
     read = cli._read(str(path))
-    assert read == nd and read is not nd and len(calls) == 49
+    assert read == nd and read is not nd and len(solves) == 1
     assert cli._read(str(path)) is read and is_nearfield(read)
-    assert len(calls) == 49
+    assert len(solves) == 1
 
 
 # Additions that are loops but not groups, each with the multiplication

@@ -6,10 +6,17 @@ corruption of them, and the inputs a one-pass test could wrongly pass are
 pinned."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from algcat import neardomain
 from algcat.errors import (
+    AxiomViolation,
+    InvariantViolation,
     MissingIdentity,
     NotAGroup,
     NotSharplyTransitive,
@@ -17,14 +24,22 @@ from algcat.errors import (
     ResourceLimitExceeded,
     StructureError,
 )
-from algcat.loops import check_loop
-from algcat.neardomain import check_neardomain, galois_field
+from algcat.loops import check_loop, enumerate_loops
+from algcat.neardomain import Neardomain, check_neardomain, coefficients, d_coeff, galois_field
 from algcat.perms import PermSet, check_group, closure, perm_set
-from algcat.rps import check_rps
-from algcat.s2t import affine_group, check_s2t
+from algcat.rps import check_rps, loop_to_rps
+from algcat.s2t import affine_group, check_s2t, involutions, relabel, translations
 from algcat.values import Value
 from algcat.zoo import standard_zoo
-from references import check_neardomain_by_triples, latin_witness
+from references import (
+    check_neardomain_by_triples,
+    compose,
+    is_involution,
+    latin_witness,
+    member_product,
+    reassociation_witness,
+)
+from test_nd_certificates import AXIOM_6_FAILURES
 from test_perms import _reference_subgroup_failure
 from test_s2t import _reference_check_s2t
 
@@ -235,3 +250,126 @@ def test_check_neardomain_names_an_entry_that_is_no_point(name):
     assert type(info.value) is StructureError
     assert str(info.value) == f"{name} entry 1.5 in row 1 out of range"
     assert _outcome(check_neardomain, *args) == _outcome(_reference_check_neardomain, *args)
+
+
+def _coefficients_by_pairs(nd):
+    """The coefficient table one d_coeff call per pair, in row-major order."""
+    return tuple(tuple(d_coeff(nd, a, b) for b in range(nd.order)) for a in range(nd.order))
+
+
+def _raised(fn, *args):
+    """"ok" and what fn returns, or the type and text of whatever it raises."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the raised type is compared
+        return type(exc).__name__, str(exc)
+
+
+def test_row_solved_coefficients_equal_the_pair_by_pair_table():
+    # every zoo neardomain, the larger fields, and neardomains built
+    # directly (nothing kept): the same table as one d_coeff per pair
+    nds = [nd for _, nd in standard_zoo().neardomains] + [galois_field(q) for q in (11, 13, 16)]
+    for nd in nds:
+        fresh = Neardomain(nd.order, nd.add, nd.mul, nd.zero, nd.one)
+        assert coefficients(fresh) == coefficients(nd) == _coefficients_by_pairs(nd), nd.order
+    # the additions that pass axioms 1 to 5 and fail axiom 6: the same
+    # AxiomViolation(6) as the pair-by-pair scan and the cell-by-cell
+    # reference, through coefficients and through check_neardomain
+    for add, mul, witness in AXIOM_6_FAILURES:
+        nd = Neardomain(6, add, mul, 0, 1)
+        want = ("AxiomViolation", str(AxiomViolation(6, witness)))
+        assert reassociation_witness(add, mul, 0, 1) == witness
+        assert _raised(coefficients, nd) == _raised(_coefficients_by_pairs, nd) == want
+        assert _raised(check_neardomain, add, mul, 0, 1) == want
+
+
+@pytest.mark.parametrize("q", [4, 5])
+def test_row_solved_coefficients_name_the_pair_by_pair_failure(q):
+    # every single-cell corruption of the addition of GF(q), built directly
+    # so that axiom 6 reads it. A corrupted row repeats a value, so none is
+    # a loop and none passes axioms 1 to 5 (the additions that do are
+    # tested above); some rows miss the target d_coeff solves for, and the
+    # out-of-range value q is read as an index. Whatever the pair-by-pair
+    # scan raises first in row-major order, the row solve must raise too
+    gf = galois_field(q)
+    seen, rows = set(), set()
+    for add in _corruptions(gf.add):
+        nd = Neardomain(q, add, gf.mul, gf.zero, gf.one)
+        got = _raised(coefficients, nd)
+        assert got == _raised(_coefficients_by_pairs, nd), add
+        seen.add(got[0])
+        if got[0] == "AxiomViolation":
+            rows.add(got[1].split("(")[1].split(",")[0])
+    assert seen == {"AxiomViolation", "ValueError", "IndexError"}, seen
+    # some failures are named in row 1, after row 0 passed the row test
+    assert rows == {"0", "1"}, rows
+
+
+def test_row_test_that_disagrees_with_the_scan_raises_invariant_violation_under_optimize():
+    code = """
+import sys
+if __debug__:
+    sys.exit("not running under -O")
+from algcat import neardomain
+from algcat.errors import InvariantViolation
+gf = neardomain.galois_field(5)
+neardomain._row_solver = lambda nd: (lambda a: None)
+for check in (
+    lambda: neardomain.check_neardomain(gf.add, gf.mul, gf.zero, gf.one),
+    lambda: neardomain.coefficients(neardomain.Neardomain(5, gf.add, gf.mul, gf.zero, gf.one)),
+):
+    try:
+        check()
+    except InvariantViolation as exc:
+        assert "axiom 6's row test" in str(exc), exc
+        print("refused")
+    else:
+        sys.exit("the scan's disagreement passed")
+"""
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["refused", "refused"]
+
+
+def _relabelings(degree):
+    """A few bijections of 0..degree-1: the identity, the reversal and the
+    rotation by one, and every bijection for degree 3 or less."""
+    if degree <= 3:
+        return list(itertools.permutations(range(degree)))
+    return [tuple(range(degree)), tuple(reversed(range(degree))), (*range(1, degree), 0)]
+
+
+def test_involutions_equal_the_all_points_reference():
+    seen = 0
+    for name, g in standard_zoo().groups:
+        for pi in _relabelings(g.degree):
+            h = relabel(g, pi)
+            want = {p for p in h.group if is_involution(p)}
+            assert set(involutions(h)) == want and want, (name, pi)
+            seen += 1
+    assert seen > 36
+
+
+def test_rps_loops_equal_the_member_product_reference():
+    # the member loop through the member products of the definition, the
+    # induced loop through composites at the base point
+    zoo = standard_zoo()
+    objects = [r for _, r in zoo.rps_objects] + [loop_to_rps(loop) for loop in enumerate_loops(6)]
+    assert len(objects) == 11 + 109
+    for r in objects:
+        ms, base = r.members.members, r.basepoint
+        again = check_rps(r.members, r.degree, base)
+        assert again.member_loop.table == tuple(
+            tuple(r.members.index(member_product(r, m, k)) for k in ms) for m in ms
+        )
+        assert again.loop.table == tuple(
+            tuple(compose(r.from_point(a), r.from_point(b))[base] for b in range(r.degree)) for a in range(r.degree)
+        )
+        assert again.base_images == tuple(m[base] for m in ms)
+    for _, g in zoo.groups:
+        t = translations(g)
+        assert t.member_loop.table == tuple(
+            tuple(t.members.index(member_product(t, m, k)) for k in t.members) for m in t.members
+        )
