@@ -57,7 +57,7 @@ from .s2t import (
     translations,
     translations_form_subgroup,
 )
-from .perms import Morphism, compose_morphisms, perm_set
+from .perms import Morphism, _right_multiplier, compose_morphisms, perm_set
 from .values import Value
 from .zoo import Zoo, standard_zoo
 
@@ -104,7 +104,7 @@ def _identity_map(obj) -> tuple[int, ...]:
 
 
 def _compose_maps(outer: Sequence[int], inner: Sequence[int]) -> tuple[int, ...]:
-    return tuple(outer[v] for v in inner)
+    return _right_multiplier(inner)(outer)
 
 
 def _point_map(m: Morphism, src, dst) -> tuple[int, ...]:
@@ -372,7 +372,7 @@ def translation_form_witness(nd: Neardomain) -> str | None:
     """Over an affine group the translation set must be exactly the b == one
     affine maps."""
     g = affine_group(nd)
-    expected = perm_set(tuple(nd.add[c][x] for x in range(nd.order)) for c in range(nd.order))
+    expected = perm_set(nd.add)
     got = translations(g).members
     if got != expected:
         return f"translation set {[list(p) for p in got]} != affine b=1 maps"

@@ -416,9 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
         "(listed, or closed from generators), a loop, rps or ndom file whose "
         f"order cubed exceeds {TABLE_CAP}, and a homset whose source order "
         f"squared times target order exceeds {TABLE_CAP}, are refused with exit "
-        "code 2. Group closure is certified from a generating set; the "
-        "composition table is built only to name the first missing product "
-        "of a set that is not closed.",
+        "code 2. Group closure is certified from a generating set, and no "
+        "composition table is built: a row-major scan of the products names "
+        "the first one missing from a set that is not closed.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (func, summary, names, options, one_of) in _COMMANDS.items():

@@ -1,6 +1,8 @@
 """Loops (unital quasigroups) as validated Cayley tables. Row a of a table
 is the image tuple of the left translation x -> a * x, the form a member of
-a permutation set takes (see perms)."""
+a permutation set takes (see perms): a morphism intertwines the rows, and
+associativity is Light's test (_associativity_witness), which the
+neardomain checks run too."""
 
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from .errors import (
     ResourceLimitExceeded,
     StructureError,
 )
-from .perms import _all_bijections, _check_images, check_budget
+from .perms import _all_bijections, _check_images, _intertwined, _right_multiplier, check_budget, greedy_walk
 from .values import Value, cached_hash
 
 ENUMERATION_CAP = 6
@@ -89,17 +91,62 @@ def check_loop(table: Sequence[Sequence[int]], identity: int = 0) -> Loop:
 
 
 def is_associative(loop: Loop) -> bool:
-    """True iff (a * b) * c == a * (b * c) for every triple; an order whose
-    cube is over the budget is refused before the first one."""
+    """True iff (a * b) * c == a * (b * c) for every triple, by Light's test
+    from _generators; an order whose cube (the full loop a failure runs) is
+    over the budget is refused before the first row is read."""
     n = loop.order
     check_budget(n**3, f"associativity check of order {n}")
-    t = loop.table
-    return all(
-        t[t[a][b]][c] == t[a][t[b][c]]
-        for a in range(n)
-        for b in range(n)
-        for c in range(n)
-    )
+    return _associativity_witness(loop.table, range(n), _generators(loop.table, loop.identity)) is None
+
+
+def _right_multiplication(table: Table):
+    """t -> the map h -> table[h][t], by which greedy_walk grows a set of
+    elements under table."""
+    return lambda t: [row[t] for row in table].__getitem__
+
+
+def _generators(table: Table, unit: int) -> list[int]:
+    """The greedy generating set of every element under table, grown from
+    unit once an n-step scan shows it is a two-sided identity, else from
+    nothing, so Light's test on it stays exact on a table built directly."""
+    elements = range(len(table))
+    start = [unit] if all(table[unit][x] == x == table[x][unit] for x in elements) else []
+    return greedy_walk(elements, _right_multiplication(table), start)
+
+
+def _associativity_witness(table: Table, elements: Sequence[int], gens: Sequence[int]) -> tuple[int, int, int] | None:
+    """None when table is associative on elements, else the first triple
+    (a, b, c) in row-major order with (ab)c != a(bc). gens comes from
+    greedy_walk over the same elements.
+
+    Light's test (Clifford and Preston, The Algebraic Theory of Semigroups,
+    vol. 1, 1961, section 1.2) checks (xa)y == x(ay) for every x, y and each
+    generator a only, one row per x: (|elements| * |gens|) rows. It is
+    exact. The a that pass form a set closed under products: for a, b in it,
+
+        (x(ab))y == ((xa)b)y == (xa)(by) == x(a(by)) == x((ab)y).
+
+    It holds the generators, and the identity the generators were grown
+    from, if any, passes by its unit law, so it holds every element. Only a
+    table that fails runs the full triple loop, to name the witness; a loop
+    that finds none contradicts the test and raises InvariantViolation."""
+    # (xa)y over y is the row of xa restricted to the elements, x(ay) the
+    # row of x gathered through a * y: one gather each
+    restrict = _right_multiplier(elements)
+    rows = [restrict(row) for row in table]
+    for a in gens:
+        through_a = _right_multiplier(rows[a])
+        if any(rows[table[x][a]] != through_a(table[x]) for x in elements):
+            break
+    else:
+        return None
+    for a in elements:
+        for b in elements:
+            ab = table[a][b]
+            for c in elements:
+                if table[ab][c] != table[a][table[b][c]]:
+                    return (a, b, c)
+    raise InvariantViolation("Light's associativity test", tuple(gens))
 
 
 def left_translation(loop: Loop, a: int) -> tuple[int, ...]:
@@ -110,14 +157,13 @@ def left_translation(loop: Loop, a: int) -> tuple[int, ...]:
 
 
 def is_loop_morphism(f: Sequence[int], src: Loop, dst: Loop) -> bool:
-    """True iff f respects the operation on every pair."""
+    """True iff f respects the operation on every pair: f intertwines the
+    rows of the tables (perms._intertwined)."""
     f = tuple(f)
     if len(f) != src.order or any(not 0 <= v < dst.order for v in f):
         raise ValueError("f is not a total map into the target loop")
-    for a in range(src.order):
-        for b in range(src.order):
-            if f[src.table[a][b]] != dst.table[f[a]][f[b]]:
-                return False
+    if not _intertwined(f, f, src.table, dst.table):
+        return False
     # f(e) == f(e) * f(e) forces f(e) to be the identity in a loop
     if f[src.identity] != dst.identity:
         raise InvariantViolation("morphism fixes the identity", (src.identity, f[src.identity]))
@@ -193,23 +239,16 @@ def enumerate_loop_morphisms(src: Loop, dst: Loop) -> tuple[tuple[int, ...], ...
 
 def relabel(loop: Loop, pi: Sequence[int]) -> Loop:
     """Transport the table along the image tuple pi; the identity moves with
-    it. Raises StructureError unless pi is a bijection of the carrier."""
+    it: row pi(r) becomes pi . row r . pi^-1, two gathers. Raises
+    StructureError unless pi is a bijection of the carrier."""
     n = loop.order
     pi = tuple(pi)
     _check_images(pi)
     if len(pi) != n:
         raise StructureError("relabeling degree mismatch")
-    pi_inv = sorted(range(n), key=pi.__getitem__)
-    return check_loop(_relabeled_table(loop.table, pi, pi_inv, n), pi[loop.identity])
-
-
-def _relabeled_table(
-    table: Sequence[Sequence[int]], pi: Sequence[int], pi_inv: Sequence[int], n: int
-) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(pi[table[pi_inv[r]][pi_inv[c]]] for c in range(n))
-        for r in range(n)
-    )
+    at_inv = _right_multiplier(sorted(range(n), key=pi.__getitem__))
+    table = tuple(at_inv(_right_multiplier(row)(pi)) for row in at_inv(loop.table))
+    return check_loop(table, pi[loop.identity])
 
 
 @lru_cache(maxsize=1)

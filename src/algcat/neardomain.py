@@ -16,12 +16,14 @@ standing property on everything this module ever builds.
 
 check_neardomain certifies axioms 3 and 5 on the generating set of the
 nonzero elements that perms.greedy_walk grows from one, associativity by
-Light's test and left distributivity on the generators alone, and runs a
-full triple loop only to name the witness of an input that fails. Axiom 6
-solves and verifies the n^2 coefficients a row at a time, n^3 steps taken by
-gathers of whole rows, runs its pair-by-pair scan (d_coeff) only on a row
-that fails, and the neardomain keeps the coefficients as one table
-(coefficients), which affine_group and is_nearfield read.
+Light's test (loops._associativity_witness) and left distributivity on the
+generators alone (perms._intertwined, as is_nd_morphism runs it on both
+tables), and runs a full triple loop only to name the witness of an input
+that fails. Axiom 6 solves and verifies the n^2 coefficients a row at a
+time, n^3 steps taken by gathers of whole rows, runs its pair-by-pair scan
+(d_coeff) only on a row that fails, and the neardomain keeps the
+coefficients as one table (coefficients), which affine_group and
+is_nearfield read.
 
 Morphisms preserve both operations and the multiplicative identity (without
 the unital requirement the constant-zero map would slip in, collapsing the
@@ -42,8 +44,8 @@ from .errors import (
     LatinSquareViolation,
     StructureError,
 )
-from .loops import Table, check_loop, table_homomorphisms
-from .perms import _right_multiplier, check_budget, greedy_walk
+from .loops import Table, _associativity_witness, _generators, _right_multiplication, check_loop, table_homomorphisms
+from .perms import _intertwined, _right_multiplier, check_budget, greedy_walk
 from .values import Value, cached_hash, per_object
 
 
@@ -224,59 +226,10 @@ def check_neardomain(
     return nd
 
 
-def _right_multiplication(table: Table):
-    """t -> the map h -> table[h][t], by which greedy_walk grows a set of
-    elements under table."""
-    return lambda t: [row[t] for row in table].__getitem__
-
-
-def _associativity_witness(table: Table, elements: Sequence[int], gens: Sequence[int]) -> tuple[int, int, int] | None:
-    """None when table is associative on elements, else the first triple
-    (a, b, c) in row-major order with (ab)c != a(bc). gens comes from
-    greedy_walk over the same elements.
-
-    Light's test (Clifford and Preston, The Algebraic Theory of Semigroups,
-    vol. 1, 1961, section 1.2) checks (xa)y == x(ay) for every x, y and each
-    generator a only, one row per x: (|elements| * |gens|) rows. It is
-    exact. The a that pass form a set closed under products: for a, b in it,
-
-        (x(ab))y == ((xa)b)y == (xa)(by) == x(a(by)) == x((ab)y).
-
-    It holds the generators, and the identity the generators were grown
-    from, if any, passes by its unit law, so it holds every element. Only a
-    table that fails runs the full triple loop, to name the witness; a loop
-    that finds none contradicts the test and raises InvariantViolation."""
-    # (xa)y over y is the row of xa restricted to the elements, x(ay) the
-    # row of x gathered through a * y: one gather each
-    restrict = itemgetter(*elements)
-    rows = [restrict(row) for row in table]
-    for a in gens:
-        through_a = itemgetter(*rows[a])
-        if any(rows[table[x][a]] != through_a(table[x]) for x in elements):
-            break
-    else:
-        return None
-    for a in elements:
-        for b in elements:
-            ab = table[a][b]
-            for c in elements:
-                if table[ab][c] != table[a][table[b][c]]:
-                    return (a, b, c)
-    raise InvariantViolation("Light's associativity test", tuple(gens))
-
-
 def _distributes(add: Table, mul: Table, gens: Sequence[int]) -> bool:
-    """a(b + c) == ab + ac for every generator a and all b, c, compared a
-    row per (a, b): gathering the row of a through the sum row of b, and the
-    sum row of ab through the row of a."""
-    through_sum = [itemgetter(*row) for row in add]
-    for a in gens:
-        row = mul[a]
-        through_a = itemgetter(*row)
-        for sum_b, ab in zip(through_sum, row):
-            if sum_b(row) != through_a(add[ab]):
-                return False
-    return True
+    """a(b + c) == ab + ac for every generator a and all b, c: mul[a]
+    intertwines the rows of add (perms._intertwined)."""
+    return all(_intertwined(mul[a], mul[a], add, add) for a in gens)
 
 
 def d_coeff(nd: Neardomain, a: int, b: int) -> int:
@@ -357,19 +310,17 @@ def is_nearfield(nd: Neardomain) -> bool:
     """True iff every reassociation coefficient is one, read off the kept
     table (coefficients). Addition is then a group: with d == one, axiom 6
     reads a + (b + x) == (a + b) + x. That associativity is re-checked by
-    Light's test on add (see _associativity_witness), from the generating
-    set of all elements that perms.greedy_walk grows. It is grown from zero
-    once zero is checked to be a two-sided identity of add (n steps), so
-    zero is never taken as a generator. On a Neardomain built directly whose
-    zero is no identity of add, it is grown from nothing, and the test stays
-    exact. A failure raises InvariantViolation naming the first triple. The
-    budget counts n^3 steps, the full loop a failure runs."""
+    Light's test on add (see loops._associativity_witness), from the
+    generating set of all elements that loops._generators grows: from zero
+    once zero is checked to be a two-sided identity of add, so zero is
+    never taken as a generator, and from nothing on a Neardomain built
+    directly whose zero is no identity of add, so the test stays exact. A
+    failure raises InvariantViolation naming the first triple. The budget
+    counts n^3 steps, the full loop a failure runs."""
     check_budget(nd.order**3, f"nearfield check of order {nd.order}")
     if any(d != nd.one for row in coefficients(nd) for d in row):
         return False
-    add, zero, elements = nd.add, nd.zero, range(nd.order)
-    start = [zero] if all(add[zero][x] == x == add[x][zero] for x in elements) else []
-    witness = _associativity_witness(add, elements, greedy_walk(elements, _right_multiplication(add), start))
+    witness = _associativity_witness(nd.add, range(nd.order), _generators(nd.add, nd.zero))
     if witness is not None:
         raise InvariantViolation("nearfield addition is associative", witness)
     return True
@@ -380,7 +331,8 @@ def characteristic_two(nd: Neardomain) -> bool:
 
 
 def is_nd_morphism(phi: Sequence[int], src: Neardomain, dst: Neardomain) -> bool:
-    """True iff phi preserves add, mul, and the multiplicative identity.
+    """True iff phi preserves add, mul (intertwines the rows of each, see
+    perms._intertwined), and the multiplicative identity.
 
     A true result is checked injective and zero-preserving: both follow, and
     a failure marks an implementation bug rather than a bad candidate.
@@ -390,12 +342,8 @@ def is_nd_morphism(phi: Sequence[int], src: Neardomain, dst: Neardomain) -> bool
         raise ValueError("phi is not a total map into the target carrier")
     if phi[src.one] != dst.one:
         return False
-    for a in range(src.order):
-        for b in range(src.order):
-            if phi[src.add[a][b]] != dst.add[phi[a]][phi[b]]:
-                return False
-            if phi[src.mul[a][b]] != dst.mul[phi[a]][phi[b]]:
-                return False
+    if not (_intertwined(phi, phi, src.add, dst.add) and _intertwined(phi, phi, src.mul, dst.mul)):
+        return False
     if phi[src.zero] != dst.zero:
         raise InvariantViolation("morphism fixes zero", (src.zero, phi[src.zero]))
     if len(set(phi)) != len(phi):

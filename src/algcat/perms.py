@@ -4,8 +4,8 @@ A permutation is its image tuple: images[x] is where x goes. Composition is
 fixed project-wide as the left action on image tuples: p * q is the tuple
 whose x-th entry is p[q[x]], so q is applied first, and
 _right_multiplier(q) is the map p -> p * q that every algorithm composes
-through. Everything downstream (translation sets, affine maps, group checks)
-relies on this orientation; test_perms pins it.
+through, composites and relabelings included. Everything downstream relies
+on this orientation; test_perms pins it.
 
 _check_images is the one check of a single permutation; closure runs it on
 each generator, both relabel functions on their argument, and perm_set on
@@ -22,8 +22,10 @@ validated downstream keeps the certificate that it is closed, which the
 morphism check of sharply 2-transitive groups reads, and a set that is not
 closed has its first missing product named by a row-major scan.
 
-forced_morphisms is the hom search of both permutation categories, built from
-the definition of a morphism alone.
+_intertwined is the one intertwining test: of the members, for the rps and
+s2t morphisms (through intertwines); of the table rows, for the loop and
+neardomain morphisms and for left distributivity. forced_morphisms is the hom search of both permutation
+categories, built from the definition of a morphism alone.
 """
 
 from __future__ import annotations
@@ -168,28 +170,32 @@ def identity_morphism(members: PermSet) -> Morphism:
 
 
 def compose_morphisms(outer: Morphism, inner: Morphism) -> Morphism:
-    """Composite inner-then-outer, index maps juggled accordingly."""
-    return Morphism(
-        tuple(outer.f[v] for v in inner.f),
-        tuple(outer.phi[v] for v in inner.phi),
-    )
+    """Composite inner-then-outer: each outer map gathered through the inner."""
+    return Morphism(_right_multiplier(inner.f)(outer.f), _right_multiplier(inner.phi)(outer.phi))
 
 
 def intertwines(m: Morphism, src: PermSet, dst: PermSet) -> bool:
-    """True iff phi . p == f(p) . phi for every source member p, the two
-    composites compared as whole image tuples, each built by one itemgetter
-    (phi . p gathers phi through p, f(p) . phi gathers f(p) through phi).
-    Stops at the first member that fails. Raises ValueError unless f and phi
-    are total maps into dst."""
+    """True iff phi . p == f(p) . phi for every source member p (see
+    _intertwined). Raises ValueError unless f and phi are total maps into
+    dst."""
     f, phi = m.f, m.phi
     if len(f) != len(src) or min(f) < 0 or max(f) >= len(dst):
         raise ValueError("f is not a total map into the target members")
     if len(phi) != src.degree or min(phi) < 0 or max(phi) >= dst.degree:
         raise ValueError("phi is not a total map into the target points")
+    return _intertwined(f, phi, src.members, dst.members)
+
+
+def _intertwined(f: Sequence[int], phi: Sequence[int], src_rows: Sequence, dst_rows: Sequence) -> bool:
+    """True iff phi . p == dst_rows[f[i]] . phi for the i-th row p of
+    src_rows, the two composites compared as whole image tuples, each one
+    gather (phi . p gathers phi through p, q . phi gathers q through phi).
+    Stops at the first row that fails; the caller checks the shapes. Read
+    on Cayley table rows (row a is x -> a * x) as (f, f), it is
+    f(a * x) == f(a) * f(x); as (mul[a], mul[a]) on add, a(b + c) == ab + ac."""
     after_phi = _right_multiplier(phi)
-    dst_ms = dst.members
-    for p, i in zip(src.members, f):
-        if _right_multiplier(p)(phi) != after_phi(dst_ms[i]):
+    for p, i in zip(src_rows, f):
+        if _right_multiplier(p)(phi) != after_phi(dst_rows[i]):
             return False
     return True
 

@@ -58,14 +58,15 @@ product is compared by its images at the base points, never looked up in a
 Each derived value above is a function of one object, so it is computed on
 the first request and kept on that object (check_closed, base_pair_index,
 involutions, characteristic, translations and derived_neardomain on the
-group, the coefficient table and affine_group on the neardomain).
+group, the coefficient table and affine_group on the neardomain). check_s2t
+validates in full on every call; nothing outlives the objects a caller holds.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import Callable, Sequence
 
 from .errors import (
@@ -207,7 +208,8 @@ def involutions(g: S2tGroup) -> PermSet:
 
 @per_object
 def characteristic(g: S2tGroup) -> Characteristic:
-    counts = {sum(x == y for x, y in enumerate(p)) for p in involutions(g)}
+    points = range(g.degree)
+    counts = {sum(map(eq, p, points)) for p in involutions(g)}
     if counts == {0}:
         return Characteristic.TWO
     if counts == {1}:
@@ -450,9 +452,10 @@ def relabel(g: S2tGroup, pi: Sequence[int]) -> S2tGroup:
     _check_images(pi)
     if len(pi) != g.degree:
         raise StructureError("relabeling degree mismatch")
-    # (pi * p * pi^-1)(x) == pi[p[pi^-1[x]]]
-    inv = sorted(range(g.degree), key=pi.__getitem__)
-    members = perm_set(tuple([pi[p[x]] for x in inv]) for p in g.group)
+    # pi * p * pi^-1: p composed with pi on the left, then gathered
+    # through pi^-1
+    at_inv = _right_multiplier(sorted(range(g.degree), key=pi.__getitem__))
+    members = perm_set(at_inv(_right_multiplier(p)(pi)) for p in g.group)
     return check_s2t(members, pi[g.omega0], pi[g.omega1])
 
 

@@ -33,6 +33,18 @@ def compose(p: Images, q: Images) -> Images:
     return tuple(p[x] for x in q)
 
 
+def relabeled_table(table, pi: Images, pi_inv: Images, n: int) -> tuple[Images, ...]:
+    """The table transported along pi, cell by cell: the new table holds
+    pi(a * b) at (pi(a), pi(b))."""
+    return tuple(tuple(pi[table[pi_inv[r]][pi_inv[c]]] for c in range(n)) for r in range(n))
+
+
+def preserves(f, src_table, dst_table) -> bool:
+    """f(a op b) == f(a) op' f(b) at every pair (a, b), cell by cell."""
+    n = len(src_table)
+    return all(f[src_table[a][b]] == dst_table[f[a]][f[b]] for a in range(n) for b in range(n))
+
+
 def inverse(p: Images) -> Images:
     """The image tuple of the inverse: inverse(p)[p[x]] == x."""
     return tuple(p.index(y) for y in range(len(p)))

@@ -684,8 +684,8 @@ FALLBACK = [
         "closed from generators), a loop, rps or ndom file whose order cubed exceeds\n"
         "1000000, and a homset whose source order squared times target order exceeds\n"
         "1000000, are refused with exit code 2. Group closure is certified from a\n"
-        "generating set; the composition table is built only to name the first missing\n"
-        "product of a set that is not closed.\n"
+        "generating set, and no composition table is built: a row-major scan of the\n"
+        "products names the first one missing from a set that is not closed.\n"
     ), ""),
     (["check", "--help"], 0, (
         "usage: algcat check [-h] [--json] [--no-timestamp] path\n"

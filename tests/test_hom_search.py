@@ -13,6 +13,7 @@ import pytest
 
 from algcat.errors import InvariantViolation
 from algcat.loops import (
+    Loop,
     enumerate_loop_morphisms,
     enumerate_loops,
     is_loop_morphism,
@@ -21,6 +22,7 @@ from algcat.loops import (
 )
 from algcat.neardomain import (
     SUPPORTED_FIELD_ORDERS,
+    Neardomain,
     dickson_nearfield_9,
     enumerate_nd_morphisms,
     galois_field,
@@ -28,7 +30,7 @@ from algcat.neardomain import (
 )
 from algcat.perms import closure
 from algcat.s2t import S2tGroup, affine_group, base_pair_index, enumerate_s2t_morphisms_direct
-from references import loops_isomorphic
+from references import loops_isomorphic, preserves
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -45,7 +47,7 @@ def _brute_force(src_order: int, dst_order: int, is_morphism) -> list[tuple[int,
 def test_loop_search_matches_brute_force():
     for src in SMALL_LOOPS:
         for dst in SMALL_LOOPS:
-            want = _brute_force(src.order, dst.order, lambda f: is_loop_morphism(f, src, dst))
+            want = _brute_force(src.order, dst.order, lambda f: preserves(f, src.table, dst.table))
             assert list(enumerate_loop_morphisms(src, dst)) == want, (src, dst)
             bijective = [f for f in want if src.order == dst.order and len(set(f)) == src.order]
             assert loops_isomorphic(src, dst) == (bijective[0] if bijective else None), (src, dst)
@@ -112,12 +114,99 @@ def test_magma_search_matches_element_order_reference():
                 assert _same_search((src,), (dst,), pinned), (src, dst, pinned)
 
 
+def _nd_preserves(f, src, dst) -> bool:
+    return f[src.one] == dst.one and preserves(f, src.add, dst.add) and preserves(f, src.mul, dst.mul)
+
+
 def test_nd_search_matches_brute_force():
     fields = [galois_field(q) for q in (2, 3, 4, 5)]
     for src in fields:
         for dst in fields:
-            want = _brute_force(src.order, dst.order, lambda f: is_nd_morphism(f, src, dst))
+            want = _brute_force(src.order, dst.order, lambda f: _nd_preserves(f, src, dst))
             assert list(enumerate_nd_morphisms(src, dst)) == want, (src.order, dst.order)
+
+
+def _outcome(predicate, *args):
+    """What predicate returns, or the type of what it raises."""
+    try:
+        return predicate(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+def _loop_reference(f, src, dst):
+    """is_loop_morphism's documented outcome, from the cell-by-cell law."""
+    if len(f) != src.order or any(not 0 <= v < dst.order for v in f):
+        return ValueError
+    if not preserves(f, src.table, dst.table):
+        return False
+    return True if f[src.identity] == dst.identity else InvariantViolation
+
+
+def _nd_reference(f, src, dst):
+    """is_nd_morphism's documented outcome, from the cell-by-cell laws."""
+    if len(f) != src.order or any(not 0 <= v < dst.order for v in f):
+        return ValueError
+    if not _nd_preserves(f, src, dst):
+        return False
+    return True if f[src.zero] == dst.zero and len(set(f)) == len(f) else InvariantViolation
+
+
+def _single_cell_corruptions(table):
+    """Every table differing from table in one cell, by a value in range."""
+    n = len(table)
+    for a, b in itertools.product(range(n), repeat=2):
+        for v in range(n):
+            if v != table[a][b]:
+                rows = [list(row) for row in table]
+                rows[a][b] = v
+                yield tuple(map(tuple, rows))
+
+
+def _maps_and_misfits(n: int, m: int):
+    """Every map of n points into m, then one too long and one out of range."""
+    return [*itertools.product(range(m), repeat=n), (0,) * (n + 1), (m,) * n]
+
+
+def test_loop_morphism_predicate_matches_the_cell_law():
+    # every map between the loops of order <= 4 and their relabeled copies,
+    # then single-cell corruptions of those of order <= 3, built directly,
+    # as source and as target: the same bool, or the same exception type.
+    # A corruption can leave a map preserving the operation but moving the
+    # identity, so the invariant check is reached too
+    corrupted = [
+        Loop(l.order, t, l.identity) for l in SMALL_LOOPS if l.order <= 3 for t in _single_cell_corruptions(l.table)
+    ]
+    small = [l for l in SMALL_LOOPS if l.order <= 3]
+    pairs = [(a, b) for a in SMALL_LOOPS for b in SMALL_LOOPS]
+    pairs += [(a, b) for a in corrupted for b in small] + [(a, b) for a in small for b in corrupted]
+    outcomes = set()
+    for src, dst in pairs:
+        for f in _maps_and_misfits(src.order, dst.order):
+            want = _loop_reference(f, src, dst)
+            assert _outcome(is_loop_morphism, f, src, dst) == want, (f, src, dst)
+            outcomes.add(want)
+    assert outcomes == {True, False, ValueError, InvariantViolation}
+
+
+def test_nd_morphism_predicate_matches_the_cell_laws():
+    # every map among GF(2) to GF(5), then single-cell corruptions of the
+    # add and mul tables of GF(2) and GF(3), built directly, as source and
+    # as target: the same bool, or the same exception type
+    fields = [galois_field(q) for q in (2, 3, 4, 5)]
+    corrupted = []
+    for nd in fields[:2]:
+        corrupted += [Neardomain(nd.order, t, nd.mul, nd.zero, nd.one) for t in _single_cell_corruptions(nd.add)]
+        corrupted += [Neardomain(nd.order, nd.add, t, nd.zero, nd.one) for t in _single_cell_corruptions(nd.mul)]
+    pairs = [(a, b) for a in fields for b in fields]
+    pairs += [(a, b) for a in corrupted for b in fields[:2]] + [(a, b) for a in fields[:2] for b in corrupted]
+    outcomes = set()
+    for src, dst in pairs:
+        for f in _maps_and_misfits(src.order, dst.order):
+            want = _nd_reference(f, src, dst)
+            assert _outcome(is_nd_morphism, f, src, dst) == want, (f, src, dst)
+            outcomes.add(want)
+    assert outcomes == {True, False, ValueError, InvariantViolation}
 
 
 def test_field_hom_counts_match_the_closed_form():

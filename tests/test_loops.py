@@ -22,7 +22,6 @@ from algcat.loops import (
     Loop,
     _advance,
     _canonical_scan,
-    _relabeled_table,
     canonical_table,
     check_loop,
     enumerate_loop_morphisms,
@@ -33,7 +32,7 @@ from algcat.loops import (
     relabel,
     table_homomorphisms,
 )
-from references import loops_isomorphic, relabelings_fixing_zero
+from references import loops_isomorphic, relabeled_table, relabelings_fixing_zero
 
 Z2 = check_loop(((0, 1), (1, 0)))
 Z3 = check_loop(((0, 1, 2), (1, 2, 0), (2, 0, 1)))
@@ -239,7 +238,7 @@ def test_relabeling_beats_matches_full_comparison(n):
     for t in _normalized_tables(n):
         blobs = [bytes(row) for row in t]
         for pi, pi_inv in relabelings_fixing_zero(n):
-            full = _relabeled_table(t, pi, pi_inv, n)
+            full = relabeled_table(t, pi, pi_inv, n)
             live = [(pi_inv, bytes.maketrans(bytes(range(n)), bytes(pi)), itemgetter(*pi_inv), 1)]
             for k in range(1, n):
                 live = _advance(t[: k + 1], blobs[: k + 1], k, live)
@@ -265,9 +264,9 @@ def test_canonical_table_matches_plain_minimum(n):
         tables += _normalized_tables(n)
     else:
         neg = tuple(-x % n for x in range(n))
-        tables += [_relabeled_table(t, neg, neg, n) for t in tables]
+        tables += [relabeled_table(t, neg, neg, n) for t in tables]
     for t in tables:
-        plain = min(_relabeled_table(t, pi, pi_inv, n) for pi, pi_inv in relabelings_fixing_zero(n))
+        plain = min(relabeled_table(t, pi, pi_inv, n) for pi, pi_inv in relabelings_fixing_zero(n))
         assert canonical_table(Loop(n, t, 0)) == plain, t
 
 
@@ -357,13 +356,13 @@ def test_canonical_table_is_unchanged_by_scan_eviction():
     # twice, and each answer is still the plain minimum
     neg6 = tuple(-x % 6 for x in range(6))
     tables = {
-        6: [_relabeled_table(l.table, neg6, neg6, 6) for l in enumerate_loops(6)[:20]],
+        6: [relabeled_table(l.table, neg6, neg6, 6) for l in enumerate_loops(6)[:20]],
         5: list(_normalized_tables(5)),
     }
     _canonical_scan.cache_clear()
     for n in (6, 5, 6):
         for t in tables[n]:
-            plain = min(_relabeled_table(t, pi, pi_inv, n) for pi, pi_inv in relabelings_fixing_zero(n))
+            plain = min(relabeled_table(t, pi, pi_inv, n) for pi, pi_inv in relabelings_fixing_zero(n))
             assert canonical_table(Loop(n, t, 0)) == plain, t
     info = _canonical_scan.cache_info()
     assert (info.misses, info.currsize) == (3, 1)

@@ -11,12 +11,13 @@ import subprocess
 import sys
 from pathlib import Path
 
-from algcat import cli, neardomain, s2t
+from algcat import cli, loops, neardomain, s2t
 from algcat.errors import AxiomViolation, InvariantViolation
 from algcat.fileio import emit_structure
-from algcat.loops import check_loop, enumerate_loops, is_associative
+from algcat.loops import Loop, check_loop, enumerate_loops, is_associative
 from algcat.neardomain import Neardomain, check_neardomain, dickson_nearfield_9, galois_field, is_nearfield
 from algcat.perms import greedy_walk
+from algcat.zoo import standard_zoo
 import references
 
 ORACLE_NEARDOMAINS = [*(galois_field(q) for q in (3, 4, 5, 7, 8, 9, 16)), dickson_nearfield_9()]
@@ -169,8 +170,44 @@ def test_light_test_agrees_with_the_full_loop():
         want = references.associativity_witness(loop.table, elements)
         failing += want is not None
         for start in ([loop.identity], []):
-            gens = greedy_walk(elements, neardomain._right_multiplication(loop.table), start)
-            assert neardomain._associativity_witness(loop.table, elements, gens) == want, (loop, start)
+            gens = greedy_walk(elements, loops._right_multiplication(loop.table), start)
+            assert loops._associativity_witness(loop.table, elements, gens) == want, (loop, start)
+    assert failing > 100
+
+
+def test_is_associative_agrees_with_the_full_loop():
+    # the 120 loops of orders 1 to 6, the additive loops of GF(9), GF(16)
+    # and the Dickson nearfield, and tables built directly: copies whose
+    # identity is not a unit of the table (so the generators grow from
+    # nothing), and the multiplications of those neardomains, where zero
+    # is no loop element but one is a two-sided unit
+    tables = [(l.table, l.identity) for n in range(1, 7) for l in enumerate_loops(n)]
+    assert len(tables) == 120
+    big = [galois_field(9), galois_field(16), dickson_nearfield_9()]
+    tables += [(nd.add, nd.zero) for nd in big] + [(nd.mul, nd.one) for nd in big]
+    tables += [(t, 1) for t, _ in tables if len(t) > 1]
+    failing = 0
+    for table, identity in tables:
+        want = references.associativity_witness(table, range(len(table))) is None
+        assert is_associative(Loop(len(table), table, identity)) == want, (table, identity)
+        failing += not want
+    # the five loops of order 5 and 107 of order 6 that are not groups,
+    # each with its copy
+    assert failing == 2 * (5 + 107)
+
+
+def test_distributivity_check_agrees_with_the_cell_loop():
+    # each element of every zoo neardomain, against its own multiplication,
+    # the corrupted ones of _corrupted_multiplications and the transposed
+    # one, which distributes on the other side
+    failing = 0
+    for _, nd in standard_zoo().neardomains:
+        n, add = nd.order, nd.add
+        for mul in [nd.mul, *_corrupted_multiplications(nd), tuple(zip(*nd.mul))]:
+            for a in range(n):
+                want = all(mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]] for b in range(n) for c in range(n))
+                assert neardomain._distributes(add, mul, [a]) == want, (nd, mul, a)
+                failing += not want
     assert failing > 100
 
 
@@ -182,14 +219,14 @@ def test_greedy_generating_sets_stay_small():
     sizes = []
     for nd in ORACLE_NEARDOMAINS:
         nonzero = [x for x in range(nd.order) if x != nd.zero]
-        sizes.append(len(greedy_walk(nonzero, neardomain._right_multiplication(nd.mul), [nd.one])))
+        sizes.append(len(greedy_walk(nonzero, loops._right_multiplication(nd.mul), [nd.one])))
     assert sizes == [1, 1, 1, 2, 1, 3, 1, 3]
     # each generator at least doubles the set reached in a group, so no
     # group of order n needs more than log2(n) of them
     for n in range(2, 7):
         for loop in enumerate_loops(n):
-            if is_associative(loop):
-                gens = greedy_walk(range(n), neardomain._right_multiplication(loop.table), [loop.identity])
+            if references.associativity_witness(loop.table, range(n)) is None:
+                gens = greedy_walk(range(n), loops._right_multiplication(loop.table), [loop.identity])
                 assert len(gens) <= math.log2(n), loop
 
 
@@ -235,7 +272,7 @@ def test_nearfield_check_grows_the_additive_generators_from_zero(monkeypatch):
     # elementary abelian of ranks 2 and 4
     fields = [galois_field(q) for q in (5, 9, 16)]
     grown = []
-    monkeypatch.setattr(neardomain, "greedy_walk", lambda *args: grown.append(greedy_walk(*args)) or grown[-1])
+    monkeypatch.setattr(loops, "greedy_walk", lambda *args: grown.append(greedy_walk(*args)) or grown[-1])
     assert all(map(is_nearfield, fields))
     assert grown == [[1], [1, 3], [1, 2, 4, 8]]
 
@@ -318,6 +355,6 @@ AXIOM_6_FAILURES = [
 
 def test_axiom_6_fails_end_to_end():
     for add, mul, witness in AXIOM_6_FAILURES:
-        assert not is_associative(check_loop(add))
+        assert references.associativity_witness(check_loop(add).table, range(6)) is not None
         for check in (check_neardomain, references.check_neardomain_by_triples):
             assert _outcome(check, add, mul, 0, 1) == (6, witness), (check, add)

@@ -5,12 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import algcat.perms as perms_module
-from algcat import loops, s2t
+from algcat import catcheck, loops, s2t
 from algcat.errors import ResourceLimitExceeded, StructureError
 from algcat.neardomain import galois_field
 from algcat.perms import Morphism, PermSet, _right_multiplier, closure, greedy_walk, perm_set, subgroup_failure
 from algcat.zoo import standard_zoo
-from references import compose, fixed_points, inverse, is_involution
+from references import compose, fixed_points, inverse, is_involution, relabeled_table
 
 
 Z3 = loops.check_loop(((0, 1, 2), (1, 2, 0), (2, 0, 1)))
@@ -342,3 +342,26 @@ def test_forced_morphisms_match_the_definition_on_arbitrary_sources(data):
     want = _reference_forced_morphisms(src, dst, src_base, dst_base)
     assert perms_module.forced_morphisms(src, dst, src_base, dst_base) == want
 
+
+def test_composites_and_relabelings_match_the_references():
+    # the composites of maps (catcheck's) and of morphisms, each a gather,
+    # on every pair of maps of degree 1 to 3, inner into the outer's domain;
+    # both relabel functions on every relabeling of the loops of order <= 4
+    # and of the zoo groups of degree <= 4
+    for n, m in itertools.product(range(1, 4), repeat=2):
+        inner_maps = list(itertools.product(range(m), repeat=n))
+        for outer, inner in itertools.product(itertools.product(range(3), repeat=m), inner_maps):
+            assert catcheck._compose_maps(outer, inner) == compose(outer, inner)
+            composite = perms_module.compose_morphisms(Morphism(outer, outer[::-1]), Morphism(inner, inner[::-1]))
+            assert composite == Morphism(compose(outer, inner), compose(outer[::-1], inner[::-1]))
+    for loop in [l for n in range(1, 5) for l in loops.enumerate_loops(n)]:
+        for pi in itertools.permutations(range(loop.order)):
+            moved = loops.relabel(loop, pi)
+            assert moved.table == relabeled_table(loop.table, pi, inverse(pi), loop.order), (loop, pi)
+            assert moved.identity == pi[loop.identity]
+    for _, g in standard_zoo().groups:
+        if g.degree <= 4:
+            for pi in itertools.permutations(range(g.degree)):
+                moved = s2t.relabel(g, pi)
+                assert moved.group == perm_set(compose(compose(pi, p), inverse(pi)) for p in g.group), (g, pi)
+                assert (moved.omega0, moved.omega1) == (pi[g.omega0], pi[g.omega1])
