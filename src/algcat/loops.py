@@ -186,8 +186,11 @@ def table_homomorphisms(
     search branches on the lowest point with no image, over the target
     points in increasing order, so the maps come out in lexicographic order;
     a complete map has had all n * n products of each operation checked.
-    The same design as perms.forced_morphisms. An order n into order m with
-    n * n * m over the budget is refused before any row is read.
+    perms.forced_morphisms propagates the same way but stops once its point
+    map is total and tests every member in one pass with _intertwined; a
+    table search finishing that way measured slower than this cell-by-cell
+    finish. An order n into order m with n * n * m over the budget is
+    refused before any row is read.
     """
     n, m = len(src_ops[0]), len(dst_ops[0])
     check_budget(n * n * m, f"hom search of order {n} into order {m}")

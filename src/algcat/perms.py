@@ -23,9 +23,11 @@ morphism check of sharply 2-transitive groups reads, and a set that is not
 closed has its first missing product named by a row-major scan.
 
 _intertwined is the one intertwining test: of the members, for the rps and
-s2t morphisms (through intertwines); of the table rows, for the loop and
-neardomain morphisms and for left distributivity. forced_morphisms is the hom search of both permutation
-categories, built from the definition of a morphism alone.
+s2t morphisms (through intertwines) and as the final test of each total
+point map in forced_morphisms; of the table rows, for the loop and
+neardomain morphisms and for left distributivity. forced_morphisms is the
+hom search of both permutation categories, built from the definition of a
+morphism alone.
 """
 
 from __future__ import annotations
@@ -210,15 +212,27 @@ def forced_morphisms(
     order of phi. Refused before the first pass when |src| * n * m is over
     TABLE_CAP; the callers confirm each pair with their definition.
 
-    Popping a newly imaged point y from the worklist forces f(p) for each p
-    whose base images y completes, applied at every imaged point, then
-    images p(y) as f(p)(phi(y)) for every forced p; a member with no forced
-    image, or a clash, prunes. At the fixpoint the search branches on the
-    lowest point with no image, over the target points in increasing order."""
+    While phi has a point with no image, popping a newly imaged point y from
+    the worklist forces f(p) for each p whose base images y completes,
+    applied at every imaged point, then images p(y) as f(p)(phi(y)) for
+    every forced p; a member with no forced image, or a clash, prunes. At
+    the fixpoint the search branches on the lowest point with no image, over
+    the target points in increasing order. Once phi is total, often with
+    most members not yet forced, every member's f is read off phi in one
+    gather of all their base images, and the pair is kept when every member
+    has an image and _intertwined holds. That final test is exact: carried
+    on, the propagation would force every member by its base images and
+    check phi(p(x)) == f(p)(phi(x)) at every point x, pruning exactly when a
+    member has no image or _intertwined fails. Up to a total phi the
+    branches are those of a propagation carried to the end, so the pairs
+    come out in lexicographic order of phi."""
     n, m = src.degree, dst.degree
     check_budget(len(src) * n * m, f"morphism search of {len(src)} members on {n} points into {m} points")
     src_im, dst_im = src.members, dst.members
     at = {tuple(q[b] for b in dst_base): j for j, q in enumerate(dst_im)}
+    # phi -> every member's base images under phi, one key per member
+    k = len(src_base)
+    gather = _right_multiplier([p[b] for p in src_im for b in src_base])
     # the members whose forced image waits on each point, read off each
     # member's base images
     waits: list[list[int]] = [[] for _ in range(n)]
@@ -227,8 +241,9 @@ def forced_morphisms(
             waits[y].append(i)
     out = []
 
-    def search(phi: list[int], f: list, forced: list, todo: list[int]) -> None:
-        while todo:
+    def search(phi: list[int], free: int, f: list, forced: list, todo: list[int]) -> None:
+        # free counts the points of phi with no image
+        while todo and free:
             y = todo.pop()
             for i in waits[y]:
                 if f[i] is not None:
@@ -248,6 +263,7 @@ def forced_morphisms(
                         z, w = p[x], q[v]
                         if phi[z] < 0:
                             phi[z] = w
+                            free -= 1
                             todo.append(z)
                         elif phi[z] != w:
                             return
@@ -256,18 +272,24 @@ def forced_morphisms(
                 z, w = p[y], q[v]
                 if phi[z] < 0:
                     phi[z] = w
+                    free -= 1
                     todo.append(z)
                 elif phi[z] != w:
                     return
-        if -1 not in phi:
-            out.append(Morphism(tuple(f), tuple(phi)))
+        if free:
+            x = phi.index(-1)
+            for v in range(m):
+                branch = phi.copy()
+                branch[x] = v
+                search(branch, free - 1, f.copy(), forced.copy(), [x])
             return
-        x = phi.index(-1)
-        for v in range(m):
-            search(phi[:x] + [v] + phi[x + 1 :], f.copy(), forced.copy(), [x])
+        f = list(map(at.get, zip(*[iter(gather(phi))] * k)))
+        if None not in f and _intertwined(f, phi, src_im, dst_im):
+            out.append(Morphism(tuple(f), tuple(phi)))
 
     based = dict(zip(src_base, dst_base))
-    search([based.get(x, -1) for x in range(n)], [None] * len(src_im), [], list(src_base))
+    phi = [based.get(x, -1) for x in range(n)]
+    search(phi, phi.count(-1), [None] * len(src_im), [], list(src_base))
     return tuple(out)
 
 

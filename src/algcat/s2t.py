@@ -203,7 +203,8 @@ def involutions(g: S2tGroup) -> PermSet:
     identity with p * p the identity, each square one gather of p through
     itself. Never empty in a valid group."""
     e = tuple(range(g.degree))
-    return perm_set(p for p in g.group if p != e and _right_multiplier(p)(p) == e)
+    # a sub-tuple of the group's members, so sorted and validated already
+    return PermSet(g.degree, tuple(p for p in g.group if p != e and _right_multiplier(p)(p) == e))
 
 
 @per_object
@@ -238,11 +239,13 @@ def translations(g: S2tGroup) -> Rps:
     an internal bug.
     """
     J = involutions(g)
+    # the identity sorts first, and right multiplication by a member is
+    # injective: both lists are distinct bijections of the group's degree
     if characteristic(g) is Characteristic.TWO:
-        members = perm_set([tuple(range(g.degree)), *J])
+        members = (tuple(range(g.degree)), *J)
     else:
-        members = perm_set(map(_right_multiplier(base_involution(g)), J))
-    return check_rps(members, g.degree, g.omega0)
+        members = tuple(sorted(map(_right_multiplier(base_involution(g)), J)))
+    return check_rps(PermSet(g.degree, members), g.degree, g.omega0)
 
 
 @per_object

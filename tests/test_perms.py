@@ -326,7 +326,9 @@ def _search_targets():
         if r.degree <= 5:
             out += [(r.members, (b,)) for b in range(r.degree)]
     out += [(g.group, (g.omega0, g.omega1)) for _, g in zoo.groups if g.degree <= 5]
-    return out
+    # 42 members on 7 points: phi is total while most members are unforced
+    aff7 = s2t.affine_group(galois_field(7))
+    return [*out, (aff7.group, (aff7.omega0, aff7.omega1))]
 
 
 @given(st.data())
@@ -341,6 +343,19 @@ def test_forced_morphisms_match_the_definition_on_arbitrary_sources(data):
     src_base = tuple(range(len(dst_base)))
     want = _reference_forced_morphisms(src, dst, src_base, dst_base)
     assert perms_module.forced_morphisms(src, dst, src_base, dst_base) == want
+
+
+def test_forced_morphisms_test_each_member_once_phi_is_total():
+    # from aff(gf5) into itself phi is total after the propagation has
+    # forced 10 of the 20 members, x -> 4x not among them; with the images of
+    # 2 and 3 under x -> 4x swapped the member still has a base-pair image,
+    # so only the final intertwining test refuses the identity point map
+    aff5 = s2t.affine_group(galois_field(5)).group
+    swapped = [(0, 4, 2, 3, 1) if p == (0, 4, 3, 2, 1) else p for p in aff5]
+    src = PermSet(5, tuple(sorted(swapped)))
+    assert perms_module.forced_morphisms(aff5, aff5, (0, 1), (0, 1)) == (perms_module.identity_morphism(aff5),)
+    assert _reference_forced_morphisms(src, aff5, (0, 1), (0, 1)) == ()
+    assert perms_module.forced_morphisms(src, aff5, (0, 1), (0, 1)) == ()
 
 
 def test_composites_and_relabelings_match_the_references():

@@ -193,6 +193,17 @@ def test_fast_equals_direct(zoo):
             assert len(fast) == len(enumerate_loop_morphisms(induced_loop(src), induced_loop(dst)))
 
 
+def test_fast_equals_direct_at_every_base_point_of_order_5(zoo):
+    # the regular sets of every loop of order 5, with every base point: the
+    # direct search lists the production hom-set, in lexicographic order of phi
+    based = [with_basepoint(r, b) for _, r in zoo.rps_objects if r.degree == 5 for b in range(5)]
+    for src in based:
+        for dst in based:
+            direct = enumerate_rps_morphisms_direct(src, dst)
+            assert set(direct) == set(enumerate_rps_morphisms(src, dst)), (src, dst)
+            assert [m.phi for m in direct] == sorted(m.phi for m in direct)
+
+
 def test_direct_oracle_matches_definition_on_every_zoo_pair(zoo, monkeypatch):
     # every candidate of every ordered pair, 28,239, degrees 4 and 5 included;
     # the characterization family stops at degree 3. Pairs such as degree 2

@@ -757,6 +757,22 @@ def test_direct_search_matches_production_and_reference_on_every_zoo_pair(monkey
     assert total == 61
 
 
+def test_direct_search_matches_production_on_relabeled_re_based_groups():
+    # the inputs of a mixed homset: a native affine group against a copy
+    # relabeled by a fixed permutation and re-based away from its moved base
+    # points, both ways; on the 56- and 72-member groups phi is total while
+    # most members are still unforced
+    for nd in (galois_field(8), galois_field(9), dickson_nearfield_9()):
+        native = affine_group(nd)
+        n = native.degree
+        moved = relabel(native, [(5 * x + 3) % n for x in range(n)])
+        presented = check_s2t(moved.group, n - 1, 2)
+        for src, dst in ((native, presented), (presented, native)):
+            found = enumerate_s2t_morphisms_direct(src, dst)
+            assert found and set(found) == set(enumerate_s2t_morphisms(src, dst)), (nd, src, dst)
+            assert [m.phi for m in found] == sorted(m.phi for m in found)
+
+
 def _lift_and_conjugate(src: S2tGroup, dst: S2tGroup) -> tuple[Morphism, ...]:
     """The hom-set by the route enumerate_s2t_morphisms once took: each
     morphism phi of the derived neardomains is lifted to their affine groups
