@@ -19,7 +19,9 @@ from .errors import (
     ResourceLimitExceeded,
     StructureError,
 )
-from .perms import _all_bijections, _check_images, _intertwined, _right_multiplier, check_budget, greedy_walk
+from .perms import (
+    _all_bijections, _intertwined, _is_point, _relabeling, _right_multiplier, _total_map, check_budget, greedy_walk
+)
 from .values import Value, cached_hash
 
 ENUMERATION_CAP = 6
@@ -45,28 +47,30 @@ class Loop(Value):
 
 def check_loop(table: Sequence[Sequence[int]], identity: int = 0) -> Loop:
     """Validate a Cayley table of integers as a loop: every row and column a
-    permutation, plus two-sided unit laws for the designated identity.
+    permutation, plus two-sided unit laws for the designated identity. The
+    identity and every entry must be a point of 0..n-1, an exact int (see
+    perms._is_point): a bool or a float equal to a point is refused.
 
-    Valid rows and columns pass one test each, in C: a row has length n and
-    holds the set 0..n-1, and so does each column. n entries covering n
-    values repeat none, so the test holds exactly when the row-major scan
-    below finds nothing: each row's length and range in turn, then
-    repeats in each row, then in each column. Only a table that fails the
-    test runs the scan, which names the first failing row, entry or repeat
-    as StructureError or LatinSquareViolation. The unit laws read 2n cells
-    either way."""
+    Valid rows and columns pass one test each, in C (perms._all_bijections):
+    a row has length n, holds only ints and holds the set 0..n-1, and each
+    column holds the set 0..n-1. n entries covering n values repeat none,
+    so the test holds exactly when the row-major scan below finds nothing:
+    each row's length and points in turn, then repeats in each row, then in
+    each column. Only a table that fails the test runs the scan, which
+    names the first failing row, entry or repeat as StructureError or
+    LatinSquareViolation. The unit laws read 2n cells either way."""
     n = len(table)
     if n < 1:
         raise StructureError("loop order must be at least 1")
-    if not 0 <= identity < n:
+    if not _is_point(identity, n):
         raise StructureError(f"identity {identity} out of range for order {n}")
     rows = tuple(map(tuple, table))
-    if not (_all_bijections(rows, n) and _all_bijections(zip(*rows), n)):
+    if not (_all_bijections(rows, n) and _all_bijections(zip(*rows), n, typed=True)):
         for r, row in enumerate(rows):
             if len(row) != n:
                 raise StructureError(f"row {r} has length {len(row)}, expected {n}")
             for v in row:
-                if v not in range(n):
+                if not _is_point(v, n):
                     raise StructureError(f"entry {v} in row {r} out of range for order {n}")
         for r, row in enumerate(rows):
             seen = set()
@@ -151,7 +155,7 @@ def _associativity_witness(table: Table, elements: Sequence[int], gens: Sequence
 
 def left_translation(loop: Loop, a: int) -> tuple[int, ...]:
     """The image tuple of x -> a * x: row a of the table."""
-    if not 0 <= a < loop.order:
+    if not _is_point(a, loop.order):
         raise ValueError(f"element {a} out of range")
     return loop.table[a]
 
@@ -160,7 +164,7 @@ def is_loop_morphism(f: Sequence[int], src: Loop, dst: Loop) -> bool:
     """True iff f respects the operation on every pair: f intertwines the
     rows of the tables (perms._intertwined)."""
     f = tuple(f)
-    if len(f) != src.order or any(not 0 <= v < dst.order for v in f):
+    if not _total_map(f, src.order, dst.order):
         raise ValueError("f is not a total map into the target loop")
     if not _intertwined(f, f, src.table, dst.table):
         return False
@@ -244,12 +248,8 @@ def relabel(loop: Loop, pi: Sequence[int]) -> Loop:
     """Transport the table along the image tuple pi; the identity moves with
     it: row pi(r) becomes pi . row r . pi^-1, two gathers. Raises
     StructureError unless pi is a bijection of the carrier."""
-    n = loop.order
     pi = tuple(pi)
-    _check_images(pi)
-    if len(pi) != n:
-        raise StructureError("relabeling degree mismatch")
-    at_inv = _right_multiplier(sorted(range(n), key=pi.__getitem__))
+    at_inv = _relabeling(pi, loop.order)
     table = tuple(at_inv(_right_multiplier(row)(pi)) for row in at_inv(loop.table))
     return check_loop(table, pi[loop.identity])
 

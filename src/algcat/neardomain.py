@@ -45,7 +45,7 @@ from .errors import (
     StructureError,
 )
 from .loops import Table, _associativity_witness, _generators, _right_multiplication, check_loop, table_homomorphisms
-from .perms import _intertwined, _right_multiplier, check_budget, greedy_walk
+from .perms import _all_points, _intertwined, _is_point, _right_multiplier, _total_map, check_budget, greedy_walk
 from .values import Value, cached_hash, per_object
 
 
@@ -70,22 +70,22 @@ class Neardomain(Value):
 
 
 def _as_table(rows: Sequence[Sequence[int]], n: int, name: str) -> Table:
-    """rows as a tuple of n tuples of n entries in 0..n-1, n >= 1. Valid
-    rows pass one length test and one subset test of their entries against
-    0..n-1 each, in C; only rows that fail run the row-major scan, which
-    names the first row of the wrong length or entry out of range, a
-    non-integral entry included."""
+    """rows as a tuple of n tuples of n points of 0..n-1, n >= 1, each an
+    exact int (see perms._is_point): a bool or a float equal to a point is
+    refused. Valid rows pass one length test and one row-of-points test
+    each (perms._all_points), in C; only rows that fail run the row-major
+    scan, which names the first row of the wrong length or entry that is
+    no point."""
     if len(rows) != n:
         raise StructureError(f"{name} table has {len(rows)} rows, expected {n}")
     out = tuple(map(tuple, rows))
-    points = set(range(n))
-    if all(len(row) == n and points.issuperset(row) for row in out):
+    if all(len(row) == n and _all_points(row, n) for row in out):
         return out
     for r, row in enumerate(out):
         if len(row) != n:
             raise StructureError(f"{name} row {r} has length {len(row)}, expected {n}")
         for v in row:
-            if v not in range(n):
+            if not _is_point(v, n):
                 raise StructureError(f"{name} entry {v} in row {r} out of range")
     raise InvariantViolation("_as_table's length and range test", name)
 
@@ -99,7 +99,10 @@ def check_neardomain(
     """Validate the six axioms in order; the first failure is reported as
     AxiomViolation(k, witness), the witness being the first failing cell in
     row-major order. Returns the neardomain it built and validated, which
-    keeps its coefficient table (see coefficients).
+    keeps its coefficient table (see coefficients). zero, one and every
+    entry of both tables must be points of 0..n-1, exact ints (see
+    perms._is_point): a bool or a float equal to a point is refused with a
+    StructureError before any axiom is read.
 
     Only axiom 6 loops over triples. The triple laws of axioms 3 and 5 are
     certified on the generating set A of the nonzero elements under mul that
@@ -135,7 +138,7 @@ def check_neardomain(
     InvariantViolation. Each test holds exactly when its scan finds
     nothing:
 
-    - the table reads: each row's length, and its entries a subset of 0..n-1;
+    - the table reads: each row's length, and its entries points of 0..n-1;
     - axiom 1: check_loop's test on the rows and columns of add;
     - axiom 2: once add is a loop, row a holds zero only at -a, so the law
       reads -(-a) == a;
@@ -150,7 +153,7 @@ def check_neardomain(
     check_budget(n**3, f"neardomain axioms of order {n}")
     add_t = _as_table(add, n, "add")
     mul_t = _as_table(mul, n, "mul")
-    if not 0 <= zero < n or not 0 <= one < n or zero == one:
+    if not _is_point(zero, n) or not _is_point(one, n) or zero == one:
         raise StructureError(f"constants zero={zero}, one={one} invalid for order {n}")
 
     # axiom 1: (F, +) is a loop with identity zero
@@ -338,7 +341,7 @@ def is_nd_morphism(phi: Sequence[int], src: Neardomain, dst: Neardomain) -> bool
     a failure marks an implementation bug rather than a bad candidate.
     """
     phi = tuple(phi)
-    if len(phi) != src.order or any(not 0 <= v < dst.order for v in phi):
+    if not _total_map(phi, src.order, dst.order):
         raise ValueError("phi is not a total map into the target carrier")
     if phi[src.one] != dst.one:
         return False
@@ -374,7 +377,8 @@ def enumerate_nd_morphisms(src: Neardomain, dst: Neardomain) -> tuple[tuple[int,
 #
 # _GF_PARAMS maps q -> (p, k, reduction), where reduction lists the
 # coefficients (c0, c1, ...) of t^k == c0 + c1 t + ... modulo p; a prime
-# order needs no reduction and lists none.
+# order needs no reduction and lists none, so the same construction gives
+# addition and multiplication modulo p.
 _GF_PARAMS: dict[int, tuple[int, int, tuple[int, ...]]] = {
     2: (2, 1, ()),
     3: (3, 1, ()),
@@ -427,18 +431,11 @@ def galois_field(q: int) -> Neardomain:
     if q not in _GF_PARAMS:
         raise StructureError(f"unsupported field order {q}, supported: {SUPPORTED_FIELD_ORDERS}")
     p, k, red = _GF_PARAMS[q]
-    if k == 1:
-        add = tuple(tuple((a + b) % p for b in range(p)) for a in range(p))
-        mul = tuple(tuple((a * b) % p for b in range(p)) for a in range(p))
-    else:
-        add = tuple(
-            tuple(
-                _undigits([(da + db) % p for da, db in zip(_digits(a, p, k), _digits(b, p, k))], p)
-                for b in range(q)
-            )
-            for a in range(q)
-        )
-        mul = tuple(tuple(_poly_mul(a, b, p, k, red) for b in range(q)) for a in range(q))
+    add = tuple(
+        tuple(_undigits([(da + db) % p for da, db in zip(_digits(a, p, k), _digits(b, p, k))], p) for b in range(q))
+        for a in range(q)
+    )
+    mul = tuple(tuple(_poly_mul(a, b, p, k, red) for b in range(q)) for a in range(q))
     return check_neardomain(add, mul, 0, 1)
 
 

@@ -7,12 +7,18 @@ _right_multiplier(q) is the map p -> p * q that every algorithm composes
 through, composites and relabelings included. Everything downstream relies
 on this orientation; test_perms pins it.
 
-_check_images is the one check of a single permutation; closure runs it on
-each generator, both relabel functions on their argument, and perm_set on
-each member of a set that fails its one-pass test (_all_bijections), to name
-the first member that is not a bijection. A
-PermSet's members are its sorted image tuples, and it stores its member
-index (image tuple -> position) and its hash.
+This module is the one place that decides what a point is. A point of
+0..n-1 is an exact int in range: type(x) is int, so a bool or a float equal
+to a point is none. Every validator, constant, morphism candidate and
+relabeling of the package asks one of five tests: _is_point (one value),
+_all_points (a row), _total_map (a map of 0..n-1 into 0..m-1),
+_all_bijections (rows that each hold every point once) and _check_images
+(one permutation, named when it fails); inverses are read through _inverse
+and relabelings checked and applied through _relabeling. The type test is
+one C call per row it reads, never a Python step per entry, and skipped on
+the columns of rows that passed it. A PermSet's members are its sorted
+image tuples, and it stores its member index (image tuple -> position) and
+its hash.
 
 greedy_walk is the one way a set is grown by right multiplication: closure
 grows a group from its generators with it, check_group certifies that a
@@ -61,13 +67,64 @@ def check_budget(work: int, what: str) -> None:
         raise ResourceLimitExceeded(f"{what} needs {work}, over the cap of {TABLE_CAP} entries")
 
 
+# the one type a point may have, as a set for the C-level row test
+_POINT_TYPES = frozenset({int})
+
+
+def _is_point(x, n: int) -> bool:
+    """True when x is a point of 0..n-1: an exact int (not a bool, not a
+    float equal to one) with 0 <= x < n."""
+    return type(x) is int and 0 <= x < n
+
+
+def _all_points(row: Sequence, n: int) -> bool:
+    """True when every entry of the non-empty row is a point of 0..n-1 (see
+    _is_point): one type test of the row, then one bound test of its least
+    and its greatest entry, each a C call."""
+    return _POINT_TYPES.issuperset(map(type, row)) and 0 <= min(row) and max(row) < n
+
+
+def _total_map(f: Sequence, n: int, m: int) -> bool:
+    """True when f is a total map of 0..n-1 into 0..m-1: n entries, each a
+    point of 0..m-1."""
+    return len(f) == n and _all_points(f, m)
+
+
+def _all_bijections(lines: Iterable[Sequence[int]], n: int, *, typed: bool = False) -> bool:
+    """True when every sequence in lines has length n, holds only exact ints
+    and holds each of 0..n-1, so each is a bijection of 0..n-1 (n entries
+    covering n values repeat none): one length test, one type test and one
+    set comparison per sequence, each one C call. typed lines are known to
+    hold ints only (the columns of rows that passed this test, or of the
+    members of a validated set), so the type test is skipped."""
+    full = set(range(n))
+    return all(len(p) == n and (typed or _POINT_TYPES.issuperset(map(type, p))) and set(p) == full for p in lines)
+
+
 def _check_images(images: Images) -> None:
-    """Raise StructureError unless images is a bijection of 0..n-1, n >= 1."""
+    """Raise StructureError unless images is a bijection of 0..n-1, n >= 1,
+    of exact ints (see _all_bijections)."""
     n = len(images)
     if n < 1:
         raise StructureError("permutation degree must be at least 1")
-    if sorted(images) != list(range(n)):
+    if not _all_bijections((images,), n):
         raise StructureError(f"image array {list(images)} is not a bijection of 0..{n - 1}")
+
+
+def _inverse(p: Sequence[int]) -> Images:
+    """The image tuple of the inverse of the bijection p: _inverse(p)[p[x]]
+    is x. One C sort of the points keyed by their images."""
+    return tuple(sorted(range(len(p)), key=p.__getitem__))
+
+
+def _relabeling(pi: Sequence[int], n: int):
+    """The gather through pi^-1 (a -> a * pi^-1) that both relabelings
+    apply, once pi is checked as a bijection of 0..n-1; raises
+    StructureError naming pi, or the degree mismatch."""
+    _check_images(pi)
+    if len(pi) != n:
+        raise StructureError("relabeling degree mismatch")
+    return _right_multiplier(_inverse(pi))
 
 
 class PermSet(Value):
@@ -116,15 +173,17 @@ def _right_multiplier(b: Images):
 
 def perm_set(images: Iterable[Images]) -> PermSet:
     """The set of the given image tuples, validated: each a bijection of
-    0..n-1 with n >= 1 (the first that is not, in the order given, is named),
-    at least one, all of one degree.
+    0..n-1 with n >= 1, its entries exact ints (a bool or a float equal to
+    a point is refused; the first member that is not a bijection, in the
+    order given, is named), at least one, all of one degree.
 
-    Valid input passes one test per distinct member: it has the first
-    member's length n >= 1 and holds the set 0..n-1. That holds exactly
-    when every member is a bijection of 0..n-1 (n entries covering n
-    values repeat none) of one degree, so exactly when the checks below
-    raise nothing. Only input that fails runs them: _check_images on each
-    member in the order given, then the empty set, then mixed degrees."""
+    Valid input passes one test per distinct member (_all_bijections): it
+    has the first member's length n >= 1, holds only ints and holds the set
+    0..n-1. That holds exactly when every member is a bijection of 0..n-1
+    (n entries covering n values repeat none) of one degree, so exactly
+    when the checks below raise nothing. Only input that fails runs them:
+    _check_images on each member in the order given, then the empty set,
+    then mixed degrees."""
     distinct = dict.fromkeys(images)
     degree = len(next(iter(distinct), ()))
     if not (degree and _all_bijections(distinct, degree)):
@@ -136,15 +195,6 @@ def perm_set(images: Iterable[Images]) -> PermSet:
             raise StructureError("permutation set mixes degrees")
         raise InvariantViolation("perm_set's one-pass member test", degree)
     return PermSet(degree, tuple(sorted(distinct)))
-
-
-def _all_bijections(lines: Iterable[Sequence[int]], n: int) -> bool:
-    """True when every sequence in lines has length n and holds each of
-    0..n-1, so each is a bijection of 0..n-1 (n entries covering n values
-    repeat none): one length and one set comparison per sequence, each one
-    C call."""
-    full = set(range(n))
-    return all(len(p) == n and set(p) == full for p in lines)
 
 
 class Morphism(Value):
@@ -181,9 +231,9 @@ def intertwines(m: Morphism, src: PermSet, dst: PermSet) -> bool:
     _intertwined). Raises ValueError unless f and phi are total maps into
     dst."""
     f, phi = m.f, m.phi
-    if len(f) != len(src) or min(f) < 0 or max(f) >= len(dst):
+    if not _total_map(f, len(src), len(dst)):
         raise ValueError("f is not a total map into the target members")
-    if len(phi) != src.degree or min(phi) < 0 or max(phi) >= dst.degree:
+    if not _total_map(phi, src.degree, dst.degree):
         raise ValueError("phi is not a total map into the target points")
     return _intertwined(f, phi, src.members, dst.members)
 
@@ -429,11 +479,8 @@ def check_group(members: PermSet) -> None:
     size = len(members)
     if size * size <= TABLE_CAP and greedy_walk(members.members, _right_multiplier, [identity], index) is not None:
         return
-    inv = [0] * degree
     for images in index:
-        for x, y in enumerate(images):
-            inv[y] = x
-        if tuple(inv) not in index:
+        if _inverse(images) not in index:
             raise NotAGroup(f"inverse of {list(images)} missing")
     check_budget(size * size, f"composition table of {size} members")
     factors = [(b, _right_multiplier(b)) for b in members.members]

@@ -8,16 +8,17 @@ the point structure back and forth along it is what this module implements:
   member_loop(r):     members under (m, k) -> the unique member agreeing
                       with m * k at the base
   induced_loop(r):    points under (alpha, beta) -> (m_alpha * m_beta)(base)
-  loop_to_rps(loop):  the set of left translations, based at the identity
+  loop_to_rps(loop):  the set of left translations, based at the identity;
+                      these are the rows of the table, read as members
 
 induced_loop and loop_to_rps invert each other bit-exactly; catcheck verifies this
 on the whole zoo.
 
 Members are image tuples (see perms), so a member is its own row: check_rps
 stores the bijection as two integer tuples, member index -> base-point image
-and point -> member index (forced by regularity), builds both loops from
-them once and stores them too; member products and forced member maps are
-lookups in the tuples.
+and its inverse (perms._inverse), point -> member index (forced by
+regularity), builds both loops from them once and stores them too; member
+products and forced member maps are lookups in the tuples.
 
 enumerate_rps_morphisms lifts the induced-loop morphisms; the oracle
 enumerate_rps_morphisms_direct runs perms.forced_morphisms on the members.
@@ -30,11 +31,13 @@ from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .errors import InvariantViolation, MissingIdentity, RegularityViolation, StructureError
-from .loops import Loop, enumerate_loop_morphisms, is_loop_morphism, left_translation
+from .loops import Loop, enumerate_loop_morphisms, is_loop_morphism
 from .perms import (
     Morphism,
     PermSet,
     _all_bijections,
+    _inverse,
+    _is_point,
     _right_multiplier,
     forced_morphisms,
     identity_morphism,
@@ -77,7 +80,7 @@ class Rps(Value):
 
     def from_point(self, alpha: int) -> tuple[int, ...]:
         """The unique member sending the base point to alpha."""
-        if not 0 <= alpha < self.degree:
+        if not _is_point(alpha, self.degree):
             raise ValueError(f"point {alpha} out of range for degree {self.degree}")
         return self.members.members[self.member_at[alpha]]
 
@@ -86,7 +89,9 @@ def check_rps(members: PermSet, degree: int, basepoint: int) -> Rps:
     """Validate regularity: identity present, every ordered point pair hit by
     exactly one member. Then store the evaluation bijection and the two
     loops it carries (see induced_loop and member_loop); each is O(n^2),
-    like the regularity check.
+    like the regularity check. degree must equal the members' degree and
+    basepoint be a point of 0..degree-1, both exact ints (see
+    perms._is_point): a bool or a float equal to one is refused.
 
     A regular set passes one length and one set test per point alpha, in C:
     the images m(alpha), one per member, number n and hold every point. n
@@ -100,15 +105,15 @@ def check_rps(members: PermSet, degree: int, basepoint: int) -> Rps:
     images are one gather over the members, the induced loop's rows one
     gather of the members through member_at, and each member's row of the
     member loop two gathers."""
-    if members.degree != degree:
+    if type(degree) is not int or members.degree != degree:
         raise StructureError(f"members have degree {members.degree}, expected {degree}")
-    if not 0 <= basepoint < degree:
+    if not _is_point(basepoint, degree):
         raise StructureError(f"base point {basepoint} out of range for degree {degree}")
     identity = tuple(range(degree))
     if identity not in members:
         raise MissingIdentity("regular set must contain the identity permutation")
     ms = members.members
-    if not _all_bijections(zip(*ms), degree):
+    if not _all_bijections(zip(*ms), degree, typed=True):
         for alpha in range(degree):
             counts = [0] * degree
             for m in ms:
@@ -118,10 +123,7 @@ def check_rps(members: PermSet, degree: int, basepoint: int) -> Rps:
                     raise RegularityViolation(alpha, beta, c)
         raise InvariantViolation("check_rps's point-column test", degree)
     base_images = tuple(map(itemgetter(basepoint), ms))
-    at = [0] * degree
-    for i, beta in enumerate(base_images):
-        at[beta] = i
-    member_at = tuple(at)
+    member_at = _inverse(base_images)
     # row alpha of the induced loop is m_alpha itself, since
     # m_beta(base) == beta; member m times member k is the member at point
     # m(k(base)), so row m of the member loop is member_at gathered through
@@ -150,13 +152,13 @@ def induced_loop(r: Rps) -> Loop:
 
 
 def loop_to_rps(loop: Loop) -> Rps:
-    """All left translations, based at the loop identity.
+    """All left translations, based at the loop identity: the rows of the
+    table, since row a is x -> a * x.
 
     Unique solvability of a * x = b makes the translation rows a regular set;
     check_rps failure here would be an internal bug.
     """
-    members = perm_set(left_translation(loop, a) for a in range(loop.order))
-    return check_rps(members, loop.order, loop.identity)
+    return check_rps(perm_set(loop.table), loop.order, loop.identity)
 
 
 def is_rps_morphism(m: Morphism, src: Rps, dst: Rps) -> bool:

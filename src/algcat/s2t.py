@@ -20,7 +20,10 @@ The derived structure rests on the involutions J (never empty here):
 derived_neardomain builds the neardomain on the points a row at a time:
 alpha + beta = a(beta), a the translation with a(omega0) = alpha, and
 alpha * beta = g(beta), g the omega0-stabilizer element with
-g(omega1) = alpha (products with omega0 are omega0); it re-validates.
+g(omega1) = alpha (products with omega0 are omega0); it re-validates. The
+addition is read as the induced loop of the translations (rps.induced_loop),
+the tuple check_rps already built, so the additive loop is by construction
+the loop the translation set induces: the loops <-> rps functor.
 Going the other way, affine_group builds the maps x -> a + b*x of a
 neardomain, a sharply 2-transitive group, and certifies its closed-form
 composition law for every pair of maps. Every map is a translation after a
@@ -81,7 +84,8 @@ from .neardomain import Neardomain, check_neardomain, coefficients, enumerate_nd
 from .perms import (
     Morphism,
     PermSet,
-    _check_images,
+    _is_point,
+    _relabeling,
     _right_multiplier,
     check_group,
     forced_morphisms,
@@ -90,7 +94,7 @@ from .perms import (
     perm_set,
     subgroup_failure,
 )
-from .rps import Rps, check_rps
+from .rps import Rps, check_rps, induced_loop
 from .values import Value, cached_hash, per_object
 
 
@@ -118,7 +122,9 @@ class S2tGroup(Value):
 
 
 def check_s2t(group: PermSet, omega0: int, omega1: int) -> S2tGroup:
-    """Validate the base points, then the group axioms, then sharp
+    """Validate the base points, distinct points of 0..n-1 and exact ints
+    (see perms._is_point; a bool or a float equal to a point raises
+    DegenerateOmega), then the group axioms, then sharp
     2-transitivity on the single source pair (0, 1): every ordered target
     pair must be reached by exactly one member, else NotSharplyTransitive
     names (0, 1), the first failing target in lexicographic order and its
@@ -146,7 +152,7 @@ def check_s2t(group: PermSet, omega0: int, omega1: int) -> S2tGroup:
     n = group.degree
     if n < 2:
         raise DegenerateOmega("need at least 2 points")
-    if not 0 <= omega0 < n or not 0 <= omega1 < n or omega0 == omega1:
+    if not _is_point(omega0, n) or not _is_point(omega1, n) or omega0 == omega1:
         raise DegenerateOmega(f"base points ({omega0}, {omega1}) invalid for degree {n}")
     g = S2tGroup(group, n, omega0, omega1)
     check_closed(g)
@@ -251,15 +257,14 @@ def translations(g: S2tGroup) -> Rps:
 @per_object
 def derived_neardomain(g: S2tGroup) -> Neardomain:
     """The neardomain on the points, zero = omega0 and one = omega1, a row
-    at a time. Addition row alpha is
-    the translation sending omega0 to alpha; multiplication row
-    alpha != omega0 is the member at (omega0, alpha) in base_pair_index.
-    Revalidated through check_neardomain; the object part of the functor
-    onto neardomains."""
+    at a time. The addition table is the induced loop of the translations,
+    which check_rps built: row alpha is the translation sending omega0 to
+    alpha. Multiplication row alpha != omega0 is the member at
+    (omega0, alpha) in base_pair_index. Revalidated through
+    check_neardomain; the object part of the functor onto neardomains."""
     n, zero = g.degree, g.omega0
-    trans = translations(g)
+    add = induced_loop(translations(g)).table
     at, members = base_pair_index(g), g.group.members
-    add = tuple(trans.from_point(a) for a in range(n))
     mul = tuple((zero,) * n if a == zero else members[at[(zero, a)]] for a in range(n))
     return check_neardomain(add, mul, zero, g.omega1)
 
@@ -452,12 +457,9 @@ def involution_products_form_subgroup(g: S2tGroup) -> bool:
 def relabel(g: S2tGroup, pi: Sequence[int]) -> S2tGroup:
     """Conjugate the group by the image tuple pi, a bijection of its points
     (else StructureError), and move the base points along."""
-    _check_images(pi)
-    if len(pi) != g.degree:
-        raise StructureError("relabeling degree mismatch")
     # pi * p * pi^-1: p composed with pi on the left, then gathered
     # through pi^-1
-    at_inv = _right_multiplier(sorted(range(g.degree), key=pi.__getitem__))
+    at_inv = _relabeling(pi, g.degree)
     members = perm_set(at_inv(_right_multiplier(p)(pi)) for p in g.group)
     return check_s2t(members, pi[g.omega0], pi[g.omega1])
 

@@ -156,17 +156,18 @@ def latin_witness(rows, identity: int) -> None:
     and entries in row-major order, then the first repeat in each row, then
     in each column (a repeat is a value seen earlier in its line), then the
     left and right unit laws at each element in turn. Returns None on a
-    loop."""
+    loop. A point is an exact int in range: a bool or a float equal to a
+    point is out of range."""
     n = len(rows)
     if n < 1:
         raise StructureError("loop order must be at least 1")
-    if not 0 <= identity < n:
+    if type(identity) is not int or not 0 <= identity < n:
         raise StructureError(f"identity {identity} out of range for order {n}")
     for r in range(n):
         if len(rows[r]) != n:
             raise StructureError(f"row {r} has length {len(rows[r])}, expected {n}")
         for v in rows[r]:
-            if v not in range(n):
+            if type(v) is not int or v not in range(n):
                 raise StructureError(f"entry {v} in row {r} out of range for order {n}")
     lines = [("row", r, list(rows[r])) for r in range(n)]
     lines += [("column", c, [rows[r][c] for r in range(n)]) for c in range(n)]

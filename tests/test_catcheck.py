@@ -1,3 +1,4 @@
+import ast
 import importlib
 import itertools
 import pkgutil
@@ -142,6 +143,42 @@ def test_no_source_line_is_over_120_characters():
         if len(line) > 120
     ]
     assert not long_lines, long_lines
+
+
+def _point_decisions(tree: ast.AST) -> list[int]:
+    """The lines of tree that decide by themselves whether a value is a
+    point: an `in range(...)` or `not in range(...)` test, or a chained
+    bound such as `0 <= x < n`."""
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        in_range = any(
+            isinstance(op, (ast.In, ast.NotIn))
+            and isinstance(right, ast.Call)
+            and isinstance(right.func, ast.Name)
+            and right.func.id == "range"
+            for op, right in zip(node.ops, node.comparators)
+        )
+        chained = len(node.ops) > 1 and all(isinstance(op, (ast.Lt, ast.LtE)) for op in node.ops)
+        if in_range or chained:
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_only_perms_decides_what_a_point_is():
+    # perms holds the one point, row, bijection and total-map test; a range
+    # test restated in another module would accept what perms refuses
+    package = Path(algcat.__file__).parent
+    sites = [
+        f"{path.name}:{number}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "perms.py"
+        for number in _point_decisions(ast.parse(path.read_text()))
+    ]
+    assert not sites, sites
+    # the detector itself sees both forms
+    assert _point_decisions(ast.parse("v in range(n)\nnot 0 <= x < n\nv not in range(n)\na < b")) == [1, 2, 3]
 
 
 def test_functor_laws_pass_on_slice(zoo):

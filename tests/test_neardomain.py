@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -64,6 +66,27 @@ def test_frozen_reduction_constants():
             for a in range(q)
             for b in range(q)
         )
+
+
+def test_one_construction_builds_every_field():
+    # the polynomial construction with an empty reduction is modular
+    # arithmetic at every supported prime, found from the supported orders
+    primes = [q for q in SUPPORTED_FIELD_ORDERS if all(q % d for d in range(2, q))]
+    assert primes == [2, 3, 5, 7, 11, 13]
+    for p in primes:
+        nd = galois_field(p)
+        assert nd.add == tuple(tuple((a + b) % p for b in range(p)) for a in range(p))
+        assert nd.mul == tuple(tuple((a * b) % p for b in range(p)) for a in range(p))
+    # the extension fields' tables, pinned byte for byte
+    pinned = {
+        4: "02e97d63760c85b5c9f7ee8ab8c89e9edf899cd24cb83257aceffd24ce7f20ec",
+        8: "a9108d00e742f7973266535dbd5069544b0ff76e14063e9ef4020219516e9d27",
+        9: "6c001db6648a5ecb15798059cf7716d6c9a2648d66c02d86a1c0408ef6e3e671",
+        16: "372d6d7bb2b01a13fae1d3f0063cc4883fd9209c828447b122a3cbada7c7edaf",
+    }
+    for q, digest in pinned.items():
+        nd = galois_field(q)
+        assert hashlib.sha256(repr((nd.add, nd.mul)).encode()).hexdigest() == digest, q
 
 
 def test_check_neardomain_rejects():

@@ -3,7 +3,9 @@ per row, column or member, and runs its cell-by-cell scan only to name the
 witness of input that fails. Here each validator is compared with an
 independent reference on small valid inputs and on every single-cell
 corruption of them, and the inputs a one-pass test could wrongly pass are
-pinned."""
+pinned. A point is an exact int: 0.0, 1.0, True and 1.5 compare or hash
+like points or lie between them, so each is put in every cell and every
+constant, and each validator must refuse it with its documented error."""
 
 import itertools
 import os
@@ -16,6 +18,7 @@ import pytest
 from algcat import neardomain
 from algcat.errors import (
     AxiomViolation,
+    DegenerateOmega,
     InvariantViolation,
     MissingIdentity,
     NotAGroup,
@@ -24,11 +27,13 @@ from algcat.errors import (
     ResourceLimitExceeded,
     StructureError,
 )
-from algcat.loops import check_loop, enumerate_loops
-from algcat.neardomain import Neardomain, check_neardomain, coefficients, d_coeff, galois_field
-from algcat.perms import PermSet, check_group, closure, perm_set
-from algcat.rps import check_rps, loop_to_rps
-from algcat.s2t import affine_group, check_s2t, involutions, relabel, translations
+from algcat import loops
+from algcat.fileio import emit_structure, parse_structure
+from algcat.loops import Loop, check_loop, enumerate_loops, is_loop_morphism, left_translation
+from algcat.neardomain import Neardomain, check_neardomain, coefficients, d_coeff, galois_field, is_nd_morphism
+from algcat.perms import Morphism, PermSet, check_group, closure, intertwines, perm_set
+from algcat.rps import Rps, check_rps, is_rps_morphism, loop_to_rps
+from algcat.s2t import S2tGroup, affine_group, check_s2t, involutions, is_s2t_morphism, relabel, translations
 from algcat.values import Value
 from algcat.zoo import standard_zoo
 from references import (
@@ -44,13 +49,21 @@ from test_perms import _reference_subgroup_failure
 from test_s2t import _reference_check_s2t
 
 
+# values that are no point: equal to a point with an equal hash, or between
+# two points
+OFF_POINTS = (0.0, 1.0, True, 1.5)
+
+
 def _outcome(check, *args):
     """"ok" and the fields of the value check returns, or the type and text
-    of the StructureError it raises."""
+    of the StructureError it raises. A structure returned must survive
+    emission and parsing unchanged."""
     try:
         got = check(*args)
     except StructureError as exc:
         return type(exc).__name__, str(exc)
+    if isinstance(got, (Loop, Rps, Neardomain, S2tGroup)):
+        assert parse_structure(emit_structure(got)) == got, args
     return "ok", tuple(getattr(got, f) for f in got._fields) if isinstance(got, Value) else got
 
 
@@ -63,6 +76,14 @@ def _corruptions(rows):
         for c, v in itertools.product(range(n), range(n + 1)):
             if v != row[c]:
                 yield tuple(row if k != r else row[:c] + (v,) + row[c + 1 :] for k, row in enumerate(rows))
+
+
+def _off_point_corruptions(rows):
+    """rows with one cell replaced by each value of OFF_POINTS, for every
+    cell, as tuples, in row-major order."""
+    for r, row in enumerate(rows):
+        for c, v in itertools.product(range(len(row)), OFF_POINTS):
+            yield tuple(row if k != r else row[:c] + (v,) + row[c + 1 :] for k, row in enumerate(rows))
 
 
 def _replacements(rows):
@@ -81,7 +102,7 @@ def _reference_perm_set(rows) -> PermSet:
     for p in distinct:
         if len(p) < 1:
             raise StructureError("permutation degree must be at least 1")
-        if sorted(p) != list(range(len(p))):
+        if any(type(v) is not int for v in p) or sorted(p) != list(range(len(p))):
             raise StructureError(f"image array {list(p)} is not a bijection of 0..{len(p) - 1}")
     if not distinct:
         raise StructureError("permutation set cannot be empty")
@@ -97,7 +118,12 @@ def _reference_check_loop(rows, identity):
 
 def _reference_check_rps(members: PermSet, degree: int, basepoint: int):
     """Regularity by counting the members that send each alpha to each beta,
-    pairs in lexicographic order, after the identity."""
+    pairs in lexicographic order, after the degree, the base point and the
+    identity."""
+    if type(degree) is not int or degree != members.degree:
+        raise StructureError(f"members have degree {members.degree}, expected {degree}")
+    if type(basepoint) is not int or basepoint not in range(degree):
+        raise StructureError(f"base point {basepoint} out of range for degree {degree}")
     if tuple(range(degree)) not in members:
         raise MissingIdentity("regular set must contain the identity permutation")
     for alpha, beta in itertools.product(range(degree), repeat=2):
@@ -114,19 +140,24 @@ def _reference_group(members: PermSet) -> None:
 
 
 def _reference_s2t(members: PermSet, omega0: int, omega1: int):
+    n = members.degree
+    if any(type(w) is not int or w not in range(n) for w in (omega0, omega1)) or omega0 == omega1:
+        raise DegenerateOmega(f"base points ({omega0}, {omega1}) invalid for degree {n}")
     _reference_group(members)
     return _reference_check_s2t(members, omega0, omega1)
 
 
 def _reference_check_neardomain(add, mul, zero, one):
-    """The reads of both tables, row-major, with check_neardomain's
-    messages, then the axioms cell by cell."""
+    """The reads of both tables, row-major, then the constants, with
+    check_neardomain's messages, then the axioms cell by cell."""
     n = len(add)
     for name, rows in (("add", add), ("mul", mul)):
         for r, row in enumerate(rows):
             for v in row:
-                if v not in range(n):
+                if type(v) is not int or v not in range(n):
                     raise StructureError(f"{name} entry {v} in row {r} out of range")
+    if any(type(c) is not int or c not in range(n) for c in (zero, one)) or zero == one:
+        raise StructureError(f"constants zero={zero}, one={one} invalid for order {n}")
     return check_neardomain_by_triples(add, mul, zero, one)
 
 
@@ -144,19 +175,27 @@ def test_check_loop_and_check_rps_name_the_reference_witness():
     for _, loop in standard_zoo().loops:
         if loop.order > 4:
             continue
-        for table in [loop.table, *_corruptions(loop.table), *_replacements(loop.table)]:
+        corrupted = [*_corruptions(loop.table), *_off_point_corruptions(loop.table), *_replacements(loop.table)]
+        for table in [loop.table, *corrupted]:
             _compare(check_loop, _reference_check_loop, (table, loop.identity), seen_loop)
         # a corrupted cell repeats a value, so the unit laws fail only at
         # another identity
-        for identity in range(loop.order + 1):
+        for identity in [*range(loop.order + 1), *OFF_POINTS]:
             _compare(check_loop, _reference_check_loop, (loop.table, identity), seen_loop)
         # the rps of the loop lists its rows as members
-        for rows in [loop.table, *_corruptions(loop.table), *_replacements(loop.table)]:
+        for rows in [loop.table, *corrupted]:
             if _compare(perm_set, _reference_perm_set, (rows,), seen_set):
                 _compare(check_rps, _reference_check_rps, (perm_set(rows), loop.order, loop.identity), seen_rps)
+        # the constants: a base point that is no point, a degree that is no
+        # int (True equals the degree of an order-1 set)
+        members = perm_set(loop.table)
+        for basepoint in OFF_POINTS:
+            _compare(check_rps, _reference_check_rps, (members, loop.order, basepoint), seen_rps)
+        for degree in (float(loop.order), loop.order - 0.5, True):
+            _compare(check_rps, _reference_check_rps, (members, degree, loop.identity), seen_rps)
     assert seen_loop == {"ok", "StructureError", "LatinSquareViolation", "IdentityViolation"}
     assert seen_set == {"ok", "StructureError"}
-    assert seen_rps == {"ok", "MissingIdentity", "RegularityViolation"}
+    assert seen_rps == {"ok", "StructureError", "MissingIdentity", "RegularityViolation"}
 
 
 @pytest.mark.parametrize("q", [3, 4])
@@ -164,22 +203,30 @@ def test_perm_set_check_group_and_check_s2t_name_the_reference_witness(q):
     # aff(GF(3)) is S3
     listing = affine_group(galois_field(q)).group.members
     seen_set, seen_group, seen_s2t = set(), set(), set()
-    for rows in [listing, *_corruptions(listing), *_replacements(listing)]:
+    for rows in [listing, *_corruptions(listing), *_off_point_corruptions(listing), *_replacements(listing)]:
         if _compare(perm_set, _reference_perm_set, (rows,), seen_set):
             members = perm_set(rows)
             _compare(check_group, _reference_group, (members,), seen_group)
             _compare(check_s2t, _reference_s2t, (members, 0, 1), seen_s2t)
+    members = perm_set(listing)
+    for w in OFF_POINTS:
+        _compare(check_s2t, _reference_s2t, (members, w, 1), seen_s2t)
+        _compare(check_s2t, _reference_s2t, (members, 0, w), seen_s2t)
     assert seen_set == {"ok", "StructureError"}
     assert seen_group == {"ok", "NotAGroup"}
-    assert seen_s2t == {"ok", "NotAGroup"}
+    assert seen_s2t == {"ok", "NotAGroup", "DegenerateOmega"}
 
 
 @pytest.mark.parametrize("q", [4, 5])
 def test_check_neardomain_names_the_reference_witness(q):
     gf = galois_field(q)
     cases = [(gf.add, gf.mul, gf.zero, gf.one)]
-    cases += [(add, gf.mul, gf.zero, gf.one) for add in _corruptions(gf.add)]
-    cases += [(gf.add, mul, gf.zero, gf.one) for mul in (*_corruptions(gf.mul), *_replacements(gf.mul))]
+    cases += [(add, gf.mul, gf.zero, gf.one) for add in (*_corruptions(gf.add), *_off_point_corruptions(gf.add))]
+    cases += [
+        (gf.add, mul, gf.zero, gf.one)
+        for mul in (*_corruptions(gf.mul), *_off_point_corruptions(gf.mul), *_replacements(gf.mul))
+    ]
+    cases += [(gf.add, gf.mul, w, gf.one) for w in OFF_POINTS] + [(gf.add, gf.mul, gf.zero, w) for w in OFF_POINTS]
     # every loop of order q as the addition: some lack two-sided inverses
     cases += [(loop.table, gf.mul, gf.zero, gf.one) for _, loop in standard_zoo().loops if loop.order == q]
     seen = set()
@@ -190,6 +237,8 @@ def test_check_neardomain_names_the_reference_witness(q):
     axioms = {text.split(" fails")[0] for text in seen}
     assert {"ok", "axiom 1", "axiom 3", "axiom 4"} <= axioms
     assert any(text.startswith("add entry") for text in seen) and any(text.startswith("mul entry") for text in seen)
+    assert {f"{name} entry {v} in row 1 out of range" for name in ("add", "mul") for v in OFF_POINTS} <= seen
+    assert sum(text.startswith("constants") for text in seen) == 2 * len(OFF_POINTS)
     assert any("right translation not bijective" in text for text in seen)
     if q == 5:
         assert "axiom 2" in axioms
@@ -263,6 +312,34 @@ def _raised(fn, *args):
         return "ok", fn(*args)
     except Exception as exc:  # noqa: BLE001 - the raised type is compared
         return type(exc).__name__, str(exc)
+
+
+def test_relabelings_predicates_and_accessors_refuse_values_that_are_no_point():
+    # the identity map of degree 3 with one entry that is no point: as a
+    # relabeling or generator it is named as no bijection, as a morphism
+    # candidate it is no total map, and an accessor refuses the value alone;
+    # nothing raises TypeError and nothing is returned
+    zoo = standard_zoo()
+    loop = next(x for _, x in zoo.loops if x.order == 3)
+    group = next(g for _, g in zoo.groups if g.degree == 3)
+    r, nd = loop_to_rps(loop), galois_field(3)
+    e, members = (0, 1, 2), tuple(range(len(group.group)))
+    no_f = ("ValueError", "f is not a total map into the target members")
+    no_phi = ("ValueError", "phi is not a total map into the target points")
+    for c, v in itertools.product(range(3), OFF_POINTS):
+        pi, f = e[:c] + (v,) + e[c + 1 :], members[:c] + (v,) + members[c + 1 :]
+        named = ("StructureError", f"image array {list(pi)} is not a bijection of 0..2")
+        assert _raised(loops.relabel, loop, pi) == _raised(relabel, group, pi) == _raised(closure, [pi]) == named
+        assert _raised(is_loop_morphism, pi, loop, loop) == ("ValueError", "f is not a total map into the target loop")
+        assert _raised(is_nd_morphism, pi, nd, nd) == ("ValueError", "phi is not a total map into the target carrier")
+        assert _raised(intertwines, Morphism(pi, e), r.members, r.members) == no_f
+        assert _raised(is_rps_morphism, Morphism(pi, e), r, r) == no_f
+        assert _raised(is_s2t_morphism, Morphism(f, e), group, group) == no_f
+        assert _raised(is_rps_morphism, Morphism(e, pi), r, r) == no_phi
+        assert _raised(is_s2t_morphism, Morphism(members, pi), group, group) == no_phi
+    for v in OFF_POINTS:
+        assert _raised(r.from_point, v) == ("ValueError", f"point {v} out of range for degree 3")
+        assert _raised(left_translation, loop, v) == ("ValueError", f"element {v} out of range")
 
 
 def test_row_solved_coefficients_equal_the_pair_by_pair_table():
