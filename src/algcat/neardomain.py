@@ -72,14 +72,14 @@ class Neardomain(Value):
 def _as_table(rows: Sequence[Sequence[int]], n: int, name: str) -> Table:
     """rows as a tuple of n tuples of n points of 0..n-1, n >= 1, each an
     exact int (see perms._is_point): a bool or a float equal to a point is
-    refused. Valid rows pass one length test and one row-of-points test
-    each (perms._all_points), in C; only rows that fail run the row-major
-    scan, which names the first row of the wrong length or entry that is
-    no point."""
+    refused. Valid rows pass one length test each and one test that every
+    entry is a point (perms._all_points), in C; only rows that fail run the
+    row-major scan, which names the first row of the wrong length or entry
+    that is no point."""
     if len(rows) != n:
         raise StructureError(f"{name} table has {len(rows)} rows, expected {n}")
     out = tuple(map(tuple, rows))
-    if all(len(row) == n and _all_points(row, n) for row in out):
+    if all(len(row) == n for row in out) and _all_points(out, n):
         return out
     for r, row in enumerate(out):
         if len(row) != n:

@@ -11,14 +11,14 @@ This module is the one place that decides what a point is. A point of
 0..n-1 is an exact int in range: type(x) is int, so a bool or a float equal
 to a point is none. Every validator, constant, morphism candidate and
 relabeling of the package asks one of five tests: _is_point (one value),
-_all_points (a row), _total_map (a map of 0..n-1 into 0..m-1),
-_all_bijections (rows that each hold every point once) and _check_images
-(one permutation, named when it fails); inverses are read through _inverse
-and relabelings checked and applied through _relabeling. The type test is
-one C call per row it reads, never a Python step per entry, and skipped on
-the columns of rows that passed it. A PermSet's members are its sorted
-image tuples, and it stores its member index (image tuple -> position) and
-its hash.
+_all_points (the rows of a table), _total_map (a map of 0..n-1 into
+0..m-1), _all_bijections (rows that each hold every point once) and
+_check_images (one permutation, named when it fails); inverses are read
+through _inverse and relabelings checked and applied through _relabeling.
+The type test is one C call over all the entries a test reads, never a
+Python step per entry, and skipped on the columns of rows that passed it.
+A PermSet's members are its sorted image tuples, and it stores its member
+index (image tuple -> position) and its hash.
 
 greedy_walk is the one way a set is grown by right multiplication: closure
 grows a group from its generators with it, check_group certifies that a
@@ -38,6 +38,7 @@ morphism alone.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import inf, isqrt
 from operator import itemgetter
 from typing import Callable, Container, Iterable, Iterator, Sequence
@@ -67,7 +68,7 @@ def check_budget(work: int, what: str) -> None:
         raise ResourceLimitExceeded(f"{what} needs {work}, over the cap of {TABLE_CAP} entries")
 
 
-# the one type a point may have, as a set for the C-level row test
+# the one type a point may have, as a set for the C-level type test
 _POINT_TYPES = frozenset({int})
 
 
@@ -77,28 +78,31 @@ def _is_point(x, n: int) -> bool:
     return type(x) is int and 0 <= x < n
 
 
-def _all_points(row: Sequence, n: int) -> bool:
-    """True when every entry of the non-empty row is a point of 0..n-1 (see
-    _is_point): one type test of the row, then one bound test of its least
-    and its greatest entry, each a C call."""
-    return _POINT_TYPES.issuperset(map(type, row)) and 0 <= min(row) and max(row) < n
+def _all_points(rows: Iterable[Sequence], n: int) -> bool:
+    """True when every entry of rows is a point of 0..n-1 (see _is_point):
+    one type test of all the entries, then one subset test of them against
+    0..n-1, each a C call; rows is read twice."""
+    ints = _POINT_TYPES.issuperset(map(type, chain.from_iterable(rows)))
+    return ints and set(range(n)).issuperset(chain.from_iterable(rows))
 
 
 def _total_map(f: Sequence, n: int, m: int) -> bool:
     """True when f is a total map of 0..n-1 into 0..m-1: n entries, each a
     point of 0..m-1."""
-    return len(f) == n and _all_points(f, m)
+    return len(f) == n and _all_points((f,), m)
 
 
 def _all_bijections(lines: Iterable[Sequence[int]], n: int, *, typed: bool = False) -> bool:
     """True when every sequence in lines has length n, holds only exact ints
     and holds each of 0..n-1, so each is a bijection of 0..n-1 (n entries
-    covering n values repeat none): one length test, one type test and one
-    set comparison per sequence, each one C call. typed lines are known to
-    hold ints only (the columns of rows that passed this test, or of the
-    members of a validated set), so the type test is skipped."""
+    covering n values repeat none): one type test of all the entries, then
+    one length test and one set comparison per sequence, each one C call;
+    lines is read twice. typed lines are known to hold ints only (the
+    columns of rows that passed this test, or of the members of a validated
+    set), so the type test is skipped and lines is read once."""
     full = set(range(n))
-    return all(len(p) == n and (typed or _POINT_TYPES.issuperset(map(type, p))) and set(p) == full for p in lines)
+    ints = typed or _POINT_TYPES.issuperset(map(type, chain.from_iterable(lines)))
+    return ints and all(len(p) == n and set(p) == full for p in lines)
 
 
 def _check_images(images: Images) -> None:
